@@ -1,18 +1,12 @@
-"""Combinatorial hot kernels with optional numba acceleration.
+"""The balanced-table search kernel, with optional numba acceleration.
 
-Two call sites are genuinely loop-bound at desk scale: the exhaustive
-search over balanced BRI tables (up to 10^7 visited nodes) and the
-enumeration of typical strings (up to 10^6 strings).  Both carry a
-numba-jitted path and a fallback selected by the environment variable
-``CQWIRETAP_NO_NUMBA=1``: the table search falls back to the same
-algorithm in pure Python, the string mask to vectorized numpy.
-
-``benchmarks/bench_kernels.py`` times the paths against each other.
+The exhaustive search over balanced BRI tables is loop-bound at desk
+scale (up to 10^7 visited nodes).  It runs jitted when numba is installed,
+and the same algorithm runs in pure Python when numba is absent or the
+environment variable ``CQWIRETAP_NO_NUMBA=1`` is set.
 """
 
 import os
-
-import numpy as np
 
 try:
     import numba
@@ -98,63 +92,8 @@ def _search_step_impl(table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_
         col_counts[x, v] -= 1
 
 
-def _typical_mask_impl(n_symbols, n, p, tol, forbid):
-    """Mask over all n_symbols^n strings in big-endian lexicographic order.
-
-    String i is typical when |N(a|x)/n - p[a]| <= tol for every symbol a
-    and N(a|x) = 0 wherever forbid[a] (zero-probability symbols).
-    """
-    size = n_symbols**n
-    mask = np.zeros(size, dtype=np.bool_)
-    counts = np.zeros(n_symbols, dtype=np.int64)
-    digits = np.zeros(n, dtype=np.int64)
-    counts[0] = n  # string 00...0
-    for i in range(size):
-        if i > 0:
-            # increment the mixed-radix counter from the right
-            k = n - 1
-            while True:
-                counts[digits[k]] -= 1
-                digits[k] += 1
-                if digits[k] < n_symbols:
-                    counts[digits[k]] += 1
-                    break
-                digits[k] = 0
-                counts[0] += 1
-                k -= 1
-        ok = True
-        for a in range(n_symbols):
-            if forbid[a]:
-                if counts[a] != 0:
-                    ok = False
-                    break
-            elif abs(counts[a] / n - p[a]) > tol:
-                ok = False
-                break
-        mask[i] = ok
-    return mask
-
-
 if HAS_NUMBA:
     _search_step_jit = numba.njit(cache=True)(_search_step_impl)
-    _typical_mask_jit = numba.njit(cache=True)(_typical_mask_impl)
-
-
-def _typical_mask_numpy(n_symbols, n, p, tol, forbid):
-    """Vectorized fallback for the typical-string mask."""
-    size = n_symbols**n
-    idx = np.arange(size)
-    counts = np.zeros((size, n_symbols), dtype=np.int64)
-    for k in range(n):
-        digit = (idx // n_symbols ** (n - 1 - k)) % n_symbols
-        np.add.at(counts, (idx, digit), 1)
-    ok = np.ones(size, dtype=bool)
-    for a in range(n_symbols):
-        if forbid[a]:
-            ok &= counts[:, a] == 0
-        else:
-            ok &= np.abs(counts[:, a] / n - p[a]) <= tol
-    return ok
 
 
 def search_step(table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget):
@@ -167,11 +106,3 @@ def search_step(table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x
         table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget
     )
 
-
-def typical_mask(n_symbols, n, p, tol, forbid):
-    """Dispatch the typical-string mask to the active path."""
-    p = np.asarray(p, dtype=np.float64)
-    forbid = np.asarray(forbid, dtype=np.bool_)
-    if USE_NUMBA:
-        return _typical_mask_jit(n_symbols, n, p, float(tol), forbid)
-    return _typical_mask_numpy(n_symbols, n, p, float(tol), forbid)

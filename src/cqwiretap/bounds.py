@@ -34,7 +34,7 @@ from . import operators as op
 from .bri import BriFunction, lambda2, preimage
 from .channels import ClassicalChannel, CqChannel, holevo, mix, tensor_power
 from .codes import TransmissionCode, WiretapCode
-from .config import TOL_BOUND, TOL_ROWSUM, TOL_TRACE
+from .config import TOL_BOUND, TOL_ROWSUM, TOL_TRACE, check_dim
 from .errors import DimensionMismatchError, InvalidStateError, PsdOrderingError
 
 LN2 = math.log(2.0)
@@ -209,6 +209,7 @@ def _seed_embedded_leakage(f, v, m_dist) -> float:
     the eavesdropper's system.
     """
     k, d = f.n_seeds, v.dim
+    check_dim(k * d)
     states = {}
     for i, m in enumerate(f.regularity_set):
         block = np.zeros((k * d, k * d), dtype=complex)

@@ -15,7 +15,6 @@ by best value with ties to the lowest restart index.
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -133,29 +132,6 @@ class ClassicalChannel:
 
     def __len__(self) -> int:
         return len(self.inputs)
-
-
-@dataclass(frozen=True)
-class CqState:
-    """An input distribution paired with a channel (a cq ensemble)."""
-
-    dist: np.ndarray
-    channel: CqChannel
-
-    def __post_init__(self):
-        p = np.asarray(self.dist, dtype=float)
-        if p.ndim != 1 or len(p) != len(self.channel.alphabet):
-            raise InvalidStateError("distribution length must match the alphabet")
-        if p.min() < -TOL_ROWSUM or abs(p.sum() - 1.0) > 1e-10:
-            raise InvalidStateError("dist must be a probability vector")
-        object.__setattr__(self, "dist", p)
-
-    def average(self) -> np.ndarray:
-        out = np.zeros((self.channel.dim, self.channel.dim), dtype=complex)
-        for prob, x in zip(self.dist, self.channel.alphabet):
-            if prob > 0.0:
-                out += prob * self.channel.output(x)
-        return out
 
 
 def compose(e: ClassicalChannel, v) -> CqChannel:

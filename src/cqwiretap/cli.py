@@ -219,28 +219,39 @@ def _run_eval_leakage(inputs, params, output):
     return True, summary
 
 
+# keys a v_prime object may carry, per mode; any other key is a spec error
+_V_PRIME_KEYS = {
+    "identity": {"mode"},
+    "scale": {"mode", "factor"},
+    "typicality": {"mode", "p", "n", "delta"},
+}
+
+
 def _subnormalized(v, params):
     mode = params.get("v_prime", {"mode": "identity"})
     if not isinstance(mode, dict) or "mode" not in mode:
         raise InvalidStateError("params.v_prime must be an object with a 'mode'")
     name = mode["mode"]
+    if name not in _V_PRIME_KEYS:
+        raise InvalidStateError(f"unknown v_prime mode {name!r}")
+    unknown = sorted(set(mode) - _V_PRIME_KEYS[name])
+    if unknown:
+        raise InvalidStateError(f"unknown keys for v_prime mode {name!r}: {unknown}")
     if name == "identity":
         return bounds.SubnormalizedCqChannel.from_channel(v), v
     if name == "scale":
         return bounds.SubnormalizedCqChannel.from_channel(v, float(mode.get("factor", 1.0))), v
-    if name == "typicality":
-        p = np.asarray(mode["p"], dtype=float)
-        n, delta = int(mode["n"]), float(mode["delta"])
-        sub = typicality.subnormalized_channel(v, p, n, delta)
-        v_n = channels.tensor_power(v, n)
-        # typical strings re-indexed 0..|T|-1 so an |X| = |T| function applies
-        index = range(len(sub.alphabet))
-        base = channels.CqChannel(index, sub.dim, {i: v_n.output(t) for i, t in enumerate(sub.alphabet)})
-        prime = bounds.SubnormalizedCqChannel(
-            index, sub.dim, {i: sub.output(t) for i, t in enumerate(sub.alphabet)}, epsilon=sub.epsilon
-        )
-        return prime, base
-    raise InvalidStateError(f"unknown v_prime mode {name!r}")
+    p = np.asarray(mode["p"], dtype=float)
+    n, delta = int(mode["n"]), float(mode["delta"])
+    sub = typicality.subnormalized_channel(v, p, n, delta)
+    v_n = channels.tensor_power(v, n)
+    # typical strings re-indexed 0..|T|-1 so an |X| = |T| function applies
+    index = range(len(sub.alphabet))
+    base = channels.CqChannel(index, sub.dim, {i: v_n.output(t) for i, t in enumerate(sub.alphabet)})
+    prime = bounds.SubnormalizedCqChannel(
+        index, sub.dim, {i: sub.output(t) for i, t in enumerate(sub.alphabet)}, epsilon=sub.epsilon
+    )
+    return prime, base
 
 
 def _run_bound_chain(inputs, params, output):

@@ -29,9 +29,8 @@ from .errors import InvalidStateError
 def _check_decoders(decoders, keys, dim):
     if set(decoders) != set(keys):
         raise InvalidStateError("decoders must cover the message set exactly")
-    cleaned = {m: op.check_measurement(np.asarray(decoders[m], dtype=complex)) for m in keys}
-    op.check_sub_povm(list(cleaned.values()), dim)
-    return cleaned
+    cleaned = op.check_sub_povm([np.asarray(decoders[m], dtype=complex) for m in keys], dim)
+    return dict(zip(keys, cleaned))
 
 
 class TransmissionCode:

@@ -11,7 +11,8 @@ import os
 
 # operator dimension for any materialized matrix (kron products included)
 DIM_CAP = 4096
-# enumerated strings |X|^n (typical sets, exhaustive error sums)
+# listed strings: typical-set size |T| (summed type-class sizes, not |X|^n)
+# and message-seed pairs of a materialized derandomized code
 STRING_CAP = 10**6
 # visited nodes in exhaustive BRI table search
 TABLE_CAP = 10**7

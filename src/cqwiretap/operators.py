@@ -109,15 +109,17 @@ def check_measurement(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def check_sub_povm(elements, dim: int, tol: float = TOL_SUBPOVM) -> None:
+def check_sub_povm(elements, dim: int, tol: float = TOL_SUBPOVM) -> list:
     """Validate a sub-POVM: each element a measurement operator, sum <= identity.
 
     ``elements`` is any iterable of matrices (dict values are accepted).
     The deficit from the identity is the abort outcome, so the sum may fall
-    short but must not exceed the identity by more than ``tol``.
+    short but must not exceed the identity by more than ``tol``.  Returns
+    the symmetrized elements in input order.
     """
     if isinstance(elements, dict):
         elements = list(elements.values())
+    cleaned = []
     total = np.zeros((dim, dim), dtype=complex)
     for d in elements:
         d = check_measurement(d)
@@ -125,10 +127,12 @@ def check_sub_povm(elements, dim: int, tol: float = TOL_SUBPOVM) -> None:
             raise DimensionMismatchError(
                 f"sub-POVM element dimension {d.shape[0]} != {dim}"
             )
+        cleaned.append(d)
         total += d
     excess = np.linalg.eigvalsh(check_hermitian(total)).max() - 1.0 if dim else 0.0
     if excess > tol:
         raise InvalidStateError(f"sub-POVM exceeds the identity by {excess:.3e}")
+    return cleaned
 
 
 def entropy(rho: np.ndarray) -> float:

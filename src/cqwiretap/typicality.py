@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from ._kernels import typical_mask
 from .bounds import SubnormalizedCqChannel, check_psd_ordering, make_report
-from .channels import tensor_power
+from .channels import _average_state, tensor_power
 from .config import STRING_CAP, TOL_ROWSUM, check_dim
 from .errors import (
     DimensionMismatchError,
@@ -124,39 +123,121 @@ def _clean_spectrum(vals: np.ndarray) -> np.ndarray:
     return q / total
 
 
+def _count_admissible(q, c, n, tol) -> bool:
+    if q <= SPECTRUM_FLOOR:
+        return c == 0
+    return abs(c / n - q) <= tol
+
+
 def _counts_admissible(counts, n, p, tol) -> bool:
-    for q, c in zip(p, counts):
-        if q <= SPECTRUM_FLOOR:
-            if c:
-                return False
-        elif abs(c / n - q) > tol:
-            return False
-    return True
+    return all(_count_admissible(q, c, n, tol) for q, c in zip(p, counts))
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
+def _windows(p: np.ndarray, n: int, delta: float):
+    """Per letter, the (lowest, highest) admissible count; lowest > highest
+    when none is.  The admissible counts are contiguous because ``c/n - q``
+    is monotone in ``c``."""
+    tol = delta / p.size + MEMBER_GUARD
+    out = []
+    for q in p:
+        lo = max(0, math.floor(n * (q - tol)) - 1)
+        hi = min(n, math.ceil(n * (q + tol)) + 1)
+        ok = [c for c in range(lo, hi + 1) if _count_admissible(q, c, n, tol)]
+        out.append((ok[0], ok[-1]) if ok else (1, 0))
+    return out
+
+
+def _compositions(total: int, windows):
+    """Count vectors summing to ``total`` with every count in its letter's
+    window, in lexicographic order.  A count is chosen only if the later
+    letters can still make up the rest, so every step yields a vector."""
+    m = len(windows)
+    if any(lo > hi for lo, hi in windows):
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    rest_lo = list(itertools.accumulate(reversed([lo for lo, _ in windows]), initial=0))
+    rest_hi = list(itertools.accumulate(reversed([hi for _, hi in windows]), initial=0))
+    rest_lo.reverse()
+    rest_hi.reverse()
+    if not rest_lo[0] <= total <= rest_hi[0]:
+        return
+    counts = [0] * m
+
+    def fill(k, left):
+        for j in range(k, m):
+            counts[j] = max(windows[j][0], left - rest_hi[j + 1])
+            left -= counts[j]
+
+    fill(0, total)
+    while True:
+        yield tuple(counts)
+        left = counts[-1]
+        for k in range(m - 2, -1, -1):
+            left += counts[k]
+            if counts[k] < min(windows[k][1], left - rest_lo[k + 1]):
+                counts[k] += 1
+                fill(k + 1, left - counts[k])
+                break
+        else:
+            return
+
+
+def _type_classes(p: np.ndarray, n: int, delta: float):
+    """Admissible letter-count vectors with their type-class sizes."""
+    for counts in _compositions(n, _windows(p, n, delta)):
+        size, left = 1, n
+        for c in counts:
+            size *= math.comb(left, c)
+            left -= c
+        yield counts, size
 
 
 def _profiles(p: np.ndarray, n: int, delta: float):
     """Admissible letter-count vectors with multiplicity and log2 weight."""
-    tol = delta / p.size + MEMBER_GUARD
-    out = []
-    for counts in _compositions(n, p.size):
-        if not _counts_admissible(counts, n, p, tol):
-            continue
-        size = math.factorial(n)
-        for c in counts:
-            size //= math.factorial(c)
-        logw = sum(c * math.log2(q) for q, c in zip(p, counts) if c)
-        out.append((counts, size, logw))
-    return out
+    return [
+        (counts, size, sum(c * math.log2(q) for q, c in zip(p, counts) if c))
+        for counts, size in _type_classes(p, n, delta)
+    ]
+
+
+def _class_total(p: np.ndarray, n: int, delta: float, limit: int) -> int:
+    """Size |T| of the typical set, the summed sizes of its type classes.
+
+    Counting stops at the first class that takes the sum above ``limit``,
+    so the work is bounded by the limit; a result above it is a lower
+    bound on |T|.
+    """
+    total = 0
+    for _, size in _type_classes(p, n, delta):
+        total += size
+        if total > limit:
+            break
+    return total
+
+
+def _type_class(counts):
+    """Distinct arrangements of a letter-count vector, in lexicographic
+    order (next-permutation steps from the sorted arrangement)."""
+    s = [a for a, c in enumerate(counts) for _ in range(c)]
+    out = [tuple(s)]
+    while True:
+        i = len(s) - 2
+        while i >= 0 and s[i] >= s[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(s) - 1
+        while s[j] <= s[i]:
+            j -= 1
+        s[i], s[j] = s[j], s[i]
+        s[i + 1 :] = reversed(s[i + 1 :])
+        out.append(tuple(s))
+
+
+def _typical_strings(p: np.ndarray, n: int, delta: float) -> list:
+    """Index strings of the typical set, big-endian lexicographic."""
+    return sorted(
+        s for counts, _ in _type_classes(p, n, delta) for s in _type_class(counts)
+    )
 
 
 def _entropy_and_window(q: np.ndarray, delta: float):
@@ -170,8 +251,8 @@ def _entropy_and_window(q: np.ndarray, delta: float):
 class TypicalSet:
     """Letter-frequency window around a distribution.
 
-    ``members`` lists the admitted strings in alphabet order when the full
-    string space fits under the enumeration cap and is None otherwise;
+    ``members`` lists the admitted strings in alphabet order when the
+    typical-set size |T| fits under ``cap`` and is None otherwise;
     ``contains`` works in both modes.
     """
 
@@ -180,6 +261,7 @@ class TypicalSet:
     delta: float
     alphabet: tuple
     members: tuple | None
+    cap: int
 
     def __post_init__(self):
         object.__setattr__(
@@ -204,31 +286,29 @@ class TypicalSet:
     def __contains__(self, xn) -> bool:
         return self.contains(xn)
 
-    def __len__(self) -> int:
+    def _listed(self, what):
         if self.members is None:
             raise ResourceCapError(
-                "set was built in predicate mode; no member list to count",
-                requested=len(self.alphabet) ** self.n,
-                cap=STRING_CAP,
+                f"typical set exceeds the string cap; no member list to {what}",
+                requested=_class_total(self.p, self.n, self.delta, self.cap),
+                cap=self.cap,
             )
-        return len(self.members)
+        return self.members
+
+    def __len__(self) -> int:
+        return len(self._listed("count"))
 
     def __iter__(self):
-        if self.members is None:
-            raise ResourceCapError(
-                "set was built in predicate mode; no member list to iterate",
-                requested=len(self.alphabet) ** self.n,
-                cap=STRING_CAP,
-            )
-        return iter(self.members)
+        return iter(self._listed("iterate"))
 
 
 def typical_set(p, n, delta, alphabet=None, cap=None) -> TypicalSet:
     """Strings whose letter frequencies all sit within ``delta/|alphabet|``.
 
-    Letters with zero probability must not occur at all.  Members are
-    enumerated in alphabet order when ``|alphabet|**n`` fits under the cap
-    (``STRING_CAP`` by default); otherwise the set is predicate-only.
+    Letters with zero probability must not occur at all.  The set is the
+    union of the admissible type classes; its members are listed in
+    alphabet order when its size |T| fits under the cap (``STRING_CAP`` by
+    default), and otherwise the set is predicate-only.
     """
     p = _validate_dist(p)
     n, delta = _validate_block(n, delta)
@@ -244,16 +324,13 @@ def typical_set(p, n, delta, alphabet=None, cap=None) -> TypicalSet:
             raise InvalidStateError("alphabet has repeated symbols")
     limit = STRING_CAP if cap is None else int(cap)
     members = None
-    if len(alphabet) ** n <= limit:
-        tol = delta / p.size + MEMBER_GUARD
-        mask = typical_mask(p.size, n, p, tol, p <= SPECTRUM_FLOOR)
-        kept = []
-        # product order is big-endian lexicographic, matching the mask index
-        for hit, idx in zip(mask, itertools.product(range(p.size), repeat=n)):
-            if hit:
-                kept.append(tuple(alphabet[i] for i in idx))
-        members = tuple(kept)
-    return TypicalSet(p=p, n=n, delta=delta, alphabet=alphabet, members=members)
+    if _class_total(p, n, delta, limit) <= limit:
+        members = tuple(
+            tuple(alphabet[i] for i in idx) for idx in _typical_strings(p, n, delta)
+        )
+    return TypicalSet(
+        p=p, n=n, delta=delta, alphabet=alphabet, members=members, cap=limit
+    )
 
 
 def _column_stack(bases, strings, dim_total):
@@ -335,30 +412,17 @@ class ConditionalTypicalProjector:
         return len(self.strings)
 
 
-def _group_filter(xn, spectra, delta, dim):
+def _group_filter(xn, spectra, delta):
     """Admitted index strings: every symbol group's subsequence is typical
     for that symbol's spectrum, with window ``delta/dim``."""
-    n = len(xn)
-    tol = delta / dim + MEMBER_GUARD
     groups = []
-    seen = []
-    for a in xn:
-        if a not in seen:
-            seen.append(a)
-    for a in seen:
+    for a in dict.fromkeys(xn):
         positions = [i for i, b in enumerate(xn) if b == a]
-        m = len(positions)
-        admitted = []
-        for sub in itertools.product(range(dim), repeat=m):
-            counts = [0] * dim
-            for j in sub:
-                counts[j] += 1
-            if _counts_admissible(counts, m, spectra[a], tol):
-                admitted.append(sub)
+        admitted = _typical_strings(spectra[a], len(positions), delta)
         groups.append((positions, admitted))
     strings = []
     for pick in itertools.product(*(admitted for _, admitted in groups)):
-        jn = [0] * n
+        jn = [0] * len(xn)
         for (positions, _), sub in zip(groups, pick):
             for i, j in zip(positions, sub):
                 jn[i] = j
@@ -386,7 +450,7 @@ def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjecto
         vals, u = sorted_eigenbasis(v.output(a))
         spectra[a] = _clean_spectrum(vals)
         bases[a] = u
-    strings = _group_filter(xn, spectra, delta, v.dim)
+    strings = _group_filter(xn, spectra, delta)
     weights = np.array(
         [
             float(np.prod([spectra[a][j] for a, j in zip(xn, jn)]))
@@ -431,7 +495,7 @@ def _unconditional_reports(rho, n, delta):
     return reports
 
 
-def _string_profile(xn, spectra, delta, dim):
+def _string_profile(xn, spectra, delta):
     """Rank, trace, and log-eigenvalue extremes of the projected output,
     computed per symbol group without materializing the projector."""
     rank = 1
@@ -451,22 +515,23 @@ def _string_profile(xn, spectra, delta, dim):
     return rank, trace, log_lo, log_hi
 
 
-def _conditional_reports(v, p, n, delta, cap):
+def _typical_inputs(v, p, n, delta, cap):
+    """Validated input distribution, product dimension, and the listed
+    typical input strings of a channel; an empty set is an error."""
     p = _validate_dist(p)
     if p.size != len(v.alphabet):
         raise DimensionMismatchError(
             f"distribution size {p.size} != alphabet size {len(v.alphabet)}"
         )
-    check_dim(v.dim**n, cap)
-    ts = typical_set(p, n, delta, alphabet=v.alphabet)
-    if ts.members is None:
-        raise ResourceCapError(
-            "typical string enumeration exceeds the cap",
-            requested=len(v.alphabet) ** n,
-            cap=STRING_CAP,
-        )
-    if not ts.members:
+    dim_total = check_dim(v.dim**n, cap)
+    members = typical_set(p, n, delta, alphabet=v.alphabet)._listed("list")
+    if not members:
         raise InvalidStateError("typical set is empty at this block length")
+    return p, dim_total, members
+
+
+def _conditional_reports(v, p, n, delta, cap):
+    p, _, members = _typical_inputs(v, p, n, delta, cap)
     spectra = {}
     for a in v.alphabet:
         spectra[a] = _clean_spectrum(np.linalg.eigvalsh(v.output(a))[::-1])
@@ -478,21 +543,18 @@ def _conditional_reports(v, p, n, delta, cap):
     window = max(_entropy_and_window(spectra[a], delta)[1] for a in v.alphabet)
 
     ranks, traces, lows, highs = [], [], [], []
-    for xn in ts.members:
-        rank, trace, log_lo, log_hi = _string_profile(xn, spectra, delta, v.dim)
+    for xn in members:
+        rank, trace, log_lo, log_hi = _string_profile(xn, spectra, delta)
         ranks.append(rank)
         traces.append(trace)
         if rank:
             lows.append(log_lo)
             highs.append(log_hi)
 
-    pv = np.zeros((v.dim, v.dim), dtype=complex)
-    for prob, a in zip(p, v.alphabet):
-        pv += prob * v.output(a)
-    pi_avg = typical_projector(pv, n, delta, cap).projector
+    pi_avg = typical_projector(_average_state(p, v), n, delta, cap).projector
     vn = tensor_power(v, n, cap)
     avg_trace = min(
-        float(np.trace(vn.output(xn) @ pi_avg).real) for xn in ts.members
+        float(np.trace(vn.output(xn) @ pi_avg).real) for xn in members
     )
 
     reports = [
@@ -551,36 +613,18 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> SubnormalizedCqChannel:
     epsilon.  Domination by the product channel is verified on every
     output; a violation raises :class:`PsdOrderingError`.
     """
-    p = _validate_dist(p)
-    if p.size != len(v.alphabet):
-        raise DimensionMismatchError(
-            f"distribution size {p.size} != alphabet size {len(v.alphabet)}"
-        )
     n, delta = _validate_block(n, delta)
-    dim_total = check_dim(v.dim**n, cap)
-    ts = typical_set(p, n, delta, alphabet=v.alphabet)
-    if ts.members is None:
-        raise ResourceCapError(
-            "typical string enumeration exceeds the cap",
-            requested=len(v.alphabet) ** n,
-            cap=STRING_CAP,
-        )
-    if not ts.members:
-        raise InvalidStateError("typical set is empty at this block length")
-
-    pv = np.zeros((v.dim, v.dim), dtype=complex)
-    for prob, a in zip(p, v.alphabet):
-        pv += prob * v.output(a)
-    pi_avg = typical_projector(pv, n, delta, cap).projector
+    p, dim_total, members = _typical_inputs(v, p, n, delta, cap)
+    pi_avg = typical_projector(_average_state(p, v), n, delta, cap).projector
     vn = tensor_power(v, n, cap)
 
     outputs = {}
-    for xn in ts.members:
+    for xn in members:
         pi_cond = cond_typical_projector(v, xn, delta, cap).projector
         inner = pi_cond @ vn.output(xn) @ pi_cond
         out = pi_avg @ inner @ pi_avg
         outputs[xn] = (out + out.conj().T) / 2.0
 
-    sub = SubnormalizedCqChannel(ts.members, dim_total, outputs)
+    sub = SubnormalizedCqChannel(members, dim_total, outputs)
     check_psd_ordering(sub, vn)
     return sub

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_unitary, rng
+from conftest import random_density, random_unitary, rng
 
 from cqwiretap import codes, serialize
 from cqwiretap.channels import CqChannel
@@ -135,6 +135,20 @@ class TestExitCodes:
             {"p": [0.6, 0.4], "delta": 0.5, "ns": [3]},
         )
         assert main(["typicality-report", spec, "--cap", "4"]) == 5
+
+    def test_typical_input_set_over_string_cap_exits_5(self, ws):
+        # 32 input letters at n = 12: the 4096-dimensional product outputs
+        # fit the operator cap, but the typical input set (12! strings per
+        # type class) does not fit the string cap
+        g = rng(7)
+        v = CqChannel(range(32), 2, {x: random_density(g, 2) for x in range(32)})
+        ws.channel("v.json", v)
+        spec = ws.spec(
+            "typicality-report",
+            {"channel": str(ws.root / "v.json")},
+            {"p": [1 / 32] * 32, "delta": 2.0, "ns": [12]},
+        )
+        assert main(["typicality-report", spec]) == 5
 
     def test_cap_override_is_restored(self, ws):
         ws.channel("v.json", flip_channel())
@@ -260,6 +274,34 @@ class TestBoundChain:
     def test_unknown_mode(self, ws):
         spec = self.setup_spec(ws, {"mode": "shrink"})
         assert main(["bound-chain", spec]) == 3
+
+    def section_spec(self, ws, v_prime):
+        # the bundled 6x8 function with a random qubit eavesdropper
+        g = rng(53)
+        ws.channel("v.json", CqChannel(range(8), 2, {x: random_density(g, 2) for x in range(8)}))
+        return ws.spec(
+            "bound-chain",
+            {"channel": str(ws.root / "v.json"), "bri": str(serialize.bundled("section_6x8.json"))},
+            {"v_prime": v_prime},
+        )
+
+    def test_unknown_v_prime_keys_rejected(self, ws):
+        # "scale" is not a key of the scale mode (its factor is "factor"),
+        # so this spec must not run silently as the identity V'
+        spec = self.section_spec(ws, {"mode": "scale", "scale": 0.9})
+        assert main(["bound-chain", spec]) == 3
+        spec = self.section_spec(ws, {"mode": "identity", "factor": 0.9})
+        assert main(["bound-chain", spec]) == 3
+        spec = self.setup_spec(
+            ws, {"mode": "typicality", "p": [0.6, 0.4], "n": 2, "delta": 0.5, "cap": 9}
+        )
+        assert main(["bound-chain", spec]) == 3
+
+    def test_seed_embedded_operator_capped(self, ws):
+        # the joint seed-output system has dimension |S| * d = 6 * 2 = 12
+        spec = self.section_spec(ws, {"mode": "identity"})
+        assert main(["bound-chain", spec, "--cap", "12"]) == 0
+        assert main(["bound-chain", spec, "--cap", "8"]) == 5
 
 
 class TestCapacity:

@@ -77,6 +77,19 @@ class TestTransmissionCode:
                 dim=2,
             )
 
+    def test_decoders_validated_once(self, monkeypatch):
+        # one spectrum per decoder plus one for their sum; the stored
+        # decoders are the symmetrized inputs
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        skew = np.diag([0.3, 0.2]).astype(complex)
+        skew[0, 1] = 1e-12
+        t = codes.TransmissionCode({0: (0,), 1: (1,), 2: (0,)}, {0: skew, 1: skew, 2: skew}, n=1, dim=2)
+        assert len(calls) == 4
+        for d in t.decoders.values():
+            assert np.array_equal(d, (skew + skew.conj().T) / 2)
+
     def test_key_mismatch_rejected(self):
         with pytest.raises(InvalidStateError):
             codes.TransmissionCode(

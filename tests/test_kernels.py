@@ -1,50 +1,21 @@
-"""Parity tests for the accelerated kernels.
+"""Parity tests for the balanced-table search kernel.
 
-The jitted and fallback paths must agree bit for bit.  A plain Python
-counter over strings gives the mask a third, independent route, and the
-table search is driven to exhaustion on both paths with full traces
-compared.  The env flag is exercised in a subprocess because it is read
-at import time.
+The jitted and pure-Python paths must agree bit for bit: the table search
+is driven to exhaustion on both paths with full traces compared.  The env
+flag is exercised in a subprocess because it is read at import time.
 """
 
-import itertools
+import os
 import subprocess
 import sys
-import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cqwiretap import _kernels, bri
 from cqwiretap.bri import verify_biregular
 
 needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-
-
-def python_mask(n_symbols, n, p, tol, forbid):
-    out = []
-    for idx in itertools.product(range(n_symbols), repeat=n):
-        ok = True
-        for a in range(n_symbols):
-            c = idx.count(a)
-            if forbid[a]:
-                ok = c == 0
-            else:
-                ok = abs(c / n - p[a]) <= tol
-            if not ok:
-                break
-        out.append(ok)
-    return np.array(out, dtype=bool)
-
-
-def mask_args(weights, n, frac):
-    w = np.asarray(weights, dtype=float)
-    p = w / w.sum()
-    forbid = p <= 1e-12
-    tol = frac / len(w)
-    return len(w), n, p, tol, forbid
 
 
 def drive(impl, n_s, n_x, n_m, d_s, d_x, budget):
@@ -67,50 +38,6 @@ def drive(impl, n_s, n_x, n_m, d_s, d_x, budget):
             solutions.append(table.copy())
         elif status == 0:
             return solutions, trace
-
-
-class TestTypicalMask:
-    @needs_numba
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.integers(0, 5), min_size=2, max_size=4).filter(lambda w: sum(w) > 0),
-        st.integers(1, 6),
-        st.floats(0.0, 1.2),
-    )
-    def test_jit_and_numpy_agree(self, weights, n, frac):
-        k, n, p, tol, forbid = mask_args(weights, n, frac)
-        jit = _kernels._typical_mask_jit(k, n, p, tol, forbid)
-        plain = _kernels._typical_mask_numpy(k, n, p, tol, forbid)
-        assert np.array_equal(jit, plain)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.integers(0, 5), min_size=2, max_size=3).filter(lambda w: sum(w) > 0),
-        st.integers(1, 5),
-        st.floats(0.0, 1.2),
-    )
-    def test_numpy_matches_python_counter(self, weights, n, frac):
-        k, n, p, tol, forbid = mask_args(weights, n, frac)
-        assert np.array_equal(
-            _kernels._typical_mask_numpy(k, n, p, tol, forbid),
-            python_mask(k, n, p, tol, forbid),
-        )
-
-    def test_forbidden_letter_never_appears(self):
-        k, n, p, tol, forbid = mask_args([3, 0, 1], 4, 2.0)
-        mask = _kernels.typical_mask(k, n, p, tol, forbid)
-        for hit, idx in zip(mask, itertools.product(range(k), repeat=n)):
-            if hit:
-                assert 1 not in idx
-
-    def test_dispatch_paths_agree(self, monkeypatch):
-        k, n, p, tol, forbid = mask_args([2, 1, 1], 5, 0.9)
-        monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-        fallback = _kernels.typical_mask(k, n, p, tol, forbid)
-        if _kernels.HAS_NUMBA:
-            monkeypatch.setattr(_kernels, "USE_NUMBA", True)
-            assert np.array_equal(_kernels.typical_mask(k, n, p, tol, forbid), fallback)
-        assert fallback.sum() > 0
 
 
 class TestSearchStep:
@@ -153,10 +80,9 @@ class TestSearchStep:
 
 class TestEnvFlag:
     SCRIPT = (
-        "import numpy as np\n"
-        "from cqwiretap import _kernels\n"
-        "mask = _kernels.typical_mask(2, 8, np.array([0.7, 0.3]), 0.2, np.array([False, False]))\n"
-        "print(_kernels.USE_NUMBA, ''.join('1' if b else '0' for b in mask))\n"
+        "from cqwiretap import _kernels, bri\n"
+        "f = bri.construct_exhaustive(4, 4, 2, 1 - 1e-9)\n"
+        "print(_kernels.USE_NUMBA, ''.join(str(v) for v in f.table.ravel()))\n"
     )
 
     def run_flagged(self, value):
@@ -169,16 +95,15 @@ class TestEnvFlag:
             [sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, env=env
         )
         assert done.returncode == 0, done.stderr
-        flag, mask = done.stdout.split()
-        return flag, mask
+        flag, table = done.stdout.split()
+        return flag, table
 
-    def test_flag_disables_numba_and_result_matches(self):
-        flag, masked = self.run_flagged("1")
+    def test_flag_disables_numba_and_result_matches(self, monkeypatch):
+        flag, table = self.run_flagged("1")
         assert flag == "False"
-        expected = _kernels._typical_mask_numpy(
-            2, 8, np.array([0.7, 0.3]), 0.2, np.array([False, False])
-        )
-        assert masked == "".join("1" if b else "0" for b in expected)
+        monkeypatch.setattr(_kernels, "USE_NUMBA", False)
+        expected = bri.construct_exhaustive(4, 4, 2, 1 - 1e-9).table
+        assert table == "".join(str(v) for v in expected.ravel())
 
     @needs_numba
     def test_default_uses_numba(self):

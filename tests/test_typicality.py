@@ -7,6 +7,7 @@ a hand count of admissible letter frequencies.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import random_density, random_unitary, rng
 
 from cqwiretap import operators as op
+from cqwiretap import typicality
 from cqwiretap.bounds import SubnormalizedCqChannel
 from cqwiretap.channels import CqChannel, conditional_entropy, holevo, tensor_power
 from cqwiretap.errors import (
@@ -24,7 +26,9 @@ from cqwiretap.errors import (
     PsdOrderingError,
     ResourceCapError,
 )
+from cqwiretap.config import STRING_CAP
 from cqwiretap.typicality import (
+    _class_total,
     check_typical_projector,
     cond_typical_projector,
     sorted_eigenbasis,
@@ -186,13 +190,15 @@ class TestTypicalSet:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        weights=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=3).filter(
+        weights=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=4).filter(
             lambda w: sum(w) > 0
         ),
-        n=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=7),
         delta=st.sampled_from([0.1, 0.3, 0.6, 1.0]),
     )
     def test_matches_brute_force(self, weights, n, delta):
+        # members come from type classes; order and content must equal the
+        # full-space filter, zero-mass letters included
         p = np.asarray(weights, dtype=float) / sum(weights)
         ts = typical_set(p, n, delta)
         assert list(ts.members) == brute_typical_strings(p, n, delta)
@@ -210,10 +216,54 @@ class TestTypicalSet:
             len(ts)
 
     def test_cap_override_forces_predicate(self):
-        ts = typical_set(SKEW, 2, 0.5, cap=3)
+        ts = typical_set(SKEW, 2, 0.5, cap=2)
         assert ts.members is None
         assert ts.contains((0, 1))
         assert not ts.contains((1, 1))
+
+    def test_cap_counts_typical_strings_not_all_strings(self):
+        # |T| = 163 of the 256 strings at n = 8; the cap is compared with |T|
+        size = SKEW_COUNTS[8]
+        assert len(typical_set(SKEW, 8, 0.5, cap=size)) == size
+        ts = typical_set(SKEW, 8, 0.5, cap=size - 1)
+        assert ts.members is None
+        with pytest.raises(ResourceCapError) as info:
+            len(ts)
+        assert info.value.requested == size
+        assert info.value.cap == size - 1
+
+    def test_large_alphabet_stops_counting_at_the_cap(self, monkeypatch):
+        # 32 uniform letters at n = 12, window {0, 1} per letter: the first
+        # admissible type class alone has 12! strings, so the set turns
+        # predicate-only after one class instead of walking all C(43, 12)
+        # count vectors
+        seen = []
+        classes = typicality._type_classes
+
+        def counted(*args):
+            for item in classes(*args):
+                seen.append(item)
+                yield item
+
+        monkeypatch.setattr(typicality, "_type_classes", counted)
+        ts = typical_set(np.full(32, 1 / 32), 12, 2.0)
+        assert ts.members is None
+        assert len(seen) == 1
+        with pytest.raises(ResourceCapError) as info:
+            len(ts)
+        assert info.value.requested == math.factorial(12)
+        assert info.value.cap == STRING_CAP
+
+    def test_listed_beyond_full_space_cap(self):
+        # 4^10 strings exceed STRING_CAP, but only the exact type
+        # (4, 3, 2, 1) is admitted: 10! / (4! 3! 2! 1!) = 12600 strings
+        p = np.array([0.4, 0.3, 0.2, 0.1])
+        assert 4**10 > STRING_CAP
+        ts = typical_set(p, 10, 0.2)
+        assert len(ts) == 12600
+        assert len(ts) == _class_total(p, 10, 0.2, STRING_CAP)
+        assert list(ts.members) == sorted(set(ts.members))
+        assert all(ts.contains(xs) for xs in ts.members)
 
     def test_validation(self):
         with pytest.raises(InvalidStateError):
