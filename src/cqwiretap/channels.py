@@ -7,6 +7,12 @@ in its three equivalent forms, leakage under common randomness, and the
 two optimizers the secrecy analysis needs: the adversarial (worst message
 distribution) leakage and the single-letter secrecy-capacity objective.
 
+Both optimizers stack their output states as one ``(..., k, d, d)`` array,
+validate it once on entry, and evaluate objectives and analytic gradients
+with one eigensolve of the average states per call (see
+:func:`cqwiretap.operators.entropies` and
+:func:`cqwiretap.operators.relative_entropies`).
+
 Optimizer determinism: every randomized search draws from a caller-supplied
 ``numpy.random.Generator``; the default is a Philox generator with a fixed
 seed, so repeated calls reproduce each other exactly.  Restart reduction is
@@ -14,6 +20,7 @@ by best value with ties to the lowest restart index.
 """
 
 import itertools
+import warnings
 from collections import namedtuple
 from functools import reduce
 
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import operators as op
 from .config import TOL_ROWSUM, check_dim
-from .errors import DimensionMismatchError, InvalidStateError
+from .errors import ConvergenceWarning, DimensionMismatchError, InvalidStateError
 
 
 class CqChannel:
@@ -248,6 +255,64 @@ def _default_rng() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
+def _mixtures(p: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Mixtures ``sum_x p[..., x] states[..., x, :, :]`` for stacked states.
+
+    The reduction over the alphabet axis adds the terms in alphabet order,
+    so a distribution gets the same bits alone as inside a batch.
+    """
+    return (p[..., None, None] * states).sum(axis=-3)
+
+
+def _validated_stack(states):
+    """Stack output states, validate them once, and return them
+    (symmetrized) with their entropies."""
+    states = op.check_density(np.array(states))
+    return states, op.entropies(states)
+
+
+def _chi(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndarray:
+    """Holevo quantities ``S(PU) - sum_x p_x S(U_x)`` of stacked states.
+
+    ``states`` is ``(..., k, d, d)`` with entropies ``ent`` of shape
+    ``(..., k)``; ``p`` is one distribution ``(k,)`` or a batch ``(N, k)``.
+    One ``eigvalsh`` call covers every average.
+    """
+    return op.entropies(_mixtures(p, states)) - (ent * p).sum(axis=-1)
+
+
+def _chi_gradient(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndarray:
+    """``D(U_x || PU)`` for every state: the gradient of chi in p up to a
+    constant, from one ``eigh`` call over the averages."""
+    avg = _mixtures(p, states)[..., None, :, :]
+    return op.relative_entropies(states, avg, rho_entropy=ent)
+
+
+def _finite_gradient(g: np.ndarray) -> np.ndarray:
+    """Replace non-finite gradient entries so a step never sees inf or nan.
+
+    ``+inf`` and nan go 100 above the largest finite entry, so that mass
+    moves towards them; ``-inf`` goes 100 below the smallest, so that mass
+    moves away.
+    """
+    ok = np.isfinite(g)
+    if ok.all():
+        return g
+    finite = g[ok]
+    top = finite.max() if finite.size else 0.0
+    bottom = finite.min() if finite.size else 0.0
+    return np.where(ok, g, np.where(g == -np.inf, bottom - 100.0, top + 100.0))
+
+
+def _warn_unconverged(name: str, max_iters: int) -> None:
+    warnings.warn(
+        f"{name} did not converge within max_iters={max_iters}; "
+        "returning the best value found",
+        ConvergenceWarning,
+        stacklevel=3,
+    )
+
+
 def adversarial_leakage(
     encoders,
     v_n,
@@ -260,11 +325,16 @@ def adversarial_leakage(
     """Worst-case leakage over message distributions.
 
     chi(M; S, E^S V) is concave in the message distribution, so a
-    multiplicative-weights ascent from a few random interior starts finds
-    the maximum; steps that decrease the objective halve the step size.
-    Convergence is declared when the gain over the last ``patience``
-    iterations falls below ``gain_tol``; otherwise the best value is
-    returned with ``converged=False``.
+    multiplicative-weights ascent (the cq Blahut-Arimoto step) from a few
+    random interior starts finds the maximum; steps that decrease the
+    objective halve the step size.  Convergence is declared when the gain
+    over the last ``patience`` iterations falls below ``gain_tol``;
+    otherwise the best value is returned with ``converged=False`` and a
+    :class:`~cqwiretap.errors.ConvergenceWarning`.
+
+    The per-seed message states are stacked as ``(S, k, d, d)`` and
+    validated once here.  Each objective is one ``eigvalsh`` over the
+    ``(S, d, d)`` averages, each gradient one ``eigh`` of them.
     """
     rng = rng or _default_rng()
     seeds = sorted(encoders)
@@ -272,25 +342,14 @@ def adversarial_leakage(
     k = len(msgs)
     if k == 1:
         return AdversarialLeakage(0.0, np.array([1.0]), True)
-    # per-seed message states and their entropies, computed once
-    per_seed = [compose(encoders[s], v_n).states() for s in seeds]
-    ent = np.array([[op.entropy(sig) for sig in states] for states in per_seed])
+    states, ent = _validated_stack([compose(encoders[s], v_n).states() for s in seeds])
 
     def objective(p):
-        val = 0.0
-        for s_i, states in enumerate(per_seed):
-            avg = sum(prob * sig for prob, sig in zip(p, states) if prob > 0.0)
-            val += op.entropy(avg) - float(np.dot(p, ent[s_i]))
-        return val / len(seeds)
+        return float(_chi(p, states, ent).sum()) / len(seeds)
 
     def gradient(p):
         # g_m = (1/|S|) sum_s D(U_s(m) || sum_m' p U_s(m')), in bits
-        g = np.zeros(k)
-        for states in per_seed:
-            avg = sum(prob * sig for prob, sig in zip(p, states) if prob > 0.0)
-            for m_i, sig in enumerate(states):
-                g[m_i] += op.relative_entropy(sig, avg)
-        return g / len(seeds)
+        return _chi_gradient(p, states, ent).sum(axis=0) / len(seeds)
 
     best_val, best_p, best_conv = -np.inf, None, False
     for _ in range(restarts):
@@ -302,10 +361,7 @@ def adversarial_leakage(
         history = [val]
         converged = False
         for _ in range(max_iters):
-            g = gradient(p)
-            finite = g[np.isfinite(g)]
-            top = finite.max() if finite.size else 0.0
-            g = np.where(np.isfinite(g), g, top + 100.0)
+            g = _finite_gradient(gradient(p))
             trial = p * np.exp2(np.clip(step * (g - g.max()), -700, 0))
             total = trial.sum()
             if total <= 0.0:
@@ -325,6 +381,8 @@ def adversarial_leakage(
                 break
         if val > best_val:
             best_val, best_p, best_conv = val, p, converged
+    if not best_conv:
+        _warn_unconverged("adversarial_leakage", max_iters)
     return AdversarialLeakage(float(best_val), best_p, best_conv)
 
 
@@ -339,48 +397,61 @@ def _project_simplex(y: np.ndarray) -> np.ndarray:
     return np.clip(y - theta, 0.0, None)
 
 
+def _simplex_grid(k: int) -> np.ndarray:
+    """Grid polish points for k <= 3 inputs, one row each, in search order:
+    10,001 points for k = 2, 10,011 (resolution 140) for k = 3."""
+    if k == 1:
+        return np.ones((1, 1))
+    if k == 2:
+        a = np.arange(10001)
+        return np.stack([a, 10000 - a], axis=1) / 10000
+    a, ab = np.triu_indices(141)  # a outer, a + b = ab inner
+    return np.stack([a, ab - a, 140 - ab], axis=1) / 140
+
+
+# matrix entries per grid chunk: 512 points of qubit states per eigensolve
+_GRID_ENTRIES = 2048
+
+
 def capacity_single_letter(
     w,
     v,
     rng: np.random.Generator | None = None,
     starts: int = 16,
     max_iters: int = 400,
-    grad_h: float = 1e-6,
 ) -> CapacityResult:
     """max_P chi(P;W) - chi(P;V), the single-letter secrecy objective.
 
     The objective is a difference of concave functions, so the search uses
-    projected gradient ascent (central-difference gradients on the
-    normalized extension) from a uniform start plus ``starts`` random
+    projected gradient ascent from a uniform start plus ``starts`` random
     starts, followed by a simplex grid polish for alphabets up to size 3.
-    When ``w is v`` holds numerically the two chi evaluations cancel to
-    exactly 0.0 at every point.
+    The gradient is the analytic Holevo gradient
+    ``D(W_x || PW) - D(V_x || PV)``; it differs from the gradient on the
+    normalized extension by a multiple of the all-ones vector, which the
+    simplex projection removes.  The output states are validated once
+    here; each evaluation is one eigensolve per channel, and the grid is
+    evaluated in chunks.  When ``w is v`` holds numerically the two chi
+    evaluations cancel to exactly 0.0 at every point.  A search that
+    stops on ``max_iters`` returns ``converged=False`` with a
+    :class:`~cqwiretap.errors.ConvergenceWarning`.
     """
     rng = rng or _default_rng()
     if tuple(w.alphabet) != tuple(v.alphabet):
         raise DimensionMismatchError("channels must share one input alphabet")
     k = len(w.alphabet)
-    ent_w = np.array([op.entropy(s) for s in w.states()])
-    ent_v = np.array([op.entropy(s) for s in v.states()])
+    (sw, ew), (sv, ev) = _validated_stack(w.states()), _validated_stack(v.states())
+
+    def objectives(p):
+        # one value per distribution on the last axis of p
+        return _chi(p, sw, ew) - _chi(p, sv, ev)
 
     def objective(p):
-        chi_w = op.entropy(_average_state(p, w)) - float(np.dot(p, ent_w))
-        chi_v = op.entropy(_average_state(p, v)) - float(np.dot(p, ent_v))
-        return chi_w - chi_v
-
-    def extended(q):
-        total = q.sum()
-        if total <= 0.0:
-            return objective(np.full(k, 1.0 / k))
-        return objective(q / total)
+        return float(objectives(p))
 
     def gradient(p):
-        g = np.zeros(k)
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = grad_h
-            g[i] = (extended(p + e) - extended(np.clip(p - e, 0.0, None))) / (2 * grad_h)
-        return g
+        with np.errstate(invalid="ignore"):  # inf - inf where both leave the support
+            g = _chi_gradient(p, sw, ew) - _chi_gradient(p, sv, ev)
+        return _finite_gradient(g)
 
     def ascend(p):
         val = objective(p)
@@ -408,29 +479,23 @@ def capacity_single_letter(
         if val > best_val:
             best_p, best_val, best_conv = p, val, conv
     if k <= 3:
-        resolution = 10000 if k == 2 else 140
+        points = _simplex_grid(k)
+        chunk = max(1, _GRID_ENTRIES // max(w.dim, v.dim) ** 2)
         grid_best, grid_arg = -np.inf, None
-        if k == 2:
-            for a in range(resolution + 1):
-                p = np.array([a, resolution - a]) / resolution
-                val = objective(p)
-                if val > grid_best:
-                    grid_best, grid_arg = val, p
-        elif k == 3:
-            for a in range(resolution + 1):
-                for b in range(resolution + 1 - a):
-                    p = np.array([a, b, resolution - a - b]) / resolution
-                    val = objective(p)
-                    if val > grid_best:
-                        grid_best, grid_arg = val, p
-        else:
-            grid_best, grid_arg = objective(np.array([1.0])), np.array([1.0])
+        for start in range(0, len(points), chunk):
+            block = points[start : start + chunk]
+            vals = objectives(block)
+            i = int(np.argmax(vals))
+            if vals[i] > grid_best:
+                grid_best, grid_arg = float(vals[i]), block[i]
         p, val, conv = ascend(grid_arg)
         if max(val, grid_best) > best_val:
             if val >= grid_best:
                 best_p, best_val, best_conv = p, val, conv
             else:
                 best_p, best_val, best_conv = grid_arg, grid_best, True
+    if not best_conv:
+        _warn_unconverged("capacity_single_letter", max_iters)
     return CapacityResult(float(best_val), best_p, best_conv)
 
 

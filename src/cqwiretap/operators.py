@@ -8,7 +8,10 @@ support comparisons.  All logarithms are base 2 and the convention
 
 Matrix functions go through full Hermitian eigendecompositions; at the desk
 scales this package targets (dimension <= 4096) that is the simplest route
-that stays exactly auditable.
+that stays exactly auditable.  :func:`entropies` and
+:func:`relative_entropies` take ``(..., d, d)`` stacks, validated in one
+vectorised pass and decomposed by one ``eigvalsh``/``eigh`` call;
+:func:`entropy` and :func:`relative_entropy` are their one-matrix case.
 
 Tolerances
 ----------
@@ -40,17 +43,26 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_stack(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidStateError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     """Validate Hermiticity within ``tol`` (max absolute entry deviation).
 
-    Returns the symmetrized matrix ``(a + a*)/2`` so downstream spectral
-    calls operate on an exactly Hermitian input.
+    ``a`` is a matrix or a ``(..., d, d)`` stack of them.  Returns the
+    symmetrized ``(a + a*)/2`` so downstream spectral calls operate on an
+    exactly Hermitian input.
     """
-    a = _as_square(a)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    a = _as_stack(a)
+    a_star = a.conj().swapaxes(-1, -2)
+    dev = np.max(np.abs(a - a_star)) if a.size else 0.0
     if dev > tol:
         raise InvalidStateError(f"matrix is not Hermitian: deviation {dev:.3e} > {tol:.1e}")
-    return (a + a.conj().T) / 2
+    return (a + a_star) / 2
 
 
 def eigh_checked(a: np.ndarray, tol: float = TOL_HERM):
@@ -75,24 +87,47 @@ def clip_spectrum(w: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     return np.where(w < 0.0, 0.0, w)
 
 
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1).real
+
+
+def _spectra(a: np.ndarray, density: bool = False, vectors: bool = False,
+             tol_trace: float = TOL_TRACE):
+    """Validate a ``(..., d, d)`` stack of PSD operators and decompose it once.
+
+    One vectorised pass checks every matrix: Hermiticity to ``TOL_HERM``,
+    unit trace to ``tol_trace`` when ``density`` is set, and the
+    ``EIG_FLOOR`` eigenvalue floor on the spectrum of the single
+    ``eigvalsh`` call (``eigh`` when ``vectors`` is set).  Returns the
+    symmetrized stack and its clipped eigenvalues, plus the eigenvectors
+    when ``vectors`` is set.
+    """
+    a = check_hermitian(a)
+    if density:
+        tr = _trace(a)
+        dev = np.abs(tr - 1.0)
+        if dev.size and dev.max() > tol_trace:
+            worst = tr.flat[np.argmax(dev)]
+            raise InvalidStateError(
+                f"density operator trace {worst!r} is not 1 within {tol_trace:.1e}"
+            )
+    if vectors:
+        w, u = np.linalg.eigh(a)
+        return a, clip_spectrum(w), u
+    return a, clip_spectrum(np.linalg.eigvalsh(a))
+
+
 def check_density(rho: np.ndarray, tol_trace: float = TOL_TRACE) -> np.ndarray:
-    """Validate a density operator: Hermitian, PSD, unit trace.
+    """Validate a density operator (or a stack): Hermitian, PSD, unit trace.
 
     Returns the symmetrized matrix.
     """
-    rho = check_hermitian(rho)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol_trace:
-        raise InvalidStateError(f"density operator trace {tr!r} is not 1 within {tol_trace:.1e}")
-    clip_spectrum(np.linalg.eigvalsh(rho))
-    return rho
+    return _spectra(rho, density=True, tol_trace=tol_trace)[0]
 
 
 def check_psd(a: np.ndarray) -> np.ndarray:
-    """Validate a Hermitian PSD operator (any trace). Returns symmetrized."""
-    a = check_hermitian(a)
-    clip_spectrum(np.linalg.eigvalsh(a))
-    return a
+    """Validate a Hermitian PSD operator (any trace, or a stack). Returns symmetrized."""
+    return _spectra(a)[0]
 
 
 def check_measurement(d: np.ndarray) -> np.ndarray:
@@ -135,6 +170,23 @@ def check_sub_povm(elements, dim: int, tol: float = TOL_SUBPOVM) -> list:
     return cleaned
 
 
+def _xlog2x(w: np.ndarray) -> np.ndarray:
+    """``w log2 w`` elementwise on clipped eigenvalues, with 0 log 0 = 0."""
+    return w * np.log2(np.where(w > 0.0, w, 1.0))
+
+
+def entropies(rho: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a ``(..., d, d)`` stack of densities.
+
+    The stack is validated in one pass and decomposed by one ``eigvalsh``
+    call.  Returns an array of shape ``rho.shape[:-2]`` with entries in
+    ``[0, log2 d]``.
+    """
+    _, w = _spectra(rho, density=True)
+    neg = _xlog2x(w).sum(axis=-1)
+    return np.where(neg < 0.0, -neg, 0.0)
+
+
 def entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, ``-tr(rho log2 rho)``.
 
@@ -148,32 +200,64 @@ def entropy(rho: np.ndarray) -> float:
     float
         Entropy in ``[0, log2 dim]``.
     """
-    rho = check_density(rho)
-    w = clip_spectrum(np.linalg.eigvalsh(rho))
-    p = w[w > 0.0]
-    val = float(-(p * np.log2(p)).sum())
-    return max(0.0, val)
+    return float(entropies(rho))
 
 
 def _support_mask(w: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:
-    """Boolean mask of eigenvalues counted as support (relative threshold)."""
-    w = np.asarray(w, dtype=float)
+    """Boolean mask of eigenvalues counted as support (relative threshold).
+
+    Applies along the last axis, so a stack of spectra gets one mask each.
+    """
+    w = np.abs(np.asarray(w, dtype=float))
     if w.size == 0:
-        return np.zeros(0, dtype=bool)
-    top = np.abs(w).max()
-    if top <= 0.0:
         return np.zeros(w.shape, dtype=bool)
-    return np.abs(w) > rtol * top
+    return w > rtol * w.max(axis=-1, keepdims=True)
 
 
-def _support_leak(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray) -> float:
-    """Weight of ``rho`` outside the support of sigma (given sigma's eigensystem)."""
+def _overlaps(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray):
+    """Diagonal of rho in sigma's eigenbasis, sigma's support mask, and
+    whether rho puts more than ``1e-10 tr rho`` outside that support.
+
+    Every argument may be a broadcastable stack; the results have one row
+    (or one flag) per matrix.
+    """
+    q = np.sum(u_sigma.conj() * (rho @ u_sigma), axis=-2).real
     mask = _support_mask(w_sigma)
-    if mask.all():
-        return 0.0
-    off = u_sigma[:, ~mask]
-    q = np.einsum("ij,jk,ki->i", off.conj().T, rho, off).real
-    return float(np.clip(q, 0.0, None).sum())
+    outside = np.where(mask, 0.0, np.clip(q, 0.0, None)).sum(axis=-1)
+    return q, mask, outside > 1e-10 * _trace(rho)
+
+
+def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+
+
+def relative_entropies(rho: np.ndarray, sigma: np.ndarray, rho_entropy=None) -> np.ndarray:
+    """Quantum relative entropies ``D(rho || sigma)`` in bits over stacks.
+
+    ``rho`` and ``sigma`` are ``(..., d, d)`` stacks whose leading axes
+    broadcast; each is validated in one pass and decomposed by one call.
+    Each entry is ``-S(rho) - sum_j <v_j|rho|v_j> log2 t_j`` over the
+    support of ``sigma = sum_j t_j |v_j><v_j|``; it is ``inf`` when rho
+    puts more than ``1e-10 tr rho`` outside that support, and 0 when
+    ``tr rho <= 0``.  Both must be Hermitian PSD; traces need not be 1.
+
+    ``rho_entropy``, when given, holds ``S(rho)`` for every rho in the
+    stack (as from :func:`entropies`); rho must then be validated and
+    symmetrized already, and is not decomposed again.
+    """
+    if rho_entropy is None:
+        rho, p = _spectra(rho)
+        rho_log_rho = _xlog2x(p).sum(axis=-1)
+    else:
+        rho = np.asarray(rho, dtype=complex)
+        rho_log_rho = -np.asarray(rho_entropy, dtype=float)
+    sigma, t, v = _spectra(sigma, vectors=True)
+    _check_shapes(rho, sigma)
+    q, mask, leaked = _overlaps(rho, t, v)
+    cross = np.where(mask, q * np.log2(np.where(mask, t, 1.0)), 0.0).sum(axis=-1)
+    val = np.where(leaked, np.inf, rho_log_rho - cross)
+    return np.where(_trace(rho) <= 0.0, 0.0, val)
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -183,25 +267,10 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     ``inf`` when the support of ``rho`` is not contained in the support of
     ``sigma``.  Both arguments must be Hermitian PSD; traces need not be 1
     (subnormalized arguments appear throughout the leakage chain and the
-    formula is evaluated as written).
+    formula is evaluated as written).  The one-matrix case of
+    :func:`relative_entropies`.
     """
-    rho = check_psd(rho)
-    sigma = check_psd(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    tr_rho = np.trace(rho).real
-    if tr_rho <= 0.0:
-        return 0.0
-    t, v = np.linalg.eigh(sigma)
-    t = clip_spectrum(t)
-    if _support_leak(rho, t, v) > 1e-10 * tr_rho:
-        return np.inf
-    p = clip_spectrum(np.linalg.eigvalsh(rho))
-    p = p[p > 0.0]
-    mask = _support_mask(t)
-    q = np.einsum("ij,jk,ki->i", v[:, mask].conj().T, rho, v[:, mask]).real
-    val = float((p * np.log2(p)).sum() - (q * np.log2(t[mask])).sum())
-    return val
+    return float(relative_entropies(rho, sigma))
 
 
 def renyi_relative_entropy(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -216,18 +285,12 @@ def renyi_relative_entropy(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
     alpha = float(alpha)
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError(f"alpha must lie in (0,1) or (1,inf), got {alpha}")
-    rho = check_psd(rho)
-    sigma = check_psd(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    tr_rho = np.trace(rho).real
-    if tr_rho <= 0.0:
+    rho, p, u = _spectra(_as_square(rho), vectors=True)
+    sigma, t, v = _spectra(_as_square(sigma), vectors=True)
+    _check_shapes(rho, sigma)
+    if _trace(rho) <= 0.0:
         return 0.0
-    p, u = np.linalg.eigh(rho)
-    p = clip_spectrum(p)
-    t, v = np.linalg.eigh(sigma)
-    t = clip_spectrum(t)
-    if alpha > 1.0 and _support_leak(rho, t, v) > 1e-10 * tr_rho:
+    if alpha > 1.0 and _overlaps(rho, t, v)[2]:
         return np.inf
     pa = np.where(p > 0.0, p, 0.0) ** alpha
     mask = _support_mask(t)
@@ -248,18 +311,14 @@ def exp2_renyi2(rho: np.ndarray, sigma: np.ndarray) -> float:
     when rho leaks outside that support.  Used directly by the leakage
     chain, where both arguments are subnormalized.
     """
-    rho = check_psd(rho)
-    sigma = check_psd(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {sigma.shape}")
-    tr_rho = np.trace(rho).real
-    if tr_rho <= 0.0:
+    rho = check_psd(_as_square(rho))
+    sigma, t, v = _spectra(_as_square(sigma), vectors=True)
+    _check_shapes(rho, sigma)
+    if _trace(rho) <= 0.0:
         return 0.0
-    t, v = np.linalg.eigh(sigma)
-    t = clip_spectrum(t)
-    if _support_leak(rho, t, v) > 1e-10 * tr_rho:
+    _, mask, leaked = _overlaps(rho, t, v)
+    if leaked:
         return np.inf
-    mask = _support_mask(t)
     tinv = np.zeros_like(t)
     tinv[mask] = 1.0 / t[mask]
     pinv = (v * tinv) @ v.conj().T
@@ -286,16 +345,12 @@ def rank_eps(a: np.ndarray) -> int:
 
 def support_leq(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether supp(a) is contained in supp(b), both Hermitian PSD."""
-    a = check_psd(a)
-    b = check_psd(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    tr_a = np.trace(a).real
-    if tr_a <= 0.0:
+    a = check_psd(_as_square(a))
+    b, t, v = _spectra(_as_square(b), vectors=True)
+    _check_shapes(a, b)
+    if _trace(a) <= 0.0:
         return True
-    t, v = np.linalg.eigh(b)
-    t = clip_spectrum(t)
-    return _support_leak(a, t, v) <= 1e-10 * tr_a
+    return not _overlaps(a, t, v)[2]
 
 
 def binary_entropy(p: float) -> float:

@@ -32,6 +32,7 @@ from cqwiretap.channels import (
     tensor_power,
 )
 from cqwiretap.errors import (
+    ConvergenceWarning,
     DimensionMismatchError,
     InvalidStateError,
     ResourceCapError,
@@ -354,6 +355,66 @@ class TestCapacity:
         lifted = capacity_lifted(w, v, 2).value
         # two-letter optimization can only improve on the product of singles
         assert lifted >= single - 1e-6
+
+
+# one output of each invalid kind, stored unchecked so only the optimizers see it
+INVALID_OUTPUTS = {
+    "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
+    "trace": np.diag([0.6, 0.6]).astype(complex),
+    "negative": np.diag([1.2, -0.2]).astype(complex),
+}
+
+
+def unchecked_channel(bad: np.ndarray) -> CqChannel:
+    return CqChannel((0, 1, 2), 2, {0: I2 / 2, 1: KET0, 2: bad}, validate=False)
+
+
+class TestOptimizerInputs:
+    @pytest.mark.parametrize("kind", sorted(INVALID_OUTPUTS))
+    def test_adversarial_leakage_rejects_invalid_output(self, kind):
+        v = unchecked_channel(INVALID_OUTPUTS[kind])
+        e = ClassicalChannel((0, 1, 2), {m: {m: 1.0} for m in range(3)})
+        with pytest.raises(InvalidStateError):
+            adversarial_leakage({0: e}, v, restarts=1)
+
+    @pytest.mark.parametrize("kind", sorted(INVALID_OUTPUTS))
+    def test_capacity_rejects_invalid_output(self, kind):
+        bad = unchecked_channel(INVALID_OUTPUTS[kind])
+        good = random_cq_channel(rng(53), 3, 2)
+        with pytest.raises(InvalidStateError):
+            capacity_single_letter(bad, good, starts=1)
+        with pytest.raises(InvalidStateError):
+            capacity_single_letter(good, bad, starts=1)
+
+    @pytest.mark.filterwarnings("ignore::cqwiretap.errors.ConvergenceWarning")
+    def test_one_batched_eigensolve_per_evaluation(self, monkeypatch):
+        # two seeds, three messages: after the entry check every eigensolve
+        # takes both seeds' averages at once
+        v = random_cq_channel(rng(55), 3, 2)
+        encoders = {
+            s: ClassicalChannel((0, 1, 2), {m: {(m + s) % 3: 1.0} for m in range(3)})
+            for s in range(2)
+        }
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, _real=real: calls.append(a.shape[:-2]) or _real(a)
+            )
+        adversarial_leakage(encoders, v, restarts=1, max_iters=20)
+        assert calls[:2] == [(2, 3), (2, 3)]
+        assert set(calls[2:]) == {(2,), (2, 1)}
+
+    def test_unconverged_searches_warn(self):
+        g = rng(54)
+        w, v = random_cq_channel(g, 3, 2), random_cq_channel(g, 3, 2)
+        e = ClassicalChannel((0, 1, 2), {m: {m: 1.0} for m in range(3)})
+        with pytest.warns(ConvergenceWarning, match="adversarial_leakage"):
+            res = adversarial_leakage({0: e}, v, restarts=1, max_iters=1)
+        assert not res.converged
+        with pytest.warns(ConvergenceWarning, match="capacity_single_letter"):
+            res = capacity_single_letter(w, v, starts=1, max_iters=1)
+        assert not res.converged
 
 
 class TestComplementaryPair:

@@ -139,6 +139,112 @@ class TestRelativeEntropy:
             assert lhs <= rhs + 1e-9
 
 
+def _eigh_entropy(rho):
+    p = np.clip(np.linalg.eigh(rho)[0], 0.0, None)
+    p = p[p > 0.0]
+    return -float((p * np.log2(p)).sum())
+
+
+def _eigh_divergence(rho, sigma):
+    """D(rho||sigma) of one pair from two per-matrix eigendecompositions."""
+    tr = np.trace(rho).real
+    p = np.clip(np.linalg.eigh(rho)[0], 0.0, None)
+    p = p[p > 0.0]
+    t, v = np.linalg.eigh(sigma)
+    supp = np.abs(t) > 1e-12 * np.abs(t).max()
+    q = np.real(np.diag(v.conj().T @ rho @ v))
+    if np.clip(q[~supp], 0.0, None).sum() > 1e-10 * tr:
+        return np.inf
+    return float((p * np.log2(p)).sum() - (q[supp] * np.log2(t[supp])).sum())
+
+
+def _pure(g, dim):
+    psi = g.normal(size=dim) + 1j * g.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+class TestStacked:
+    def test_entropies_match_per_matrix_eigh(self):
+        g = rng(31)
+        for dim in (2, 3, 5):
+            stack = np.array(
+                [[random_density(g, dim, rank=1 + (i + j) % dim) for j in range(4)] for i in range(3)]
+            )
+            expected = np.array([[_eigh_entropy(r) for r in row] for row in stack])
+            got = op.entropies(stack)
+            assert got.shape == (3, 4)
+            assert_allclose(got, expected, atol=1e-12)
+            assert op.entropy(stack[1, 2]) == got[1, 2]
+
+    def test_divergences_match_per_matrix_eigh(self):
+        # message states (S, k, d, d) against per-seed averages (S, 1, d, d):
+        # seed 1's average has rank 2 < d, so a full-rank state leaks (inf)
+        # and states inside its support stay finite; all operands subnormalized
+        g = rng(32)
+        dim, k = 3, 4
+        full = [[random_density(g, dim) for _ in range(k)] for _ in range(2)]
+        pure = [_pure(g, dim), _pure(g, dim)]
+        inside = [0.3 * pure[0] + 0.7 * pure[1], pure[0], pure[1], random_density(g, dim)]
+        scales = g.uniform(0.2, 1.0, size=(2, k))
+        rho = np.array([full[0], inside]) * scales[:, :, None, None]
+        sigma = np.array([np.mean(full[1], axis=0), 0.5 * (pure[0] + pure[1])])[:, None] * 0.8
+        got = op.relative_entropies(rho, sigma)
+        expected = np.array([[_eigh_divergence(r, sigma[s, 0]) for r in rho[s]] for s in range(2)])
+        assert got.shape == (2, k)
+        assert np.isinf(expected[1, 3]) and np.isfinite(expected[1, :3]).all()
+        assert_allclose(got, expected, atol=1e-10)
+        assert op.relative_entropy(rho[1, 0], sigma[1, 0]) == got[1, 0]
+        assert op.relative_entropy(rho[1, 3], sigma[1, 0]) == np.inf
+
+    def test_known_entropies_skip_the_second_decomposition(self):
+        g = rng(33)
+        rho = np.array([random_density(g, 3, rank=r) for r in (1, 2, 3)])
+        sigma = random_density(g, 3)
+        assert_allclose(
+            op.relative_entropies(rho, sigma, rho_entropy=op.entropies(rho)),
+            op.relative_entropies(rho, sigma),
+            atol=1e-13,
+        )
+
+    def test_each_operand_decomposed_once(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, _real=real: calls.append(a.shape) or _real(a)
+            )
+        g = rng(34)
+        rho, sigma = random_density(g, 3), random_density(g, 3)
+        for fn in (
+            op.relative_entropy,
+            op.exp2_renyi2,
+            op.support_leq,
+            lambda a, b: op.renyi_relative_entropy(2.0, a, b),
+        ):
+            calls.clear()
+            fn(rho, sigma)
+            assert calls == [(3, 3), (3, 3)]
+        calls.clear()
+        op.entropies(np.array([[rho, sigma]] * 5))
+        assert calls == [(5, 2, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),  # not Hermitian
+            diag(0.6, 0.6),  # trace 1.2
+            diag(1.2, -0.2),  # negative eigenvalue
+        ],
+    )
+    def test_one_invalid_matrix_rejects_the_stack(self, bad):
+        stack = np.array([[I2 / 2, KET0], [KET1, bad]])
+        with pytest.raises(InvalidStateError):
+            op.entropies(stack)
+        with pytest.raises(InvalidStateError):
+            op.check_density(stack)
+
+
 class TestRenyiRelativeEntropy:
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
