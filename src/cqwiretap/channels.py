@@ -1,11 +1,13 @@
 """Classical-quantum channels and their information quantities.
 
 A cq channel maps a finite input alphabet to density operators on a fixed
-finite-dimensional space.  This module provides composition with classical
-pre-processing, lazy tensor powers, uniform mixtures, the Holevo quantity
-in its three equivalent forms, leakage under common randomness, and the
-two optimizers the secrecy analysis needs: the adversarial (worst message
-distribution) leakage and the single-letter secrecy-capacity objective.
+finite-dimensional space, or to subnormalized ones whose worst trace
+deficit it carries as ``epsilon``.  This module provides composition with
+classical pre-processing, lazy tensor powers, uniform mixtures, the Holevo
+quantity in its three equivalent forms, leakage under common randomness,
+and the two optimizers the secrecy analysis needs: the adversarial (worst
+message distribution) leakage and the single-letter secrecy-capacity
+objective.
 
 Both optimizers stack their output states as one ``(..., k, d, d)`` array,
 validate it once on entry, and evaluate objectives and analytic gradients
@@ -27,21 +29,28 @@ from functools import reduce
 import numpy as np
 
 from . import operators as op
-from .config import TOL_ROWSUM, check_dim
+from .config import TOL_ROWSUM, TOL_TRACE, check_dim
 from .errors import ConvergenceWarning, DimensionMismatchError, InvalidStateError
 
 
 class CqChannel:
     """A classical-quantum channel with explicitly stored outputs.
 
+    Each output is a Hermitian PSD operator of trace at most 1, validated
+    one at a time unless ``validate`` is off.  ``epsilon`` is the measured
+    worst trace deficit ``max(0, max_x 1 - tr V(x))``: 0 for a channel of
+    density outputs, positive for a subnormalized one such as the
+    dominated V' <= V of the leakage chain.  Unit trace is checked where a
+    channel enters from a file and where entropies are taken.
+
     Parameters
     ----------
     alphabet : ordered iterable of hashable symbols
     dim : output dimension
-    outputs : mapping symbol -> density matrix (validated)
+    outputs : mapping symbol -> PSD matrix of trace <= 1
     """
 
-    __slots__ = ("alphabet", "dim", "_outputs")
+    __slots__ = ("alphabet", "dim", "epsilon", "_outputs")
 
     def __init__(self, alphabet, dim, outputs, validate: bool = True):
         self.alphabet = tuple(alphabet)
@@ -49,14 +58,28 @@ class CqChannel:
         if set(outputs) != set(self.alphabet) or len(self.alphabet) != len(set(self.alphabet)):
             raise InvalidStateError("outputs must cover the alphabet exactly")
         table = {}
+        deficit = 0.0
         for x in self.alphabet:
             rho = np.asarray(outputs[x], dtype=complex)
             if rho.shape != (self.dim, self.dim):
                 raise InvalidStateError(
                     f"output for {x!r} has shape {rho.shape}, expected ({self.dim}, {self.dim})"
                 )
-            table[x] = op.check_density(rho) if validate else rho
+            if validate:
+                rho = op.check_psd(rho)
+            t = float(np.real(np.trace(rho)))
+            if validate and t > 1.0 + TOL_TRACE:
+                raise InvalidStateError(f"output for {x!r} has trace {t} > 1")
+            deficit = max(deficit, 1.0 - t)
+            table[x] = rho
+        self.epsilon = max(0.0, deficit)
         self._outputs = table
+
+    def scaled(self, factor: float) -> "CqChannel":
+        """Uniform damping V'(x) = factor * V(x) for 0 < factor <= 1."""
+        if not 0.0 < factor <= 1.0:
+            raise InvalidStateError(f"factor must be in (0, 1], got {factor}")
+        return CqChannel(self.alphabet, self.dim, {x: factor * self.output(x) for x in self.alphabet})
 
     def output(self, x) -> np.ndarray:
         try:

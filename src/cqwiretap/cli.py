@@ -61,7 +61,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, bri, channels, codes, serialize, typicality
-from . import operators as op
 from .config import ENV_CAP
 from .errors import (
     ConstructionUnverifiedError,
@@ -227,7 +226,8 @@ _V_PRIME_KEYS = {
 }
 
 
-def _subnormalized(v, params):
+def _chain_pair(v, params):
+    """The (V, V') pair of the chain for the spec's ``v_prime`` mode."""
     mode = params.get("v_prime", {"mode": "identity"})
     if not isinstance(mode, dict) or "mode" not in mode:
         raise InvalidStateError("params.v_prime must be an object with a 'mode'")
@@ -238,26 +238,17 @@ def _subnormalized(v, params):
     if unknown:
         raise InvalidStateError(f"unknown keys for v_prime mode {name!r}: {unknown}")
     if name == "identity":
-        return bounds.SubnormalizedCqChannel.from_channel(v), v
+        return v, v
     if name == "scale":
-        return bounds.SubnormalizedCqChannel.from_channel(v, float(mode.get("factor", 1.0))), v
+        return v, v.scaled(float(mode.get("factor", 1.0)))
     p = np.asarray(mode["p"], dtype=float)
-    n, delta = int(mode["n"]), float(mode["delta"])
-    sub = typicality.subnormalized_channel(v, p, n, delta)
-    v_n = channels.tensor_power(v, n)
-    # typical strings re-indexed 0..|T|-1 so an |X| = |T| function applies
-    index = range(len(sub.alphabet))
-    base = channels.CqChannel(index, sub.dim, {i: v_n.output(t) for i, t in enumerate(sub.alphabet)})
-    prime = bounds.SubnormalizedCqChannel(
-        index, sub.dim, {i: sub.output(t) for i, t in enumerate(sub.alphabet)}, epsilon=sub.epsilon
-    )
-    return prime, base
+    return typicality.reindexed_pair(v, p, int(mode["n"]), float(mode["delta"]))
 
 
 def _run_bound_chain(inputs, params, output):
     v = _load_channel(inputs, "channel")
     f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
-    v_prime, base = _subnormalized(v, params)
+    base, v_prime = _chain_pair(v, params)
     if len(base.alphabet) != f.n_inputs:
         raise InvalidStateError(
             f"function expects {f.n_inputs} inputs, channel provides {len(base.alphabet)}"
@@ -289,16 +280,6 @@ def _run_capacity(inputs, params, output):
     return True, f"value={result.value!r} converged={result.converged}"
 
 
-def _spectral_window(weights, delta) -> float:
-    live = weights[weights > 1e-12]
-    return float(delta * np.max(np.abs(np.log2(live)))) if live.size else 0.0
-
-
-def _spectrum(a) -> np.ndarray:
-    vals = np.clip(np.linalg.eigvalsh(np.asarray(a, dtype=complex)), 0.0, None)
-    return vals / vals.sum()
-
-
 def _run_typicality_report(inputs, params, output):
     v = _load_channel(inputs, "channel")
     p = np.asarray(params["p"], dtype=float)
@@ -309,12 +290,8 @@ def _run_typicality_report(inputs, params, output):
 
     if p.shape != (len(v.alphabet),):
         raise InvalidStateError(f"params.p must list {len(v.alphabet)} probabilities")
-    avg = sum(weight * v.output(a) for a, weight in zip(v.alphabet, p))
-    chi = channels.holevo(p, v)
-    s_cond = channels.conditional_entropy(p, v)
-    s_avg = op.entropy(avg)
-    beta = _spectral_window(_spectrum(avg), delta)
-    gamma_cond = max(_spectral_window(_spectrum(v.output(a)), delta) for a in v.alphabet)
+    avg = channels._average_state(p, v)
+    factors = typicality.factor_reports(v, p, delta, ns)
 
     asserted = {"te2-rank-upper", "te3-eig-lower", "te3-eig-upper", "factor-rank"}
     columns = [
@@ -332,19 +309,8 @@ def _run_typicality_report(inputs, params, output):
         reports.update(
             {r.name: r for r in typicality.check_typical_projector(v, n, delta, p=p)}
         )
-        sub = typicality.subnormalized_channel(v, p, n, delta)
-        norm_worst = max(op.operator_norm(sub.output(t)) for t in sub.alphabet)
-        rank_avg = op.rank_eps(sub.uniform_average())
-        factors = [
-            bounds.make_report("factor-norm", norm_worst, 2.0 ** (-n * (s_cond - gamma_cond))),
-            bounds.make_report("factor-rank", rank_avg, 2.0 ** (n * (s_avg + beta))),
-            bounds.make_report(
-                "factor-product",
-                rank_avg * norm_worst,
-                2.0 ** (n * (chi + beta + gamma_cond)),
-            ),
-        ]
-        reports.update({r.name: r for r in factors})
+        sub, sub_reports = next(factors)
+        reports.update({r.name: r for r in sub_reports})
         ok = ok and all(reports[name].holds for name in asserted)
         rows.append([
             n,

@@ -65,14 +65,6 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return (a + a_star) / 2
 
 
-def eigh_checked(a: np.ndarray, tol: float = TOL_HERM):
-    """Eigendecomposition after a Hermiticity check.
-
-    Returns ``(w, u)`` with eigenvalues ascending, as ``numpy.linalg.eigh``.
-    """
-    return np.linalg.eigh(check_hermitian(a, tol))
-
-
 def clip_spectrum(w: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     """Clip eigenvalue noise in ``[floor, 0)`` to zero.
 

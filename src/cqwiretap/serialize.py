@@ -6,7 +6,8 @@ Conventions shared by every format here:
   ``[re, im]`` lists.  Loading always yields a complex array.
 * A channel file is ``{"alphabet": [...], "dim": d, "outputs": {...}}``
   where ``outputs`` is keyed by ``str(symbol)``; alphabet entries are
-  restricted to ints and strings so the keys stay unambiguous.
+  restricted to ints and strings so the keys stay unambiguous.  Every
+  output must be a density operator (unit trace).
 * A function table file is ``{"S": n_s, "X": n_x, "M": [...], "table": ...}``
   with the table either a list of S rows of X output indices or the same
   entries as one flat row-major list.
@@ -36,6 +37,7 @@ import numpy as np
 from .bri import BriFunction
 from .channels import ClassicalChannel, CqChannel
 from .codes import CommonRandomnessCode, TransmissionCode, WiretapCode
+from .config import TOL_TRACE
 from .errors import InvalidStateError
 
 __all__ = [
@@ -142,7 +144,10 @@ def channel_from_json(obj) -> CqChannel:
     for x, a in outputs.items():
         if a.shape != (dim, dim):
             raise InvalidStateError(f"output for {x!r} has shape {a.shape}, expected ({dim}, {dim})")
-    return CqChannel(alphabet, dim, outputs)
+    v = CqChannel(alphabet, dim, outputs)
+    if v.epsilon > TOL_TRACE:
+        raise InvalidStateError(f"channel outputs must have unit trace, deficit {v.epsilon!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ conditional projector and the typical projector of the average state.  The
 result is dominated by the product channel whenever the two projector
 families are compatible; this is measured on every output and a violation
 raises rather than returning a channel that would poison later bounds.
+``reindexed_pair`` gives the (V, V') pair the leakage chain takes in
+typicality mode, and ``factor_reports`` the spectral factor bounds of the
+compressed channel.
 """
 
 import itertools
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .bounds import SubnormalizedCqChannel, check_psd_ordering, make_report
-from .channels import _average_state, tensor_power
+from .bounds import check_psd_ordering, make_report
+from .channels import CqChannel, _average_state, conditional_entropy, holevo, mix, tensor_power
 from .config import STRING_CAP, TOL_ROWSUM, check_dim
 from .errors import (
     DimensionMismatchError,
@@ -51,6 +54,8 @@ __all__ = [
     "cond_typical_projector",
     "check_typical_projector",
     "subnormalized_channel",
+    "reindexed_pair",
+    "factor_reports",
 ]
 
 # eigenvalues at or below this are treated as exact zeros for the
@@ -375,7 +380,7 @@ def typical_projector(rho, n, delta, cap=None) -> TypicalProjector:
     dim_total = check_dim(rho.shape[0] ** n, cap)
     vals, basis = sorted_eigenbasis(rho)
     q = _clean_spectrum(vals)
-    strings = typical_set(q, n, delta).members
+    strings = typical_set(q, n, delta)._listed("project onto")
     cols = _column_stack([basis] * n, strings, dim_total)
     return TypicalProjector(
         rho=rho,
@@ -604,7 +609,7 @@ def check_typical_projector(source, n, delta, p=None, cap=None):
     return _unconditional_reports(source, n, delta)
 
 
-def subnormalized_channel(v, p, n, delta, cap=None) -> SubnormalizedCqChannel:
+def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     """Project each typical product output into the typical subspaces.
 
     Every output of ``v**(x) n`` at a typical string is compressed first by
@@ -625,6 +630,60 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> SubnormalizedCqChannel:
         out = pi_avg @ inner @ pi_avg
         outputs[xn] = (out + out.conj().T) / 2.0
 
-    sub = SubnormalizedCqChannel(members, dim_total, outputs)
+    sub = CqChannel(members, dim_total, outputs)
     check_psd_ordering(sub, vn)
     return sub
+
+
+def reindexed_pair(v, p, n, delta):
+    """The leakage chain's (V, V') pair in typicality mode.
+
+    V' is :func:`subnormalized_channel` and V the n-letter product channel
+    on the same typical strings.  Both are re-indexed 0..|T|-1 in string
+    order, so a function with |X| = |T| inputs applies.
+    """
+    sub = subnormalized_channel(v, p, n, delta)
+    vn = tensor_power(v, n)
+    index = range(len(sub))
+    base = CqChannel(index, sub.dim, {i: vn.output(t) for i, t in enumerate(sub.alphabet)})
+    prime = CqChannel(
+        index, sub.dim, {i: sub.output(t) for i, t in enumerate(sub.alphabet)}, validate=False
+    )
+    return base, prime
+
+
+def factor_reports(v, p, delta, ns):
+    """``(sub, reports)`` for every block length n in ``ns``, built lazily.
+
+    ``sub`` is ``subnormalized_channel(v, p, n, delta)`` and ``reports``
+    its spectral factor bounds.  factor-norm: the largest output operator
+    norm against 2^(-n (S(V|P) - gamma)); factor-rank: the rank of the
+    uniform average output against 2^(n (S(PV) + beta)); factor-product:
+    their product against 2^(n (chi + beta + gamma)).  The window
+    constants are ``delta * max |log2 q|``, beta over the spectrum of the
+    average state PV and gamma the worst over the output spectra; they and
+    the entropies are computed once, on the call.
+    """
+    p = np.asarray(p, dtype=float)
+    avg = _average_state(p, v)
+
+    def window(rho):
+        # ascending spectrum: the normalizing sum adds the smallest
+        # eigenvalues first, the order the golden reports were recorded in
+        return _entropy_and_window(_clean_spectrum(np.linalg.eigvalsh(rho)), delta)[1]
+
+    chi, s_cond, s_avg = holevo(p, v), conditional_entropy(p, v), op.entropy(avg)
+    beta = window(avg)
+    gamma = max(window(v.output(a)) for a in v.alphabet)
+
+    def reports(n):
+        sub = subnormalized_channel(v, p, n, delta)
+        norm = max(op.operator_norm(sub.output(t)) for t in sub.alphabet)
+        rank = op.rank_eps(mix(sub, sub.alphabet))
+        return sub, [
+            make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),
+            make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),
+            make_report("factor-product", rank * norm, 2.0 ** (n * (chi + beta + gamma))),
+        ]
+
+    return map(reports, ns)

@@ -59,18 +59,8 @@ def random_encoder(g, messages, symbols) -> ClassicalChannel:
 
 
 def reindexed_typical(v, p, n, delta):
-    """Subnormalized channel and its dominating base over integer indices."""
-    sub = typicality.subnormalized_channel(v, np.asarray(p, dtype=float), n, delta)
-    v_n = tensor_power(v, n)
-    index = range(len(sub.alphabet))
-    base = CqChannel(index, sub.dim, {i: v_n.output(t) for i, t in enumerate(sub.alphabet)})
-    prime = bounds.SubnormalizedCqChannel(
-        index,
-        sub.dim,
-        {i: sub.output(t) for i, t in enumerate(sub.alphabet)},
-        epsilon=sub.epsilon,
-    )
-    return base, prime
+    """Dominating base and subnormalized channel over integer indices."""
+    return typicality.reindexed_pair(v, np.asarray(p, dtype=float), n, delta)
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +169,7 @@ def test_criterion_04_bound_chain_certification(corpus):
             else:
                 pytest.fail("no channel with enough divergence structure in 50 draws")
             scale = 1.0 if mode == 0 else float(g.uniform(0.9, 0.98))
-            v_prime = bounds.SubnormalizedCqChannel.from_channel(v, scale)
+            v_prime = v.scaled(scale)
             base = v
         else:
             if (i // 3) % 2 == 0:
@@ -299,7 +289,7 @@ def test_criterion_08_modular_code_behavior(corpus):
         leak = channels.leakage_cr(m_dist, {s: cr.per_seed[s].encoder for s in cr.seeds}, v_n)
         base = codes.codeword_channel(t, v)
         rep = bounds.bound_leakage_total(
-            f44, base, bounds.SubnormalizedCqChannel.from_channel(base), m_dist
+            f44, base, base.scaled(1.0), m_dist
         )
         assert error == 0.0
         assert abs(rep.lhs - leak) <= 1e-10
@@ -432,7 +422,7 @@ def test_criterion_10_typicality_exactness():
                 min_slack = min(min_slack, reps[name].slack)
             sub = typicality.subnormalized_channel(v, p, n, d)
             norm = max(op.operator_norm(sub.output(t)) for t in sub.alphabet)
-            rank = op.rank_eps(sub.uniform_average())
+            rank = op.rank_eps(channels.mix(sub, sub.alphabet))
             product_worst = min(
                 product_worst, 2.0 ** (n * (chi + beta + gamma)) - rank * norm
             )

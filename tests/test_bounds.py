@@ -15,7 +15,6 @@ from conftest import random_density, random_probability, rng
 
 from cqwiretap import bounds, bri, channels, codes
 from cqwiretap import operators as op
-from cqwiretap.bounds import BoundReport, SubnormalizedCqChannel
 from cqwiretap.channels import ClassicalChannel, CqChannel, tensor_power
 from cqwiretap.errors import InvalidStateError, PsdOrderingError
 
@@ -65,35 +64,27 @@ class TestBoundReport:
 
 class TestSubnormalizedChannel:
     def test_measured_epsilon(self):
-        v = SubnormalizedCqChannel(
-            (0, 1), 2, {0: 0.9 * np.eye(2) / 2, 1: np.eye(2) / 2}
-        )
+        v = CqChannel((0, 1), 2, {0: 0.9 * np.eye(2) / 2, 1: np.eye(2) / 2})
         assert v.epsilon == pytest.approx(0.1, abs=1e-12)
-
-    def test_claimed_epsilon_too_small_rejected(self):
-        with pytest.raises(InvalidStateError):
-            SubnormalizedCqChannel(
-                (0,), 2, {0: 0.5 * np.eye(2) / 2}, epsilon=0.1
-            )
-
-    def test_degenerate_zero_epsilon_recomputed(self):
-        v = SubnormalizedCqChannel(
-            (0,), 2, {0: 0.999 * np.eye(2) / 2}, epsilon=0.0
-        )
-        assert v.epsilon == pytest.approx(0.001, abs=1e-12)
 
     def test_trace_above_one_rejected(self):
         with pytest.raises(InvalidStateError):
-            SubnormalizedCqChannel((0,), 2, {0: 1.1 * np.eye(2) / 2})
+            CqChannel((0,), 2, {0: 1.1 * np.eye(2) / 2})
 
-    def test_from_channel_scaling(self):
+    def test_scaled(self):
         g = rng(40)
         v = qubit_channel(g, 3)
-        vp = SubnormalizedCqChannel.from_channel(v, scale=0.75)
+        vp = v.scaled(0.75)
         assert vp.epsilon == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(vp.output(1), 0.75 * v.output(1))
-        avg = vp.uniform_average()
+        avg = channels.mix(vp, vp.alphabet)
         assert np.allclose(avg, 0.75 * channels.mix(v, v.alphabet))
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5, math.nan])
+    def test_factor_outside_unit_interval_rejected(self, factor):
+        v = qubit_channel(rng(40), 3)
+        with pytest.raises(InvalidStateError):
+            v.scaled(factor)
 
 
 class TestPinsker:
@@ -295,27 +286,27 @@ class TestChainSteps:
         assert r.holds
 
     def test_subnormalized_equality_at_identity(self):
-        vp = SubnormalizedCqChannel.from_channel(self.v, scale=1.0)
+        vp = self.v.scaled(1.0)
         for m in self.f.regularity_set:
             r = bounds.bound_divergence_by_subnormalized(self.f, self.v, vp, m)
             assert r.slack == pytest.approx(0.0, abs=1e-10)
             assert r.holds
 
     def test_subnormalized_scaled(self):
-        vp = SubnormalizedCqChannel.from_channel(self.v, scale=0.9)
+        vp = self.v.scaled(0.9)
         for m in self.f.regularity_set:
             r = bounds.bound_divergence_by_subnormalized(self.f, self.v, vp, m)
             assert r.holds
             assert r.rhs == pytest.approx(
                 0.9 * bounds.bound_divergence_by_subnormalized(
-                    self.f, self.v, SubnormalizedCqChannel.from_channel(self.v), m
+                    self.f, self.v, self.v.scaled(1.0), m
                 ).lhs
                 + 0.1 * math.log2(4 / self.f.d_s),
                 abs=1e-9,
             )
 
     def test_ordering_violation_rejected(self):
-        big = SubnormalizedCqChannel(
+        big = CqChannel(
             self.v.alphabet,
             2,
             {x: self.v.output(x) for x in self.v.alphabet},
@@ -330,7 +321,7 @@ class TestChainSteps:
         # one seed forces the preimage mixture to equal the average, so
         # both sides collapse: 0 <= log2(tr sigma) + 0 at full trace
         f1 = flat_bri(n_seeds=1, n_inputs=4)
-        vp = SubnormalizedCqChannel.from_channel(self.v, scale=1.0)
+        vp = self.v.scaled(1.0)
         r = bounds.bound_divergence_by_renyi2(f1, vp, 0)
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.rhs == pytest.approx(0.0, abs=1e-10)
@@ -342,14 +333,14 @@ class TestChainSteps:
         # for every t < 1 (the +epsilon term is a nat-sized allowance
         # charged in bits), so the report honestly carries negative slack
         f1 = flat_bri(n_seeds=1, n_inputs=4)
-        vp = SubnormalizedCqChannel.from_channel(self.v, scale=0.95)
+        vp = self.v.scaled(0.95)
         r = bounds.bound_divergence_by_renyi2(f1, vp, 0)
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.rhs == pytest.approx(math.log2(0.95) + 0.05, abs=1e-9)
         assert not r.holds
 
     def test_renyi2_normalized_always_holds(self):
-        vp = SubnormalizedCqChannel.from_channel(self.v, scale=1.0)
+        vp = self.v.scaled(1.0)
         for m in self.f.regularity_set:
             r = bounds.bound_divergence_by_renyi2(self.f, vp, m)
             assert r.holds, r
@@ -358,7 +349,7 @@ class TestChainSteps:
         # singleton preimages keep the per-seed divergences macroscopic,
         # which is the regime the subnormalized variant is meant for
         f = shift_bri(4)
-        vp = SubnormalizedCqChannel.from_channel(self.v, scale=0.9)
+        vp = self.v.scaled(0.9)
         for m in f.regularity_set:
             r = bounds.bound_divergence_by_renyi2(f, vp, m)
             assert r.holds, r
@@ -366,21 +357,21 @@ class TestChainSteps:
     def test_spectrum_step_complete_mixing_lhs_one(self):
         # d_S = |X|: every preimage mixture equals the full average
         f = flat_bri(n_seeds=3, n_inputs=4)
-        vp = SubnormalizedCqChannel.from_channel(self.v)
+        vp = self.v.scaled(1.0)
         r = bounds.bound_renyi2_by_spectrum(f, vp, 0)
         assert r.lhs == pytest.approx(1.0, abs=1e-10)
         assert r.holds
 
     def test_spectrum_step_random(self):
         for scale in (1.0, 0.85):
-            vp = SubnormalizedCqChannel.from_channel(self.v, scale=scale)
+            vp = self.v.scaled(scale)
             for m in self.f.regularity_set:
                 r = bounds.bound_renyi2_by_spectrum(self.f, vp, m)
                 assert r.holds, r
                 lam = bri.lambda2(self.f, m)
                 want_rhs = (
                     lam
-                    * op.rank_eps(vp.uniform_average())
+                    * op.rank_eps(channels.mix(vp, vp.alphabet))
                     * max(op.operator_norm(vp.output(x)) for x in range(4))
                     + 1.0
                 )
@@ -392,7 +383,7 @@ class TestTotalAndChain:
         f = bri.construct_exhaustive(4, 4, 2, lambda2_target=0.999)
         rho = np.eye(2) / 2
         v = CqChannel(range(4), 2, {x: rho for x in range(4)})
-        vp = SubnormalizedCqChannel.from_channel(v)
+        vp = v.scaled(1.0)
         r = bounds.bound_leakage_total(f, v, vp, [0.5, 0.5])
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.holds
@@ -401,7 +392,7 @@ class TestTotalAndChain:
         f = flat_bri(n_seeds=2, n_inputs=4)
         g = rng(47)
         v = qubit_channel(g, 4)
-        vp = SubnormalizedCqChannel.from_channel(v)
+        vp = v.scaled(1.0)
         r = bounds.bound_leakage_total(f, v, vp, [1.0])
         assert r.lhs <= 1e-10
         assert r.rhs == pytest.approx(0.0, abs=1e-9) or r.rhs >= 0.0
@@ -411,7 +402,7 @@ class TestTotalAndChain:
         f = shift_bri(4)
         g = rng(48)
         v = qubit_channel(g, 4)
-        vp = SubnormalizedCqChannel.from_channel(v, scale=0.92)
+        vp = v.scaled(0.92)
         reports = bounds.certify_chain(f, v, vp, random_probability(g, 4))
         assert len(reports) == 5
         assert [r.name for r in reports] == [
@@ -441,7 +432,7 @@ class TestTotalAndChain:
                     {x: random_density(g, dim) for x in range(f.n_inputs)},
                 )
                 m_dist = random_probability(g, len(f.regularity_set))
-                vp = SubnormalizedCqChannel.from_channel(v)
+                vp = v.scaled(1.0)
                 for r in bounds.certify_chain(f, v, vp, m_dist):
                     assert r.holds, (f.table.shape, r)
                     checked += 1
@@ -468,7 +459,7 @@ class TestTotalAndChain:
                 )
                 m_dist = random_probability(g, len(f.regularity_set))
                 scale = float(g.uniform(0.9, 0.98))
-                vp = SubnormalizedCqChannel.from_channel(v, scale=scale)
+                vp = v.scaled(scale)
                 for r in bounds.certify_chain(f, v, vp, m_dist):
                     assert r.holds, (f.table.shape, scale, r)
                     checked += 1
@@ -478,13 +469,13 @@ class TestTotalAndChain:
         f = bri.construct_seeded(1, 3)
         g = rng(50)
         v = CqChannel(range(6), 2, {x: random_density(g, 2) for x in range(6)})
-        vp = SubnormalizedCqChannel.from_channel(v, scale=0.88)
+        vp = v.scaled(0.88)
         m_dist = random_probability(g, 2)
         r = bounds.bound_leakage_total(f, v, vp, m_dist)
         lam = max(bri.lambda2(f, m) for m in f.regularity_set)
         spectral = (
             lam
-            * op.rank_eps(vp.uniform_average())
+            * op.rank_eps(channels.mix(vp, vp.alphabet))
             * max(op.operator_norm(vp.output(x)) for x in range(6))
         )
         want = spectral / math.log(2) + vp.epsilon + vp.epsilon * math.log2(6 / f.d_s)

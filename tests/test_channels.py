@@ -362,6 +362,7 @@ INVALID_OUTPUTS = {
     "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
     "trace": np.diag([0.6, 0.6]).astype(complex),
     "negative": np.diag([1.2, -0.2]).astype(complex),
+    "subnormalized": np.diag([0.5, 0.4]).astype(complex),
 }
 
 

@@ -267,6 +267,11 @@ class TestBoundChain:
         )
         assert main(["bound-chain", spec]) == 3
 
+    def test_subnormalized_channel_file_exits_3(self, ws):
+        # a channel file holds densities; a trace deficit belongs to V' only
+        spec = self.setup_spec(ws, {"mode": "identity"}, channel=flip_channel().scaled(0.9))
+        assert main(["bound-chain", spec]) == 3
+
     def test_bad_m_dist_length(self, ws):
         spec = self.setup_spec(ws, {"mode": "identity"}, m_dist=[0.2, 0.3, 0.5])
         assert main(["bound-chain", spec]) == 3

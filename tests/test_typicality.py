@@ -18,8 +18,7 @@ from conftest import random_density, random_unitary, rng
 
 from cqwiretap import operators as op
 from cqwiretap import typicality
-from cqwiretap.bounds import SubnormalizedCqChannel
-from cqwiretap.channels import CqChannel, conditional_entropy, holevo, tensor_power
+from cqwiretap.channels import CqChannel, conditional_entropy, holevo, mix, tensor_power
 from cqwiretap.errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -31,6 +30,8 @@ from cqwiretap.typicality import (
     _class_total,
     check_typical_projector,
     cond_typical_projector,
+    factor_reports,
+    reindexed_pair,
     sorted_eigenbasis,
     subnormalized_channel,
     typical_projector,
@@ -396,6 +397,12 @@ class TestTypicalProjector:
         with pytest.raises(ResourceCapError):
             typical_projector(rho, 13, 0.5)
 
+    def test_string_cap(self):
+        # the dimension fits its cap, but |T| = 2^21 strings exceed STRING_CAP
+        with pytest.raises(ResourceCapError) as info:
+            typical_projector(np.eye(2) / 2, 21, 1.0, cap=2**21)
+        assert info.value.cap == STRING_CAP
+
 
 class TestCondTypicalProjector:
     def test_constant_string_matches_plain_projector(self):
@@ -587,7 +594,7 @@ class TestCheckTypicalProjector:
 class TestSubnormalizedChannel:
     def test_flip_channel_hand_construction(self):
         sub = subnormalized_channel(flip_channel(), (0.6, 0.4), 2, 0.5)
-        assert isinstance(sub, SubnormalizedCqChannel)
+        assert isinstance(sub, CqChannel)
         assert sub.alphabet == ((0, 1), (1, 0))
         assert sub.epsilon == pytest.approx(0.36, abs=1e-12)
         first = np.zeros((4, 4), dtype=complex)
@@ -665,7 +672,7 @@ class TestSubnormalizedChannel:
         n = 3
         delta = 0.5
         sub = subnormalized_channel(v, p, n, delta)
-        avg = sub.uniform_average()
+        avg = mix(sub, sub.alphabet)
         pv = 0.6 * v.output(0) + 0.4 * v.output(1)
         w, _ = brute_spectrum(pv)
         beta = delta * max(abs(np.log2(q)) for q in w if q > 1e-12)
@@ -694,3 +701,32 @@ class TestSubnormalizedChannel:
         v3 = CqChannel((0, 1, 2), 3, {x: random_density(g, 3) for x in range(3)})
         with pytest.raises(ResourceCapError):
             subnormalized_channel(v3, (1 / 3,) * 3, 8, 0.5)
+
+
+class TestChainPair:
+    def test_reindexed_pair_matches_subnormalized_channel(self):
+        v = flip_channel()
+        sub = subnormalized_channel(v, (0.6, 0.4), 2, 0.5)
+        base, prime = reindexed_pair(v, (0.6, 0.4), 2, 0.5)
+        assert base.alphabet == prime.alphabet == (0, 1)
+        assert prime.epsilon == sub.epsilon
+        assert base.epsilon <= 1e-12
+        vn = tensor_power(v, 2)
+        for i, t in enumerate(sub.alphabet):
+            assert np.array_equal(prime.output(i), sub.output(t))
+            assert np.allclose(base.output(i), vn.output(t), atol=1e-15)
+
+    def test_factor_reports_commuting_instance(self):
+        v, p, n, delta = flip_channel(), (0.6, 0.4), 3, 0.5
+        pairs = list(factor_reports(v, p, delta, [2, n]))
+        assert [len(sub.alphabet[0]) for sub, _ in pairs] == [2, n]
+        sub, reports = pairs[1]
+        expected = subnormalized_channel(v, p, n, delta)
+        assert sub.alphabet == expected.alphabet
+        assert sub.epsilon == expected.epsilon
+        for t in sub.alphabet:
+            assert np.array_equal(sub.output(t), expected.output(t))
+        assert [r.name for r in reports] == ["factor-norm", "factor-rank", "factor-product"]
+        assert all(r.holds for r in reports)
+        assert reports[0].lhs == pytest.approx(0.8**3, abs=1e-12)
+        assert reports[1].lhs == 3
