@@ -78,10 +78,17 @@ def check_psd_ordering(v_prime, v, tol: float = ORDERING_TOL) -> float:
     (0.0 when the ordering is exact); raises :class:`PsdOrderingError`
     when it drops below -tol.
     """
+    return _ordering_scan(((x, v.output(x), v_prime.output(x)) for x in v_prime.alphabet), tol)
+
+
+def _ordering_scan(triples, tol: float = ORDERING_TOL) -> float:
+    """The rule of :func:`check_psd_ordering` over ``(x, V(x), V'(x))``
+    triples, consumed one at a time so a caller may build them lazily.
+    The worst symbol is reported after the whole scan."""
     worst = 0.0
     worst_x = None
-    for x in v_prime.alphabet:
-        diff = op.check_hermitian(v.output(x) - v_prime.output(x))
+    for x, big, small in triples:
+        diff = op.check_hermitian(big - small)
         w = np.linalg.eigvalsh(diff)
         low = float(w[0]) if w.size else 0.0
         if low < worst:
@@ -169,17 +176,25 @@ def bound_leakage_by_divergence(f, v, m_dist) -> BoundReport:
     return make_report("leakage-vs-divergence", lhs, rhs)
 
 
+def _require_pair(f, v, v_prime):
+    _require_bri(f)
+    _require_alphabet(v, f)
+    _require_alphabet(v_prime, f)
+
+
 def bound_divergence_by_subnormalized(f, v, v_prime, m) -> BoundReport:
     """Expected divergence under V vs under a dominated V', plus the
     trace-deficit charge epsilon * log2(|X| / d_S).
 
     Requires V' <= V in PSD order symbol by symbol (checked).
     """
-    _require_bri(f)
-    _require_alphabet(v, f)
-    _require_alphabet(v_prime, f)
+    _require_pair(f, v, v_prime)
     _check_m(f, m)
     check_psd_ordering(v_prime, v)
+    return _divergence_by_subnormalized(f, v, v_prime, m)
+
+
+def _divergence_by_subnormalized(f, v, v_prime, m) -> BoundReport:
     v_avg = mix(v, range(f.n_inputs))
     lhs = float(
         np.mean([op.relative_entropy(r, v_avg) for r in _preimage_mixtures(f, v, m)])
@@ -240,11 +255,13 @@ def bound_leakage_total(f, v, v_prime, m_dist) -> BoundReport:
 
     (1/ln 2) max_m lambda2(f,m) * rank * max norm + eps + eps log2(|X|/d_S).
     """
-    _require_bri(f)
-    _require_alphabet(v, f)
-    _require_alphabet(v_prime, f)
+    _require_pair(f, v, v_prime)
     p = _check_m_dist(f, m_dist)
     check_psd_ordering(v_prime, v)
+    return _leakage_total(f, v, v_prime, p)
+
+
+def _leakage_total(f, v, v_prime, p) -> BoundReport:
     lhs = _seed_embedded_leakage(f, v, p)
     sigma = mix(v_prime, range(f.n_inputs))
     norm = max(op.operator_norm(v_prime.output(x)) for x in range(f.n_inputs))
@@ -263,8 +280,12 @@ def certify_chain(f, v, v_prime, m_dist) -> list:
 
     The three per-message steps are evaluated for every m in the
     regularity set and the worst (smallest slack) report is kept, ties
-    resolved toward the earlier m.
+    resolved toward the earlier m.  The ordering V' <= V is checked once,
+    for all steps that need it.
     """
+    _require_pair(f, v, v_prime)
+    p = _check_m_dist(f, m_dist)
+    check_psd_ordering(v_prime, v)
 
     def worst(fn, *args):
         best = None
@@ -276,10 +297,10 @@ def certify_chain(f, v, v_prime, m_dist) -> list:
 
     return [
         bound_leakage_by_divergence(f, v, m_dist),
-        worst(bound_divergence_by_subnormalized, f, v, v_prime),
+        worst(_divergence_by_subnormalized, f, v, v_prime),
         worst(bound_divergence_by_renyi2, f, v_prime),
         worst(bound_renyi2_by_spectrum, f, v_prime),
-        bound_leakage_total(f, v, v_prime, m_dist),
+        _leakage_total(f, v, v_prime, p),
     ]
 
 

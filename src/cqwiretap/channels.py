@@ -66,11 +66,8 @@ class CqChannel:
                     f"output for {x!r} has shape {rho.shape}, expected ({self.dim}, {self.dim})"
                 )
             if validate:
-                rho = op.check_psd(rho)
-            t = float(np.real(np.trace(rho)))
-            if validate and t > 1.0 + TOL_TRACE:
-                raise InvalidStateError(f"output for {x!r} has trace {t} > 1")
-            deficit = max(deficit, 1.0 - t)
+                rho = _checked_output(x, rho)[0]
+            deficit = max(deficit, 1.0 - float(np.real(np.trace(rho))))
             table[x] = rho
         self.epsilon = max(0.0, deficit)
         self._outputs = table
@@ -95,6 +92,19 @@ class CqChannel:
 
     def __len__(self) -> int:
         return len(self.alphabet)
+
+
+def _checked_output(x, rho):
+    """Validate the output for symbol ``x``: Hermitian PSD of trace <= 1.
+
+    One eigensolve.  Returns the symmetrized output and its clipped
+    ascending spectrum.
+    """
+    rho, w = op._spectra(rho)
+    t = float(np.real(np.trace(rho)))
+    if t > 1.0 + TOL_TRACE:
+        raise InvalidStateError(f"output for {x!r} has trace {t} > 1")
+    return rho, w
 
 
 class ProductChannel:

@@ -26,6 +26,15 @@ raises rather than returning a channel that would poison later bounds.
 ``reindexed_pair`` gives the (V, V') pair the leakage chain takes in
 typicality mode, and ``factor_reports`` the spectral factor bounds of the
 compressed channel.
+
+The compression streams over the typical strings.  The symbol eigenbases
+and the average-state projector are taken once per call; per string, the
+product output is built by one Kronecker chain, compressed, and decomposed
+twice at dimension d^n: once to validate the result (that spectrum also
+gives the factor-norm) and once for the ordering V' <= V.  Then it is
+dropped, so no stack of |T| product outputs is ever held.  The product
+columns of every projector are built together, one broadcast step per
+letter position.
 """
 
 import itertools
@@ -35,8 +44,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .bounds import check_psd_ordering, make_report
-from .channels import CqChannel, _average_state, conditional_entropy, holevo, mix, tensor_power
+from .bounds import _ordering_scan, make_report
+from .channels import (
+    CqChannel,
+    _average_state,
+    _checked_output,
+    conditional_entropy,
+    holevo,
+    mix,
+    tensor_power,
+)
 from .config import STRING_CAP, TOL_ROWSUM, check_dim
 from .errors import (
     DimensionMismatchError,
@@ -338,14 +355,19 @@ def typical_set(p, n, delta, alphabet=None, cap=None) -> TypicalSet:
     )
 
 
-def _column_stack(bases, strings, dim_total):
-    """One unit column per admitted string: the product of basis columns."""
-    cols = np.empty((dim_total, len(strings)), dtype=complex)
-    for t, jn in enumerate(strings):
-        vec = np.ones(1, dtype=complex)
-        for pos, j in enumerate(jn):
-            vec = np.kron(vec, bases[pos][:, j])
-        cols[:, t] = vec
+def _column_stack(bases, strings):
+    """One unit column per admitted string: the Kronecker product of its
+    basis columns, ``bases[0][:, j0] (x) bases[1][:, j1] (x) ...``.
+
+    All columns are built together in one broadcast step per position, in
+    the order a per-string ``np.kron`` chain multiplies, so every entry is
+    the same product bit for bit.
+    """
+    idx = np.array(strings, dtype=np.intp).reshape(len(strings), len(bases))
+    cols = np.ones((1, len(strings)), dtype=complex)
+    for pos, basis in enumerate(bases):
+        step = cols[:, None, :] * basis[None, :, idx[:, pos]]
+        cols = step.reshape(cols.shape[0] * basis.shape[0], len(strings))
     return cols
 
 
@@ -381,7 +403,7 @@ def typical_projector(rho, n, delta, cap=None) -> TypicalProjector:
     vals, basis = sorted_eigenbasis(rho)
     q = _clean_spectrum(vals)
     strings = typical_set(q, n, delta)._listed("project onto")
-    cols = _column_stack([basis] * n, strings, dim_total)
+    cols = _column_stack([basis] * n, strings)
     return TypicalProjector(
         rho=rho,
         n=n,
@@ -436,6 +458,16 @@ def _group_filter(xn, spectra, delta):
     return tuple(strings)
 
 
+def _symbol_eigenbases(v, symbols):
+    """Cleaned spectrum and deterministic eigenbasis of each symbol's output."""
+    spectra, bases = {}, {}
+    for a in symbols:
+        vals, u = sorted_eigenbasis(v.output(a))
+        spectra[a] = _clean_spectrum(vals)
+        bases[a] = u
+    return spectra, bases
+
+
 def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjector:
     """Conditional typical projector of a cq channel at an input string.
 
@@ -450,11 +482,7 @@ def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjecto
             raise DimensionMismatchError(f"symbol {x!r} not in channel alphabet")
     _, delta = _validate_block(len(xn), delta)
     dim_total = check_dim(v.dim ** len(xn), cap)
-    spectra, bases = {}, {}
-    for a in set(xn):
-        vals, u = sorted_eigenbasis(v.output(a))
-        spectra[a] = _clean_spectrum(vals)
-        bases[a] = u
+    spectra, bases = _symbol_eigenbases(v, set(xn))
     strings = _group_filter(xn, spectra, delta)
     weights = np.array(
         [
@@ -462,7 +490,7 @@ def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjecto
             for jn in strings
         ]
     )
-    cols = _column_stack([bases[a] for a in xn], strings, dim_total)
+    cols = _column_stack([bases[a] for a in xn], strings)
     return ConditionalTypicalProjector(
         xn=xn,
         delta=float(delta),
@@ -609,6 +637,40 @@ def check_typical_projector(source, n, delta, p=None, cap=None):
     return _unconditional_reports(source, n, delta)
 
 
+def _compress(v, p, n, delta, cap=None, products=None):
+    """The channel of :func:`subnormalized_channel` and the largest
+    eigenvalue over its outputs, from one pass over the typical strings.
+
+    The symbol eigenbases and the average-state projector are taken once.
+    Per string, the product output V^n(x) is built once, compressed,
+    validated by one eigensolve that also gives its spectrum, and checked
+    for V'(x) <= V(x) by a second; then it is dropped, unless ``products``
+    is a dict, which keeps it under its string.
+    """
+    n, delta = _validate_block(n, delta)
+    p, dim_total, members = _typical_inputs(v, p, n, delta, cap)
+    pi_avg = typical_projector(_average_state(p, v), n, delta, cap).projector
+    vn = tensor_power(v, n, cap)
+    spectra, bases = _symbol_eigenbases(v, v.alphabet)
+    outputs, tops = {}, []
+
+    def triples():
+        for xn in members:
+            strings = _group_filter(xn, spectra, delta)
+            cols = _column_stack([bases[a] for a in xn], strings)
+            pi_cond = _assemble(cols, dim_total)
+            rho = vn.output(xn)
+            out, w = _checked_output(xn, pi_avg @ (pi_cond @ rho @ pi_cond) @ pi_avg)
+            outputs[xn] = out
+            tops.append(float(w[-1]) if w.size else 0.0)
+            if products is not None:
+                products[xn] = rho
+            yield xn, rho, out
+
+    _ordering_scan(triples())
+    return CqChannel(members, dim_total, outputs, validate=False), max(tops)
+
+
 def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     """Project each typical product output into the typical subspaces.
 
@@ -616,36 +678,25 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     its conditional projector, then by the typical projector of the average
     state.  The trace deficit is measured and becomes the channel's
     epsilon.  Domination by the product channel is verified on every
-    output; a violation raises :class:`PsdOrderingError`.
+    output; a violation raises :class:`PsdOrderingError`.  The strings are
+    streamed: each product output is built once and dropped after its two
+    eigensolves (validation and ordering).
     """
-    n, delta = _validate_block(n, delta)
-    p, dim_total, members = _typical_inputs(v, p, n, delta, cap)
-    pi_avg = typical_projector(_average_state(p, v), n, delta, cap).projector
-    vn = tensor_power(v, n, cap)
-
-    outputs = {}
-    for xn in members:
-        pi_cond = cond_typical_projector(v, xn, delta, cap).projector
-        inner = pi_cond @ vn.output(xn) @ pi_cond
-        out = pi_avg @ inner @ pi_avg
-        outputs[xn] = (out + out.conj().T) / 2.0
-
-    sub = CqChannel(members, dim_total, outputs)
-    check_psd_ordering(sub, vn)
-    return sub
+    return _compress(v, p, n, delta, cap)[0]
 
 
 def reindexed_pair(v, p, n, delta):
     """The leakage chain's (V, V') pair in typicality mode.
 
     V' is :func:`subnormalized_channel` and V the n-letter product channel
-    on the same typical strings.  Both are re-indexed 0..|T|-1 in string
-    order, so a function with |X| = |T| inputs applies.
+    on the same typical strings, kept from the same pass.  Both are
+    re-indexed 0..|T|-1 in string order, so a function with |X| = |T|
+    inputs applies.
     """
-    sub = subnormalized_channel(v, p, n, delta)
-    vn = tensor_power(v, n)
+    products = {}
+    sub = _compress(v, p, n, delta, products=products)[0]
     index = range(len(sub))
-    base = CqChannel(index, sub.dim, {i: vn.output(t) for i, t in enumerate(sub.alphabet)})
+    base = CqChannel(index, sub.dim, {i: products[t] for i, t in enumerate(sub.alphabet)})
     prime = CqChannel(
         index, sub.dim, {i: sub.output(t) for i, t in enumerate(sub.alphabet)}, validate=False
     )
@@ -657,12 +708,13 @@ def factor_reports(v, p, delta, ns):
 
     ``sub`` is ``subnormalized_channel(v, p, n, delta)`` and ``reports``
     its spectral factor bounds.  factor-norm: the largest output operator
-    norm against 2^(-n (S(V|P) - gamma)); factor-rank: the rank of the
-    uniform average output against 2^(n (S(PV) + beta)); factor-product:
-    their product against 2^(n (chi + beta + gamma)).  The window
-    constants are ``delta * max |log2 q|``, beta over the spectrum of the
-    average state PV and gamma the worst over the output spectra; they and
-    the entropies are computed once, on the call.
+    norm, read off the spectra that validated the outputs, against
+    2^(-n (S(V|P) - gamma)); factor-rank: the rank of the uniform average
+    output against 2^(n (S(PV) + beta)); factor-product: their product
+    against 2^(n (chi + beta + gamma)).  The window constants are
+    ``delta * max |log2 q|``, beta over the spectrum of the average state
+    PV and gamma the worst over the output spectra; they and the entropies
+    are computed once, on the call.
     """
     p = np.asarray(p, dtype=float)
     avg = _average_state(p, v)
@@ -677,8 +729,7 @@ def factor_reports(v, p, delta, ns):
     gamma = max(window(v.output(a)) for a in v.alphabet)
 
     def reports(n):
-        sub = subnormalized_channel(v, p, n, delta)
-        norm = max(op.operator_norm(sub.output(t)) for t in sub.alphabet)
+        sub, norm = _compress(v, p, n, delta)
         rank = op.rank_eps(mix(sub, sub.alphabet))
         return sub, [
             make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),

@@ -17,6 +17,7 @@ only when an output change is intended, and name the change.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -50,6 +51,11 @@ CASES = {
         {"channel": "inputs/flip.json", "bri": "inputs/xor.json"},
         {"v_prime": _FLIP_TYPICALITY},
     ),
+    "bound-chain-typicality-haar": (
+        "bound-chain",
+        {"channel": "inputs/flip_haar.json", "bri": "inputs/cyclic3.json"},
+        {"v_prime": {"mode": "typicality", "p": [2 / 3, 1 / 3], "n": 3, "delta": 0.5}},
+    ),
     "typicality-report": (
         "typicality-report",
         {"channel": "inputs/flip.json"},
@@ -59,6 +65,11 @@ CASES = {
         "typicality-report",
         {"channel": "inputs/qutrit.json"},
         {"p": [0.5, 0.25, 0.25], "delta": 1.0, "ns": [2, 4]},
+    ),
+    "typicality-report-clock": (
+        "typicality-report",
+        {"channel": "inputs/clock.json"},
+        {"p": [1 / 3, 1 / 3, 1 / 3], "delta": 1.0, "ns": [2, 3]},
     ),
 }
 
@@ -74,14 +85,40 @@ def _qubit_eavesdropper(seed: int = 53) -> CqChannel:
     return CqChannel(range(8), 2, outputs)
 
 
+def _haar(g: np.random.Generator, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _flip_haar(seed: int = 11) -> CqChannel:
+    """The 0.8/0.2 flip channel in one Haar frame.
+
+    Its eigenvectors are not unit vectors, so every column of a typical
+    projector is a product of dense basis columns."""
+    u = _haar(np.random.Generator(np.random.Philox(seed)), 2)
+    outputs = {x: u @ np.diag(s) @ u.conj().T for x, s in enumerate(((0.8, 0.2), (0.2, 0.8)))}
+    return CqChannel(range(2), 2, outputs)
+
+
+def _clock_channel(heavy: float = 0.8) -> CqChannel:
+    """Three real rotations of one qubit spectrum, 60 degrees apart.
+
+    The outputs do not commute, and their uniform average is exactly I/2."""
+    outputs = {}
+    for k in range(3):
+        c, s = math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)
+        u = np.array([[c, -s], [s, c]])
+        outputs[k] = u @ np.diag([heavy, 1.0 - heavy]) @ u.T
+    return CqChannel(range(3), 2, outputs)
+
+
 def _qutrit_channel(seed: int = 7) -> CqChannel:
     """Three commuting qutrit outputs with distinct spectra in one Haar frame.
 
     In the rotated frame every spectrum is three rounded eigenvalues, so
     the order in which the reports sum them shows in the last bits."""
     g = np.random.Generator(np.random.Philox(seed))
-    q, r = np.linalg.qr(g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3)))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    u = _haar(g, 3)
     spectra = ((0.7, 0.2, 0.1), (0.1, 0.7, 0.2), (0.2, 0.1, 0.7))
     outputs = {x: u @ np.diag(s) @ u.conj().T for x, s in enumerate(spectra)}
     return CqChannel(range(3), 3, outputs)
@@ -94,8 +131,12 @@ def write_inputs() -> None:
     flip = CqChannel((0, 1), 2, {0: np.diag([0.8, 0.2]), 1: np.diag([0.2, 0.8])})
     serialize.dump_json(serialize.channel_to_json(flip), INPUTS / "flip.json")
     serialize.dump_json(serialize.channel_to_json(_qutrit_channel()), INPUTS / "qutrit.json")
+    serialize.dump_json(serialize.channel_to_json(_flip_haar()), INPUTS / "flip_haar.json")
+    serialize.dump_json(serialize.channel_to_json(_clock_channel()), INPUTS / "clock.json")
     xor = {"S": 2, "X": 2, "M": [0, 1], "table": [[0, 1], [1, 0]]}
     serialize.dump_json(xor, INPUTS / "xor.json")
+    cyclic3 = {"S": 3, "X": 3, "M": [0, 1, 2], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    serialize.dump_json(cyclic3, INPUTS / "cyclic3.json")
     for name, (kind, inputs, params) in CASES.items():
         spec = {"kind": kind, "inputs": inputs, "params": params, "output": f"{name}.json"}
         serialize.dump_json(spec, GOLDEN / f"{name}.spec.json")

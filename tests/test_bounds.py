@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_density, random_probability, rng
 
-from cqwiretap import bounds, bri, channels, codes
+from cqwiretap import bounds, bri, channels, codes, typicality
 from cqwiretap import operators as op
 from cqwiretap.channels import ClassicalChannel, CqChannel, tensor_power
 from cqwiretap.errors import InvalidStateError, PsdOrderingError
@@ -480,3 +480,32 @@ class TestTotalAndChain:
         )
         want = spectral / math.log(2) + vp.epsilon + vp.epsilon * math.log2(6 / f.d_s)
         assert r.rhs == pytest.approx(want, abs=1e-9)
+
+    def test_chain_checks_the_ordering_once(self, monkeypatch):
+        # typicality-mode pair of the flip channel under the XOR table: the
+        # two per-message steps and the closing report share one check
+        flip = CqChannel((0, 1), 2, {0: np.diag([0.8, 0.2]), 1: np.diag([0.2, 0.8])})
+        base, prime = typicality.reindexed_pair(flip, (0.6, 0.4), 2, 0.5)
+        calls = []
+        real = bounds.check_psd_ordering
+        monkeypatch.setattr(
+            bounds, "check_psd_ordering", lambda *a: calls.append(a) or real(*a)
+        )
+        reports = bounds.certify_chain(shift_bri(2), base, prime, [0.5, 0.5])
+        assert len(calls) == 1
+        assert all(r.holds for r in reports)
+        calls.clear()
+        bounds.bound_divergence_by_subnormalized(shift_bri(2), base, prime, 0)
+        bounds.bound_leakage_total(shift_bri(2), base, prime, [0.5, 0.5])
+        assert len(calls) == 2
+
+    def test_chain_rejects_an_ordering_violation(self):
+        # V' = v is not below V = 0.9 v + 0.1 I/2: V - V' = -0.1 (v - I/2)
+        # has a negative eigenvalue for every qubit state other than I/2
+        g = rng(51)
+        v = qubit_channel(g, 4)
+        mixed = CqChannel(
+            range(4), 2, {x: 0.9 * v.output(x) + 0.1 * np.eye(2) / 2 for x in range(4)}
+        )
+        with pytest.raises(PsdOrderingError):
+            bounds.certify_chain(shift_bri(4), mixed, v, [0.25] * 4)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_unitary, rng
 
+from cqwiretap import channels, typicality
 from cqwiretap import operators as op
-from cqwiretap import typicality
 from cqwiretap.channels import CqChannel, conditional_entropy, holevo, mix, tensor_power
 from cqwiretap.errors import (
     DimensionMismatchError,
@@ -28,6 +28,7 @@ from cqwiretap.errors import (
 from cqwiretap.config import STRING_CAP
 from cqwiretap.typicality import (
     _class_total,
+    _column_stack,
     check_typical_projector,
     cond_typical_projector,
     factor_reports,
@@ -404,6 +405,36 @@ class TestTypicalProjector:
         assert info.value.cap == STRING_CAP
 
 
+class TestColumnStack:
+    @staticmethod
+    def kron_chain(bases, strings):
+        """The definition: one np.kron chain per string."""
+        cols = np.empty((math.prod(b.shape[0] for b in bases), len(strings)), dtype=complex)
+        for t, jn in enumerate(strings):
+            vec = np.ones(1, dtype=complex)
+            for pos, j in enumerate(jn):
+                vec = np.kron(vec, bases[pos][:, j])
+            cols[:, t] = vec
+        return cols
+
+    def test_bit_identical_to_kron_chain(self):
+        g = rng(71)
+        for case in range(60):
+            d, n = 2 + case % 2, 1 + case % 5
+            bases = [random_unitary(g, d) for _ in range(n)]
+            every = list(itertools.product(range(d), repeat=n))
+            keep = np.sort(g.choice(len(every), int(g.integers(1, len(every) + 1)), replace=False))
+            strings = [every[i] for i in keep]
+            got = _column_stack(bases, strings)
+            assert np.array_equal(got, self.kron_chain(bases, strings))
+
+    def test_empty_string_set(self):
+        g = rng(72)
+        for d, n in ((2, 1), (3, 2), (2, 5)):
+            bases = [random_unitary(g, d) for _ in range(n)]
+            assert _column_stack(bases, []).shape == (d**n, 0)
+
+
 class TestCondTypicalProjector:
     def test_constant_string_matches_plain_projector(self):
         g = rng(31)
@@ -701,6 +732,58 @@ class TestSubnormalizedChannel:
         v3 = CqChannel((0, 1, 2), 3, {x: random_density(g, 3) for x in range(3)})
         with pytest.raises(ResourceCapError):
             subnormalized_channel(v3, (1 / 3,) * 3, 8, 0.5)
+
+    def test_empty_conditional_projectors(self):
+        # every conditional window is empty here: each compressed output is
+        # exactly zero, so the whole trace is deficit and the norm is 0
+        v, p, n, delta = flip_channel(), (0.75, 0.25), 4, 0.2
+        sub = subnormalized_channel(v, p, n, delta)
+        assert len(sub.alphabet) == 4
+        for t in sub.alphabet:
+            assert not sub.output(t).any()
+        assert sub.epsilon == 1.0
+        (_, reports), = factor_reports(v, p, delta, [n])
+        assert reports[0].name == "factor-norm" and reports[0].lhs == 0.0
+
+
+class TestStreamingCompression:
+    """Per typical string: one product output, two d^n eigensolves."""
+
+    def count(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, _real=real: calls.append(a.shape) or _real(a)
+            )
+        real_output = channels.ProductChannel.output
+        monkeypatch.setattr(
+            channels.ProductChannel,
+            "output",
+            lambda self, xn: calls.append("product") or real_output(self, xn),
+        )
+        return calls
+
+    def test_two_eigensolves_and_one_product_per_string(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        sub = subnormalized_channel(clock_channel(), (1 / 3, 1 / 3, 1 / 3), 3, 1.0)
+        assert len(sub) == 24
+        assert calls.count((8, 8)) == 2 * 24
+        assert calls.count("product") == 24
+
+    def test_factor_reports_reuse_the_spectra(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        monkeypatch.setattr(op, "operator_norm", lambda a: pytest.fail("operator_norm called"))
+        (sub, reports), = factor_reports(flip_channel(), (0.6, 0.4), 0.5, [3])
+        # plus the rank of the average output
+        assert calls.count((8, 8)) == 2 * len(sub) + 1
+        assert calls.count("product") == len(sub)
+        assert reports[0].lhs == pytest.approx(0.8**3, abs=1e-12)
+
+    def test_reindexed_pair_builds_each_product_once(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        base, prime = reindexed_pair(flip_channel(), (0.6, 0.4), 3, 0.5)
+        assert calls.count("product") == len(base) == len(prime) == 3
 
 
 class TestChainPair:
