@@ -15,10 +15,11 @@ with one eigensolve of the average states per call (see
 :func:`cqwiretap.operators.entropies` and
 :func:`cqwiretap.operators.relative_entropies`).
 
-Optimizer determinism: every randomized search draws from a caller-supplied
-``numpy.random.Generator``; the default is a Philox generator with a fixed
-seed, so repeated calls reproduce each other exactly.  Restart reduction is
-by best value with ties to the lowest restart index.
+The adversarial search is concave and deterministic: it starts at the
+uniform distribution.  The capacity search draws its random starts from a
+caller-supplied ``numpy.random.Generator`` (by default Philox with a fixed
+seed), so repeated calls reproduce each other exactly; restart reduction
+is by best value with ties to the lowest restart index.
 """
 
 import itertools
@@ -280,7 +281,7 @@ def leakage_cr(m_dist, encoders, v_n) -> float:
     return float(total / len(seeds))
 
 
-AdversarialLeakage = namedtuple("AdversarialLeakage", ["value", "argmax", "converged"])
+AdversarialLeakage = namedtuple("AdversarialLeakage", ["value", "upper", "argmax", "converged"])
 CapacityResult = namedtuple("CapacityResult", ["value", "argmax", "converged"])
 
 
@@ -346,77 +347,65 @@ def _warn_unconverged(name: str, max_iters: int) -> None:
     )
 
 
-def adversarial_leakage(
-    encoders,
-    v_n,
-    rng: np.random.Generator | None = None,
-    restarts: int = 8,
-    max_iters: int = 2000,
-    patience: int = 50,
-    gain_tol: float = 1e-10,
-) -> AdversarialLeakage:
-    """Worst-case leakage over message distributions.
+# certification gap at which the adversarial search stops, in bits
+_GAP_TOL = 1e-9
 
-    chi(M; S, E^S V) is concave in the message distribution, so a
-    multiplicative-weights ascent (the cq Blahut-Arimoto step) from a few
-    random interior starts finds the maximum; steps that decrease the
-    objective halve the step size.  Convergence is declared when the gain
-    over the last ``patience`` iterations falls below ``gain_tol``;
-    otherwise the best value is returned with ``converged=False`` and a
-    :class:`~cqwiretap.errors.ConvergenceWarning`.
 
-    The per-seed message states are stacked as ``(S, k, d, d)`` and
-    validated once here.  Each objective is one ``eigvalsh`` over the
-    ``(S, d, d)`` averages, each gradient one ``eigh`` of them.
+def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeakage:
+    """Worst-case leakage over message distributions, bounded from both sides.
+
+    The objective (1/|S|) sum_s chi(P; U_s) is concave in P.  Its gradient
+    ``g_m = (1/|S|) sum_s D(U_s(m) || U_s P)`` gives ``<P, g> = chi(P)`` and
+    ``chi(Q) <= <Q, g>`` for every Q: each step bounds the maximum below by
+    ``<P, g>`` and above by ``max_m g_m`` (Blahut 1972, Arimoto 1972;
+    Ramakrishnan et al., arXiv:1905.01286).  The cq Blahut-Arimoto step
+    P <- P 2^(lam (g - max g)) starts at the uniform P; ``lam`` grows by 1.5
+    per accepted step and falls back to the monotone step 1 when a trial
+    lowers the value or certifies nothing (a non-finite g or a zero weight).
+    ``value`` is the best lower side, reached at ``argmax``, and ``upper``
+    the least upper side, always from the raw gradient.  The search stops
+    when ``upper - value <= 1e-9``, or warns with a
+    :class:`~cqwiretap.errors.ConvergenceWarning` and ``converged=False``.
+    It draws no random numbers.  The ``(S, k, d, d)`` state stack is
+    validated once; each step is one ``eigh`` of the ``(S, 1, d, d)`` averages.
     """
-    rng = rng or _default_rng()
     seeds = sorted(encoders)
-    msgs = encoders[seeds[0]].inputs
-    k = len(msgs)
+    k = len(encoders[seeds[0]].inputs)
     if k == 1:
-        return AdversarialLeakage(0.0, np.array([1.0]), True)
+        return AdversarialLeakage(0.0, 0.0, np.array([1.0]), True)
     states, ent = _validated_stack([compose(encoders[s], v_n).states() for s in seeds])
 
-    def objective(p):
-        return float(_chi(p, states, ent).sum()) / len(seeds)
+    def sides(p):
+        # the gradient, <p, g> (-inf unless certified) and max_m g_m, in bits
+        g = _chi_gradient(p, states, ent).sum(axis=0) / len(seeds)
+        certified = np.isfinite(g).all() and (p > 0.0).all()
+        return g, float(p @ g) if certified else -np.inf, float(g.max())
 
-    def gradient(p):
-        # g_m = (1/|S|) sum_s D(U_s(m) || sum_m' p U_s(m')), in bits
-        return _chi_gradient(p, states, ent).sum(axis=0) / len(seeds)
-
-    best_val, best_p, best_conv = -np.inf, None, False
-    for _ in range(restarts):
-        p = rng.dirichlet(np.ones(k))
-        p = np.clip(p, 1e-12, None)
-        p /= p.sum()
-        val = objective(p)
-        step = 1.0
-        history = [val]
-        converged = False
-        for _ in range(max_iters):
-            g = _finite_gradient(gradient(p))
-            trial = p * np.exp2(np.clip(step * (g - g.max()), -700, 0))
-            total = trial.sum()
-            if total <= 0.0:
-                break
-            trial /= total
-            trial_val = objective(trial)
-            if trial_val < val - 1e-15:
-                step *= 0.5
-                if step < 1e-14:
-                    converged = True
-                    break
-                continue
-            p, val = trial, trial_val
-            history.append(val)
-            if len(history) > patience and val - history[-patience - 1] < gain_tol:
-                converged = True
-                break
-        if val > best_val:
-            best_val, best_p, best_conv = val, p, converged
-    if not best_conv:
+    p = np.full(k, 1.0 / k)
+    g, val, upper = sides(p)
+    best_val, best_p = val, p
+    lam = 1.0
+    for _ in range(max_iters):
+        if upper - best_val <= _GAP_TOL:
+            break
+        step = _finite_gradient(g)
+        trial = p * np.exp2(lam * (step - step.max()))
+        trial /= trial.sum()
+        trial_g, trial_val, trial_upper = sides(trial)
+        upper = min(upper, trial_upper)
+        if trial_val > -np.inf and (trial_val >= val or lam == 1.0):
+            p, g, val = trial, trial_g, trial_val
+            lam *= 1.5
+            if val > best_val:
+                best_val, best_p = val, p
+        elif lam > 1.0:
+            lam = 1.0
+        else:
+            break
+    converged = upper - best_val <= _GAP_TOL
+    if not converged:
         _warn_unconverged("adversarial_leakage", max_iters)
-    return AdversarialLeakage(float(best_val), best_p, best_conv)
+    return AdversarialLeakage(best_val, upper, best_p, converged)
 
 
 def _project_simplex(y: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ are overrides: ``--seed``, ``--out``, ``--cap``.
 Every run with the same spec and seed writes byte-identical reports:
 keys are sorted, floats keep their shortest round-trip form, and all
 randomness flows from one counter-based generator built from the seed.
-A seed is required exactly when a step is randomized (optimizer
-restarts, adversarial search); deterministic runs ignore it.
+A seed is required exactly when a step is randomized (the random starts
+of the capacity search); other runs ignore it, and ``eval-leakage`` also
+accepts and ignores ``restarts``.
 
 Exit codes: 0 all asserted checks hold; 2 a file does not parse;
 3 a spec or input fails validation; 4 an asserted bound or verification
@@ -31,7 +32,7 @@ build-code         square-root-measurement transmission code for given
                    table into a common-randomness code; writes the code
                    file.  Asserts ``max_error`` when given.
 eval-leakage       leakage of a code file against an eavesdropper
-                   channel, optionally the adversarial worst case.
+                   channel, optionally the certified adversarial bounds.
 bound-chain        the five-step leakage certification chain; asserts
                    every report.  ``v_prime`` modes: identity, scale,
                    typicality (sandwich the n-letter channel between
@@ -189,7 +190,14 @@ def _leakage_encoders(code):
     return {s: code.per_seed[s].encoder for s in code.seeds}, code
 
 
+# restarts and seed are accepted and ignored: older spec files carry them
+_EVAL_LEAKAGE_KEYS = {"m_dist", "adversarial", "restarts", "seed"}
+
+
 def _run_eval_leakage(inputs, params, output):
+    unknown = sorted(set(params) - _EVAL_LEAKAGE_KEYS)
+    if unknown:
+        raise InvalidStateError(f"unknown params for eval-leakage: {unknown}")
     v = _load_channel(inputs, "channel")
     code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
     encoders, code = _leakage_encoders(code)
@@ -205,11 +213,10 @@ def _run_eval_leakage(inputs, params, output):
     }
     summary = f"leakage={value!r}"
     if params.get("adversarial", False):
-        worst = channels.adversarial_leakage(
-            encoders, v_n, rng=_rng(params), restarts=params.get("restarts", 8)
-        )
+        worst = channels.adversarial_leakage(encoders, v_n)
         report["adversarial"] = {
             "value": worst.value,
+            "upper": worst.upper,
             "argmax": [float(x) for x in worst.argmax],
             "converged": bool(worst.converged),
         }
@@ -427,7 +434,10 @@ def _parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind)
         p.add_argument("spec", help="path to the experiment spec JSON")
-        p.add_argument("--seed", type=int, default=None, help="override params.seed")
+        p.add_argument(
+            "--seed", type=int, default=None,
+            help="override params.seed (eval-leakage accepts and ignores seed and restarts)",
+        )
         p.add_argument("--out", default=None, help="override the spec output path")
         p.add_argument("--cap", type=int, default=None, help="override the dimension cap")
     return parser

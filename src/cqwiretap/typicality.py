@@ -696,7 +696,11 @@ def reindexed_pair(v, p, n, delta):
     products = {}
     sub = _compress(v, p, n, delta, products=products)[0]
     index = range(len(sub))
-    base = CqChannel(index, sub.dim, {i: products[t] for i, t in enumerate(sub.alphabet)})
+    # neither is validated again: Kronecker products of validated densities
+    # are exactly Hermitian, and _compress validated every output of V'
+    base = CqChannel(
+        index, sub.dim, {i: products[t] for i, t in enumerate(sub.alphabet)}, validate=False
+    )
     prime = CqChannel(
         index, sub.dim, {i: sub.output(t) for i, t in enumerate(sub.alphabet)}, validate=False
     )

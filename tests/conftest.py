@@ -28,6 +28,17 @@ def random_probability(g: np.random.Generator, k: int) -> np.ndarray:
     return p / p.sum()
 
 
+def discard_dirichlet_draws(g: np.random.Generator, k: int, count: int) -> None:
+    """Draw and discard ``count`` Dirichlet samples over ``k`` weights.
+
+    Some tests fixed their random instances while an optimizer still drew
+    that many random starts from their generator; making the same draws
+    here keeps every later instance unchanged.
+    """
+    for _ in range(count):
+        g.dirichlet(np.ones(k))
+
+
 def random_cq_channel(g: np.random.Generator, n_inputs: int, dim: int):
     from cqwiretap.channels import CqChannel
 

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cqwiretap import serialize
-from cqwiretap.channels import CqChannel
+from cqwiretap import codes, serialize
+from cqwiretap.channels import ClassicalChannel, CqChannel
 from cqwiretap.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
@@ -55,6 +55,21 @@ CASES = {
         "bound-chain",
         {"channel": "inputs/flip_haar.json", "bri": "inputs/cyclic3.json"},
         {"v_prime": {"mode": "typicality", "p": [2 / 3, 1 / 3], "n": 3, "delta": 0.5}},
+    ),
+    "eval-leakage": (
+        "eval-leakage",
+        {"channel": "inputs/eve_qubit.json", "code": "inputs/cr_3x8.json"},
+        {"m_dist": [0.5, 0.3, 0.2]},
+    ),
+    "eval-leakage-adversarial": (
+        "eval-leakage",
+        {"channel": "inputs/eve_qubit.json", "code": "inputs/cr_3x8.json"},
+        {"adversarial": True, "restarts": 2, "seed": 5},
+    ),
+    "capacity": (
+        "capacity",
+        {"channel_w": "inputs/qutrit.json", "channel_v": "inputs/clock.json"},
+        {"seed": 3, "starts": 4},
     ),
     "typicality-report": (
         "typicality-report",
@@ -124,6 +139,19 @@ def _qutrit_channel(seed: int = 7) -> CqChannel:
     return CqChannel(range(3), 3, outputs)
 
 
+def _cr_code() -> codes.CommonRandomnessCode:
+    """Two seeds, three messages, stochastic encoders into eight inputs."""
+    rows = {
+        0: {0: {(0,): 0.5, (1,): 0.5}, 1: {(2,): 0.75, (3,): 0.25}, 2: {(4,): 1.0}},
+        1: {0: {(5,): 1.0}, 1: {(6,): 0.5, (0,): 0.5}, 2: {(7,): 0.25, (2,): 0.75}},
+    }
+    decoders = {m: np.eye(2) / 3.0 for m in range(3)}
+    return codes.CommonRandomnessCode({
+        s: codes.WiretapCode(ClassicalChannel(range(3), rows[s]), decoders, n=1, dim=2)
+        for s in rows
+    })
+
+
 def write_inputs() -> None:
     INPUTS.mkdir(exist_ok=True)
     shutil.copyfile(serialize.bundled("section_6x8.json"), INPUTS / "section_6x8.json")
@@ -133,6 +161,7 @@ def write_inputs() -> None:
     serialize.dump_json(serialize.channel_to_json(_qutrit_channel()), INPUTS / "qutrit.json")
     serialize.dump_json(serialize.channel_to_json(_flip_haar()), INPUTS / "flip_haar.json")
     serialize.dump_json(serialize.channel_to_json(_clock_channel()), INPUTS / "clock.json")
+    serialize.dump_json(serialize.code_to_json(_cr_code()), INPUTS / "cr_3x8.json")
     xor = {"S": 2, "X": 2, "M": [0, 1], "table": [[0, 1], [1, 0]]}
     serialize.dump_json(xor, INPUTS / "xor.json")
     cyclic3 = {"S": 3, "X": 3, "M": [0, 1, 2], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}

@@ -230,7 +230,7 @@ class TestExpurgation:
             original_avg = sum(states) / k
             worst = channels.adversarial_leakage(
                 {0: kept.encoder}, tensor_power(v, 1)
-            ).value
+            ).upper
             eps = report.lhs / 2.0
             rhs = 2 * eps * math.log2(len(kept.messages)) + bounds.g_continuity(eps)
             # the continuity argument bounds leakage measured against the

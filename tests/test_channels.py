@@ -319,6 +319,60 @@ class TestAdversarialLeakage:
         assert res.value >= best - 1e-9
         assert abs(res.value - best) <= 1e-6
 
+    @pytest.mark.parametrize("rank", [None, 2], ids=["qubit", "rank2-qutrit"])
+    @pytest.mark.parametrize("n_seeds", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_two_sided_certificate(self, k, n_seeds, rank):
+        # the lower side is attained and the upper side bounds every grid point
+        g = rng(5600 + 100 * k + 10 * n_seeds + (rank or 0))
+        dim = 3 if rank else 2
+        v = CqChannel(range(4), dim, {x: random_density(g, dim, rank) for x in range(4)})
+        encoders = {
+            s: ClassicalChannel(
+                range(k), {m: dict(enumerate(random_probability(g, 4))) for m in range(k)}
+            )
+            for s in range(n_seeds)
+        }
+        res = adversarial_leakage(encoders, v)
+        assert res.converged and res.upper - res.value <= 1e-9
+        if k == 2:
+            grid = [np.array([a, 200 - a]) / 200 for a in range(201)]
+        else:
+            grid = [
+                np.array([a, b, 30 - a - b]) / 30 for a in range(31) for b in range(31 - a)
+            ]
+        grid_best = max(leakage_cr(p, encoders, v) for p in grid)
+        oracle = max(grid_best, leakage_cr(res.argmax, encoders, v))
+        assert res.value <= oracle + 1e-9
+        assert grid_best <= res.upper + 1e-12
+        assert res.value >= grid_best - 1e-9
+
+    def test_identical_states_certified_at_iteration_zero(self):
+        v = constant_channel(3, random_density(rng(57), 2))
+        e = ClassicalChannel((0, 1, 2), {m: {m: 1.0} for m in range(3)})
+        res = adversarial_leakage({0: e}, v, max_iters=0)
+        assert res.converged
+        assert res.upper - res.value == 0.0
+        assert_allclose(res.argmax, np.full(3, 1 / 3), atol=0)
+
+    def test_deterministic_and_draws_nothing(self, monkeypatch):
+        v = random_cq_channel(rng(58), 3, 2)
+        encoders = {
+            s: ClassicalChannel((0, 1, 2), {m: {(m + s) % 3: 1.0} for m in range(3)})
+            for s in range(2)
+        }
+        first = adversarial_leakage(encoders, v)
+        legacy = np.random.get_state()
+        for name in ("Generator", "default_rng", "RandomState"):
+            monkeypatch.setattr(np.random, name, lambda *a, _n=name: pytest.fail(f"{_n} called"))
+        second = adversarial_leakage(encoders, v)
+        assert first.value == second.value and first.upper == second.upper
+        assert np.array_equal(first.argmax, second.argmax)
+        assert first.converged and second.converged
+        saved = np.random.get_state()
+        assert saved[0] == legacy[0] and np.array_equal(saved[1], legacy[1])
+        assert saved[2:] == legacy[2:]
+
 
 class TestCapacity:
     def test_equal_channels_exactly_zero(self):
@@ -376,7 +430,7 @@ class TestOptimizerInputs:
         v = unchecked_channel(INVALID_OUTPUTS[kind])
         e = ClassicalChannel((0, 1, 2), {m: {m: 1.0} for m in range(3)})
         with pytest.raises(InvalidStateError):
-            adversarial_leakage({0: e}, v, restarts=1)
+            adversarial_leakage({0: e}, v)
 
     @pytest.mark.parametrize("kind", sorted(INVALID_OUTPUTS))
     def test_capacity_rejects_invalid_output(self, kind):
@@ -387,10 +441,9 @@ class TestOptimizerInputs:
         with pytest.raises(InvalidStateError):
             capacity_single_letter(good, bad, starts=1)
 
-    @pytest.mark.filterwarnings("ignore::cqwiretap.errors.ConvergenceWarning")
     def test_one_batched_eigensolve_per_evaluation(self, monkeypatch):
         # two seeds, three messages: after the entry check every eigensolve
-        # takes both seeds' averages at once
+        # is one eigh over both seeds' averages
         v = random_cq_channel(rng(55), 3, 2)
         encoders = {
             s: ClassicalChannel((0, 1, 2), {m: {(m + s) % 3: 1.0} for m in range(3)})
@@ -400,18 +453,21 @@ class TestOptimizerInputs:
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(
-                np.linalg, name, lambda a, _real=real: calls.append(a.shape[:-2]) or _real(a)
+                np.linalg,
+                name,
+                lambda a, _real=real, _name=name: calls.append((_name, a.shape[:-2])) or _real(a),
             )
-        adversarial_leakage(encoders, v, restarts=1, max_iters=20)
-        assert calls[:2] == [(2, 3), (2, 3)]
-        assert set(calls[2:]) == {(2,), (2, 1)}
+        res = adversarial_leakage(encoders, v)
+        assert res.converged
+        assert calls[:2] == [("eigvalsh", (2, 3)), ("eigvalsh", (2, 3))]
+        assert len(calls) > 2 and set(calls[2:]) == {("eigh", (2, 1))}
 
     def test_unconverged_searches_warn(self):
         g = rng(54)
         w, v = random_cq_channel(g, 3, 2), random_cq_channel(g, 3, 2)
         e = ClassicalChannel((0, 1, 2), {m: {m: 1.0} for m in range(3)})
         with pytest.warns(ConvergenceWarning, match="adversarial_leakage"):
-            res = adversarial_leakage({0: e}, v, restarts=1, max_iters=1)
+            res = adversarial_leakage({0: e}, v, max_iters=1)
         assert not res.converged
         with pytest.warns(ConvergenceWarning, match="capacity_single_letter"):
             res = capacity_single_letter(w, v, starts=1, max_iters=1)

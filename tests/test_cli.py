@@ -416,13 +416,26 @@ class TestBuildAndEval:
         report = serialize.load_json(ws.out())
         assert report["leakage"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_adversarial_needs_seed(self, ws):
+    def test_adversarial_needs_no_seed(self, ws):
         main(["build-code", self.build_spec(ws)])
         ws.channel("v.json", noiseless(2))
         spec = ws.spec(
             "eval-leakage",
             {"channel": str(ws.root / "v.json"), "code": str(ws.root / "code.json")},
             {"adversarial": True},
+            name="eval.json",
+        )
+        assert main(["eval-leakage", spec]) == 0
+        worst = serialize.load_json(ws.out())["adversarial"]
+        assert worst["converged"] and worst["upper"] - worst["value"] <= 1e-9
+
+    def test_unknown_param_exits_3(self, ws):
+        main(["build-code", self.build_spec(ws)])
+        ws.channel("v.json", noiseless(2))
+        spec = ws.spec(
+            "eval-leakage",
+            {"channel": str(ws.root / "v.json"), "code": str(ws.root / "code.json")},
+            {"adversarial": True, "restart": 2},
             name="eval.json",
         )
         assert main(["eval-leakage", spec]) == 3
@@ -439,6 +452,7 @@ class TestBuildAndEval:
         assert main(["eval-leakage", spec]) == 0
         report = serialize.load_json(ws.out())
         assert report["adversarial"]["value"] >= report["leakage"] - 1e-9
+        assert report["adversarial"]["upper"] >= report["adversarial"]["value"]
 
 
 class TestTypicalityReport:

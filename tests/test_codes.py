@@ -406,7 +406,7 @@ class TestDerandomize:
         flat = codes.derandomize(d.seed_code, d.inner, 2)
         worst = channels.adversarial_leakage(
             {0: flat.encoder}, tensor_power(v, flat.n)
-        ).value
+        ).upper
         assert worst <= 2 * eps_leak + 0.05 + 1e-9
 
 

@@ -784,6 +784,8 @@ class TestStreamingCompression:
         calls = self.count(monkeypatch)
         base, prime = reindexed_pair(flip_channel(), (0.6, 0.4), 3, 0.5)
         assert calls.count("product") == len(base) == len(prime) == 3
+        # validation and ordering only: the product outputs are not validated again
+        assert calls.count((8, 8)) == 2 * len(base)
 
 
 class TestChainPair:
