@@ -1,25 +1,15 @@
-"""The balanced-table search kernel, with optional numba acceleration.
+"""The balanced-table search kernel.
 
 The exhaustive search over balanced BRI tables is loop-bound at desk
-scale (up to 10^7 visited nodes).  It runs jitted when numba is installed,
-and the same algorithm runs in pure Python when numba is absent or the
-environment variable ``CQWIRETAP_NO_NUMBA=1`` is set.
+scale (up to 10^7 visited nodes); it runs in pure Python, resumable
+under a node budget.
 """
 
-import os
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("CQWIRETAP_NO_NUMBA", "") != "1"
+# there is no compiled path; perfbench records these in its run metadata
+HAS_NUMBA = USE_NUMBA = False
 
 
-def _search_step_impl(table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget):
+def search_step(table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget):
     """Resume a depth-first search over balanced tables.
 
     Cells are filled row-major; row 0 is preset to the sorted block
@@ -90,19 +80,3 @@ def _search_step_impl(table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_
         v = table[r, x]
         row_counts[r, v] -= 1
         col_counts[x, v] -= 1
-
-
-if HAS_NUMBA:
-    _search_step_jit = numba.njit(cache=True)(_search_step_impl)
-
-
-def search_step(table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget):
-    """Dispatch the table-search kernel to the active path."""
-    if USE_NUMBA:
-        return _search_step_jit(
-            table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget
-        )
-    return _search_step_impl(
-        table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget
-    )
-

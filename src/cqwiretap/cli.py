@@ -17,7 +17,8 @@ keys are sorted, floats keep their shortest round-trip form, and all
 randomness flows from one counter-based generator built from the seed.
 A seed is required exactly when a step is randomized (the random starts
 of the capacity search); other runs ignore it, and ``eval-leakage`` also
-accepts and ignores ``restarts``.
+accepts and ignores ``restarts``.  Each subcommand takes only the params
+keys it reads, plus ``seed``; any other key is a validation error.
 
 Exit codes: 0 all asserted checks hold; 2 a file does not parse;
 3 a spec or input fails validation; 4 an asserted bound or verification
@@ -47,7 +48,9 @@ typicality-report  per-n CSV of projector traces, ranks, eigenvalue
 derandomize        error, rate and optional leakage accounting for a
                    seed-transmitting code driving N reuses of an inner
                    code; asserts the ``eps_prime``/``eps`` budget rows
-                   when given.
+                   when given.  The error is blockwise; the leakage is
+                   taken on the eavesdropper's channel, so only its
+                   dimension v.dim^{n'+nN} counts against the cap.
 """
 
 from __future__ import annotations
@@ -72,15 +75,19 @@ from .errors import (
     VerificationError,
 )
 
-KINDS = (
-    "verify-bri",
-    "build-code",
-    "eval-leakage",
-    "bound-chain",
-    "capacity",
-    "typicality-report",
-    "derandomize",
-)
+# subcommand -> the params keys it reads; ``seed`` is allowed for every
+# kind because --seed writes it, and eval-leakage accepts and ignores the
+# ``restarts`` older spec files carry
+_PARAMS = {
+    "verify-bri": set(),
+    "build-code": {"n", "codewords", "max_error"},
+    "eval-leakage": {"m_dist", "adversarial", "restarts"},
+    "bound-chain": {"v_prime", "m_dist"},
+    "capacity": {"n", "starts"},
+    "typicality-report": {"p", "delta", "ns"},
+    "derandomize": {"N", "eps_prime", "eps"},
+}
+KINDS = tuple(_PARAMS)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -190,14 +197,7 @@ def _leakage_encoders(code):
     return {s: code.per_seed[s].encoder for s in code.seeds}, code
 
 
-# restarts and seed are accepted and ignored: older spec files carry them
-_EVAL_LEAKAGE_KEYS = {"m_dist", "adversarial", "restarts", "seed"}
-
-
 def _run_eval_leakage(inputs, params, output):
-    unknown = sorted(set(params) - _EVAL_LEAKAGE_KEYS)
-    if unknown:
-        raise InvalidStateError(f"unknown params for eval-leakage: {unknown}")
     v = _load_channel(inputs, "channel")
     code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
     encoders, code = _leakage_encoders(code)
@@ -397,11 +397,9 @@ def _run_derandomize(inputs, params, output):
         eps = float(params.get("eps", 0.0))
         checks.append(bounds.make_report("error-budget", error, eps_prime + eps * n_repeats))
     if "channel_v" in inputs:
-        v = _load_channel(inputs, "channel_v")
-        code = codes.derandomize(seed_code, inner, n_repeats)
-        v_total = channels.tensor_power(v, code.n)
-        m_dist = np.full(len(code.messages), 1.0 / len(code.messages))
-        leakage = channels.leakage_cr(m_dist, {0: code.encoder}, v_total)
+        eve = codes.derandomized_channel(d, _load_channel(inputs, "channel_v"))
+        uniform = np.full(len(eve.alphabet), 1.0 / len(eve.alphabet))
+        leakage = channels.holevo(uniform, eve)
         report["leakage"] = leakage
         if checks:
             checks.append(
@@ -460,6 +458,9 @@ def main(argv=None) -> int:
             )
         inputs = _spec_dict(spec, "inputs", "spec inputs")
         params = dict(_spec_dict(spec, "params", "spec params"))
+        unknown = sorted(set(params) - _PARAMS[args.kind] - {"seed"})
+        if unknown:
+            raise InvalidStateError(f"unknown params for {args.kind}: {unknown}")
         if args.seed is not None:
             params["seed"] = args.seed
         output = args.out or spec.get("output")

@@ -8,9 +8,11 @@ code along the preimages of a verified biregular function, and
 derandomization concatenates a seed-transmitting code with several reuses
 of a common-randomness code.
 
-Encoders are stored sparsely (only strings with nonzero probability), and
-the derandomized code can be evaluated blockwise, without materializing
-operators on the full concatenated space.
+Encoders are stored sparsely (only strings with nonzero probability).  The
+derandomized code is never flattened into one wiretap code: its error is
+evaluated blockwise, and the eavesdropper's channel is built from one
+composed inner channel per seed, with no decoder on the concatenated space
+and no listing of its encoder strings.
 """
 
 import itertools
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import operators as op
 from .bri import BriFunction, preimage
-from .channels import ClassicalChannel, CqChannel, tensor_power
-from .config import STRING_CAP, check_dim
+from .channels import ClassicalChannel, CqChannel, compose, tensor_power
+from .config import STRING_CAP
 from .errors import InvalidStateError
 
 
@@ -116,9 +118,13 @@ class CommonRandomnessCode:
 class DerandomizedCode:
     """A seed-transmitting code driving N reuses of a common-randomness code.
 
-    Holds the two components; error evaluation is blockwise
-    (:func:`error_derandomized`), and :func:`derandomize` materializes the
-    equivalent single wiretap code when the concatenated space is small.
+    Holds the two components.  The error is evaluated blockwise
+    (:func:`error_derandomized`), and the leakage on the eavesdropper's
+    channel :func:`derandomized_channel`; neither forms the concatenated
+    code's decoders.  Those decoders, sum_s D'_s (x) D^s_{m_1} (x) ... (x)
+    D^s_{m_N}, need no check of their own: summed over all messages they
+    give sum_s D'_s (x) (sum_m D^s_m)^{(x)N} <= I from the validated
+    components.
     """
 
     __slots__ = ("seed_code", "inner", "n_repeats")
@@ -213,46 +219,30 @@ def codeword_channel(t: TransmissionCode, v) -> CqChannel:
     return CqChannel(t.messages, v_n.dim, outputs, validate=False)
 
 
-def derandomize(
-    seed_code: TransmissionCode,
-    crcode: CommonRandomnessCode,
-    n_repeats: int,
-    cap: int | None = None,
-) -> WiretapCode:
-    """Materialize the derandomized code as a single wiretap code.
+def derandomized_channel(d: DerandomizedCode, v) -> CqChannel:
+    """The eavesdropper's channel of a derandomized code.
 
-    Encoder: mixture over the uniform seed of the seed codeword followed by
-    N independent draws from the seed's inner encoder.  Decoder: coarse
-    graining sum_s D'_s (x) D^s_{m_1} (x) ... (x) D^s_{m_N}.
+    Message tuple (m_1..m_N) maps to
+    (1/|S|) sum_s V^{(x)n'}(c_s) (x) U_s(m_1) (x) ... (x) U_s(m_N), where
+    c_s is the seed codeword and U_s(m) = sum_x E_s(x|m) V^{(x)n}(x) is the
+    seed's inner code seen through V, composed once per seed.  The output
+    dimension v.dim^{n'+nN} is checked against the dimension cap, and the
+    |M|^N |S| message-seed pairs against the string cap.
     """
-    d = DerandomizedCode(seed_code, crcode, n_repeats)
-    dim = check_dim(seed_code.dim * crcode.dim**n_repeats, cap)
-    messages = d.messages
-    if len(messages) * len(crcode.seeds) > STRING_CAP:
+    dim = tensor_power(v, d.n_total).dim
+    seeds = d.inner.seeds
+    if len(d.inner.messages) ** d.n_repeats * len(seeds) > STRING_CAP:
         raise InvalidStateError("derandomized message set exceeds the string cap")
-    weight = 1.0 / len(crcode.seeds)
-    rows = {}
-    decoders = {}
+    v_head = tensor_power(v, d.seed_code.n)
+    v_block = tensor_power(v, d.inner.n)
+    heads = {s: v_head.output(d.seed_code.codewords[s]) for s in seeds}
+    blocks = {s: compose(d.inner.per_seed[s].encoder, v_block) for s in seeds}
+    messages = d.messages
+    outputs = {}
     for mbar in messages:
-        row = {}
-        for s in crcode.seeds:
-            head = seed_code.codewords[s]
-            block_rows = [crcode.per_seed[s].encoder.row(m) for m in mbar]
-            for combo in itertools.product(*(r.items() for r in block_rows)):
-                string = head + tuple(itertools.chain.from_iterable(x for x, _ in combo))
-                prob = weight
-                for _, p in combo:
-                    prob *= p
-                if prob > 0.0:
-                    row[string] = row.get(string, 0.0) + prob
-        rows[mbar] = row
-        total = np.zeros((dim, dim), dtype=complex)
-        for s in crcode.seeds:
-            parts = [seed_code.decoders[s]] + [crcode.per_seed[s].decoders[m] for m in mbar]
-            total = total + reduce(np.kron, parts)
-        decoders[mbar] = total
-    encoder = ClassicalChannel(messages, rows)
-    return WiretapCode(encoder, decoders, d.n_total, dim)
+        terms = (reduce(np.kron, [heads[s]] + [blocks[s].output(m) for m in mbar]) for s in seeds)
+        outputs[mbar] = sum(terms) / len(seeds)
+    return CqChannel(messages, dim, outputs, validate=False)
 
 
 def error_derandomized(d: DerandomizedCode, w) -> float:

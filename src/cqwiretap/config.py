@@ -12,7 +12,7 @@ import os
 # operator dimension for any materialized matrix (kron products included)
 DIM_CAP = 4096
 # listed strings: typical-set size |T| (summed type-class sizes, not |X|^n)
-# and message-seed pairs of a materialized derandomized code
+# and message-seed pairs of a derandomized code's eavesdropper channel
 STRING_CAP = 10**6
 # visited nodes in exhaustive BRI table search
 TABLE_CAP = 10**7

@@ -4,7 +4,21 @@ Random objects are always drawn from a Philox generator with a fixed seed so
 every run sees the same instances.
 """
 
+import itertools
+from functools import reduce
+
 import numpy as np
+
+from cqwiretap.channels import ClassicalChannel, CqChannel
+from cqwiretap.codes import (
+    CommonRandomnessCode,
+    DerandomizedCode,
+    TransmissionCode,
+    WiretapCode,
+)
+from cqwiretap.config import STRING_CAP, check_dim
+from cqwiretap.errors import InvalidStateError
+
 
 def rng(seed: int = 7) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -39,8 +53,68 @@ def discard_dirichlet_draws(g: np.random.Generator, k: int, count: int) -> None:
         g.dirichlet(np.ones(k))
 
 
-def random_cq_channel(g: np.random.Generator, n_inputs: int, dim: int):
-    from cqwiretap.channels import CqChannel
+def grid_holevo(points, states) -> np.ndarray:
+    """Holevo quantity chi(p; states) in bits for every row p of ``points``.
 
+    A grid oracle written against numpy only: all mixtures are formed in
+    one batched product and decomposed by one ``eigvalsh`` on the stack.
+    """
+    points = np.asarray(points, dtype=float)
+    states = np.asarray(states, dtype=complex)
+
+    def entropy(stack):
+        lam = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
+        logs = np.log2(np.where(lam > 0.0, lam, 1.0))
+        return -(lam * logs).sum(axis=-1)
+
+    mixtures = np.einsum("gx,xij->gij", points, states)
+    return np.maximum(entropy(mixtures) - points @ entropy(states), 0.0)
+
+
+def random_cq_channel(g: np.random.Generator, n_inputs: int, dim: int):
     outputs = {x: random_density(g, dim) for x in range(n_inputs)}
     return CqChannel(tuple(range(n_inputs)), dim, outputs)
+
+
+def derandomize(
+    seed_code: TransmissionCode,
+    crcode: CommonRandomnessCode,
+    n_repeats: int,
+    cap: int | None = None,
+) -> WiretapCode:
+    """Reference oracle: the derandomized code flattened into one wiretap code.
+
+    Encoder: mixture over the uniform seed of the seed codeword followed by
+    N independent draws from the seed's inner encoder.  Decoder: coarse
+    graining sum_s D'_s (x) D^s_{m_1} (x) ... (x) D^s_{m_N}.  It lists every
+    encoder string and builds every decoder on the concatenated space, so
+    it only serves to check the blockwise evaluations of the library.
+    """
+    d = DerandomizedCode(seed_code, crcode, n_repeats)
+    dim = check_dim(seed_code.dim * crcode.dim**n_repeats, cap)
+    messages = d.messages
+    if len(messages) * len(crcode.seeds) > STRING_CAP:
+        raise InvalidStateError("derandomized message set exceeds the string cap")
+    weight = 1.0 / len(crcode.seeds)
+    rows = {}
+    decoders = {}
+    for mbar in messages:
+        row = {}
+        for s in crcode.seeds:
+            head = seed_code.codewords[s]
+            block_rows = [crcode.per_seed[s].encoder.row(m) for m in mbar]
+            for combo in itertools.product(*(r.items() for r in block_rows)):
+                string = head + tuple(itertools.chain.from_iterable(x for x, _ in combo))
+                prob = weight
+                for _, p in combo:
+                    prob *= p
+                if prob > 0.0:
+                    row[string] = row.get(string, 0.0) + prob
+        rows[mbar] = row
+        total = np.zeros((dim, dim), dtype=complex)
+        for s in crcode.seeds:
+            parts = [seed_code.decoders[s]] + [crcode.per_seed[s].decoders[m] for m in mbar]
+            total = total + reduce(np.kron, parts)
+        decoders[mbar] = total
+    encoder = ClassicalChannel(messages, rows)
+    return WiretapCode(encoder, decoders, d.n_total, dim)

@@ -86,6 +86,22 @@ CASES = {
         {"channel": "inputs/clock.json"},
         {"p": [1 / 3, 1 / 3, 1 / 3], "delta": 1.0, "ns": [2, 3]},
     ),
+    "verify-bri": ("verify-bri", {"bri": "inputs/section_6x8.json"}, {}),
+    "build-code": (
+        "build-code",
+        {"channel": "inputs/qutrit.json", "bri": "inputs/cyclic3.json"},
+        {"n": 2, "codewords": [[c, [c, c]] for c in range(3)], "max_error": 0.4},
+    ),
+    "derandomize": (
+        "derandomize",
+        {
+            "channel_w": "inputs/qutrit.json",
+            "seed_code": "inputs/seed_qutrit.json",
+            "code": "inputs/cr_qutrit.json",
+            "channel_v": "inputs/clock.json",
+        },
+        {"N": 2, "eps": 0.5, "eps_prime": 0.5},
+    ),
 }
 
 
@@ -152,6 +168,15 @@ def _cr_code() -> codes.CommonRandomnessCode:
     })
 
 
+def _qutrit_codes() -> tuple:
+    """Square-root-measurement codewords 0, 1, 2 over the qutrit channel:
+    the transmission code itself (it sends the seed) and its modular code
+    along the cyclic function (three seeds, three messages)."""
+    t = codes.transmission_code_pgm({c: (c,) for c in range(3)}, _qutrit_channel(), 1)
+    cyclic3 = serialize.bri_from_json(serialize.load_json(INPUTS / "cyclic3.json"))
+    return t, codes.assemble_bri_modular(t, cyclic3)
+
+
 def write_inputs() -> None:
     INPUTS.mkdir(exist_ok=True)
     shutil.copyfile(serialize.bundled("section_6x8.json"), INPUTS / "section_6x8.json")
@@ -166,6 +191,9 @@ def write_inputs() -> None:
     serialize.dump_json(xor, INPUTS / "xor.json")
     cyclic3 = {"S": 3, "X": 3, "M": [0, 1, 2], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
     serialize.dump_json(cyclic3, INPUTS / "cyclic3.json")
+    seed_code, cr_code = _qutrit_codes()
+    serialize.dump_json(serialize.code_to_json(seed_code), INPUTS / "seed_qutrit.json")
+    serialize.dump_json(serialize.code_to_json(cr_code), INPUTS / "cr_qutrit.json")
     for name, (kind, inputs, params) in CASES.items():
         spec = {"kind": kind, "inputs": inputs, "params": params, "output": f"{name}.json"}
         serialize.dump_json(spec, GOLDEN / f"{name}.spec.json")

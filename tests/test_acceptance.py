@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    derandomize,
     discard_dirichlet_draws,
+    grid_holevo,
     random_cq_channel,
     random_density,
     random_probability,
@@ -368,12 +370,13 @@ def test_criterion_09_derandomization_accounting():
                 min_slack = min(min_slack, eps_prime + eps * n_repeats - error)
                 assert codes.rate(d) == n_repeats * 1.0 / (1 + n_repeats)
 
-                flat_code = codes.derandomize(seed_code, inner, n_repeats)
+                eve = codes.derandomized_channel(d, v)
+                m_dist = np.full(len(eve.alphabet), 1.0 / len(eve.alphabet))
+                leak = channels.holevo(m_dist, eve)
+                flat_code = derandomize(seed_code, inner, n_repeats)
                 v_total = tensor_power(v, flat_code.n)
-                m_dist = np.full(
-                    len(flat_code.messages), 1.0 / len(flat_code.messages)
-                )
-                leak = channels.leakage_cr(m_dist, {0: flat_code.encoder}, v_total)
+                flat_leak = channels.leakage_cr(m_dist, {0: flat_code.encoder}, v_total)
+                assert abs(leak - flat_leak) <= 1e-12
                 min_slack = min(min_slack, eps * n_repeats + eps_prime - leak)
                 if n_repeats == 1:
                     worst = channels.adversarial_leakage({0: flat_code.encoder}, v_total)
@@ -473,7 +476,7 @@ def test_criterion_11_optimizer_certification():
             enc = random_encoder(g, range(n_m), range(n_x))
             v_n = tensor_power(v, 1)
             composed = channels.compose(enc, v_n)
-            grid_best = max(channels.holevo(pt, composed) for pt in grid(n_m))
+            grid_best = grid_holevo(grid(n_m), composed.states()).max()
             discard_dirichlet_draws(g, n_m, 8)
             found = channels.adversarial_leakage({0: enc}, v_n).value
             worst_gap = max(worst_gap, abs(found - grid_best))
@@ -481,9 +484,8 @@ def test_criterion_11_optimizer_certification():
     for n_x in (2, 3):
         w = random_cq_channel(g, n_x, 2)
         v = random_cq_channel(g, n_x, 2)
-        grid_best = max(
-            channels.holevo(pt, w) - channels.holevo(pt, v) for pt in grid(n_x)
-        )
+        points = grid(n_x)
+        grid_best = (grid_holevo(points, w.states()) - grid_holevo(points, v.states())).max()
         grid_best = max(grid_best, 0.0)
         found = channels.capacity_single_letter(w, v, rng=g).value
         worst_gap = max(worst_gap, abs(found - grid_best))

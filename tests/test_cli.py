@@ -22,7 +22,7 @@ from conftest import random_density, random_unitary, rng
 
 from cqwiretap import codes, serialize
 from cqwiretap.channels import CqChannel
-from cqwiretap.cli import main
+from cqwiretap.cli import KINDS, main
 from cqwiretap.config import ENV_CAP
 
 
@@ -149,6 +149,12 @@ class TestExitCodes:
             {"p": [1 / 32] * 32, "delta": 2.0, "ns": [12]},
         )
         assert main(["typicality-report", spec]) == 5
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_params_rejected_and_seed_allowed(self, ws, kind, capsys):
+        spec = ws.spec(kind, {}, {"seed": 1, "bogus": 0})
+        assert main([kind, spec]) == 3
+        assert f"unknown params for {kind}: ['bogus']" in capsys.readouterr().err
 
     def test_cap_override_is_restored(self, ws):
         ws.channel("v.json", flip_channel())
@@ -550,6 +556,40 @@ class TestDerandomize:
         inputs["seed_code"], inputs["code"] = inputs["code"], inputs["seed_code"]
         spec = ws.spec("derandomize", inputs, {"N": 1})
         assert main(["derandomize", spec]) == 3
+
+    def test_misspelled_budget_exits_3(self, ws):
+        # a silently dropped eps_prime would assert no budget at all
+        inputs = self.setup_files(ws)
+        spec = ws.spec("derandomize", inputs, {"N": 2, "eps_prim": 0.1})
+        assert main(["derandomize", spec]) == 3
+
+    def qutrit_files(self, ws):
+        """A qutrit W under a qubit eavesdropper: at N = 2 the legitimate
+        side has dimension 3 * 3^2 = 27, the eavesdropper's 2^3 = 8."""
+        g = rng(61)
+        eye = np.eye(3)
+        w = CqChannel(range(3), 3, {x: 0.7 * np.outer(eye[x], eye[x]) + 0.1 * eye for x in range(3)})
+        t = codes.transmission_code_pgm({c: (c,) for c in range(3)}, w, 1)
+        cyclic3 = {"S": 3, "X": 3, "M": [0, 1, 2], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+        inner = codes.assemble_bri_modular(t, serialize.bri_from_json(cyclic3))
+        v = CqChannel(range(3), 2, {x: random_density(g, 2) for x in range(3)})
+        return {
+            "channel_w": ws.channel("w.json", w),
+            "seed_code": ws.file("seed_code.json", serialize.code_to_json(t)),
+            "code": ws.file("inner.json", serialize.code_to_json(inner)),
+            "channel_v": ws.channel("v.json", v),
+        }
+
+    def test_legitimate_side_over_cap_is_never_built(self, ws):
+        spec = ws.spec("derandomize", self.qutrit_files(ws), {"N": 2})
+        assert main(["derandomize", spec, "--cap", "8"]) == 0
+        report = serialize.load_json(ws.out())
+        assert report["n_total"] == 3 and report["messages"] == 9
+        assert report["leakage"] > 0.0
+
+    def test_eavesdropper_over_cap_exits_5(self, ws):
+        spec = ws.spec("derandomize", self.qutrit_files(ws), {"N": 2})
+        assert main(["derandomize", spec, "--cap", "7"]) == 5
 
 
 class TestConsoleScript:

@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_probability, rng
+from conftest import derandomize, random_density, random_probability, rng
 
 from cqwiretap import bri, channels, codes
 from cqwiretap import operators as op
 from cqwiretap.channels import ClassicalChannel, CqChannel, tensor_power
-from cqwiretap.errors import DimensionMismatchError, InvalidStateError
+from cqwiretap.errors import DimensionMismatchError, InvalidStateError, ResourceCapError
 
 
 def noiseless(k: int) -> CqChannel:
@@ -342,7 +342,7 @@ class TestDerandomize:
         d = codes.DerandomizedCode(seed_code_with_error(0.0), inner_cr_code(0.0), 1)
         w = noiseless(2)
         assert codes.error_derandomized(d, w) == 0.0
-        flat = codes.derandomize(d.seed_code, d.inner, 1)
+        flat = derandomize(d.seed_code, d.inner, 1)
         assert codes.error_max(flat, w) == 0.0
 
     def test_message_set_is_product(self):
@@ -376,7 +376,7 @@ class TestDerandomize:
             {x: 0.85 * np.outer(eye[x], eye[x]) + 0.15 * blur for x in range(2)},
         )
         d = codes.DerandomizedCode(seed_code_with_error(0.05), inner_cr_code(0.1), 2)
-        flat = codes.derandomize(d.seed_code, d.inner, 2)
+        flat = derandomize(d.seed_code, d.inner, 2)
         assert flat.n == 3
         assert flat.dim == 8
         blockwise = codes.error_derandomized(d, w)
@@ -385,7 +385,7 @@ class TestDerandomize:
 
     def test_materialized_encoder_rows(self):
         d = codes.DerandomizedCode(seed_code_with_error(0.0), inner_cr_code(0.0), 2)
-        flat = codes.derandomize(d.seed_code, d.inner, 2)
+        flat = derandomize(d.seed_code, d.inner, 2)
         row = flat.encoder.row((0, 1))
         # seed block ranges over both seeds, message blocks are fixed
         assert row == {(0, 0, 1): 0.5, (1, 0, 1): 0.5}
@@ -403,11 +403,57 @@ class TestDerandomize:
         d = codes.DerandomizedCode(seed_code_with_error(0.05), inner_cr_code(0.1), 2)
         per_seed_encoders = {s: d.inner.per_seed[s].encoder for s in d.inner.seeds}
         eps_leak = channels.adversarial_leakage(per_seed_encoders, tensor_power(v, 1)).value
-        flat = codes.derandomize(d.seed_code, d.inner, 2)
+        flat = derandomize(d.seed_code, d.inner, 2)
         worst = channels.adversarial_leakage(
             {0: flat.encoder}, tensor_power(v, flat.n)
         ).upper
         assert worst <= 2 * eps_leak + 0.05 + 1e-9
+
+
+def noisy_derandomized(n_repeats: int) -> tuple:
+    """A stochastic two-seed inner code under a seed code of length 2, and a
+    random qubit eavesdropper over its three letters."""
+    g = rng(30)
+    v = CqChannel(range(3), 2, {x: random_density(g, 2) for x in range(3)})
+    seed_code = codes.TransmissionCode(
+        {0: (0, 1), 1: (2, 0)}, dict(enumerate(random_sub_povm(g, 4, 2))), n=2, dim=4
+    )
+    per_seed = {}
+    for s in range(2):
+        enc = ClassicalChannel(
+            range(2), {m: {(x,): p for x, p in enumerate(random_probability(g, 3))} for m in range(2)}
+        )
+        per_seed[s] = codes.WiretapCode(enc, dict(enumerate(random_sub_povm(g, 2, 2))), n=1, dim=2)
+    d = codes.DerandomizedCode(seed_code, codes.CommonRandomnessCode(per_seed), n_repeats)
+    return d, v
+
+
+class TestDerandomizedChannel:
+    @pytest.mark.parametrize("n_repeats", [1, 2, 3])
+    def test_matches_flattened_oracle(self, n_repeats):
+        d, v = noisy_derandomized(n_repeats)
+        eve = codes.derandomized_channel(d, v)
+        flat = derandomize(d.seed_code, d.inner, n_repeats)
+        oracle = channels.compose(flat.encoder, tensor_power(v, d.n_total))
+        assert eve.alphabet == d.messages == oracle.alphabet
+        assert eve.dim == 2 ** d.n_total
+        for mbar in d.messages:
+            assert np.max(np.abs(eve.output(mbar) - oracle.output(mbar))) <= 1e-12
+
+    def test_dimension_cap(self, monkeypatch):
+        d, v = noisy_derandomized(2)
+        monkeypatch.setenv("CQWIRETAP_CAP", str(2 ** d.n_total - 1))
+        with pytest.raises(ResourceCapError):
+            codes.derandomized_channel(d, v)
+
+    def test_string_cap(self, monkeypatch):
+        d, v = noisy_derandomized(2)
+        # |M|^N |S| = 2^2 * 2 message-seed pairs
+        monkeypatch.setattr(codes, "STRING_CAP", 7)
+        with pytest.raises(InvalidStateError):
+            codes.derandomized_channel(d, v)
+        monkeypatch.setattr(codes, "STRING_CAP", 8)
+        assert len(codes.derandomized_channel(d, v)) == 4
 
 
 class TestRate:
