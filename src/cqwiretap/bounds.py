@@ -136,15 +136,16 @@ def _preimage_mixtures(f, channel, m) -> list:
     return [mix(channel, preimage(f, s, m)) for s in range(f.n_seeds)]
 
 
-def _seed_embedded_leakage(f, v, m_dist) -> float:
+def _seed_embedded_leakage(f, v, m_dist, cap=None) -> float:
     """chi(M; S, V o f_S^{-1}) on the literal joint seed-output system.
 
     The per-message state is the block-diagonal embedding of all seeds'
     preimage mixtures, each weighted 1/|S|; the seed register is part of
-    the eavesdropper's system.
+    the eavesdropper's system, whose dimension |S| d is checked against
+    ``cap``.
     """
     k, d = f.n_seeds, v.dim
-    check_dim(k * d)
+    check_dim(k * d, cap)
     states = {}
     for i, m in enumerate(f.regularity_set):
         block = np.zeros((k * d, k * d), dtype=complex)
@@ -157,7 +158,7 @@ def _seed_embedded_leakage(f, v, m_dist) -> float:
     return holevo(m_dist, joint)
 
 
-def bound_leakage_by_divergence(f, v, m_dist) -> BoundReport:
+def bound_leakage_by_divergence(f, v, m_dist, cap=None) -> BoundReport:
     """Leakage of the seeded preimage ensemble vs the worst-message
     expected divergence from the channel average.
 
@@ -167,7 +168,7 @@ def bound_leakage_by_divergence(f, v, m_dist) -> BoundReport:
     _require_bri(f)
     _require_alphabet(v, f)
     p = _check_m_dist(f, m_dist)
-    lhs = _seed_embedded_leakage(f, v, p)
+    lhs = _seed_embedded_leakage(f, v, p, cap)
     v_avg = mix(v, range(f.n_inputs))
     rhs = max(
         float(np.mean([op.relative_entropy(r, v_avg) for r in _preimage_mixtures(f, v, m)]))
@@ -250,7 +251,7 @@ def bound_renyi2_by_spectrum(f, v_prime, m) -> BoundReport:
     return make_report("renyi2-vs-spectrum", lhs, rhs)
 
 
-def bound_leakage_total(f, v, v_prime, m_dist) -> BoundReport:
+def bound_leakage_total(f, v, v_prime, m_dist, cap=None) -> BoundReport:
     """Leakage vs the closed-form spectral bound
 
     (1/ln 2) max_m lambda2(f,m) * rank * max norm + eps + eps log2(|X|/d_S).
@@ -258,11 +259,11 @@ def bound_leakage_total(f, v, v_prime, m_dist) -> BoundReport:
     _require_pair(f, v, v_prime)
     p = _check_m_dist(f, m_dist)
     check_psd_ordering(v_prime, v)
-    return _leakage_total(f, v, v_prime, p)
+    return _leakage_total(f, v, v_prime, p, cap)
 
 
-def _leakage_total(f, v, v_prime, p) -> BoundReport:
-    lhs = _seed_embedded_leakage(f, v, p)
+def _leakage_total(f, v, v_prime, p, cap=None) -> BoundReport:
+    lhs = _seed_embedded_leakage(f, v, p, cap)
     sigma = mix(v_prime, range(f.n_inputs))
     norm = max(op.operator_norm(v_prime.output(x)) for x in range(f.n_inputs))
     lam = max(lambda2(f, m) for m in f.regularity_set)
@@ -275,13 +276,14 @@ def _leakage_total(f, v, v_prime, p) -> BoundReport:
     return make_report("leakage-total", lhs, rhs)
 
 
-def certify_chain(f, v, v_prime, m_dist) -> list:
+def certify_chain(f, v, v_prime, m_dist, cap=None) -> list:
     """All five chain reports in derivation order.
 
     The three per-message steps are evaluated for every m in the
     regularity set and the worst (smallest slack) report is kept, ties
     resolved toward the earlier m.  The ordering V' <= V is checked once,
-    for all steps that need it.
+    for all steps that need it.  ``cap`` bounds the dimension of the
+    seed-embedded joint system.
     """
     _require_pair(f, v, v_prime)
     p = _check_m_dist(f, m_dist)
@@ -296,11 +298,11 @@ def certify_chain(f, v, v_prime, m_dist) -> list:
         return best
 
     return [
-        bound_leakage_by_divergence(f, v, m_dist),
+        bound_leakage_by_divergence(f, v, m_dist, cap),
         worst(_divergence_by_subnormalized, f, v, v_prime),
         worst(bound_divergence_by_renyi2, f, v_prime),
         worst(bound_renyi2_by_spectrum, f, v_prime),
-        _leakage_total(f, v, v_prime, p),
+        _leakage_total(f, v, v_prime, p, cap),
     ]
 
 

@@ -521,12 +521,15 @@ def capacity_single_letter(
     return CapacityResult(float(best_val), best_p, best_conv)
 
 
-def capacity_lifted(w, v, n: int, rng: np.random.Generator | None = None) -> CapacityResult:
+def capacity_lifted(
+    w, v, n: int, rng: np.random.Generator | None = None, cap: int | None = None
+) -> CapacityResult:
     """Per-letter lower bound from the n-letter objective, n in {1, 2}.
 
     Materializes the n-fold product channels over X^n and optimizes the
-    single-letter objective there, reporting value / n.  Higher n is a
-    computationally open problem and out of scope.
+    single-letter objective there, reporting value / n.  The product
+    dimensions are checked against ``cap``.  Higher n is a computationally
+    open problem and out of scope.
     """
     if n == 1:
         return capacity_single_letter(w, v, rng)
@@ -534,7 +537,7 @@ def capacity_lifted(w, v, n: int, rng: np.random.Generator | None = None) -> Cap
         raise InvalidStateError("lifted capacity is provided for n in {1, 2} only")
 
     def materialize(ch):
-        prod = ProductChannel(ch, n)
+        prod = ProductChannel(ch, n, cap)
         strings = list(prod.strings())
         return CqChannel(strings, prod.dim, {s: prod.output(s) for s in strings}, validate=False)
 

@@ -18,7 +18,9 @@ randomness flows from one counter-based generator built from the seed.
 A seed is required exactly when a step is randomized (the random starts
 of the capacity search); other runs ignore it, and ``eval-leakage`` also
 accepts and ignores ``restarts``.  Each subcommand takes only the params
-keys it reads, plus ``seed``; any other key is a validation error.
+keys it reads, plus ``seed``; any other key, or a missing required key,
+is a validation error.  ``--cap`` is passed to the library as an
+explicit dimension cap.
 
 Exit codes: 0 all asserted checks hold; 2 a file does not parse;
 3 a spec or input fails validation; 4 an asserted bound or verification
@@ -58,14 +60,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, bri, channels, codes, serialize, typicality
-from .config import ENV_CAP
 from .errors import (
     ConstructionUnverifiedError,
     DimensionMismatchError,
@@ -88,6 +88,8 @@ _PARAMS = {
     "derandomize": {"N", "eps_prime", "eps"},
 }
 KINDS = tuple(_PARAMS)
+# subcommand -> the params keys it cannot run without
+_REQUIRED = {"typicality-report": {"p", "delta"}}
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -136,11 +138,19 @@ def _write_reports(reports, output) -> None:
     Path(output).with_suffix(".csv").write_text(serialize.reports_to_csv(reports))
 
 
+def _require(keys, required, what):
+    missing = sorted(required - set(keys))
+    if missing:
+        raise InvalidStateError(f"missing {what}: {missing}")
+
+
 # ---------------------------------------------------------------------------
-# handlers; each returns (ok, summary) and writes its report files
+# handlers; each takes the spec's inputs, params and output path and the
+# --cap dimension cap (None for the default), returns (ok, summary) and
+# writes its report files
 
 
-def _run_verify_bri(inputs, params, output):
+def _run_verify_bri(inputs, params, output, cap):
     f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
     balance = f.d_x * f.n_inputs == f.d_s * f.n_seeds
     lambda2 = [[m, bri.lambda2(f, m)] for m in f.regularity_set]
@@ -162,7 +172,7 @@ def _run_verify_bri(inputs, params, output):
     return report["ok"], summary
 
 
-def _run_build_code(inputs, params, output):
+def _run_build_code(inputs, params, output, cap):
     w = _load_channel(inputs, "channel")
     n = params.get("n", 1)
     raw = params.get("codewords")
@@ -173,7 +183,7 @@ def _run_build_code(inputs, params, output):
         if not isinstance(item, list) or len(item) != 2:
             raise InvalidStateError("params.codewords entries must be [message, string] pairs")
         codewords[item[0]] = tuple(item[1])
-    t = codes.transmission_code_pgm(codewords, w, n)
+    t = codes.transmission_code_pgm(codewords, w, n, cap)
     code = t
     if "bri" in inputs:
         f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
@@ -197,11 +207,11 @@ def _leakage_encoders(code):
     return {s: code.per_seed[s].encoder for s in code.seeds}, code
 
 
-def _run_eval_leakage(inputs, params, output):
+def _run_eval_leakage(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
     code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
     encoders, code = _leakage_encoders(code)
-    v_n = channels.tensor_power(v, code.n)
+    v_n = channels.tensor_power(v, code.n, cap)
     m_dist = _dist(params, "m_dist", len(code.messages), "params.m_dist")
     value = channels.leakage_cr(m_dist, encoders, v_n)
     report = {
@@ -231,9 +241,11 @@ _V_PRIME_KEYS = {
     "scale": {"mode", "factor"},
     "typicality": {"mode", "p", "n", "delta"},
 }
+# keys a v_prime mode cannot run without, besides "mode"
+_V_PRIME_REQUIRED = {"typicality": {"p", "n", "delta"}}
 
 
-def _chain_pair(v, params):
+def _chain_pair(v, params, cap):
     """The (V, V') pair of the chain for the spec's ``v_prime`` mode."""
     mode = params.get("v_prime", {"mode": "identity"})
     if not isinstance(mode, dict) or "mode" not in mode:
@@ -244,30 +256,31 @@ def _chain_pair(v, params):
     unknown = sorted(set(mode) - _V_PRIME_KEYS[name])
     if unknown:
         raise InvalidStateError(f"unknown keys for v_prime mode {name!r}: {unknown}")
+    _require(mode, _V_PRIME_REQUIRED.get(name, set()), f"keys for v_prime mode {name!r}")
     if name == "identity":
         return v, v
     if name == "scale":
         return v, v.scaled(float(mode.get("factor", 1.0)))
     p = np.asarray(mode["p"], dtype=float)
-    return typicality.reindexed_pair(v, p, int(mode["n"]), float(mode["delta"]))
+    return typicality.reindexed_pair(v, p, int(mode["n"]), float(mode["delta"]), cap)
 
 
-def _run_bound_chain(inputs, params, output):
+def _run_bound_chain(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
     f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
-    base, v_prime = _chain_pair(v, params)
+    base, v_prime = _chain_pair(v, params, cap)
     if len(base.alphabet) != f.n_inputs:
         raise InvalidStateError(
             f"function expects {f.n_inputs} inputs, channel provides {len(base.alphabet)}"
         )
     m_dist = _dist(params, "m_dist", len(f.regularity_set), "params.m_dist")
-    reports = bounds.certify_chain(f, base, v_prime, m_dist)
+    reports = bounds.certify_chain(f, base, v_prime, m_dist, cap)
     _write_reports(reports, output)
     ok = all(r.holds for r in reports)
     return ok, f"{sum(r.holds for r in reports)}/{len(reports)} reports hold"
 
 
-def _run_capacity(inputs, params, output):
+def _run_capacity(inputs, params, output, cap):
     w = _load_channel(inputs, "channel_w")
     v = _load_channel(inputs, "channel_v")
     n = params.get("n", 1)
@@ -275,7 +288,7 @@ def _run_capacity(inputs, params, output):
     if n == 1:
         result = channels.capacity_single_letter(w, v, rng=rng, starts=params.get("starts", 16))
     else:
-        result = channels.capacity_lifted(w, v, n, rng=rng)
+        result = channels.capacity_lifted(w, v, n, rng=rng, cap=cap)
     report = {
         "kind": "capacity",
         "n": n,
@@ -287,7 +300,7 @@ def _run_capacity(inputs, params, output):
     return True, f"value={result.value!r} converged={result.converged}"
 
 
-def _run_typicality_report(inputs, params, output):
+def _run_typicality_report(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
     p = np.asarray(params["p"], dtype=float)
     delta = float(params["delta"])
@@ -298,7 +311,7 @@ def _run_typicality_report(inputs, params, output):
     if p.shape != (len(v.alphabet),):
         raise InvalidStateError(f"params.p must list {len(v.alphabet)} probabilities")
     avg = channels._average_state(p, v)
-    factors = typicality.factor_reports(v, p, delta, ns)
+    factors = typicality.factor_reports(v, p, delta, ns, cap)
 
     asserted = {"te2-rank-upper", "te3-eig-lower", "te3-eig-upper", "factor-rank"}
     columns = [
@@ -314,7 +327,7 @@ def _run_typicality_report(inputs, params, output):
     for n in ns:
         reports = {r.name: r for r in typicality.check_typical_projector(avg, n, delta)}
         reports.update(
-            {r.name: r for r in typicality.check_typical_projector(v, n, delta, p=p)}
+            {r.name: r for r in typicality.check_typical_projector(v, n, delta, p=p, cap=cap)}
         )
         sub, sub_reports = next(factors)
         reports.update({r.name: r for r in sub_reports})
@@ -372,7 +385,7 @@ def _trace_exponent(ns, traces):
     return slope
 
 
-def _run_derandomize(inputs, params, output):
+def _run_derandomize(inputs, params, output, cap):
     w = _load_channel(inputs, "channel_w")
     seed_code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "seed_code")))
     inner = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
@@ -382,7 +395,7 @@ def _run_derandomize(inputs, params, output):
         raise InvalidStateError("code must be a common-randomness code")
     n_repeats = params.get("N", 1)
     d = codes.DerandomizedCode(seed_code, inner, n_repeats)
-    error = codes.error_derandomized(d, w)
+    error = codes.error_derandomized(d, w, cap)
     report = {
         "kind": "derandomize",
         "N": int(n_repeats),
@@ -397,7 +410,7 @@ def _run_derandomize(inputs, params, output):
         eps = float(params.get("eps", 0.0))
         checks.append(bounds.make_report("error-budget", error, eps_prime + eps * n_repeats))
     if "channel_v" in inputs:
-        eve = codes.derandomized_channel(d, _load_channel(inputs, "channel_v"))
+        eve = codes.derandomized_channel(d, _load_channel(inputs, "channel_v"), cap)
         uniform = np.full(len(eve.alphabet), 1.0 / len(eve.alphabet))
         leakage = channels.holevo(uniform, eve)
         report["leakage"] = leakage
@@ -448,7 +461,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"cqwiretap: cannot read spec: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    saved_cap = os.environ.get(ENV_CAP)
     try:
         if not isinstance(spec, dict):
             raise InvalidStateError("spec must be a JSON object")
@@ -461,14 +473,13 @@ def main(argv=None) -> int:
         unknown = sorted(set(params) - _PARAMS[args.kind] - {"seed"})
         if unknown:
             raise InvalidStateError(f"unknown params for {args.kind}: {unknown}")
+        _require(params, _REQUIRED.get(args.kind, set()), f"params for {args.kind}")
         if args.seed is not None:
             params["seed"] = args.seed
         output = args.out or spec.get("output")
         if not isinstance(output, str) or not output:
             raise InvalidStateError("spec needs an output path (or pass --out)")
-        if args.cap is not None:
-            os.environ[ENV_CAP] = str(args.cap)
-        ok, summary = _HANDLERS[args.kind](inputs, params, output)
+        ok, summary = _HANDLERS[args.kind](inputs, params, output, args.cap)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cqwiretap: cannot read a referenced file: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -481,12 +492,6 @@ def main(argv=None) -> int:
     except (InvalidStateError, DimensionMismatchError, KeyError, TypeError, ValueError) as exc:
         print(f"cqwiretap: invalid spec or inputs: {exc!r}", file=sys.stderr)
         return EXIT_VALIDATION
-    finally:
-        if args.cap is not None:
-            if saved_cap is None:
-                os.environ.pop(ENV_CAP, None)
-            else:
-                os.environ[ENV_CAP] = saved_cap
     status = EXIT_OK if ok else EXIT_BOUND
     print(f"cqwiretap {args.kind}: {'ok' if ok else 'FAIL'} {summary} -> {output}")
     return status

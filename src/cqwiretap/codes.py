@@ -219,17 +219,17 @@ def codeword_channel(t: TransmissionCode, v) -> CqChannel:
     return CqChannel(t.messages, v_n.dim, outputs, validate=False)
 
 
-def derandomized_channel(d: DerandomizedCode, v) -> CqChannel:
+def derandomized_channel(d: DerandomizedCode, v, cap=None) -> CqChannel:
     """The eavesdropper's channel of a derandomized code.
 
     Message tuple (m_1..m_N) maps to
     (1/|S|) sum_s V^{(x)n'}(c_s) (x) U_s(m_1) (x) ... (x) U_s(m_N), where
     c_s is the seed codeword and U_s(m) = sum_x E_s(x|m) V^{(x)n}(x) is the
     seed's inner code seen through V, composed once per seed.  The output
-    dimension v.dim^{n'+nN} is checked against the dimension cap, and the
-    |M|^N |S| message-seed pairs against the string cap.
+    dimension v.dim^{n'+nN} is checked against the dimension cap ``cap``,
+    and the |M|^N |S| message-seed pairs against the string cap.
     """
-    dim = tensor_power(v, d.n_total).dim
+    dim = tensor_power(v, d.n_total, cap).dim
     seeds = d.inner.seeds
     if len(d.inner.messages) ** d.n_repeats * len(seeds) > STRING_CAP:
         raise InvalidStateError("derandomized message set exceeds the string cap")
@@ -245,22 +245,23 @@ def derandomized_channel(d: DerandomizedCode, v) -> CqChannel:
     return CqChannel(messages, dim, outputs, validate=False)
 
 
-def error_derandomized(d: DerandomizedCode, w) -> float:
+def error_derandomized(d: DerandomizedCode, w, cap=None) -> float:
     """Exact worst-message error of the derandomized code, blockwise.
 
     The decoder trace factorizes over the seed block and the N message
     blocks, so the error needs only the seed-block confusion matrix
     A[s, s'] and per-block terms B[s, s', m]; no operator on the
-    concatenated space is formed.
+    concatenated space is formed; only the block dimensions count against
+    ``cap``.
     """
     seeds = d.inner.seeds
     k = len(seeds)
-    w_head = tensor_power(w, d.seed_code.n)
+    w_head = tensor_power(w, d.seed_code.n, cap)
     head_states = {s: w_head.output(d.seed_code.codewords[s]) for s in seeds}
     a = np.array(
         [[_success(d.seed_code.decoders[s2], head_states[s1]) for s2 in seeds] for s1 in seeds]
     )
-    w_block = tensor_power(w, d.inner.n)
+    w_block = tensor_power(w, d.inner.n, cap)
     cache = {}
     msgs = d.inner.messages
     b = np.zeros((k, k, len(msgs)))
@@ -298,15 +299,16 @@ def rate(code) -> float:
     return math.log2(len(code.messages)) / code.n
 
 
-def transmission_code_pgm(codewords, w, n: int) -> TransmissionCode:
+def transmission_code_pgm(codewords, w, n: int, cap=None) -> TransmissionCode:
     """Square-root-measurement decoders for the given codewords.
 
     With S = sum_c W(x_c), each decoder is S^{-1/2} W(x_c) S^{-1/2}
     (pseudo-inverse on the support), so the family sums to the support
-    projector of S and is always a valid sub-POVM.
+    projector of S and is always a valid sub-POVM.  The dimension w.dim^n
+    is checked against ``cap``.
     """
     codewords = {c: tuple(x) for c, x in dict(codewords).items()}
-    w_n = tensor_power(w, n)
+    w_n = tensor_power(w, n, cap)
     states = {c: w_n.output(x) for c, x in codewords.items()}
     total = sum(states.values())
     vals, vecs = np.linalg.eigh(op.check_hermitian(total))

@@ -2,12 +2,9 @@
 
 Caps keep every computation at desk scale: dense operators up to
 ``DIM_CAP``, string enumerations up to ``STRING_CAP``, combinatorial table
-searches up to ``TABLE_CAP`` visited nodes.  The environment variable
-``CQWIRETAP_CAP`` overrides the operator dimension cap; an explicit
-function argument overrides both.
+searches up to ``TABLE_CAP`` visited nodes.  Functions that materialize
+operators take an explicit ``cap`` argument that overrides ``DIM_CAP``.
 """
-
-import os
 
 # operator dimension for any materialized matrix (kron products included)
 DIM_CAP = 4096
@@ -16,8 +13,6 @@ DIM_CAP = 4096
 STRING_CAP = 10**6
 # visited nodes in exhaustive BRI table search
 TABLE_CAP = 10**7
-
-ENV_CAP = "CQWIRETAP_CAP"
 
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
@@ -29,17 +24,9 @@ TOL_BOUND = 1e-9
 
 
 def dim_cap(override: int | None = None) -> int:
-    """Effective operator dimension cap.
-
-    Precedence: explicit ``override`` argument, then the ``CQWIRETAP_CAP``
-    environment variable, then :data:`DIM_CAP`.
-    """
-    if override is not None:
-        return int(override)
-    env = os.environ.get(ENV_CAP)
-    if env is not None:
-        return int(env)
-    return DIM_CAP
+    """Effective operator dimension cap: ``override`` when given, else
+    :data:`DIM_CAP`."""
+    return DIM_CAP if override is None else int(override)
 
 
 def check_dim(dim: int, override: int | None = None) -> int:

@@ -27,14 +27,19 @@ raises rather than returning a channel that would poison later bounds.
 typicality mode, and ``factor_reports`` the spectral factor bounds of the
 compressed channel.
 
-The compression streams over the typical strings.  The symbol eigenbases
-and the average-state projector are taken once per call; per string, the
-product output is built by one Kronecker chain, compressed, and decomposed
-twice at dimension d^n: once to validate the result (that spectrum also
-gives the factor-norm) and once for the ordering V' <= V.  Then it is
-dropped, so no stack of |T| product outputs is ever held.  The product
-columns of every projector are built together, one broadcast step per
-letter position.
+The compression works inside the typical subspace of the average state,
+of rank R <= d^n, and streams over the typical strings.  The symbol
+eigenbases, their d x d overlaps with the average eigenbasis and the
+d^n x R isometry A onto the subspace are taken once per call; per string,
+the compressed output is A K A* with an R x R matrix K built from those
+overlaps, validated by one R x R eigensolve (that spectrum also gives the
+factor-norm).  The product output is built by one Kronecker chain and
+decomposed once at dimension d^n, for the ordering V' <= V.  Then it is
+dropped, so no stack of |T| product outputs and no d^n x d^n projector is
+ever held.  The te7 trace against the average-state projector is read off
+the product structure without building either.  The product columns of
+every projector are built together, one broadcast step per letter
+position.
 """
 
 import itertools
@@ -395,14 +400,20 @@ class TypicalProjector:
         return len(self.strings)
 
 
+def _typical_basis(rho, n, delta):
+    """Cleaned spectrum and deterministic eigenbasis of a validated density
+    ``rho``, and the spectrum-typical index strings of length n."""
+    vals, basis = sorted_eigenbasis(rho)
+    q = _clean_spectrum(vals)
+    return q, basis, typical_set(q, n, delta)._listed("project onto")
+
+
 def typical_projector(rho, n, delta, cap=None) -> TypicalProjector:
     """Typical projector of ``rho**(x) n`` in its deterministic eigenbasis."""
     rho = op.check_density(np.asarray(rho, dtype=complex))
     n, delta = _validate_block(n, delta)
     dim_total = check_dim(rho.shape[0] ** n, cap)
-    vals, basis = sorted_eigenbasis(rho)
-    q = _clean_spectrum(vals)
-    strings = typical_set(q, n, delta)._listed("project onto")
+    q, basis, strings = _typical_basis(rho, n, delta)
     cols = _column_stack([basis] * n, strings)
     return TypicalProjector(
         rho=rho,
@@ -459,13 +470,13 @@ def _group_filter(xn, spectra, delta):
 
 
 def _symbol_eigenbases(v, symbols):
-    """Cleaned spectrum and deterministic eigenbasis of each symbol's output."""
-    spectra, bases = {}, {}
+    """Raw spectrum, cleaned spectrum and deterministic eigenbasis of each
+    symbol's output."""
+    raw, spectra, bases = {}, {}, {}
     for a in symbols:
-        vals, u = sorted_eigenbasis(v.output(a))
-        spectra[a] = _clean_spectrum(vals)
-        bases[a] = u
-    return spectra, bases
+        raw[a], bases[a] = sorted_eigenbasis(v.output(a))
+        spectra[a] = _clean_spectrum(raw[a])
+    return raw, spectra, bases
 
 
 def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjector:
@@ -482,7 +493,7 @@ def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjecto
             raise DimensionMismatchError(f"symbol {x!r} not in channel alphabet")
     _, delta = _validate_block(len(xn), delta)
     dim_total = check_dim(v.dim ** len(xn), cap)
-    spectra, bases = _symbol_eigenbases(v, set(xn))
+    _, spectra, bases = _symbol_eigenbases(v, set(xn))
     strings = _group_filter(xn, spectra, delta)
     weights = np.array(
         [
@@ -563,6 +574,14 @@ def _typical_inputs(v, p, n, delta, cap):
     return p, dim_total, members
 
 
+def _average_basis(p, v, n, delta):
+    """Deterministic eigenbasis of the average state PV and the index
+    strings of its typical subspace, one row per string."""
+    avg = op.check_density(_average_state(p, v))
+    _, basis, strings = _typical_basis(avg, n, delta)
+    return basis, np.array(strings, dtype=np.intp).reshape(len(strings), n)
+
+
 def _conditional_reports(v, p, n, delta, cap):
     p, _, members = _typical_inputs(v, p, n, delta, cap)
     spectra = {}
@@ -584,11 +603,19 @@ def _conditional_reports(v, p, n, delta, cap):
             lows.append(log_lo)
             highs.append(log_hi)
 
-    pi_avg = typical_projector(_average_state(p, v), n, delta, cap).projector
-    vn = tensor_power(v, n, cap)
-    avg_trace = min(
-        float(np.trace(vn.output(xn) @ pi_avg).real) for xn in members
-    )
+    # tr(V^n(x) Pi_avg) = sum over typical t of prod_i <a_{t_i}|V(x_i)|a_{t_i}>
+    basis, avg_strings = _average_basis(p, v, n, delta)
+    diagonals = {
+        a: (basis.conj().T @ v.output(a) @ basis).diagonal().real for a in v.alphabet
+    }
+
+    def avg_trace_at(xn):
+        terms = np.ones(len(avg_strings))
+        for pos, a in enumerate(xn):
+            terms *= diagonals[a][avg_strings[:, pos]]
+        return float(terms.sum())
+
+    avg_trace = min(avg_trace_at(xn) for xn in members)
 
     reports = [
         make_report("te4-trace", min(traces), 1.0),
@@ -641,28 +668,43 @@ def _compress(v, p, n, delta, cap=None, products=None):
     """The channel of :func:`subnormalized_channel` and the largest
     eigenvalue over its outputs, from one pass over the typical strings.
 
-    The symbol eigenbases and the average-state projector are taken once.
-    Per string, the product output V^n(x) is built once, compressed,
-    validated by one eigensolve that also gives its spectrum, and checked
-    for V'(x) <= V(x) by a second; then it is dropped, unless ``products``
-    is a dict, which keeps it under its string.
+    With A the D x R isometry onto the average state's typical subspace
+    (columns a_t, products of its eigenvectors) and b_j the conditional
+    typical eigenvector products of V^n(x) with raw product eigenvalues
+    w_j, the compressed output is V'(x) = A K_x A* with
+    K_x = M diag(w) M* and M[t, j] = <a_t|b_j> = prod_i <a_{t_i}|b^{x_i}_{j_i}>,
+    a product of d x d overlaps.  So neither projector is formed at
+    dimension D = d^n.  The symbol eigenbases, their overlaps with the
+    average eigenbasis and A are taken once.  Per string, the R x R K_x is
+    validated by one eigensolve that also gives the nonzero spectrum of
+    V'(x); V^n(x) is built once by a Kronecker chain, and V'(x) <= V^n(x)
+    is checked by one eigensolve at dimension D.  Then V^n(x) is dropped,
+    unless ``products`` is a dict, which keeps it under its string.
     """
     n, delta = _validate_block(n, delta)
     p, dim_total, members = _typical_inputs(v, p, n, delta, cap)
-    pi_avg = typical_projector(_average_state(p, v), n, delta, cap).projector
+    basis, avg_strings = _average_basis(p, v, n, delta)
+    iso = _column_stack([basis] * n, avg_strings)
+    iso_h = iso.conj().T
     vn = tensor_power(v, n, cap)
-    spectra, bases = _symbol_eigenbases(v, v.alphabet)
+    raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
+    overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
     outputs, tops = {}, []
 
     def triples():
         for xn in members:
             strings = _group_filter(xn, spectra, delta)
-            cols = _column_stack([bases[a] for a in xn], strings)
-            pi_cond = _assemble(cols, dim_total)
+            idx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
+            m = np.ones((len(avg_strings), len(strings)), dtype=complex)
+            w = np.ones(len(strings))
+            for pos, a in enumerate(xn):
+                m *= overlaps[a][avg_strings[:, pos, None], idx[None, :, pos]]
+                w *= raw[a][idx[:, pos]]
+            k, spectrum = _checked_output(xn, (m * w) @ m.conj().T)
+            out = iso @ k @ iso_h
+            outputs[xn] = out = (out + out.conj().T) / 2.0
+            tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
             rho = vn.output(xn)
-            out, w = _checked_output(xn, pi_avg @ (pi_cond @ rho @ pi_cond) @ pi_avg)
-            outputs[xn] = out
-            tops.append(float(w[-1]) if w.size else 0.0)
             if products is not None:
                 products[xn] = rho
             yield xn, rho, out
@@ -679,25 +721,28 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     state.  The trace deficit is measured and becomes the channel's
     epsilon.  Domination by the product channel is verified on every
     output; a violation raises :class:`PsdOrderingError`.  The strings are
-    streamed: each product output is built once and dropped after its two
-    eigensolves (validation and ordering).
+    streamed: each compressed output is validated by one eigensolve at the
+    rank R of the average-state projector, and each product output is
+    built once and dropped after its one d^n eigensolve (the ordering).
+    ``cap`` bounds the dimension d^n.
     """
     return _compress(v, p, n, delta, cap)[0]
 
 
-def reindexed_pair(v, p, n, delta):
+def reindexed_pair(v, p, n, delta, cap=None):
     """The leakage chain's (V, V') pair in typicality mode.
 
     V' is :func:`subnormalized_channel` and V the n-letter product channel
     on the same typical strings, kept from the same pass.  Both are
     re-indexed 0..|T|-1 in string order, so a function with |X| = |T|
-    inputs applies.
+    inputs applies.  ``cap`` bounds the dimension d^n.
     """
     products = {}
-    sub = _compress(v, p, n, delta, products=products)[0]
+    sub = _compress(v, p, n, delta, cap, products)[0]
     index = range(len(sub))
     # neither is validated again: Kronecker products of validated densities
-    # are exactly Hermitian, and _compress validated every output of V'
+    # are exactly Hermitian, and _compress validated the R x R core K of
+    # every output A K A* of V' and symmetrized the output
     base = CqChannel(
         index, sub.dim, {i: products[t] for i, t in enumerate(sub.alphabet)}, validate=False
     )
@@ -707,18 +752,18 @@ def reindexed_pair(v, p, n, delta):
     return base, prime
 
 
-def factor_reports(v, p, delta, ns):
+def factor_reports(v, p, delta, ns, cap=None):
     """``(sub, reports)`` for every block length n in ``ns``, built lazily.
 
     ``sub`` is ``subnormalized_channel(v, p, n, delta)`` and ``reports``
     its spectral factor bounds.  factor-norm: the largest output operator
-    norm, read off the spectra that validated the outputs, against
+    norm, read off the R x R spectra that validated the outputs, against
     2^(-n (S(V|P) - gamma)); factor-rank: the rank of the uniform average
     output against 2^(n (S(PV) + beta)); factor-product: their product
     against 2^(n (chi + beta + gamma)).  The window constants are
     ``delta * max |log2 q|``, beta over the spectrum of the average state
     PV and gamma the worst over the output spectra; they and the entropies
-    are computed once, on the call.
+    are computed once, on the call.  ``cap`` bounds the dimension d^n.
     """
     p = np.asarray(p, dtype=float)
     avg = _average_state(p, v)
@@ -733,7 +778,7 @@ def factor_reports(v, p, delta, ns):
     gamma = max(window(v.output(a)) for a in v.alphabet)
 
     def reports(n):
-        sub, norm = _compress(v, p, n, delta)
+        sub, norm = _compress(v, p, n, delta, cap)
         rank = op.rank_eps(mix(sub, sub.alphabet))
         return sub, [
             make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),

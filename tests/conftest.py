@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 
-from cqwiretap.channels import ClassicalChannel, CqChannel
+from cqwiretap.channels import ClassicalChannel, CqChannel, _average_state, tensor_power
 from cqwiretap.codes import (
     CommonRandomnessCode,
     DerandomizedCode,
@@ -18,6 +18,7 @@ from cqwiretap.codes import (
 )
 from cqwiretap.config import STRING_CAP, check_dim
 from cqwiretap.errors import InvalidStateError
+from cqwiretap.typicality import cond_typical_projector, typical_projector, typical_set
 
 
 def rng(seed: int = 7) -> np.random.Generator:
@@ -118,3 +119,25 @@ def derandomize(
         decoders[mbar] = total
     encoder = ClassicalChannel(messages, rows)
     return WiretapCode(encoder, decoders, d.n_total, dim)
+
+
+def dense_compression(v, p, n, delta):
+    """Reference oracle: the typicality-compressed outputs, formed densely.
+
+    Every typical input string x maps to
+    Pi_avg (Pi_c(x) V^n(x) Pi_c(x)) Pi_avg, with the average state's typical
+    projector and the conditional typical projector both assembled at
+    dimension d^n.  Also returns min_x tr(V^n(x) Pi_avg), the te7 trace.
+    It builds every projector and product output in full, so it only
+    serves to check the library's subspace-compressed construction.
+    """
+    pi_avg = typical_projector(_average_state(np.asarray(p, dtype=float), v), n, delta).projector
+    vn = tensor_power(v, n)
+    outputs = {}
+    avg_traces = []
+    for xn in typical_set(p, n, delta, alphabet=v.alphabet):
+        pi_cond = cond_typical_projector(v, xn, delta).projector
+        rho = vn.output(xn)
+        outputs[xn] = pi_avg @ (pi_cond @ rho @ pi_cond) @ pi_avg
+        avg_traces.append(float(np.trace(rho @ pi_avg).real))
+    return outputs, min(avg_traces)

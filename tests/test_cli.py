@@ -23,7 +23,6 @@ from conftest import random_density, random_unitary, rng
 from cqwiretap import codes, serialize
 from cqwiretap.channels import CqChannel
 from cqwiretap.cli import KINDS, main
-from cqwiretap.config import ENV_CAP
 
 
 def flip_channel() -> CqChannel:
@@ -156,16 +155,28 @@ class TestExitCodes:
         assert main([kind, spec]) == 3
         assert f"unknown params for {kind}: ['bogus']" in capsys.readouterr().err
 
-    def test_cap_override_is_restored(self, ws):
+    def test_main_leaves_environ_untouched(self, ws, monkeypatch):
         ws.channel("v.json", flip_channel())
         spec = ws.spec(
             "typicality-report",
             {"channel": str(ws.root / "v.json")},
             {"p": [0.6, 0.4], "delta": 0.5, "ns": [3]},
         )
-        saved = os.environ.get(ENV_CAP)
-        main(["typicality-report", spec, "--cap", "4"])
-        assert os.environ.get(ENV_CAP) == saved
+        before = dict(os.environ)
+        assert main(["typicality-report", spec, "--cap", "4"]) == 5
+        assert dict(os.environ) == before
+        # the cap is an argument, not an environment variable
+        monkeypatch.setenv("CQWIRETAP_CAP", "4")
+        assert main(["typicality-report", spec]) == 0
+
+    @pytest.mark.parametrize("key", ["p", "delta"])
+    def test_typicality_report_missing_param_exits_3(self, ws, key, capsys):
+        ws.channel("v.json", flip_channel())
+        params = {"p": [0.6, 0.4], "delta": 0.5, "ns": [2]}
+        del params[key]
+        spec = ws.spec("typicality-report", {"channel": str(ws.root / "v.json")}, params)
+        assert main(["typicality-report", spec]) == 3
+        assert f"missing params for typicality-report: ['{key}']" in capsys.readouterr().err
 
 
 class TestVerifyBri:
@@ -265,6 +276,15 @@ class TestBoundChain:
             channel=rotated_channel(51),
         )
         assert main(["bound-chain", spec]) == 4
+
+    @pytest.mark.parametrize("key", ["p", "n", "delta"])
+    def test_typicality_mode_missing_key_exits_3(self, ws, key, capsys):
+        v_prime = {"mode": "typicality", "p": [0.6, 0.4], "n": 2, "delta": 0.5}
+        del v_prime[key]
+        spec = self.setup_spec(ws, v_prime)
+        assert main(["bound-chain", spec]) == 3
+        err = capsys.readouterr().err
+        assert f"missing keys for v_prime mode 'typicality': ['{key}']" in err
 
     def test_typicality_mode_size_mismatch(self, ws):
         # delta = 1.5 admits all four strings, too many for a 2-input table

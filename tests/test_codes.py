@@ -440,11 +440,10 @@ class TestDerandomizedChannel:
         for mbar in d.messages:
             assert np.max(np.abs(eve.output(mbar) - oracle.output(mbar))) <= 1e-12
 
-    def test_dimension_cap(self, monkeypatch):
+    def test_dimension_cap(self):
         d, v = noisy_derandomized(2)
-        monkeypatch.setenv("CQWIRETAP_CAP", str(2 ** d.n_total - 1))
         with pytest.raises(ResourceCapError):
-            codes.derandomized_channel(d, v)
+            codes.derandomized_channel(d, v, cap=2 ** d.n_total - 1)
 
     def test_string_cap(self, monkeypatch):
         d, v = noisy_derandomized(2)

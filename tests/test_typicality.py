@@ -8,15 +8,16 @@ a hand count of admissible letter frequencies.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_unitary, rng
+from conftest import dense_compression, random_density, random_unitary, rng
 
-from cqwiretap import channels, typicality
+from cqwiretap import channels, serialize, typicality
 from cqwiretap import operators as op
 from cqwiretap.channels import CqChannel, conditional_entropy, holevo, mix, tensor_power
 from cqwiretap.errors import (
@@ -746,8 +747,70 @@ class TestSubnormalizedChannel:
         assert reports[0].name == "factor-norm" and reports[0].lhs == 0.0
 
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def golden_channel(name: str) -> CqChannel:
+    return serialize.channel_from_json(serialize.load_json(GOLDEN_INPUTS / name))
+
+
+# (channel, p, n, delta, rank R of the average state's typical projector);
+# every instance but the clock channel has R < d^n
+ORACLE_CASES = {
+    "flip": (flip_channel, (0.6, 0.4), 3, 0.5, 6),
+    "clock": (clock_channel, (1 / 3, 1 / 3, 1 / 3), 3, 1.0, 8),
+    "flip-haar": (lambda: golden_channel("flip_haar.json"), (2 / 3, 1 / 3), 3, 0.5, 3),
+    "qutrit-2": (lambda: golden_channel("qutrit.json"), (0.5, 0.25, 0.25), 2, 1.0, 4),
+    "qutrit-4": (lambda: golden_channel("qutrit.json"), (0.5, 0.25, 0.25), 4, 1.0, 56),
+    # every conditional window is empty: all outputs are exactly zero
+    "empty-conditional": (flip_channel, (0.75, 0.25), 4, 0.2, 4),
+}
+
+
+class TestDenseOracle:
+    """The subspace-compressed V' against the dense projector sandwich."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_dense_sandwich(self, case):
+        make, p, n, delta, rank = ORACLE_CASES[case]
+        v = make()
+        avg = channels._average_state(np.asarray(p), v)
+        assert typical_projector(avg, n, delta).rank == rank
+        dense, te7 = dense_compression(v, p, n, delta)
+        sub = subnormalized_channel(v, p, n, delta)
+        assert sub.alphabet == tuple(dense)
+        for xn in sub.alphabet:
+            assert np.abs(sub.output(xn) - dense[xn]).max() <= 1e-13
+        deficit = max(0.0, max(1.0 - np.trace(out).real for out in dense.values()))
+        assert abs(sub.epsilon - deficit) <= 1e-13
+        (_, reports), = factor_reports(v, p, delta, [n])
+        norm = max(np.linalg.eigvalsh(out)[-1] for out in dense.values())
+        assert reports[0].name == "factor-norm"
+        assert abs(reports[0].lhs - norm) <= 1e-13
+        named = {r.name: r for r in check_typical_projector(v, n, delta, p=p)}
+        assert abs(named["te7-trace"].lhs - te7) <= 1e-13
+
+    def test_ordering_violation_matches_dense_sandwich(self):
+        # the bound-chain CLI turns the same error into exit 4 (test_cli,
+        # test_typicality_mode_ordering_violation_exits_4)
+        v, p, n, delta = rotated_channel(rng(51)), (0.55, 0.45), 3, 0.5
+        dense, _ = dense_compression(v, p, n, delta)
+        vn = tensor_power(v, n)
+        worst = min(np.linalg.eigvalsh(vn.output(xn) - out)[0] for xn, out in dense.items())
+        with pytest.raises(PsdOrderingError) as info:
+            subnormalized_channel(v, p, n, delta)
+        assert info.value.min_eigenvalue == pytest.approx(worst, abs=1e-13)
+        assert worst < -1e-3
+
+
 class TestStreamingCompression:
-    """Per typical string: one product output, two d^n eigensolves."""
+    """Per typical string: one product output, one d^n eigensolve (the
+    ordering V' <= V) and one R x R eigensolve (validation and spectrum of
+    the compressed output), and no projector at dimension d^n.  Flip
+    channel, p (0.6, 0.4), n 3, delta 0.5: R = 6 of d^n = 8, so the counts
+    tell the R x R validation apart from a d^n one."""
+
+    P, N, DELTA = (0.6, 0.4), 3, 0.5
 
     def count(self, monkeypatch):
         calls = []
@@ -762,30 +825,43 @@ class TestStreamingCompression:
             "output",
             lambda self, xn: calls.append("product") or real_output(self, xn),
         )
+        monkeypatch.setattr(
+            typicality, "_assemble", lambda *a: pytest.fail("d^n projector assembled")
+        )
         return calls
 
     def test_two_eigensolves_and_one_product_per_string(self, monkeypatch):
         calls = self.count(monkeypatch)
-        sub = subnormalized_channel(clock_channel(), (1 / 3, 1 / 3, 1 / 3), 3, 1.0)
-        assert len(sub) == 24
-        assert calls.count((8, 8)) == 2 * 24
-        assert calls.count("product") == 24
+        sub = subnormalized_channel(flip_channel(), self.P, self.N, self.DELTA)
+        assert len(sub) == 3
+        assert calls.count((8, 8)) == len(sub)
+        assert calls.count((6, 6)) == len(sub)
+        assert calls.count("product") == len(sub)
 
     def test_factor_reports_reuse_the_spectra(self, monkeypatch):
         calls = self.count(monkeypatch)
         monkeypatch.setattr(op, "operator_norm", lambda a: pytest.fail("operator_norm called"))
-        (sub, reports), = factor_reports(flip_channel(), (0.6, 0.4), 0.5, [3])
+        (sub, reports), = factor_reports(flip_channel(), self.P, self.DELTA, [self.N])
         # plus the rank of the average output
-        assert calls.count((8, 8)) == 2 * len(sub) + 1
+        assert calls.count((8, 8)) == len(sub) + 1
+        assert calls.count((6, 6)) == len(sub)
         assert calls.count("product") == len(sub)
         assert reports[0].lhs == pytest.approx(0.8**3, abs=1e-12)
 
     def test_reindexed_pair_builds_each_product_once(self, monkeypatch):
         calls = self.count(monkeypatch)
-        base, prime = reindexed_pair(flip_channel(), (0.6, 0.4), 3, 0.5)
+        base, prime = reindexed_pair(flip_channel(), self.P, self.N, self.DELTA)
         assert calls.count("product") == len(base) == len(prime) == 3
         # validation and ordering only: the product outputs are not validated again
-        assert calls.count((8, 8)) == 2 * len(base)
+        assert calls.count((8, 8)) == len(base)
+        assert calls.count((6, 6)) == len(base)
+
+    def test_conditional_reports_build_no_product(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        reports = check_typical_projector(flip_channel(), self.N, self.DELTA, p=self.P)
+        assert reports[-1].name == "te7-trace"
+        assert "product" not in calls
+        assert (8, 8) not in calls
 
 
 class TestChainPair:
