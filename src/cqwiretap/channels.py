@@ -18,8 +18,12 @@ with one eigensolve of the average states per call (see
 The adversarial search is concave and deterministic: it starts at the
 uniform distribution.  The capacity search draws its random starts from a
 caller-supplied ``numpy.random.Generator`` (by default Philox with a fixed
-seed), so repeated calls reproduce each other exactly; restart reduction
-is by best value with ties to the lowest restart index.
+seed), so repeated calls reproduce each other exactly.  Its starts ascend
+in lockstep as one ``(N, k)`` batch, each row with its own step length;
+a row that stops leaves the batch through a live mask, so each step is
+one ``eigh`` and one ``eigvalsh`` per channel over the live rows.  Every
+row follows the iterates it would follow alone, and restart reduction is
+by best value with ties to the lowest restart index, then the grid rule.
 """
 
 import itertools
@@ -325,16 +329,17 @@ def _chi_gradient(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndar
 def _finite_gradient(g: np.ndarray) -> np.ndarray:
     """Replace non-finite gradient entries so a step never sees inf or nan.
 
-    ``+inf`` and nan go 100 above the largest finite entry, so that mass
-    moves towards them; ``-inf`` goes 100 below the smallest, so that mass
-    moves away.
+    Works on each row (last axis) of ``g`` alone: ``+inf`` and nan go 100
+    above the row's largest finite entry, so that mass moves towards them;
+    ``-inf`` goes 100 below its smallest, so that mass moves away.  A row
+    with no finite entry takes 0 for both.
     """
     ok = np.isfinite(g)
     if ok.all():
         return g
-    finite = g[ok]
-    top = finite.max() if finite.size else 0.0
-    bottom = finite.min() if finite.size else 0.0
+    top = np.where(ok, g, -np.inf).max(axis=-1, keepdims=True)
+    bottom = np.where(ok, g, np.inf).min(axis=-1, keepdims=True)
+    top, bottom = (np.where(np.isfinite(b), b, 0.0) for b in (top, bottom))
     return np.where(ok, g, np.where(g == -np.inf, bottom - 100.0, top + 100.0))
 
 
@@ -409,13 +414,14 @@ def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeak
 
 
 def _project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(y) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
+    """Euclidean projection of each row (last axis) onto the probability simplex."""
+    k = y.shape[-1]
+    u = np.sort(y, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    cond = u - css / np.arange(1, k + 1) > 0
+    # one past the last index where cond holds (cond holds at index 0)
+    rho = k - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    theta = np.take_along_axis(css, rho - 1, axis=-1) / rho
     return np.clip(y - theta, 0.0, None)
 
 
@@ -445,16 +451,25 @@ def capacity_single_letter(
     """max_P chi(P;W) - chi(P;V), the single-letter secrecy objective.
 
     The objective is a difference of concave functions, so the search uses
-    projected gradient ascent from a uniform start plus ``starts`` random
-    starts, followed by a simplex grid polish for alphabets up to size 3.
-    The gradient is the analytic Holevo gradient
+    projected gradient ascent from a uniform start, ``starts`` random
+    starts and, for alphabets up to size 3, the best point of a simplex
+    grid.  The gradient is the analytic Holevo gradient
     ``D(W_x || PW) - D(V_x || PV)``; it differs from the gradient on the
     normalized extension by a multiple of the all-ones vector, which the
-    simplex projection removes.  The output states are validated once
-    here; each evaluation is one eigensolve per channel, and the grid is
-    evaluated in chunks.  When ``w is v`` holds numerically the two chi
-    evaluations cancel to exactly 0.0 at every point.  A search that
-    stops on ``max_iters`` returns ``converged=False`` with a
+    simplex projection removes.
+
+    All starts ascend in lockstep as one ``(N, k)`` batch, each row with
+    its own step length and stall count; a row that stops leaves the batch
+    through a live mask, so every step is one ``eigh`` (gradient) and one
+    ``eigvalsh`` (objective) per channel over the live rows.  Each row
+    follows the same iterates as an ascent of its own.  The result is the
+    best start's value, ties to the lowest restart index, unless the grid
+    row's ascent or the grid point itself is better (the ascent when it is
+    at least the grid value).  The output states are validated once here,
+    and the grid, evaluated in chunks before the ascent, draws no random
+    numbers.  When ``w is v`` holds numerically the two chi evaluations
+    cancel to exactly 0.0 at every point.  A search whose result stopped on
+    ``max_iters`` returns ``converged=False`` with a
     :class:`~cqwiretap.errors.ConvergenceWarning`.
     """
     rng = rng or _default_rng()
@@ -467,39 +482,34 @@ def capacity_single_letter(
         # one value per distribution on the last axis of p
         return _chi(p, sw, ew) - _chi(p, sv, ev)
 
-    def objective(p):
-        return float(objectives(p))
-
-    def gradient(p):
+    def gradients(p):
         with np.errstate(invalid="ignore"):  # inf - inf where both leave the support
             g = _chi_gradient(p, sw, ew) - _chi_gradient(p, sv, ev)
         return _finite_gradient(g)
 
     def ascend(p):
-        val = objective(p)
-        step = 0.25
-        stall = 0
+        # every row of p ascends with its own step until it stalls; returns
+        # the final rows, their values and whether each one stopped
+        val = objectives(p)
+        step = np.full(len(p), 0.25)
+        stall = np.zeros(len(p), dtype=int)
+        live = np.ones(len(p), dtype=bool)
         for _ in range(max_iters):
-            trial = _project_simplex(p + step * gradient(p))
-            trial_val = objective(trial)
-            if trial_val > val + 1e-15:
-                p, val = trial, trial_val
-                step *= 1.2
-                stall = 0
-            else:
-                step *= 0.5
-                stall += 1
-                if step < 1e-13 or stall > 40:
-                    return p, val, True
-        return p, val, False
+            rows = np.flatnonzero(live)
+            if not rows.size:
+                break
+            trial = _project_simplex(p[rows] + step[rows, None] * gradients(p[rows]))
+            trial_val = objectives(trial)
+            up = trial_val > val[rows] + 1e-15
+            p[rows[up]], val[rows[up]] = trial[up], trial_val[up]
+            step[rows] *= np.where(up, 1.2, 0.5)
+            stall[rows] = np.where(up, 0, stall[rows] + 1)
+            live[rows] = up | ((step[rows] >= 1e-13) & (stall[rows] <= 40))
+        return p, val, ~live
 
     candidates = [np.full(k, 1.0 / k)]
     candidates += [rng.dirichlet(np.ones(k)) for _ in range(starts)]
-    best_p, best_val, best_conv = None, -np.inf, False
-    for p0 in candidates:
-        p, val, conv = ascend(p0)
-        if val > best_val:
-            best_p, best_val, best_conv = p, val, conv
+    restarts = len(candidates)
     if k <= 3:
         points = _simplex_grid(k)
         chunk = max(1, _GRID_ENTRIES // max(w.dim, v.dim) ** 2)
@@ -510,29 +520,37 @@ def capacity_single_letter(
             i = int(np.argmax(vals))
             if vals[i] > grid_best:
                 grid_best, grid_arg = float(vals[i]), block[i]
-        p, val, conv = ascend(grid_arg)
-        if max(val, grid_best) > best_val:
-            if val >= grid_best:
-                best_p, best_val, best_conv = p, val, conv
-            else:
-                best_p, best_val, best_conv = grid_arg, grid_best, True
+        candidates.append(grid_arg)
+    p, val, conv = ascend(np.array(candidates))
+    i = int(np.argmax(val[:restarts]))
+    best_p, best_val, best_conv = p[i], val[i], conv[i]
+    if k <= 3 and max(val[-1], grid_best) > best_val:
+        if val[-1] >= grid_best:
+            best_p, best_val, best_conv = p[-1], val[-1], conv[-1]
+        else:
+            best_p, best_val, best_conv = grid_arg, grid_best, True
     if not best_conv:
         _warn_unconverged("capacity_single_letter", max_iters)
-    return CapacityResult(float(best_val), best_p, best_conv)
+    return CapacityResult(float(best_val), best_p, bool(best_conv))
 
 
 def capacity_lifted(
-    w, v, n: int, rng: np.random.Generator | None = None, cap: int | None = None
+    w,
+    v,
+    n: int,
+    rng: np.random.Generator | None = None,
+    cap: int | None = None,
+    starts: int = 16,
 ) -> CapacityResult:
     """Per-letter lower bound from the n-letter objective, n in {1, 2}.
 
     Materializes the n-fold product channels over X^n and optimizes the
-    single-letter objective there, reporting value / n.  The product
-    dimensions are checked against ``cap``.  Higher n is a computationally
-    open problem and out of scope.
+    single-letter objective there with ``starts`` random starts, reporting
+    value / n.  The product dimensions are checked against ``cap``.  Higher
+    n is a computationally open problem and out of scope.
     """
     if n == 1:
-        return capacity_single_letter(w, v, rng)
+        return capacity_single_letter(w, v, rng, starts)
     if n != 2:
         raise InvalidStateError("lifted capacity is provided for n in {1, 2} only")
 
@@ -541,7 +559,7 @@ def capacity_lifted(
         strings = list(prod.strings())
         return CqChannel(strings, prod.dim, {s: prod.output(s) for s in strings}, validate=False)
 
-    res = capacity_single_letter(materialize(w), materialize(v), rng)
+    res = capacity_single_letter(materialize(w), materialize(v), rng, starts)
     return CapacityResult(res.value / n, res.argmax, res.converged)
 
 

@@ -42,6 +42,8 @@ bound-chain        the five-step leakage certification chain; asserts
                    typical projectors and re-index typical strings).
 capacity           single-letter (or two-letter lifted) secrecy-rate
                    search; no asserted bound, convergence is reported.
+                   ``n`` is the integer 1 or 2 and ``starts`` a
+                   non-negative integer; other values fail validation.
 typicality-report  per-n CSV of projector traces, ranks, eigenvalue
                    sandwich slacks and spectral factor bounds.  Asserts
                    only the instance-independent rows (te2 upper rank,
@@ -112,9 +114,14 @@ def _input_path(inputs, role) -> str:
     return path
 
 
+def _is_int(value) -> bool:
+    # JSON integers only: not floats such as 2.0, not true/false
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rng(params) -> np.random.Generator:
     seed = params.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise InvalidStateError("an integer rng seed is required for randomized steps")
     return np.random.Generator(np.random.Philox(seed))
 
@@ -284,11 +291,12 @@ def _run_capacity(inputs, params, output, cap):
     w = _load_channel(inputs, "channel_w")
     v = _load_channel(inputs, "channel_v")
     n = params.get("n", 1)
-    rng = _rng(params)
-    if n == 1:
-        result = channels.capacity_single_letter(w, v, rng=rng, starts=params.get("starts", 16))
-    else:
-        result = channels.capacity_lifted(w, v, n, rng=rng, cap=cap)
+    if not _is_int(n) or n not in (1, 2):
+        raise InvalidStateError(f"params.n must be the integer 1 or 2, got {n!r}")
+    starts = params.get("starts", 16)
+    if not _is_int(starts) or starts < 0:
+        raise InvalidStateError(f"params.starts must be a non-negative integer, got {starts!r}")
+    result = channels.capacity_lifted(w, v, n, rng=_rng(params), cap=cap, starts=starts)
     report = {
         "kind": "capacity",
         "n": n,

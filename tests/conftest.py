@@ -9,6 +9,7 @@ from functools import reduce
 
 import numpy as np
 
+from cqwiretap import channels
 from cqwiretap.channels import ClassicalChannel, CqChannel, _average_state, tensor_power
 from cqwiretap.codes import (
     CommonRandomnessCode,
@@ -141,3 +142,77 @@ def dense_compression(v, p, n, delta):
         outputs[xn] = pi_avg @ (pi_cond @ rho @ pi_cond) @ pi_avg
         avg_traces.append(float(np.trace(rho @ pi_avg).real))
     return outputs, min(avg_traces)
+
+
+def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
+    """Reference oracle: the capacity search with one start at a time.
+
+    Each of the uniform start, the ``starts`` Dirichlet starts and the grid
+    point (k <= 3) ascends alone, with its own one-dimensional simplex
+    projection and gradient clean-up.  The reduction is by best value with
+    ties to the lowest restart index, then the grid rule.  It repeats the
+    eigensolves of every start, so it only serves to check the lockstep
+    batch of :func:`cqwiretap.channels.capacity_single_letter`.
+    """
+    rng = rng or channels._default_rng()
+    k = len(w.alphabet)
+    (sw, ew), (sv, ev) = channels._validated_stack(w.states()), channels._validated_stack(v.states())
+
+    def objective(p):
+        return channels._chi(p, sw, ew) - channels._chi(p, sv, ev)
+
+    def project(y):
+        u = np.sort(y)[::-1]
+        css = np.cumsum(u) - 1.0
+        idx = np.arange(1, len(y) + 1)
+        rho = idx[u - css / idx > 0][-1]
+        return np.clip(y - css[rho - 1] / rho, 0.0, None)
+
+    def gradient(p):
+        with np.errstate(invalid="ignore"):
+            g = channels._chi_gradient(p, sw, ew) - channels._chi_gradient(p, sv, ev)
+        ok = np.isfinite(g)
+        if ok.all():
+            return g
+        finite = g[ok]
+        top = finite.max() if finite.size else 0.0
+        bottom = finite.min() if finite.size else 0.0
+        return np.where(ok, g, np.where(g == -np.inf, bottom - 100.0, top + 100.0))
+
+    def ascend(p):
+        val = float(objective(p))
+        step, stall = 0.25, 0
+        for _ in range(max_iters):
+            trial = project(p + step * gradient(p))
+            trial_val = float(objective(trial))
+            if trial_val > val + 1e-15:
+                p, val, step, stall = trial, trial_val, step * 1.2, 0
+            else:
+                step, stall = step * 0.5, stall + 1
+                if step < 1e-13 or stall > 40:
+                    return p, val, True
+        return p, val, False
+
+    candidates = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(starts)]
+    best_p, best_val, best_conv = None, -np.inf, False
+    for p0 in candidates:
+        p, val, conv = ascend(p0)
+        if val > best_val:
+            best_p, best_val, best_conv = p, val, conv
+    if k <= 3:
+        points = channels._simplex_grid(k)
+        chunk = max(1, channels._GRID_ENTRIES // max(w.dim, v.dim) ** 2)
+        grid_best, grid_arg = -np.inf, None
+        for start in range(0, len(points), chunk):
+            block = points[start : start + chunk]
+            vals = objective(block)
+            i = int(np.argmax(vals))
+            if vals[i] > grid_best:
+                grid_best, grid_arg = float(vals[i]), block[i]
+        p, val, conv = ascend(grid_arg)
+        if max(val, grid_best) > best_val:
+            if val >= grid_best:
+                best_p, best_val, best_conv = p, val, conv
+            else:
+                best_p, best_val, best_conv = grid_arg, grid_best, True
+    return channels.CapacityResult(float(best_val), best_p, best_conv)

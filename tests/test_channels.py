@@ -9,12 +9,24 @@ into the eavesdropper's output.  Optimizers are certified against
 exhaustive simplex grids.
 """
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import grid_holevo, random_cq_channel, random_density, random_probability, rng
+from conftest import (
+    capacity_sequential,
+    grid_holevo,
+    random_cq_channel,
+    random_density,
+    random_probability,
+    rng,
+)
+from cqwiretap import channels
 from cqwiretap import operators as op
+from cqwiretap import serialize
 from cqwiretap.channels import (
     ClassicalChannel,
     CqChannel,
@@ -408,6 +420,96 @@ class TestCapacity:
         assert lifted >= single - 1e-6
 
 
+def golden_channel(name: str) -> CqChannel:
+    path = Path(__file__).resolve().parent / "golden" / "inputs" / f"{name}.json"
+    return serialize.channel_from_json(serialize.load_json(path))
+
+
+def random_pair(seed: int, k: int, dim_w: int = 2, dim_v: int = 2, rank=None):
+    g = rng(seed)
+    w = CqChannel(range(k), dim_w, {x: random_density(g, dim_w, rank) for x in range(k)})
+    v = CqChannel(range(k), dim_v, {x: random_density(g, dim_v, rank) for x in range(k)})
+    return w, v
+
+
+CAPACITY_PAIRS = {
+    "golden-qutrit-clock": lambda: (golden_channel("qutrit"), golden_channel("clock")),
+    "qubit-k2": lambda: random_pair(70, 2),
+    "qubit-k3": lambda: random_pair(71, 3),
+    "w-equals-v": lambda: (random_pair(72, 3)[0],) * 2,
+    "k4-no-grid": lambda: random_pair(73, 4),
+    "k5-no-grid": lambda: random_pair(74, 5),
+    "unequal-dims": lambda: random_pair(75, 3, dim_w=3, dim_v=2),
+    # pure outputs leave the support of the average on the simplex faces,
+    # so the gradient has infinite entries there
+    "rank-deficient": lambda: random_pair(76, 3, dim_w=2, dim_v=3, rank=1),
+    "rank-deficient-k4": lambda: random_pair(77, 4, rank=1),
+}
+
+
+def both_searches(w, v, seed=3, **kw):
+    """Run the lockstep search and the sequential oracle on the same
+    stream, require bit-equal results and return the lockstep one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        batch = capacity_single_letter(w, v, rng=rng(seed), **kw)
+    oracle = capacity_sequential(w, v, rng=rng(seed), **kw)
+    assert batch.value == oracle.value
+    assert np.array_equal(batch.argmax, oracle.argmax)
+    assert batch.converged == oracle.converged
+    return batch
+
+
+class TestCapacityParity:
+    @pytest.mark.parametrize("name", sorted(CAPACITY_PAIRS))
+    def test_lockstep_matches_sequential(self, name):
+        batch = both_searches(*CAPACITY_PAIRS[name]())
+        if name == "w-equals-v":
+            assert batch.value == 0.0
+
+    @pytest.mark.parametrize("max_iters", [3, 45])
+    def test_rows_stopping_at_different_steps(self, monkeypatch, max_iters):
+        # at 3 steps no row can stop; at 45 some rows have stopped and some
+        # are still live when the iteration budget runs out
+        w, v = random_pair(71, 3)
+        live = []
+        real = channels._project_simplex
+        monkeypatch.setattr(
+            channels, "_project_simplex", lambda y: live.append(len(y)) or real(y)
+        )
+        batch = both_searches(w, v, max_iters=max_iters)
+        assert len(live) == max_iters
+        if max_iters == 3:
+            assert live == [18] * 3 and not batch.converged
+        else:
+            assert 0 < live[-1] < live[0] == 18
+
+    def test_finite_gradient_per_row(self):
+        g = np.array(
+            [
+                [1.0, np.inf, -np.inf, 3.0],
+                [-5.0, np.nan, 10.0, -np.inf],
+                [np.inf, -np.inf, np.nan, np.inf],
+            ]
+        )
+        out = channels._finite_gradient(g)
+        assert np.array_equal(out[0], [1.0, 103.0, -99.0, 3.0])
+        assert np.array_equal(out[1], [-5.0, 110.0, 10.0, -105.0])
+        assert np.array_equal(out[2], [100.0, -100.0, 100.0, 100.0])
+        # a row alone gets the same bits as inside the stack
+        for row, expected in zip(g, out):
+            assert np.array_equal(channels._finite_gradient(row), expected)
+
+    def test_project_simplex_rows_match_single_rows(self):
+        y = rng(78).normal(size=(6, 4))
+        y[0] = [2.0, 2.0, -1.0, 0.5]
+        out = channels._project_simplex(y)
+        assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+        assert (out >= 0.0).all()
+        for row, expected in zip(y, out):
+            assert np.array_equal(channels._project_simplex(row), expected)
+
+
 # one output of each invalid kind, stored unchecked so only the optimizers see it
 INVALID_OUTPUTS = {
     "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
@@ -458,6 +560,23 @@ class TestOptimizerInputs:
         assert res.converged
         assert calls[:2] == [("eigvalsh", (2, 3)), ("eigvalsh", (2, 3))]
         assert len(calls) > 2 and set(calls[2:]) == {("eigh", (2, 1))}
+
+    def test_capacity_one_eigh_per_channel_per_step(self, monkeypatch):
+        # uniform start, 16 random starts and the grid point ascend as one
+        # (18, 1) batch of averages that only shrinks as rows stop
+        w, v = random_pair(56, 3)
+        shapes = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: shapes.append(a.shape[:-2]) or real(a)
+        )
+        res = capacity_single_letter(w, v, rng=rng(1), starts=16, max_iters=400)
+        assert res.converged
+        assert shapes[0] == (18, 1)
+        assert all(s[1:] == (1,) for s in shapes)
+        batch = [s[0] for s in shapes]
+        assert batch == sorted(batch, reverse=True)
+        assert len(shapes) <= 2 * 400
 
     def test_unconverged_searches_warn(self):
         g = rng(54)

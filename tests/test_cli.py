@@ -20,7 +20,7 @@ import pytest
 
 from conftest import random_density, random_unitary, rng
 
-from cqwiretap import codes, serialize
+from cqwiretap import cli, codes, serialize
 from cqwiretap.channels import CqChannel
 from cqwiretap.cli import KINDS, main
 
@@ -394,6 +394,51 @@ class TestCapacity:
         )
         assert main(["capacity", spec]) == 0
         assert serialize.load_json(ws.out())["n"] == 2
+
+    def test_lifted_honours_starts(self, ws, monkeypatch):
+        # n = 2 over two symbols searches four strings; starts = 1 draws one
+        # Dirichlet start over them from the spec's generator, and no more
+        ws.channel("w.json", noiseless(2))
+        ws.channel("v.json", flip_channel())
+        spec = ws.spec(
+            "capacity",
+            {"channel_w": str(ws.root / "w.json"), "channel_v": str(ws.root / "v.json")},
+            {"seed": 5, "n": 2, "starts": 1},
+        )
+        used = []
+        real = cli._rng
+        monkeypatch.setattr(cli, "_rng", lambda params: used.append(real(params)) or used[-1])
+        assert main(["capacity", spec]) == 0
+        expected = rng(5)
+        expected.dirichlet(np.ones(4))
+        # the streams continue alike only if both made the same draws
+        assert np.array_equal(used[0].random(4), expected.random(4))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", 2.0),
+            ("n", True),
+            ("n", 0),
+            ("n", 3),
+            ("n", "2"),
+            ("starts", -2),
+            ("starts", True),
+            ("starts", 4.0),
+            ("starts", "4"),
+        ],
+    )
+    def test_malformed_n_or_starts_rejected(self, ws, capsys, key, value):
+        ws.channel("w.json", noiseless(2))
+        ws.channel("v.json", flip_channel())
+        spec = ws.spec(
+            "capacity",
+            {"channel_w": str(ws.root / "w.json"), "channel_v": str(ws.root / "v.json")},
+            {"seed": 5, key: value},
+        )
+        assert main(["capacity", spec]) == 3
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not ws.out().exists()
 
 
 class TestBuildAndEval:
