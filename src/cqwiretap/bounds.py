@@ -12,7 +12,11 @@ one inequality together with the measured slack.  The chain runs
 
 and the closing report (leakage-total) compares the leakage directly
 against the combined spectral bound.  Everything is computed in bits;
-exp2 of the quadratic divergence is tr(rho^2 sigma^+) exactly.
+exp2 of the quadratic divergence is tr(rho^2 sigma^+) exactly.  The
+leakage chi(M; S, V o f_S^{-1}) keeps the seed register, and for a uniform
+seed independent of M it is exactly (1/|S|) sum_s chi(M; V o f_s^{-1}),
+so it is taken per seed on the ``(|S|, |M|, d, d)`` stack of preimage
+mixtures; the joint |S| d-dimensional operator is never formed.
 
 One defect is recorded rather than hidden: the divergence-vs-renyi2 step
 charges the trace deficit as "+ epsilon" in bits, but the underlying
@@ -23,7 +27,7 @@ with a right side of log2(t) + (1 - t) < 0 against a left side of 0.  On
 the bundled 6x8 function, 15 of 20 random qubit eavesdroppers
 (``default_rng`` seeds 0-19) damped to 0.9 give negative slack as well,
 the worst -0.0278.  The report keeps that honest negative slack; a charge
-that is sound in bits is ROADMAP item 4.  The closing leakage-total
+that is sound in bits is ROADMAP item 6.  The closing leakage-total
 report does not inherit this: its derivation replaces the logarithm by
 the chord bound log2(1 + u) <= u / ln 2 before the deficit enters.
 
@@ -33,14 +37,15 @@ whose ``epsilon`` is its measured trace deficit.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import operators as op
 from .bri import BriFunction, lambda2, preimage
-from .channels import ClassicalChannel, CqChannel, compose, holevo, mix, tensor_power
+from .channels import ClassicalChannel, _chi, compose, mix, tensor_power
 from .codes import TransmissionCode, WiretapCode
-from .config import TOL_BOUND, TOL_ROWSUM, check_dim
+from .config import TOL_BOUND, TOL_ROWSUM
 from .errors import DimensionMismatchError, InvalidStateError, PsdOrderingError
 
 LN2 = math.log(2.0)
@@ -102,23 +107,21 @@ def _ordering_scan(triples, tol: float = ORDERING_TOL) -> float:
     return worst
 
 
-def _require_bri(f):
+def _require(f, *channels):
+    """``f`` is a verified BRI function and every channel has its inputs."""
     if not isinstance(f, BriFunction):
         raise InvalidStateError(f"expected a verified BriFunction, got {type(f).__name__}")
+    for channel in channels:
+        if len(channel) != f.n_inputs or not all(map(channel.has_symbol, range(f.n_inputs))):
+            raise DimensionMismatchError(
+                f"channel alphabet does not match the {f.n_inputs} function inputs"
+            )
 
 
-def _require_alphabet(channel, f):
-    if len(channel) != f.n_inputs or not all(
-        channel.has_symbol(x) for x in range(f.n_inputs)
-    ):
-        raise DimensionMismatchError(
-            f"channel alphabet does not match the {f.n_inputs} function inputs"
-        )
-
-
-def _check_m(f, m):
+def _index(f, m) -> int:
     if m not in f.regularity_set:
         raise InvalidStateError(f"{m!r} is not in the regularity set")
+    return f.regularity_set.index(m)
 
 
 def _check_m_dist(f, m_dist) -> np.ndarray:
@@ -132,55 +135,103 @@ def _check_m_dist(f, m_dist) -> np.ndarray:
     return p
 
 
-def _preimage_mixtures(f, channel, m) -> list:
-    return [mix(channel, preimage(f, s, m)) for s in range(f.n_seeds)]
+class _Table:
+    """One channel's share of the chain over a BRI function.
 
-
-def _seed_embedded_leakage(f, v, m_dist, cap=None) -> float:
-    """chi(M; S, V o f_S^{-1}) on the literal joint seed-output system.
-
-    The per-message state is the block-diagonal embedding of all seeds'
-    preimage mixtures, each weighted 1/|S|; the seed register is part of
-    the eavesdropper's system, whose dimension |S| d is checked against
-    ``cap``.
+    ``stack[i, s]`` is the preimage mixture V o f_s^{-1}(m) of the i-th
+    message m of the regularity set and ``sigma`` the average over all
+    inputs, both formed once by :func:`mix`.  Each quantity below is one
+    stacked call over them, made on first use and kept.
     """
-    k, d = f.n_seeds, v.dim
-    check_dim(k * d, cap)
-    states = {}
-    for i, m in enumerate(f.regularity_set):
-        block = np.zeros((k * d, k * d), dtype=complex)
-        for s in range(k):
-            block[s * d : (s + 1) * d, s * d : (s + 1) * d] = (
-                mix(v, preimage(f, s, m)) / k
-            )
-        states[i] = block
-    joint = CqChannel(range(len(f.regularity_set)), k * d, states, validate=False)
-    return holevo(m_dist, joint)
+
+    def __init__(self, f, channel):
+        self.f, self.channel = f, channel
+        self.stack = np.array(
+            [[mix(channel, preimage(f, s, m)) for s in range(f.n_seeds)] for m in f.regularity_set]
+        )
+        self.sigma = mix(channel, range(f.n_inputs))
+
+    @cached_property
+    def divergences(self) -> np.ndarray:
+        """E_S D(V o f_S^{-1}(m) || sigma) for every m."""
+        return op.relative_entropies(self.stack, self.sigma).mean(axis=1)
+
+    @cached_property
+    def renyi2(self) -> np.ndarray:
+        """E_S tr((V o f_S^{-1}(m))^2 sigma^+) for every m."""
+        return op.exp2_renyi2(self.stack, self.sigma).mean(axis=1)
+
+    @cached_property
+    def spectral(self):
+        """The largest output operator norm and the support rank of sigma,
+        from one ``eigvalsh`` over the outputs with sigma last."""
+        ops = [self.channel.output(x) for x in range(self.f.n_inputs)] + [self.sigma]
+        w = np.linalg.eigvalsh(op.check_hermitian(np.array(ops)))
+        return float(np.abs(w[:-1]).max()), int(op._support_mask(w[-1]).sum())
+
+    def leakage(self, p) -> float:
+        """chi(M; S, V o f_S^{-1}) = (1/|S|) sum_s chi(M; V o f_s^{-1}) for a
+        uniform seed independent of M, one Holevo quantity per seed."""
+        states = self.stack.swapaxes(0, 1)
+        return max(0.0, float(_chi(p, states, op.entropies(states)).mean()))
 
 
-def bound_leakage_by_divergence(f, v, m_dist, cap=None) -> BoundReport:
+def _worst(step, *tables):
+    """The report of ``step`` with the smallest slack over the regularity
+    set, ties resolved toward the earlier m."""
+    count = len(tables[0].f.regularity_set)
+    return min((step(*tables, i) for i in range(count)), key=lambda r: r.slack)
+
+
+def _divergence_vs_subnormalized(tv, tp, i) -> BoundReport:
+    f = tv.f
+    rhs = tp.divergences[i] + tp.channel.epsilon * math.log2(f.n_inputs / f.d_s)
+    return make_report("divergence-vs-subnormalized", tv.divergences[i], rhs)
+
+
+def _divergence_vs_renyi2(tp, i) -> BoundReport:
+    avg_exp = float(tp.renyi2[i])
+    if math.isinf(avg_exp):
+        rhs = math.inf
+    elif avg_exp <= 0.0:
+        rhs = -math.inf
+    else:
+        rhs = math.log2(avg_exp) + tp.channel.epsilon
+    return make_report("divergence-vs-renyi2", tp.divergences[i], rhs)
+
+
+def _renyi2_vs_spectrum(tp, i) -> BoundReport:
+    lhs = float(tp.renyi2[i])
+    if math.isinf(lhs):
+        # unreachable for genuine inputs: sigma dominates every preimage
+        # mixture by (d_S/|X|) r <= sigma, so a support leak is numerical;
+        # the divergence convention makes the pair vacuously certified
+        return make_report("renyi2-vs-spectrum", lhs, math.inf)
+    norm, rank = tp.spectral
+    rhs = lambda2(tp.f, tp.f.regularity_set[i]) * rank * norm + 1.0
+    return make_report("renyi2-vs-spectrum", lhs, rhs)
+
+
+def _leakage_total(tp, leak) -> BoundReport:
+    f = tp.f
+    norm, rank = tp.spectral
+    lam = max(lambda2(f, m) for m in f.regularity_set)
+    eps = tp.channel.epsilon
+    rhs = lam * rank * norm / LN2 + eps + eps * math.log2(f.n_inputs / f.d_s)
+    return make_report("leakage-total", leak, rhs)
+
+
+def bound_leakage_by_divergence(f, v, m_dist) -> BoundReport:
     """Leakage of the seeded preimage ensemble vs the worst-message
     expected divergence from the channel average.
 
-    lhs = chi(M; S, V o f_S^{-1}) computed on the explicit joint system;
+    lhs = chi(M; S, V o f_S^{-1}), taken per seed;
     rhs = max_m E_S D(V o f_s^{-1}(m) || V(X)).
     """
-    _require_bri(f)
-    _require_alphabet(v, f)
+    _require(f, v)
     p = _check_m_dist(f, m_dist)
-    lhs = _seed_embedded_leakage(f, v, p, cap)
-    v_avg = mix(v, range(f.n_inputs))
-    rhs = max(
-        float(np.mean([op.relative_entropy(r, v_avg) for r in _preimage_mixtures(f, v, m)]))
-        for m in f.regularity_set
-    )
-    return make_report("leakage-vs-divergence", lhs, rhs)
-
-
-def _require_pair(f, v, v_prime):
-    _require_bri(f)
-    _require_alphabet(v, f)
-    _require_alphabet(v_prime, f)
+    tv = _Table(f, v)
+    return make_report("leakage-vs-divergence", tv.leakage(p), tv.divergences.max())
 
 
 def bound_divergence_by_subnormalized(f, v, v_prime, m) -> BoundReport:
@@ -189,23 +240,10 @@ def bound_divergence_by_subnormalized(f, v, v_prime, m) -> BoundReport:
 
     Requires V' <= V in PSD order symbol by symbol (checked).
     """
-    _require_pair(f, v, v_prime)
-    _check_m(f, m)
+    _require(f, v, v_prime)
+    i = _index(f, m)
     check_psd_ordering(v_prime, v)
-    return _divergence_by_subnormalized(f, v, v_prime, m)
-
-
-def _divergence_by_subnormalized(f, v, v_prime, m) -> BoundReport:
-    v_avg = mix(v, range(f.n_inputs))
-    lhs = float(
-        np.mean([op.relative_entropy(r, v_avg) for r in _preimage_mixtures(f, v, m)])
-    )
-    vp_avg = mix(v_prime, range(f.n_inputs))
-    inner = np.mean(
-        [op.relative_entropy(r, vp_avg) for r in _preimage_mixtures(f, v_prime, m)]
-    )
-    rhs = float(inner) + v_prime.epsilon * math.log2(f.n_inputs / f.d_s)
-    return make_report("divergence-vs-subnormalized", lhs, rhs)
+    return _divergence_vs_subnormalized(_Table(f, v), _Table(f, v_prime), i)
 
 
 def bound_divergence_by_renyi2(f, v_prime, m) -> BoundReport:
@@ -214,95 +252,49 @@ def bound_divergence_by_renyi2(f, v_prime, m) -> BoundReport:
 
     The "+ epsilon" charge comes from a natural-log estimate and is short
     in bits, so a strictly subnormalized V' can give negative slack well
-    beyond complete mixing (see the module docstring; ROADMAP item 4).
+    beyond complete mixing (see the module docstring; ROADMAP item 6).
     """
-    _require_bri(f)
-    _require_alphabet(v_prime, f)
-    _check_m(f, m)
-    sigma = mix(v_prime, range(f.n_inputs))
-    mixtures = _preimage_mixtures(f, v_prime, m)
-    lhs = float(np.mean([op.relative_entropy(r, sigma) for r in mixtures]))
-    avg_exp = float(np.mean([op.exp2_renyi2(r, sigma) for r in mixtures]))
-    if math.isinf(avg_exp):
-        rhs = math.inf
-    elif avg_exp <= 0.0:
-        rhs = -math.inf
-    else:
-        rhs = math.log2(avg_exp) + v_prime.epsilon
-    return make_report("divergence-vs-renyi2", lhs, rhs)
+    _require(f, v_prime)
+    return _divergence_vs_renyi2(_Table(f, v_prime), _index(f, m))
 
 
 def bound_renyi2_by_spectrum(f, v_prime, m) -> BoundReport:
     """Seed-averaged tr(rho^2 sigma^+) vs lambda2 * rank * max norm + 1."""
-    _require_bri(f)
-    _require_alphabet(v_prime, f)
-    _check_m(f, m)
-    sigma = mix(v_prime, range(f.n_inputs))
-    lhs = float(
-        np.mean([op.exp2_renyi2(r, sigma) for r in _preimage_mixtures(f, v_prime, m)])
-    )
-    if math.isinf(lhs):
-        # unreachable for genuine inputs: sigma dominates every preimage
-        # mixture by (d_S/|X|) r <= sigma, so a support leak is numerical;
-        # the divergence convention makes the pair vacuously certified
-        return make_report("renyi2-vs-spectrum", lhs, math.inf)
-    norm = max(op.operator_norm(v_prime.output(x)) for x in range(f.n_inputs))
-    rhs = lambda2(f, m) * op.rank_eps(sigma) * norm + 1.0
-    return make_report("renyi2-vs-spectrum", lhs, rhs)
+    _require(f, v_prime)
+    return _renyi2_vs_spectrum(_Table(f, v_prime), _index(f, m))
 
 
-def bound_leakage_total(f, v, v_prime, m_dist, cap=None) -> BoundReport:
+def bound_leakage_total(f, v, v_prime, m_dist) -> BoundReport:
     """Leakage vs the closed-form spectral bound
 
     (1/ln 2) max_m lambda2(f,m) * rank * max norm + eps + eps log2(|X|/d_S).
     """
-    _require_pair(f, v, v_prime)
+    _require(f, v, v_prime)
     p = _check_m_dist(f, m_dist)
     check_psd_ordering(v_prime, v)
-    return _leakage_total(f, v, v_prime, p, cap)
+    return _leakage_total(_Table(f, v_prime), _Table(f, v).leakage(p))
 
 
-def _leakage_total(f, v, v_prime, p, cap=None) -> BoundReport:
-    lhs = _seed_embedded_leakage(f, v, p, cap)
-    sigma = mix(v_prime, range(f.n_inputs))
-    norm = max(op.operator_norm(v_prime.output(x)) for x in range(f.n_inputs))
-    lam = max(lambda2(f, m) for m in f.regularity_set)
-    eps = v_prime.epsilon
-    rhs = (
-        lam * op.rank_eps(sigma) * norm / LN2
-        + eps
-        + eps * math.log2(f.n_inputs / f.d_s)
-    )
-    return make_report("leakage-total", lhs, rhs)
-
-
-def certify_chain(f, v, v_prime, m_dist, cap=None) -> list:
+def certify_chain(f, v, v_prime, m_dist) -> list:
     """All five chain reports in derivation order.
 
     The three per-message steps are evaluated for every m in the
     regularity set and the worst (smallest slack) report is kept, ties
     resolved toward the earlier m.  The ordering V' <= V is checked once,
-    for all steps that need it.  ``cap`` bounds the dimension of the
-    seed-embedded joint system.
+    for all steps that need it, and every report is read off one table
+    per channel, so the eigensolves do not grow with |M| or |S|.
     """
-    _require_pair(f, v, v_prime)
+    _require(f, v, v_prime)
     p = _check_m_dist(f, m_dist)
     check_psd_ordering(v_prime, v)
-
-    def worst(fn, *args):
-        best = None
-        for m in f.regularity_set:
-            r = fn(*args, m)
-            if best is None or r.slack < best.slack:
-                best = r
-        return best
-
+    tv, tp = _Table(f, v), _Table(f, v_prime)
+    leak = tv.leakage(p)
     return [
-        bound_leakage_by_divergence(f, v, m_dist, cap),
-        worst(_divergence_by_subnormalized, f, v, v_prime),
-        worst(bound_divergence_by_renyi2, f, v_prime),
-        worst(bound_renyi2_by_spectrum, f, v_prime),
-        _leakage_total(f, v, v_prime, p, cap),
+        make_report("leakage-vs-divergence", leak, tv.divergences.max()),
+        _worst(_divergence_vs_subnormalized, tv, tp),
+        _worst(_divergence_vs_renyi2, tp),
+        _worst(_renyi2_vs_spectrum, tp),
+        _leakage_total(tp, leak),
     ]
 
 

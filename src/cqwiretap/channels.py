@@ -217,12 +217,18 @@ def mix(v, subset) -> np.ndarray:
     return out / len(subset)
 
 
+def _mixtures(p: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Mixtures ``sum_x p[..., x] states[..., x, :, :]`` for stacked states.
+
+    The reduction over the alphabet axis adds the terms in alphabet order,
+    so a distribution gets the same bits alone as inside a batch.
+    """
+    return (p[..., None, None] * states).sum(axis=-3)
+
+
 def _average_state(p: np.ndarray, v) -> np.ndarray:
-    out = np.zeros((v.dim, v.dim), dtype=complex)
-    for prob, x in zip(p, v.alphabet):
-        if prob > 0.0:
-            out += prob * v.output(x)
-    return out
+    """The average output PV, the mixture of the output stack."""
+    return _mixtures(p, np.array(v.states()))
 
 
 def holevo(p, v) -> float:
@@ -291,15 +297,6 @@ CapacityResult = namedtuple("CapacityResult", ["value", "argmax", "converged"])
 
 def _default_rng() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
-
-
-def _mixtures(p: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Mixtures ``sum_x p[..., x] states[..., x, :, :]`` for stacked states.
-
-    The reduction over the alphabet axis adds the terms in alphabet order,
-    so a distribution gets the same bits alone as inside a batch.
-    """
-    return (p[..., None, None] * states).sum(axis=-3)
 
 
 def _validated_stack(states):

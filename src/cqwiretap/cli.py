@@ -40,6 +40,9 @@ bound-chain        the five-step leakage certification chain; asserts
                    every report.  ``v_prime`` modes: identity, scale,
                    typicality (sandwich the n-letter channel between
                    typical projectors and re-index typical strings).
+                   The leakage is taken per seed, so the seed register
+                   does not count against the cap; only the typicality
+                   mode's product dimension d^n does.
 capacity           single-letter (or two-letter lifted) secrecy-rate
                    search; no asserted bound, convergence is reported.
                    ``n`` is the integer 1 or 2 and ``starts`` a
@@ -281,7 +284,7 @@ def _run_bound_chain(inputs, params, output, cap):
             f"function expects {f.n_inputs} inputs, channel provides {len(base.alphabet)}"
         )
     m_dist = _dist(params, "m_dist", len(f.regularity_set), "params.m_dist")
-    reports = bounds.certify_chain(f, base, v_prime, m_dist, cap)
+    reports = bounds.certify_chain(f, base, v_prime, m_dist)
     _write_reports(reports, output)
     ok = all(r.holds for r in reports)
     return ok, f"{sum(r.holds for r in reports)}/{len(reports)} reports hold"

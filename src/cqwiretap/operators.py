@@ -8,10 +8,11 @@ support comparisons.  All logarithms are base 2 and the convention
 
 Matrix functions go through full Hermitian eigendecompositions; at the desk
 scales this package targets (dimension <= 4096) that is the simplest route
-that stays exactly auditable.  :func:`entropies` and
-:func:`relative_entropies` take ``(..., d, d)`` stacks, validated in one
-vectorised pass and decomposed by one ``eigvalsh``/``eigh`` call;
-:func:`entropy` and :func:`relative_entropy` are their one-matrix case.
+that stays exactly auditable.  :func:`entropies`,
+:func:`relative_entropies` and :func:`exp2_renyi2` take ``(..., d, d)``
+stacks, validated in one vectorised pass and decomposed by one
+``eigvalsh``/``eigh`` call; :func:`entropy` and :func:`relative_entropy`
+are their one-matrix case.
 
 Tolerances
 ----------
@@ -296,25 +297,24 @@ def renyi_relative_entropy(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> 
     return float(np.log2(val) / (alpha - 1.0))
 
 
-def exp2_renyi2(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """``tr(rho^2 sigma^+)``, the base-2 exponential of D_2 in bits.
+def exp2_renyi2(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``tr(rho^2 sigma^+)``, the base-2 exponential of D_2 in bits, over stacks.
 
-    ``sigma^+`` is the pseudo-inverse on sigma's support.  Returns ``inf``
-    when rho leaks outside that support.  Used directly by the leakage
-    chain, where both arguments are subnormalized.
+    ``rho`` and ``sigma`` are ``(..., d, d)`` stacks whose leading axes
+    broadcast, as in :func:`relative_entropies`; a single pair is the 0-d
+    case.  ``sigma^+`` is the pseudo-inverse on sigma's support.  An entry
+    is ``inf`` when rho leaks outside that support and 0 when
+    ``tr rho <= 0``.  Used directly by the leakage chain, where both
+    arguments are subnormalized.
     """
-    rho = check_psd(_as_square(rho))
-    sigma, t, v = _spectra(_as_square(sigma), vectors=True)
+    rho = check_psd(rho)
+    sigma, t, v = _spectra(sigma, vectors=True)
     _check_shapes(rho, sigma)
-    if _trace(rho) <= 0.0:
-        return 0.0
     _, mask, leaked = _overlaps(rho, t, v)
-    if leaked:
-        return np.inf
-    tinv = np.zeros_like(t)
-    tinv[mask] = 1.0 / t[mask]
-    pinv = (v * tinv) @ v.conj().T
-    return float(np.trace(rho @ pinv @ rho).real)
+    tinv = np.where(mask, 1.0 / np.where(mask, t, 1.0), 0.0)
+    pinv = (v * tinv[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    val = np.where(leaked, np.inf, _trace(rho @ pinv @ rho))
+    return np.where(_trace(rho) <= 0.0, 0.0, val)
 
 
 def trace_norm(a: np.ndarray) -> float:

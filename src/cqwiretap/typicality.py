@@ -56,7 +56,6 @@ from .channels import (
     _checked_output,
     conditional_entropy,
     holevo,
-    mix,
     tensor_power,
 )
 from .config import STRING_CAP, TOL_ROWSUM, check_dim
@@ -665,8 +664,9 @@ def check_typical_projector(source, n, delta, p=None, cap=None):
 
 
 def _compress(v, p, n, delta, cap=None, products=None):
-    """The channel of :func:`subnormalized_channel` and the largest
-    eigenvalue over its outputs, from one pass over the typical strings.
+    """The channel of :func:`subnormalized_channel`, the largest
+    eigenvalue over its outputs and the R x R mean of the cores K_x, from
+    one pass over the typical strings.
 
     With A the D x R isometry onto the average state's typical subspace
     (columns a_t, products of its eigenvectors) and b_j the conditional
@@ -690,6 +690,7 @@ def _compress(v, p, n, delta, cap=None, products=None):
     raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
     overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
     outputs, tops = {}, []
+    core = np.zeros((len(avg_strings), len(avg_strings)), dtype=complex)
 
     def triples():
         for xn in members:
@@ -701,6 +702,7 @@ def _compress(v, p, n, delta, cap=None, products=None):
                 m *= overlaps[a][avg_strings[:, pos, None], idx[None, :, pos]]
                 w *= raw[a][idx[:, pos]]
             k, spectrum = _checked_output(xn, (m * w) @ m.conj().T)
+            np.add(core, k, out=core)
             out = iso @ k @ iso_h
             outputs[xn] = out = (out + out.conj().T) / 2.0
             tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
@@ -710,7 +712,8 @@ def _compress(v, p, n, delta, cap=None, products=None):
             yield xn, rho, out
 
     _ordering_scan(triples())
-    return CqChannel(members, dim_total, outputs, validate=False), max(tops)
+    channel = CqChannel(members, dim_total, outputs, validate=False)
+    return channel, max(tops), core / len(members)
 
 
 def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
@@ -759,7 +762,8 @@ def factor_reports(v, p, delta, ns, cap=None):
     its spectral factor bounds.  factor-norm: the largest output operator
     norm, read off the R x R spectra that validated the outputs, against
     2^(-n (S(V|P) - gamma)); factor-rank: the rank of the uniform average
-    output against 2^(n (S(PV) + beta)); factor-product: their product
+    output A K A* (the rank of the R x R mean core K, as A is an isometry)
+    against 2^(n (S(PV) + beta)); factor-product: their product
     against 2^(n (chi + beta + gamma)).  The window constants are
     ``delta * max |log2 q|``, beta over the spectrum of the average state
     PV and gamma the worst over the output spectra; they and the entropies
@@ -778,8 +782,8 @@ def factor_reports(v, p, delta, ns, cap=None):
     gamma = max(window(v.output(a)) for a in v.alphabet)
 
     def reports(n):
-        sub, norm = _compress(v, p, n, delta, cap)
-        rank = op.rank_eps(mix(sub, sub.alphabet))
+        sub, norm, core = _compress(v, p, n, delta, cap)
+        rank = op.rank_eps(core)
         return sub, [
             make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),
             make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),

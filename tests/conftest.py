@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 
-from cqwiretap import channels
+from cqwiretap import bri, channels
 from cqwiretap.channels import ClassicalChannel, CqChannel, _average_state, tensor_power
 from cqwiretap.codes import (
     CommonRandomnessCode,
@@ -120,6 +120,28 @@ def derandomize(
         decoders[mbar] = total
     encoder = ClassicalChannel(messages, rows)
     return WiretapCode(encoder, decoders, d.n_total, dim)
+
+
+def seed_embedded_leakage(f, v, m_dist) -> float:
+    """Reference oracle: chi(M; S, V o f_S^{-1}) on the literal joint system.
+
+    The state of message m is the block-diagonal embedding of every seed's
+    preimage mixture V o f_s^{-1}(m), each weighted 1/|S|, so the seed
+    register is part of the eavesdropper's |S| d-dimensional system.  It
+    forms that operator in full, so it only serves to check the per-seed
+    leakage of :mod:`cqwiretap.bounds`.
+    """
+    k, d = f.n_seeds, v.dim
+    states = {}
+    for i, m in enumerate(f.regularity_set):
+        block = np.zeros((k * d, k * d), dtype=complex)
+        for s in range(k):
+            block[s * d : (s + 1) * d, s * d : (s + 1) * d] = (
+                channels.mix(v, bri.preimage(f, s, m)) / k
+            )
+        states[i] = block
+    joint = CqChannel(range(len(f.regularity_set)), k * d, states, validate=False)
+    return channels.holevo(m_dist, joint)
 
 
 def dense_compression(v, p, n, delta):

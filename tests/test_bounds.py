@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_probability, rng
+from conftest import random_density, random_probability, rng, seed_embedded_leakage
 
-from cqwiretap import bounds, bri, channels, codes, typicality
+from cqwiretap import bounds, bri, channels, codes, serialize, typicality
 from cqwiretap import operators as op
 from cqwiretap.channels import ClassicalChannel, CqChannel, tensor_power
 from cqwiretap.errors import InvalidStateError, PsdOrderingError
@@ -509,3 +509,77 @@ class TestTotalAndChain:
         )
         with pytest.raises(PsdOrderingError):
             bounds.certify_chain(shift_bri(4), mixed, v, [0.25] * 4)
+
+
+def section_6x8() -> bri.BriFunction:
+    return serialize.bri_from_json(serialize.load_json(serialize.bundled("section_6x8.json")))
+
+
+FLIP = CqChannel((0, 1), 2, {0: np.diag([0.8, 0.2]), 1: np.diag([0.2, 0.8])})
+
+
+class TestChainTable:
+    """The chain is read off one table per channel: the seed leakage is
+    taken per seed, and the eigensolves do not grow with |M| or |S|."""
+
+    def pairs(self):
+        # (function, V, V', message distribution)
+        g = rng(55)
+        f = section_6x8()
+        v = qubit_channel(g, 8)
+        k = len(f.regularity_set)
+        out = [
+            (f, v, v, random_probability(g, k)),
+            (f, v, v.scaled(0.9), random_probability(g, k)),
+        ]
+        base, prime = typicality.reindexed_pair(FLIP, (0.6, 0.4), 2, 0.5)
+        out.append((shift_bri(2), base, prime, [0.3, 0.7]))
+        # rank-one outputs in a qutrit: every preimage mixture is rank deficient
+        pure = CqChannel(range(4), 3, {x: random_density(g, 3, rank=1) for x in range(4)})
+        out.append((shift_bri(4), pure, pure.scaled(0.9), random_probability(g, 4)))
+        return out
+
+    def test_per_seed_leakage_matches_the_embedded_oracle(self):
+        for f, v, vp, m_dist in self.pairs():
+            want = seed_embedded_leakage(f, v, m_dist)
+            reports = bounds.certify_chain(f, v, vp, m_dist)
+            assert reports[0].lhs == pytest.approx(want, abs=1e-12)
+            assert reports[4].lhs == reports[0].lhs
+            r = bounds.bound_leakage_by_divergence(f, v, m_dist)
+            assert r.lhs == reports[0].lhs
+
+    def test_step_functions_agree_with_the_chain(self):
+        for f, v, vp, m_dist in self.pairs():
+            reports = bounds.certify_chain(f, v, vp, m_dist)
+            steps = [
+                lambda m: bounds.bound_divergence_by_subnormalized(f, v, vp, m),
+                lambda m: bounds.bound_divergence_by_renyi2(f, vp, m),
+                lambda m: bounds.bound_renyi2_by_spectrum(f, vp, m),
+            ]
+            for report, step in zip(reports[1:4], steps):
+                worst = min((step(m) for m in f.regularity_set), key=lambda r: r.slack)
+                assert report == worst
+            assert reports[0] == bounds.bound_leakage_by_divergence(f, v, m_dist)
+            assert reports[4] == bounds.bound_leakage_total(f, v, vp, m_dist)
+
+    def test_eigensolves_do_not_grow_with_messages_or_seeds(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, _real=real: calls.append(a.shape) or _real(a)
+            )
+        g = rng(56)
+        counts = []
+        for f in (shift_bri(2), shift_bri(4), section_6x8()):
+            v = qubit_channel(g, f.n_inputs)
+            vp, k = v.scaled(0.9), len(f.regularity_set)
+            calls.clear()
+            bounds.certify_chain(f, v, vp, [1.0 / k] * k)
+            # one 2 x 2 eigensolve per symbol for the ordering V' <= V
+            assert calls[: f.n_inputs] == [(2, 2)] * f.n_inputs
+            counts.append(len(calls) - f.n_inputs)
+        # V: the leakage's entropies and averages, and one relative-entropy
+        # call (stack, sigma); V': one relative-entropy call and one
+        # exp2_renyi2 call (stack, sigma each), and the norm/rank eigvalsh
+        assert counts == [9, 9, 9]

@@ -328,11 +328,16 @@ class TestBoundChain:
         )
         assert main(["bound-chain", spec]) == 3
 
-    def test_seed_embedded_operator_capped(self, ws):
-        # the joint seed-output system has dimension |S| * d = 6 * 2 = 12
+    def test_cap_bounds_the_product_not_the_seed_register(self, ws):
+        # the leakage is taken per seed, so no |S| * d = 6 * 2 = 12 operator
+        # is formed and a cap below 12 leaves the qubit chain running
         spec = self.section_spec(ws, {"mode": "identity"})
-        assert main(["bound-chain", spec, "--cap", "12"]) == 0
-        assert main(["bound-chain", spec, "--cap", "8"]) == 5
+        assert main(["bound-chain", spec, "--cap", "8"]) == 0
+        # the typicality mode still builds the d^n = 4 product channel
+        v_prime = {"mode": "typicality", "p": [0.6, 0.4], "n": 2, "delta": 0.5}
+        spec = self.setup_spec(ws, v_prime)
+        assert main(["bound-chain", spec, "--cap", "4"]) == 0
+        assert main(["bound-chain", spec, "--cap", "3"]) == 5
 
 
 class TestCapacity:

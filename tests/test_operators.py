@@ -299,6 +299,27 @@ class TestRenyiRelativeEntropy:
             expected = np.trace(rho @ rho @ np.linalg.inv(sigma)).real
             assert_allclose(op.exp2_renyi2(rho, sigma), expected, rtol=1e-9)
 
+    def test_exp2_renyi2_stack_matches_single_pairs(self):
+        # bit-equal entries, including a leaked rho (inf) and a zero one (0)
+        g = rng(57)
+        u = random_unitary(g, 3)
+        sigma = u @ np.diag([0.7, 0.3, 0.0]).astype(complex) @ u.conj().T
+        inside = u[:, :2] @ random_density(g, 2) @ u[:, :2].conj().T
+        outside = np.outer(u[:, 2], u[:, 2].conj())
+        rho = np.array([inside, random_density(g, 3), 0.5 * inside, outside, np.zeros((3, 3))])
+        stacked = op.exp2_renyi2(rho, sigma)
+        single = np.array([op.exp2_renyi2(r, sigma) for r in rho])
+        assert stacked.shape == (5,)
+        assert np.array_equal(stacked, single)
+        assert np.isinf(stacked[1]) and np.isinf(stacked[3]) and stacked[4] == 0.0
+        assert np.isfinite(stacked[0]) and stacked[2] == pytest.approx(0.25 * stacked[0])
+        # leading axes broadcast like relative_entropies: one sigma per row
+        sigmas = np.array([sigma, random_density(g, 3)])[:, None]
+        grid = op.exp2_renyi2(rho[None], sigmas)
+        assert grid.shape == (2, 5)
+        assert np.array_equal(grid[0], stacked)
+        assert np.array_equal(grid[1], [op.exp2_renyi2(r, sigmas[1, 0]) for r in rho])
+
     def test_exp2_renyi2_consistent_with_renyi2(self):
         g = rng(19)
         rho, sigma = random_density(g, 4), random_density(g, 4)
