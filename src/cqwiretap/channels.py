@@ -20,8 +20,9 @@ uniform distribution.  The capacity search draws its random starts from a
 caller-supplied ``numpy.random.Generator`` (by default Philox with a fixed
 seed), so repeated calls reproduce each other exactly.  Its starts ascend
 in lockstep as one ``(N, k)`` batch, each row with its own step length;
-a row that stops leaves the batch through a live mask, so each step is
-one ``eigh`` and one ``eigvalsh`` per channel over the live rows.  Every
+a row that stops leaves the batch through a live mask, and a row keeps
+its gradient until it moves, so each step is one ``eigvalsh`` per channel
+over the live rows and at most one ``eigh`` over those that moved.  Every
 row follows the iterates it would follow alone, and restart reduction is
 by best value with ties to the lowest restart index, then the grid rule.
 """
@@ -457,9 +458,11 @@ def capacity_single_letter(
 
     All starts ascend in lockstep as one ``(N, k)`` batch, each row with
     its own step length and stall count; a row that stops leaves the batch
-    through a live mask, so every step is one ``eigh`` (gradient) and one
-    ``eigvalsh`` (objective) per channel over the live rows.  Each row
-    follows the same iterates as an ascent of its own.  The result is the
+    through a live mask, so every step is at most one ``eigh`` (gradient)
+    and one ``eigvalsh`` (objective) per channel.  The objective covers the
+    live rows; the gradient only the live rows that moved on the last step,
+    as a row keeps its gradient while its trial steps are rejected.  Each
+    row follows the same iterates as an ascent of its own.  The result is the
     best start's value, ties to the lowest restart index, unless the grid
     row's ascent or the grid point itself is better (the ascent when it is
     at least the grid value).  The output states are validated once here,
@@ -491,14 +494,22 @@ def capacity_single_letter(
         step = np.full(len(p), 0.25)
         stall = np.zeros(len(p), dtype=int)
         live = np.ones(len(p), dtype=bool)
+        # a row keeps its gradient until it moves
+        grad = np.empty_like(p)
+        stale = np.ones(len(p), dtype=bool)
         for _ in range(max_iters):
             rows = np.flatnonzero(live)
             if not rows.size:
                 break
-            trial = _project_simplex(p[rows] + step[rows, None] * gradients(p[rows]))
+            moved = rows[stale[rows]]
+            if moved.size:
+                grad[moved] = gradients(p[moved])
+                stale[moved] = False
+            trial = _project_simplex(p[rows] + step[rows, None] * grad[rows])
             trial_val = objectives(trial)
             up = trial_val > val[rows] + 1e-15
             p[rows[up]], val[rows[up]] = trial[up], trial_val[up]
+            stale[rows[up]] = True
             step[rows] *= np.where(up, 1.2, 0.5)
             stall[rows] = np.where(up, 0, stall[rows] + 1)
             live[rows] = up | ((step[rows] >= 1e-13) & (stall[rows] <= 40))

@@ -33,13 +33,17 @@ eigenbases, their d x d overlaps with the average eigenbasis and the
 d^n x R isometry A onto the subspace are taken once per call; per string,
 the compressed output is A K A* with an R x R matrix K built from those
 overlaps, validated by one R x R eigensolve (that spectrum also gives the
-factor-norm).  The product output is built by one Kronecker chain and
-decomposed once at dimension d^n, for the ordering V' <= V.  Then it is
-dropped, so no stack of |T| product outputs and no d^n x d^n projector is
-ever held.  The te7 trace against the average-state projector is read off
-the product structure without building either.  The product columns of
-every projector are built together, one broadcast step per letter
-position.
+factor-norm).  The ordering V' <= V^n is decided at the same rank: a
+screen built from the same overlaps bounds the largest eigenvalue of V'
+relative to V^n, with a rounding allowance computed from the data, and
+certifies the string without forming V^n(x).  Only a string the screen
+cannot certify (a violation, a near-boundary case or a singular output)
+has its product output built by one Kronecker chain and decomposed once
+at dimension d^n, by the dense rule that alone reports a violation.  No
+stack of |T| product outputs and no d^n x d^n projector is ever held.
+The te7 trace against the average-state projector is read off the
+product structure without building either.  The product columns of every
+projector are built together, one broadcast step per letter position.
 """
 
 import itertools
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .bounds import _ordering_scan, make_report
+from .bounds import ORDERING_TOL, _ordering_scan, make_report
 from .channels import (
     CqChannel,
     _average_state,
@@ -663,6 +667,98 @@ def check_typical_projector(source, n, delta, p=None, cap=None):
     return _unconditional_reports(source, n, delta)
 
 
+def _ordering_screen(v, basis, avg_strings, raw, bases, overlaps):
+    """A test ``certified(xn, m, w)`` that proves, at the typical rank,
+    that V^n(x) - V'(x) has no eigenvalue below -ORDERING_TOL / 2, or
+    returns False; see :func:`_compress`.
+
+    The d x d factors of every symbol are taken here, once per call.  A
+    symbol with a nonpositive raw eigenvalue has none, and every string
+    containing it goes to the dense check, unless V'(x) = 0 and no raw
+    eigenvalue of its letters is negative.
+    """
+    u = np.finfo(float).eps / 2  # unit roundoff
+    d = basis.shape[0]
+    n = avg_strings.shape[1]
+    pairs = [avg_strings[:, i, None] * d + avg_strings[None, :, i] for i in range(n)]
+    basis_abs = np.abs(basis)
+    # |A|*|A| over the typical columns: ||(|A| X |A|*)|| is at most the
+    # largest row sum of X |A|*|A| for entrywise nonnegative X
+    overlap_abs = (basis_abs.T @ basis_abs).ravel()
+    gram_abs = np.ones((len(avg_strings), len(avg_strings)))
+    for pair in pairs:
+        gram_abs *= overlap_abs[pair]
+    gram_rows = gram_abs.sum(axis=1)
+    psd = {a for a in v.alphabet if raw[a].min() >= 0.0}
+    factors = {}
+    for a in v.alphabet:
+        lam, e, f = raw[a], bases[a], overlaps[a]
+        if not lam.min() > 0.0:
+            continue
+        inv = 1.0 / lam
+        e_abs, f_abs = np.abs(e), np.abs(f)
+        # entrywise error of the computed overlaps basis* E
+        err = 3 * (d + 1) * u * (basis_abs.T @ e_abs)
+        h = (f_abs * inv) @ f_abs.T
+        # entrywise bound on (overlaps +- err) lam^{-1} (...)* - overlaps lam^{-1} overlaps*
+        cross = (err * inv) @ f_abs.T
+        dh = cross + cross.T + (err * inv) @ err.T
+        # E*E - I, plus the rounding of E*E
+        defect = np.abs(e.conj().T @ e - np.eye(d)) + 3 * (d + 1) * u * (e_abs.T @ e_abs)
+        skew = np.linalg.norm(defect * np.sqrt(lam[None, :] * inv[:, None]))
+        out = v.output(a)
+        resid = np.linalg.norm(out - (e * lam) @ e.conj().T) + 3 * (d + 2) * u * np.linalg.norm(
+            np.abs(out) + (e_abs * lam) @ e_abs.T
+        )
+        factors[a] = (
+            ((f * inv) @ f.conj().T).ravel(),
+            h.ravel(),
+            dh.ravel(),
+            1.0 / (1.0 - skew) if skew < 0.5 else np.inf,
+            (1.0 + np.linalg.norm(defect)) * lam.max(),
+            resid,
+            np.linalg.norm(out),
+        )
+
+    def certified(xn, m, w):
+        r, j = m.shape
+        if not r or not j:
+            return psd.issuperset(xn)
+        if any(a not in factors for a in xn):
+            return False
+        g = np.ones((r, r), dtype=complex)
+        h = np.ones((r, r))
+        dg = np.zeros((r, r))
+        omega = norm = size = 1.0
+        drift = 0.0
+        for a, pair in zip(xn, pairs):
+            g_a, h_a, dh_a, omega_a, norm_a, resid_a, size_a = factors[a]
+            g *= g_a[pair]
+            h_a, dh_a = h_a[pair], dh_a[pair]
+            # telescoping: |G - G built from the exact overlaps| <= dg
+            dg = dg * (h_a + dh_a) + h * dh_a
+            h *= h_a
+            omega *= omega_a
+            # telescoping: ||V^n(x) - (x)_i E diag(lam) E*|| <= drift
+            drift = drift * (norm_a + resid_a) + norm * resid_a
+            norm *= norm_a
+            size *= size_a
+        root = np.sqrt(w)
+        b, b_abs = m * root, np.abs(m) * root
+        s = b.conj().T @ (g @ b)
+        top = float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[-1])
+        rel = 1.1 * u * (n * (3 * d + 8) + 6 * r + 10 * j + 8)
+        ones = b_abs.sum(axis=1)
+        spread = float((b_abs.T @ (1.1 * dg @ ones + rel * (h + dg) @ ones)).max())
+        excess = omega**2 * (top + spread) - 1.0
+        m_abs = np.abs(m)
+        out_size = float((m_abs @ (w * (m_abs.T @ gram_rows))).max())
+        drift += 3 * n * u * size + 1.1 * u * (3 * j + 6 * r + 6 * n + 8) * out_size
+        return max(excess, 0.0) * norm + drift <= ORDERING_TOL / 2
+
+    return certified
+
+
 def _compress(v, p, n, delta, cap=None, products=None):
     """The channel of :func:`subnormalized_channel`, the largest
     eigenvalue over its outputs and the R x R mean of the cores K_x, from
@@ -677,9 +773,59 @@ def _compress(v, p, n, delta, cap=None, products=None):
     dimension D = d^n.  The symbol eigenbases, their overlaps with the
     average eigenbasis and A are taken once.  Per string, the R x R K_x is
     validated by one eigensolve that also gives the nonzero spectrum of
-    V'(x); V^n(x) is built once by a Kronecker chain, and V'(x) <= V^n(x)
-    is checked by one eigensolve at dimension D.  Then V^n(x) is dropped,
-    unless ``products`` is a dict, which keeps it under its string.
+    V'(x).
+
+    The ordering V'(x) <= V^n(x) is first screened at rank R.  Write
+    V(a) ~ E_a diag(lam_a) E_a* for the symbol decompositions,
+    Q = (x)_i E_{x_i}, Lam the d^n raw product eigenvalues and
+    V~ = Q diag(Lam) Q*, and let F[t, k] = prod_i <a_{t_i}|e^{x_i}_{k_i}>
+    over all d^n strings k (so F* = Q* A).  With B = M diag(sqrt w) and
+    C = diag(Lam^{-1/2}) F* B, V' <= (1 + tau) V~ holds exactly when
+    lambda_max(C* C) <= 1 + tau.  C* C = B* G B is J x J, and
+    G = F diag(1/Lam) F* is an R x R matrix of products
+    G[t, t'] = prod_i <a_{t_i}|E lam^{-1} E*|a_{t'_i}> of d x d entries, so
+    neither C nor V^n(x) is formed.  With tol = ORDERING_TOL, a string is
+    accepted when
+
+        max(0, Omega^2 (lambda_max + slack) - 1) * ||V~|| + drift <= tol / 2,
+
+    with lambda_max the computed top eigenvalue of B* G B.  Then
+    V^n - V' >= -max(0, tau) ||V~|| - ||V^n - V~|| - (rounding of either
+    side) >= -tol / 2, so the dense rule could not have failed.  Every term
+    of the allowance is computed from the data:
+
+    * ``slack`` bounds ||B* G B - C_ex* C_ex||, where C_ex is built from the
+      exact overlaps of the stored eigenvectors, by the largest row sum of
+      |B|* (D + rel (H + D)) |B|.  H is G built from |overlaps| (so it
+      dominates |G| entrywise), D bounds the error of G caused by the
+      rounded overlaps (their entrywise error is at most
+      3 (d + 1) u |basis|* |E_a|, with u the unit roundoff, and D follows
+      by the same telescoping product as G), and ``rel`` counts the
+      roundings of each entry of G, of the two matrix products and of the
+      eigensolve, from d, n, R and J.
+    * Omega = prod_i 1 / (1 - ||lam^{-1/2} (E*E - I) lam^{1/2}||) covers E_a
+      not being exactly unitary: then Q^{-1} = (Q* Q)^{-1} Q*, and
+      Lam^{-1/2} (Q* Q)^{-1} Lam^{1/2} is a Kronecker product of d x d
+      factors, each of norm at most that ratio.
+    * drift bounds ||V^n - V~|| by a telescoping product of the d x d
+      residuals ||V(a) - E_a diag(lam_a) E_a*|| (each plus the rounding of
+      its terms) and the norms ||E_a diag(lam_a) E_a*|| <= (1 + ||E*E - I||)
+      max lam_a.  It adds the rounding of the Kronecker chain of V^n(x) and
+      of A K A*, the latter bounded through |A|* |A| and |M| diag(w) |M|*.
+
+    The margin tol / 2 leaves room for the rounding of the dense
+    eigensolve itself.  V' = 0 (R = 0 or J = 0) is accepted outright when
+    no letter has a negative raw eigenvalue, as V^n(x) is then a product of
+    positive semidefinite factors.  Any other string with a nonpositive
+    raw eigenvalue in a letter (a singular output), or one the bound cannot
+    certify (a violation or a near-boundary case), goes to the dense check
+    of ``_ordering_scan``:
+    V^n(x) is built by one Kronecker chain and decomposed once at
+    dimension D, so the dense rule alone decides a failure and its
+    :class:`PsdOrderingError` payload (a certified string's difference has
+    no eigenvalue below -tol / 2, so it never is the worst).  V^n(x) is
+    then dropped, unless ``products`` is a dict, which keeps it, screened
+    or not, under its string.
     """
     n, delta = _validate_block(n, delta)
     p, dim_total, members = _typical_inputs(v, p, n, delta, cap)
@@ -689,6 +835,7 @@ def _compress(v, p, n, delta, cap=None, products=None):
     vn = tensor_power(v, n, cap)
     raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
     overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
+    certified = _ordering_screen(v, basis, avg_strings, raw, bases, overlaps)
     outputs, tops = {}, []
     core = np.zeros((len(avg_strings), len(avg_strings)), dtype=complex)
 
@@ -706,10 +853,14 @@ def _compress(v, p, n, delta, cap=None, products=None):
             out = iso @ k @ iso_h
             outputs[xn] = out = (out + out.conj().T) / 2.0
             tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
+            screened = certified(xn, m, w)
+            if screened and products is None:
+                continue
             rho = vn.output(xn)
             if products is not None:
                 products[xn] = rho
-            yield xn, rho, out
+            if not screened:
+                yield xn, rho, out
 
     _ordering_scan(triples())
     channel = CqChannel(members, dim_total, outputs, validate=False)
@@ -725,8 +876,10 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     epsilon.  Domination by the product channel is verified on every
     output; a violation raises :class:`PsdOrderingError`.  The strings are
     streamed: each compressed output is validated by one eigensolve at the
-    rank R of the average-state projector, and each product output is
-    built once and dropped after its one d^n eigensolve (the ordering).
+    rank R of the average-state projector, and its ordering is certified at
+    that rank by the screen of :func:`_compress`.  A product output is built
+    (and decomposed once at d^n) only for a string the screen cannot
+    certify, so an instance the screen covers makes no d^n eigensolve.
     ``cap`` bounds the dimension d^n.
     """
     return _compress(v, p, n, delta, cap)[0]
@@ -738,7 +891,11 @@ def reindexed_pair(v, p, n, delta, cap=None):
     V' is :func:`subnormalized_channel` and V the n-letter product channel
     on the same typical strings, kept from the same pass.  Both are
     re-indexed 0..|T|-1 in string order, so a function with |X| = |T|
-    inputs applies.  ``cap`` bounds the dimension d^n.
+    inputs applies.  Every product output is built once, for the chain,
+    but only those the ordering screen cannot certify are decomposed
+    here; the chain's own :func:`~cqwiretap.bounds.check_psd_ordering`
+    is then the one dense ordering check of the pair.  ``cap`` bounds the
+    dimension d^n.
     """
     products = {}
     sub = _compress(v, p, n, delta, cap, products)[0]

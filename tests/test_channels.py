@@ -563,7 +563,8 @@ class TestOptimizerInputs:
 
     def test_capacity_one_eigh_per_channel_per_step(self, monkeypatch):
         # uniform start, 16 random starts and the grid point ascend as one
-        # (18, 1) batch of averages that only shrinks as rows stop
+        # (18, 1) batch of averages; after the first step a batch holds only
+        # the rows that moved, with one eigh per channel for the step
         w, v = random_pair(56, 3)
         shapes = []
         real = np.linalg.eigh
@@ -575,8 +576,33 @@ class TestOptimizerInputs:
         assert shapes[0] == (18, 1)
         assert all(s[1:] == (1,) for s in shapes)
         batch = [s[0] for s in shapes]
-        assert batch == sorted(batch, reverse=True)
+        assert batch[::2] == batch[1::2]
+        assert max(batch) == 18
         assert len(shapes) <= 2 * 400
+
+    def test_capacity_gradient_once_per_point(self, monkeypatch):
+        # a row keeps its gradient while its trial steps are rejected, so
+        # no row's gradient is taken twice at the same point
+        w, v = random_pair(56, 3)
+        rows, steps = [], []
+        real_gradient = channels._chi_gradient
+        real_project = channels._project_simplex
+
+        def gradient(p, states, ent):
+            rows.extend(map(bytes, p))
+            return real_gradient(p, states, ent)
+
+        monkeypatch.setattr(channels, "_chi_gradient", gradient)
+        monkeypatch.setattr(
+            channels, "_project_simplex", lambda y: steps.append(len(y)) or real_project(y)
+        )
+        res = capacity_single_letter(w, v, rng=rng(1), starts=16, max_iters=400)
+        assert res.converged
+        # the two channels are evaluated at the same points
+        per_channel = len(rows) // 2
+        assert len(set(rows)) == per_channel
+        # far fewer gradient rows than live rows stepped
+        assert 18 <= per_channel < sum(steps) / 2
 
     def test_unconverged_searches_warn(self):
         g = rng(54)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from cqwiretap import channels, typicality
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 
@@ -26,3 +28,24 @@ def test_golden_output(name, tmp_path):
     assert report == (GOLDEN / f"{name}.expected.json").read_bytes()
     expected_csv = GOLDEN / f"{name}.expected.csv"
     assert csv == (expected_csv.read_bytes() if expected_csv.exists() else None)
+
+
+@pytest.mark.parametrize(
+    "name", ["typicality-report", "typicality-report-clock", "typicality-report-qutrit"]
+)
+def test_typicality_reports_certify_the_ordering_at_rank_r(name, tmp_path, monkeypatch):
+    # the ordering screen certifies every string of these specs: no product
+    # output is built and the dense scan receives no triple
+    monkeypatch.setattr(
+        channels.ProductChannel, "output", lambda *a: pytest.fail("product output built")
+    )
+    real_scan = typicality._ordering_scan
+
+    def scan(triples):
+        return real_scan(pytest.fail(f"dense check of {t[0]}") for t in triples)
+
+    monkeypatch.setattr(typicality, "_ordering_scan", scan)
+    code, report, csv = run_case(name, tmp_path)
+    assert code == EXITS[name] == 0
+    assert report == (GOLDEN / f"{name}.expected.json").read_bytes()
+    assert csv == (GOLDEN / f"{name}.expected.csv").read_bytes()

@@ -9,6 +9,7 @@ a hand count of admissible letter frequencies.
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conftest import dense_compression, random_density, random_unitary, rng
 
 from cqwiretap import channels, serialize, typicality
 from cqwiretap import operators as op
+from cqwiretap.bounds import ORDERING_TOL
 from cqwiretap.channels import CqChannel, conditional_entropy, holevo, mix, tensor_power
 from cqwiretap.errors import (
     DimensionMismatchError,
@@ -804,11 +806,13 @@ class TestDenseOracle:
 
 
 class TestStreamingCompression:
-    """Per typical string: one product output, one d^n eigensolve (the
-    ordering V' <= V) and one R x R eigensolve (validation and spectrum of
-    the compressed output), and no projector at dimension d^n.  Flip
+    """Per typical string: one R x R eigensolve (validation and spectrum of
+    the compressed output), the ordering V' <= V decided at rank R by the
+    screen, and no product output, d^n eigensolve or d^n projector.  Flip
     channel, p (0.6, 0.4), n 3, delta 0.5: R = 6 of d^n = 8, so the counts
-    tell the R x R validation apart from a d^n one."""
+    tell the R x R validation apart from a d^n one; every conditional
+    window holds one string (J = 1), so the screen's J x J solves are
+    (1, 1)."""
 
     P, N, DELTA = (0.6, 0.4), 3, 0.5
 
@@ -830,32 +834,54 @@ class TestStreamingCompression:
         )
         return calls
 
-    def test_two_eigensolves_and_one_product_per_string(self, monkeypatch):
+    def test_no_product_and_no_dn_eigensolve(self, monkeypatch):
         calls = self.count(monkeypatch)
         sub = subnormalized_channel(flip_channel(), self.P, self.N, self.DELTA)
         assert len(sub) == 3
-        assert calls.count((8, 8)) == len(sub)
+        assert calls.count((8, 8)) == 0
         assert calls.count((6, 6)) == len(sub)
-        assert calls.count("product") == len(sub)
+        assert calls.count((1, 1)) == len(sub)
+        assert "product" not in calls
 
     def test_factor_reports_reuse_the_spectra(self, monkeypatch):
         calls = self.count(monkeypatch)
         monkeypatch.setattr(op, "operator_norm", lambda a: pytest.fail("operator_norm called"))
         (sub, reports), = factor_reports(flip_channel(), self.P, self.DELTA, [self.N])
-        # the ordering at d^n, and at R the validations plus the rank of the
-        # mean core: no d^n eigensolve of the average output
-        assert calls.count((8, 8)) == len(sub)
+        # at R the validations plus the rank of the mean core: no d^n
+        # eigensolve, neither for the ordering nor for the average output
+        assert calls.count((8, 8)) == 0
         assert calls.count((6, 6)) == len(sub) + 1
-        assert calls.count("product") == len(sub)
+        assert "product" not in calls
         assert reports[0].lhs == pytest.approx(0.8**3, abs=1e-12)
 
     def test_reindexed_pair_builds_each_product_once(self, monkeypatch):
         calls = self.count(monkeypatch)
         base, prime = reindexed_pair(flip_channel(), self.P, self.N, self.DELTA)
+        # the products are built for the chain, and none is decomposed here:
+        # the chain's own ordering check is the one dense check of the pair
         assert calls.count("product") == len(base) == len(prime) == 3
-        # validation and ordering only: the product outputs are not validated again
-        assert calls.count((8, 8)) == len(base)
+        assert calls.count((8, 8)) == 0
         assert calls.count((6, 6)) == len(base)
+
+    def test_violation_reaches_the_dense_eigensolves(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        scanned = []
+        real_scan = typicality._ordering_scan
+
+        def scan(triples):
+            def recorded():
+                for triple in triples:
+                    scanned.append(triple[0])
+                    yield triple
+
+            return real_scan(recorded())
+
+        monkeypatch.setattr(typicality, "_ordering_scan", scan)
+        with pytest.raises(PsdOrderingError):
+            subnormalized_channel(rotated_channel(rng(51)), (0.55, 0.45), self.N, 0.5)
+        # each string the screen leaves is built once and solved once at d^n
+        assert scanned
+        assert calls.count("product") == calls.count((8, 8)) == len(scanned)
 
     def test_conditional_reports_build_no_product(self, monkeypatch):
         calls = self.count(monkeypatch)
@@ -863,6 +889,130 @@ class TestStreamingCompression:
         assert reports[-1].name == "te7-trace"
         assert "product" not in calls
         assert (8, 8) not in calls
+
+
+def dense_minima(v, p, n, delta):
+    """Per typical string, the smallest eigenvalue of V^n(x) - V'(x) with
+    V' from the dense-sandwich oracle."""
+    dense, _ = dense_compression(v, p, n, delta)
+    vn = tensor_power(v, n)
+    return {xn: np.linalg.eigvalsh(vn.output(xn) - out)[0] for xn, out in dense.items()}
+
+
+def screened_compression(v, p, n, delta):
+    """``subnormalized_channel`` with the strings its ordering screen
+    certified; returns (min_eigenvalue or None, certified strings)."""
+    certified = []
+    real = typicality._ordering_screen
+
+    def spy(*args):
+        test = real(*args)
+
+        def recorded(xn, m, w):
+            ok = test(xn, m, w)
+            if ok:
+                certified.append(xn)
+            return ok
+
+        return recorded
+
+    with mock.patch.object(typicality, "_ordering_screen", spy):
+        try:
+            subnormalized_channel(v, p, n, delta)
+        except PsdOrderingError as exc:
+            return exc.min_eigenvalue, certified
+    return None, certified
+
+
+def near_commuting_channel(g, d, k, theta):
+    """Commuting outputs in a random frame, each turned by its own small
+    rotation exp(i theta H) with a random Hermitian H."""
+    frame = random_unitary(g, d)
+    outputs = {}
+    for x in range(k):
+        h = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+        vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+        turn = frame @ (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
+        rho = turn @ np.diag(g.dirichlet(np.ones(d))) @ turn.conj().T
+        outputs[x] = (rho + rho.conj().T) / 2
+    return CqChannel(tuple(range(k)), d, outputs)
+
+
+def theta_channel(theta):
+    """V(0) = diag(0.9, 0.1) and V(1) the same state rotated by theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    turn = np.array([[c, -s], [s, c]], dtype=complex)
+    first = np.diag([0.9, 0.1]).astype(complex)
+    return CqChannel((0, 1), 2, {0: first, 1: turn @ first @ turn.T})
+
+
+class TestOrderingScreen:
+    """The rank-R screen of the ordering V' <= V^n against the dense rule:
+    the same decision and payload, and no certified string whose dense
+    difference falls below -ORDERING_TOL."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        kind=st.sampled_from(["commuting", "generic", "near"]),
+        log_theta=st.floats(-6.0, -1.0),
+        k=st.sampled_from([2, 3]),
+        n=st.integers(2, 4),
+        delta=st.sampled_from([0.3, 0.5, 1.0, 2.0]),
+    )
+    def test_matches_dense_rule(self, seed, d, kind, log_theta, k, n, delta):
+        g = rng(seed)
+        if d == 3:
+            n = min(n, 3)
+        if kind == "generic":
+            v = CqChannel(tuple(range(k)), d, {x: random_density(g, d) for x in range(k)})
+        else:
+            v = near_commuting_channel(g, d, k, 0.0 if kind == "commuting" else 10**log_theta)
+        p = g.dirichlet(np.ones(k))
+        try:
+            minima = dense_minima(v, p, n, delta)
+        except (InvalidStateError, ValueError):
+            return  # empty typical set
+        worst = min(minima.values())
+        got, certified = screened_compression(v, p, n, delta)
+        assert (got is not None) == (worst < -ORDERING_TOL)
+        if got is not None:
+            assert abs(got - worst) <= 1e-13
+        assert all(minima[xn] >= -ORDERING_TOL for xn in certified)
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.01, 0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("n, delta", [(2, 0.5), (4, 0.5), (6, 0.5), (6, 0.3)])
+    def test_rotated_sweep_still_raises(self, theta, n, delta):
+        # the rotated pairs that today's construction cannot certify: the
+        # dense rule still raises, with its own minimum eigenvalue
+        v, p = theta_channel(theta), (0.75, 0.25)
+        worst = min(dense_minima(v, p, n, delta).values())
+        got, _ = screened_compression(v, p, n, delta)
+        assert worst < -ORDERING_TOL
+        assert got == pytest.approx(worst, abs=1e-13)
+
+    def test_zero_outputs_certified_without_products(self, monkeypatch):
+        # empty-conditional: every V'(x) = 0
+        monkeypatch.setattr(
+            channels.ProductChannel, "output", lambda *a: pytest.fail("product built")
+        )
+        _, certified = screened_compression(flip_channel(), (0.75, 0.25), 4, 0.2)
+        assert len(certified) == 4
+
+    def test_singular_outputs_take_the_dense_path(self):
+        pure = np.zeros((2, 2), dtype=complex)
+        pure[0, 0] = 1.0
+        v = CqChannel((0, 1), 2, {0: pure, 1: pure})
+        got, certified = screened_compression(v, (0.7, 0.3), 2, 0.5)
+        assert got is None and not certified
+
+    def test_near_pure_flip_passes(self):
+        v, p, n, delta = flip_channel(1.0 - 1e-13), (0.6, 0.4), 3, 0.5
+        minima = dense_minima(v, p, n, delta)
+        got, _ = screened_compression(v, p, n, delta)
+        assert got is None
+        assert min(minima.values()) >= -ORDERING_TOL
 
 
 class TestChainPair:
