@@ -43,7 +43,7 @@ import numpy as np
 
 from . import operators as op
 from .bri import BriFunction, lambda2, preimage
-from .channels import ClassicalChannel, _chi, compose, mix, tensor_power
+from .channels import ClassicalChannel, _chi, _validated_stack, compose, mix, tensor_power
 from .codes import TransmissionCode, WiretapCode
 from .config import TOL_BOUND, TOL_ROWSUM
 from .errors import DimensionMismatchError, InvalidStateError, PsdOrderingError
@@ -172,8 +172,8 @@ class _Table:
     def leakage(self, p) -> float:
         """chi(M; S, V o f_S^{-1}) = (1/|S|) sum_s chi(M; V o f_s^{-1}) for a
         uniform seed independent of M, one Holevo quantity per seed."""
-        states = self.stack.swapaxes(0, 1)
-        return max(0.0, float(_chi(p, states, op.entropies(states)).mean()))
+        states, ent = _validated_stack(self.stack.swapaxes(0, 1))
+        return max(0.0, float(_chi(p, states, ent).mean()))
 
 
 def _worst(step, *tables):

@@ -11,9 +11,11 @@ objective.
 
 Both optimizers stack their output states as one ``(..., k, d, d)`` array,
 validate it once on entry, and evaluate objectives and analytic gradients
-with one eigensolve of the average states per call (see
-:func:`cqwiretap.operators.entropies` and
-:func:`cqwiretap.operators.relative_entropies`).
+with one eigensolve of the average states per call.  The steps call the
+unchecked entropy and divergence cores of :mod:`cqwiretap.operators`
+directly, so the only check left per step is the eigenvalue floor; the
+values are those of :func:`cqwiretap.operators.entropies` and
+:func:`cqwiretap.operators.relative_entropies` bit for bit.
 
 The adversarial search is concave and deterministic: it starts at the
 uniform distribution.  The capacity search draws its random starts from a
@@ -302,26 +304,37 @@ def _default_rng() -> np.random.Generator:
 
 def _validated_stack(states):
     """Stack output states, validate them once, and return them
-    (symmetrized) with their entropies."""
-    states = op.check_density(np.array(states))
-    return states, op.entropies(states)
+    (symmetrized) with their entropies, from one ``eigvalsh`` call.
+
+    This is the only check of an optimizer's states: :func:`_chi` and
+    :func:`_chi_gradient` take what it returns and check nothing but the
+    eigenvalue floor of the averages.  A mixture of these states with a
+    distribution p is exactly Hermitian (the states are, and p is real)
+    and has unit trace (p lies on the simplex).
+    """
+    states, w = op._spectra(np.array(states), density=True)
+    return states, op._entropy_core(w)
 
 
 def _chi(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndarray:
     """Holevo quantities ``S(PU) - sum_x p_x S(U_x)`` of stacked states.
 
     ``states`` is ``(..., k, d, d)`` with entropies ``ent`` of shape
-    ``(..., k)``; ``p`` is one distribution ``(k,)`` or a batch ``(N, k)``.
-    One ``eigvalsh`` call covers every average.
+    ``(..., k)``, both from :func:`_validated_stack`; ``p`` is one
+    distribution ``(k,)`` or a batch ``(N, k)``.  One ``eigvalsh`` call
+    covers every average.
     """
-    return op.entropies(_mixtures(p, states)) - (ent * p).sum(axis=-1)
+    w = op.clip_spectrum(np.linalg.eigvalsh(_mixtures(p, states)))
+    return op._entropy_core(w) - (ent * p).sum(axis=-1)
 
 
 def _chi_gradient(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndarray:
     """``D(U_x || PU)`` for every state: the gradient of chi in p up to a
-    constant, from one ``eigh`` call over the averages."""
-    avg = _mixtures(p, states)[..., None, :, :]
-    return op.relative_entropies(states, avg, rho_entropy=ent)
+    constant, from one ``eigh`` call over the averages.  Takes what
+    :func:`_validated_stack` returns, as :func:`_chi` does."""
+    w, u = np.linalg.eigh(_mixtures(p, states)[..., None, :, :])
+    leaked, cross = op._divergence_core(states, op.clip_spectrum(w), u)[2:]
+    return np.where(leaked, np.inf, -ent - cross)
 
 
 def _finite_gradient(g: np.ndarray) -> np.ndarray:
@@ -362,11 +375,15 @@ def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeak
     ``chi(Q) <= <Q, g>`` for every Q: each step bounds the maximum below by
     ``<P, g>`` and above by ``max_m g_m`` (Blahut 1972, Arimoto 1972;
     Ramakrishnan et al., arXiv:1905.01286).  The cq Blahut-Arimoto step
-    P <- P 2^(lam (g - max g)) starts at the uniform P; ``lam`` grows by 1.5
-    per accepted step and falls back to the monotone step 1 when a trial
-    lowers the value or certifies nothing (a non-finite g or a zero weight).
-    ``value`` is the best lower side, reached at ``argmax``, and ``upper``
-    the least upper side, always from the raw gradient.  The search stops
+    P <- P 2^(lam (g - max g)) starts at the uniform P.  A trial that
+    certifies (a finite g and no zero weight) is accepted when it does not
+    lower the value, when ``lam`` is 1, or when its own gap
+    ``max g - <P, g>`` is no larger than the current point's, so that a
+    value lower by rounding alone does not stop the search.  ``lam`` grows
+    by 1.5 per accepted step and falls back to the monotone step 1 when a
+    trial is rejected.  ``value`` is the best lower side, reached at
+    ``argmax``, and ``upper`` the least upper side over every evaluated
+    point, always from the raw gradient.  The search stops
     when ``upper - value <= 1e-9``, or warns with a
     :class:`~cqwiretap.errors.ConvergenceWarning` and ``converged=False``.
     It draws no random numbers.  The ``(S, k, d, d)`` state stack is
@@ -396,7 +413,11 @@ def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeak
         trial /= trial.sum()
         trial_g, trial_val, trial_upper = sides(trial)
         upper = min(upper, trial_upper)
-        if trial_val > -np.inf and (trial_val >= val or lam == 1.0):
+        # a trial that certifies no worse than the current point is taken
+        # even when rounding puts its value a hair lower
+        if trial_val > -np.inf and (
+            trial_val >= val or lam == 1.0 or trial_upper - trial_val <= g.max() - val
+        ):
             p, g, val = trial, trial_g, trial_val
             lam *= 1.5
             if val > best_val:

@@ -63,6 +63,7 @@ derandomize        error, rate and optional leakage accounting for a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -447,7 +448,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parsing leaves it
+    unchanged, so every :func:`main` call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="cqwiretap",
         description="run one experiment described by a self-contained JSON spec file",

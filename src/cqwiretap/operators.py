@@ -12,7 +12,12 @@ that stays exactly auditable.  :func:`entropies`,
 :func:`relative_entropies` and :func:`exp2_renyi2` take ``(..., d, d)``
 stacks, validated in one vectorised pass and decomposed by one
 ``eigvalsh``/``eigh`` call; :func:`entropy` and :func:`relative_entropy`
-are their one-matrix case.
+are their one-matrix case.  Each of the two validates its operands and
+then calls one private core: ``_entropy_core`` maps clipped spectra to
+entropies, and ``_divergence_core`` takes sigma's ``eigh`` and returns the
+overlaps, the support mask, the leak flag and the cross term.  The
+optimizers in :mod:`cqwiretap.channels` validate their states once on
+entry and call the cores directly on every step.
 
 Tolerances
 ----------
@@ -168,6 +173,12 @@ def _xlog2x(w: np.ndarray) -> np.ndarray:
     return w * np.log2(np.where(w > 0.0, w, 1.0))
 
 
+def _entropy_core(w: np.ndarray) -> np.ndarray:
+    """Entropies in bits of clipped spectra, one per row (last axis)."""
+    neg = _xlog2x(w).sum(axis=-1)
+    return np.where(neg < 0.0, -neg, 0.0)
+
+
 def entropies(rho: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of a ``(..., d, d)`` stack of densities.
 
@@ -175,9 +186,7 @@ def entropies(rho: np.ndarray) -> np.ndarray:
     call.  Returns an array of shape ``rho.shape[:-2]`` with entries in
     ``[0, log2 d]``.
     """
-    _, w = _spectra(rho, density=True)
-    neg = _xlog2x(w).sum(axis=-1)
-    return np.where(neg < 0.0, -neg, 0.0)
+    return _entropy_core(_spectra(rho, density=True)[1])
 
 
 def entropy(rho: np.ndarray) -> float:
@@ -220,12 +229,25 @@ def _overlaps(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray):
     return q, mask, outside > 1e-10 * _trace(rho)
 
 
+def _divergence_core(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray):
+    """The terms of ``D(rho || sigma)`` from sigma's ``eigh``, unchecked.
+
+    Returns the overlaps, sigma's support mask and the leak flag of
+    :func:`_overlaps`, and the cross term ``sum_j q_j log2 t_j`` over the
+    support of ``sigma = sum_j t_j |v_j><v_j|``, one per matrix of the
+    broadcast stacks.  ``w_sigma`` must be clipped already.
+    """
+    q, mask, leaked = _overlaps(rho, w_sigma, u_sigma)
+    cross = np.where(mask, q * np.log2(np.where(mask, w_sigma, 1.0)), 0.0).sum(axis=-1)
+    return q, mask, leaked, cross
+
+
 def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
 
 
-def relative_entropies(rho: np.ndarray, sigma: np.ndarray, rho_entropy=None) -> np.ndarray:
+def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Quantum relative entropies ``D(rho || sigma)`` in bits over stacks.
 
     ``rho`` and ``sigma`` are ``(..., d, d)`` stacks whose leading axes
@@ -234,22 +256,12 @@ def relative_entropies(rho: np.ndarray, sigma: np.ndarray, rho_entropy=None) -> 
     support of ``sigma = sum_j t_j |v_j><v_j|``; it is ``inf`` when rho
     puts more than ``1e-10 tr rho`` outside that support, and 0 when
     ``tr rho <= 0``.  Both must be Hermitian PSD; traces need not be 1.
-
-    ``rho_entropy``, when given, holds ``S(rho)`` for every rho in the
-    stack (as from :func:`entropies`); rho must then be validated and
-    symmetrized already, and is not decomposed again.
     """
-    if rho_entropy is None:
-        rho, p = _spectra(rho)
-        rho_log_rho = _xlog2x(p).sum(axis=-1)
-    else:
-        rho = np.asarray(rho, dtype=complex)
-        rho_log_rho = -np.asarray(rho_entropy, dtype=float)
+    rho, p = _spectra(rho)
     sigma, t, v = _spectra(sigma, vectors=True)
     _check_shapes(rho, sigma)
-    q, mask, leaked = _overlaps(rho, t, v)
-    cross = np.where(mask, q * np.log2(np.where(mask, t, 1.0)), 0.0).sum(axis=-1)
-    val = np.where(leaked, np.inf, rho_log_rho - cross)
+    leaked, cross = _divergence_core(rho, t, v)[2:]
+    val = np.where(leaked, np.inf, _xlog2x(p).sum(axis=-1) - cross)
     return np.where(_trace(rho) <= 0.0, 0.0, val)
 
 
