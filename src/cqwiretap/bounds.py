@@ -27,9 +27,10 @@ with a right side of log2(t) + (1 - t) < 0 against a left side of 0.  On
 the bundled 6x8 function, 15 of 20 random qubit eavesdroppers
 (``default_rng`` seeds 0-19) damped to 0.9 give negative slack as well,
 the worst -0.0278.  The report keeps that honest negative slack; a charge
-that is sound in bits is ROADMAP item 6.  The closing leakage-total
-report does not inherit this: its derivation replaces the logarithm by
-the chord bound log2(1 + u) <= u / ln 2 before the deficit enters.
+that is sound in bits is the ROADMAP item "A chain that is sound in bits".
+The closing leakage-total report does not inherit this: its derivation
+replaces the logarithm by the chord bound log2(1 + u) <= u / ln 2 before
+the deficit enters.
 
 A subnormalized channel V' is a :class:`~cqwiretap.channels.CqChannel`
 whose ``epsilon`` is its measured trace deficit.
@@ -42,10 +43,11 @@ from functools import cached_property
 import numpy as np
 
 from . import operators as op
-from .bri import BriFunction, lambda2, preimage
-from .channels import ClassicalChannel, _chi, _validated_stack, compose, mix, tensor_power
+from .bri import BriFunction, lambda2
+from .channels import ClassicalChannel, _chi, _mixtures, _validated_stack, compose, tensor_power
+from .channels import check_distribution
 from .codes import TransmissionCode, WiretapCode
-from .config import TOL_BOUND, TOL_ROWSUM
+from .config import TOL_BOUND
 from .errors import DimensionMismatchError, InvalidStateError, PsdOrderingError
 
 LN2 = math.log(2.0)
@@ -124,56 +126,50 @@ def _index(f, m) -> int:
     return f.regularity_set.index(m)
 
 
-def _check_m_dist(f, m_dist) -> np.ndarray:
-    p = np.asarray(m_dist, dtype=float)
-    if p.ndim != 1 or p.size != len(f.regularity_set):
-        raise DimensionMismatchError(
-            f"message distribution length {p.size} != {len(f.regularity_set)}"
-        )
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > TOL_ROWSUM:
-        raise InvalidStateError("message distribution must be a probability vector")
-    return p
-
-
 class _Table:
     """One channel's share of the chain over a BRI function.
 
     ``stack[i, s]`` is the preimage mixture V o f_s^{-1}(m) of the i-th
-    message m of the regularity set and ``sigma`` the average over all
-    inputs, both formed once by :func:`mix`.  Each quantity below is one
-    stacked call over them, made on first use and kept.
+    message m of the regularity set, one :func:`_mixtures` call over
+    ``(|M|, |S|, |X|)`` weights, and ``sigma`` the average over all inputs.
+    The stack is validated and decomposed once, and sigma's ``eigh`` taken
+    once; each quantity below reads them through the unchecked operator
+    cores, on first use, and is kept.
     """
 
     def __init__(self, f, channel):
         self.f, self.channel = f, channel
-        self.stack = np.array(
-            [[mix(channel, preimage(f, s, m)) for s in range(f.n_seeds)] for m in f.regularity_set]
-        )
-        self.sigma = mix(channel, range(f.n_inputs))
+        self.outputs = np.array([channel.output(x) for x in range(f.n_inputs)])
+        hits = np.array([f.table == m for m in f.regularity_set], dtype=float)
+        stack = _mixtures(hits / hits.sum(axis=-1, keepdims=True), self.outputs)
+        self.stack, self.spectra = op._spectra(stack)
+        sigma = _mixtures(np.full(f.n_inputs, 1.0 / f.n_inputs), self.outputs)
+        self.sigma, *self.sigma_eigh = op._spectra(sigma, vectors=True)
 
     @cached_property
     def divergences(self) -> np.ndarray:
         """E_S D(V o f_S^{-1}(m) || sigma) for every m."""
-        return op.relative_entropies(self.stack, self.sigma).mean(axis=1)
+        return op._relative_core(self.stack, self.spectra, *self.sigma_eigh).mean(axis=1)
 
     @cached_property
     def renyi2(self) -> np.ndarray:
         """E_S tr((V o f_S^{-1}(m))^2 sigma^+) for every m."""
-        return op.exp2_renyi2(self.stack, self.sigma).mean(axis=1)
+        return op._renyi2_core(self.stack, *self.sigma_eigh).mean(axis=1)
 
     @cached_property
     def spectral(self):
-        """The largest output operator norm and the support rank of sigma,
-        from one ``eigvalsh`` over the outputs with sigma last."""
-        ops = [self.channel.output(x) for x in range(self.f.n_inputs)] + [self.sigma]
-        w = np.linalg.eigvalsh(op.check_hermitian(np.array(ops)))
-        return float(np.abs(w[:-1]).max()), int(op._support_mask(w[-1]).sum())
+        """The largest output operator norm, from one ``eigvalsh`` over the
+        outputs, and the support rank of sigma, from its ``eigh``."""
+        w = np.linalg.eigvalsh(op.check_hermitian(self.outputs))
+        return float(np.abs(w).max()), int(op._support_mask(self.sigma_eigh[0]).sum())
 
     def leakage(self, p) -> float:
         """chi(M; S, V o f_S^{-1}) = (1/|S|) sum_s chi(M; V o f_s^{-1}) for a
-        uniform seed independent of M, one Holevo quantity per seed."""
-        states, ent = _validated_stack(self.stack.swapaxes(0, 1))
-        return max(0.0, float(_chi(p, states, ent).mean()))
+        uniform seed independent of M, one Holevo quantity per seed; the
+        mixtures must have unit trace, as in :func:`_validated_stack`."""
+        op._check_unit_trace(self.stack)
+        ent = op._entropy_core(self.spectra)
+        return max(0.0, float(_chi(p, self.stack.swapaxes(0, 1), ent.swapaxes(0, 1)).mean()))
 
 
 def _worst(step, *tables):
@@ -229,7 +225,7 @@ def bound_leakage_by_divergence(f, v, m_dist) -> BoundReport:
     rhs = max_m E_S D(V o f_s^{-1}(m) || V(X)).
     """
     _require(f, v)
-    p = _check_m_dist(f, m_dist)
+    p = check_distribution(m_dist, len(f.regularity_set), "message distribution")
     tv = _Table(f, v)
     return make_report("leakage-vs-divergence", tv.leakage(p), tv.divergences.max())
 
@@ -252,7 +248,8 @@ def bound_divergence_by_renyi2(f, v_prime, m) -> BoundReport:
 
     The "+ epsilon" charge comes from a natural-log estimate and is short
     in bits, so a strictly subnormalized V' can give negative slack well
-    beyond complete mixing (see the module docstring; ROADMAP item 6).
+    beyond complete mixing (see the module docstring and the ROADMAP item
+    "A chain that is sound in bits").
     """
     _require(f, v_prime)
     return _divergence_vs_renyi2(_Table(f, v_prime), _index(f, m))
@@ -270,7 +267,7 @@ def bound_leakage_total(f, v, v_prime, m_dist) -> BoundReport:
     (1/ln 2) max_m lambda2(f,m) * rank * max norm + eps + eps log2(|X|/d_S).
     """
     _require(f, v, v_prime)
-    p = _check_m_dist(f, m_dist)
+    p = check_distribution(m_dist, len(f.regularity_set), "message distribution")
     check_psd_ordering(v_prime, v)
     return _leakage_total(_Table(f, v_prime), _Table(f, v).leakage(p))
 
@@ -282,12 +279,14 @@ def certify_chain(f, v, v_prime, m_dist) -> list:
     regularity set and the worst (smallest slack) report is kept, ties
     resolved toward the earlier m.  The ordering V' <= V is checked once,
     for all steps that need it, and every report is read off one table
-    per channel, so the eigensolves do not grow with |M| or |S|.
+    per channel (one in all when ``v_prime is v``), so the eigensolves do
+    not grow with |M| or |S|.
     """
     _require(f, v, v_prime)
-    p = _check_m_dist(f, m_dist)
+    p = check_distribution(m_dist, len(f.regularity_set), "message distribution")
     check_psd_ordering(v_prime, v)
-    tv, tp = _Table(f, v), _Table(f, v_prime)
+    tv = _Table(f, v)
+    tp = tv if v_prime is v else _Table(f, v_prime)
     leak = tv.leakage(p)
     return [
         make_report("leakage-vs-divergence", leak, tv.divergences.max()),
@@ -325,18 +324,10 @@ def continuity_bound(m_dist, states, dim_d: int | None = None, ref=None) -> Boun
     expurgation passes the unexpurgated average).  ``d`` defaults to the
     number of ensemble members, the dimension of the message register.
     """
-    p = np.asarray(m_dist, dtype=float)
-    states = [np.asarray(s, dtype=complex) for s in states]
-    if p.ndim != 1 or p.size != len(states):
-        raise DimensionMismatchError(
-            f"distribution length {p.size} != {len(states)} states"
-        )
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > TOL_ROWSUM:
-        raise InvalidStateError("message distribution must be a probability vector")
-    avg = sum(prob * s for prob, s in zip(p, states))
-    lhs = op.entropy(avg) - sum(
-        prob * op.entropy(s) for prob, s in zip(p, states) if prob > 0.0
-    )
+    p = check_distribution(m_dist, len(states), "message distribution")
+    states, ent = _validated_stack(states)
+    lhs = _chi(p, states, ent)
+    avg = _mixtures(p, states)
     ref_state = avg if ref is None else np.asarray(ref, dtype=complex)
     eps = 0.5 * float(
         sum(prob * op.trace_norm(s - ref_state) for prob, s in zip(p, states))
@@ -363,7 +354,7 @@ def expurgate_semantic(code, v):
     if len(messages) == 1:
         return code, make_report("expurgation", 0.0, 0.0)
     ev = compose(code.encoder, tensor_power(v, code.n))
-    rho = mix(ev, messages)
+    rho = _mixtures(np.full(len(messages), 1.0 / len(messages)), np.array(ev.states()))
     dist = {m: op.trace_norm(ev.output(m) - rho) for m in messages}
     threshold = 2.0 * float(np.mean(list(dist.values())))
     order = {m: i for i, m in enumerate(messages)}

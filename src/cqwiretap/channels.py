@@ -3,12 +3,14 @@
 A cq channel maps a finite input alphabet to density operators on a fixed
 finite-dimensional space, or to subnormalized ones whose worst trace
 deficit it carries as ``epsilon``.  This module provides composition with
-classical pre-processing, lazy tensor powers, uniform mixtures, the Holevo
-quantity in its three equivalent forms, leakage under common randomness,
-and the two optimizers the secrecy analysis needs: the adversarial (worst
-message distribution) leakage and the single-letter secrecy-capacity
-objective.
+classical pre-processing, lazy tensor powers, the one check of a
+probability vector, mixtures, the Holevo quantity, leakage under common
+randomness, and the two optimizers the secrecy analysis needs: the
+adversarial (worst message distribution) leakage and the single-letter
+secrecy-capacity objective.
 
+Every Holevo quantity in the package is :func:`_chi` on a stack that
+:func:`_validated_stack` checked, and every mixture is :func:`_mixtures`.
 Both optimizers stack their output states as one ``(..., k, d, d)`` array,
 validate it once on entry, and evaluate objectives and analytic gradients
 with one eigensolve of the average states per call.  The steps call the
@@ -209,15 +211,18 @@ def tensor_power(v: CqChannel, n: int, cap: int | None = None):
     return ProductChannel(v, n, cap)
 
 
-def mix(v, subset) -> np.ndarray:
-    """Uniform mixture (1/|D|) sum_{x in D} V(x) over a nonempty subset."""
-    subset = list(subset)
-    if not subset:
-        raise InvalidStateError("mixture over an empty subset")
-    out = np.zeros((v.dim, v.dim), dtype=complex)
-    for x in subset:
-        out += v.output(x)
-    return out / len(subset)
+def check_distribution(p, size: int | None = None, what: str = "distribution") -> np.ndarray:
+    """``p`` as a float vector of ``size`` entries (any nonzero number by
+    default), nonnegative and summing to 1 within ``TOL_ROWSUM``; a wrong
+    shape is a :class:`DimensionMismatchError`, nan and the rest an
+    :class:`InvalidStateError`."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size == 0 or (size is not None and p.size != size):
+        want = "a nonempty vector" if size is None else f"{size} entries"
+        raise DimensionMismatchError(f"{what} has shape {p.shape}, expected {want}")
+    if not (p.min() >= 0.0 and abs(p.sum() - 1.0) <= TOL_ROWSUM):
+        raise InvalidStateError(f"{what} must be a probability vector, got {p.tolist()}")
+    return p
 
 
 def _mixtures(p: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -229,51 +234,22 @@ def _mixtures(p: np.ndarray, states: np.ndarray) -> np.ndarray:
     return (p[..., None, None] * states).sum(axis=-3)
 
 
-def _average_state(p: np.ndarray, v) -> np.ndarray:
-    """The average output PV, the mixture of the output stack."""
-    return _mixtures(p, np.array(v.states()))
-
-
 def holevo(p, v) -> float:
     """Holevo quantity chi(P; V) = S(PV) - sum_x P(x) S(V(x)), in bits."""
-    p = np.asarray(p, dtype=float)
-    avg = _average_state(p, v)
-    val = op.entropy(avg)
-    cond = 0.0
-    for prob, x in zip(p, v.alphabet):
-        if prob > 0.0:
-            cond += prob * op.entropy(v.output(x))
-    return float(max(0.0, val - cond))
+    p = check_distribution(p, len(v.alphabet))
+    return max(0.0, float(_chi(p, *_validated_stack(v.states()))))
 
 
-def holevo_relative_entropy_form(p, v) -> float:
-    """chi as D(rho_XV || rho_X (x) PV) on the explicit joint state."""
-    p = np.asarray(p, dtype=float)
-    k, d = len(v.alphabet), v.dim
-    joint = np.zeros((k * d, k * d), dtype=complex)
-    for i, (prob, x) in enumerate(zip(p, v.alphabet)):
-        joint[i * d : (i + 1) * d, i * d : (i + 1) * d] = prob * v.output(x)
-    marginal = np.kron(np.diag(p).astype(complex), _average_state(p, v))
-    return op.relative_entropy(joint, marginal)
-
-
-def holevo_average_form(p, v) -> float:
-    """chi as the P-average of D(V(x) || PV)."""
-    p = np.asarray(p, dtype=float)
-    avg = _average_state(p, v)
-    total = 0.0
-    for prob, x in zip(p, v.alphabet):
-        if prob > 0.0:
-            total += prob * op.relative_entropy(v.output(x), avg)
-    return float(total)
-
-
-def conditional_entropy(p, v) -> float:
-    """S(V|P) = sum_x P(x) S(V(x)), in bits."""
-    p = np.asarray(p, dtype=float)
-    return float(
-        sum(prob * op.entropy(v.output(x)) for prob, x in zip(p, v.alphabet) if prob > 0.0)
-    )
+def _seed_stack(encoders, v_n):
+    """:func:`_validated_stack` of the ``(S, M, d, d)`` outputs of E^s V_n,
+    seeds sorted; the encoders must share one message set."""
+    seeds = sorted(encoders)
+    if not seeds:
+        raise InvalidStateError("need at least one seed")
+    msgs = encoders[seeds[0]].inputs
+    if any(encoders[s].inputs != msgs for s in seeds):
+        raise InvalidStateError("encoders must share one message set")
+    return _validated_stack([compose(encoders[s], v_n).states() for s in seeds])
 
 
 def leakage_cr(m_dist, encoders, v_n) -> float:
@@ -282,16 +258,9 @@ def leakage_cr(m_dist, encoders, v_n) -> float:
     ``encoders`` maps seeds to :class:`ClassicalChannel` instances sharing
     one message set; the seed is uniform and independent of the message.
     """
-    seeds = sorted(encoders)
-    if not seeds:
-        raise InvalidStateError("need at least one seed")
-    msgs = encoders[seeds[0]].inputs
-    total = 0.0
-    for s in seeds:
-        if encoders[s].inputs != msgs:
-            raise InvalidStateError("encoders must share one message set")
-        total += holevo(m_dist, compose(encoders[s], v_n))
-    return float(total / len(seeds))
+    states, ent = _seed_stack(encoders, v_n)
+    p = check_distribution(m_dist, states.shape[1], "message distribution")
+    return max(0.0, float(_chi(p, states, ent).mean()))
 
 
 AdversarialLeakage = namedtuple("AdversarialLeakage", ["value", "upper", "argmax", "converged"])
@@ -306,7 +275,8 @@ def _validated_stack(states):
     """Stack output states, validate them once, and return them
     (symmetrized) with their entropies, from one ``eigvalsh`` call.
 
-    This is the only check of an optimizer's states: :func:`_chi` and
+    This is the only check of the states of a Holevo quantity (the chain
+    table makes the same on its own stack): :func:`_chi` and
     :func:`_chi_gradient` take what it returns and check nothing but the
     eigenvalue floor of the averages.  A mixture of these states with a
     distribution p is exactly Hermitian (the states are, and p is real)
@@ -389,15 +359,14 @@ def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeak
     It draws no random numbers.  The ``(S, k, d, d)`` state stack is
     validated once; each step is one ``eigh`` of the ``(S, 1, d, d)`` averages.
     """
-    seeds = sorted(encoders)
-    k = len(encoders[seeds[0]].inputs)
+    states, ent = _seed_stack(encoders, v_n)
+    k = states.shape[1]
     if k == 1:
         return AdversarialLeakage(0.0, 0.0, np.array([1.0]), True)
-    states, ent = _validated_stack([compose(encoders[s], v_n).states() for s in seeds])
 
     def sides(p):
         # the gradient, <p, g> (-inf unless certified) and max_m g_m, in bits
-        g = _chi_gradient(p, states, ent).sum(axis=0) / len(seeds)
+        g = _chi_gradient(p, states, ent).sum(axis=0) / len(states)
         certified = np.isfinite(g).all() and (p > 0.0).all()
         return g, float(p @ g) if certified else -np.inf, float(g.max())
 

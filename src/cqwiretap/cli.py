@@ -130,14 +130,13 @@ def _rng(params) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _dist(params, key, size, what):
+def _dist(params, key, size):
+    """``params[key]`` as a checked probability vector of ``size``
+    entries, uniform when the key is absent."""
     raw = params.get(key)
     if raw is None:
         return np.full(size, 1.0 / size)
-    dist = np.asarray(raw, dtype=float)
-    if dist.shape != (size,):
-        raise InvalidStateError(f"{what} must list {size} probabilities")
-    return dist
+    return channels.check_distribution(raw, size, f"params.{key}")
 
 
 def _load_channel(inputs, role) -> channels.CqChannel:
@@ -223,7 +222,7 @@ def _run_eval_leakage(inputs, params, output, cap):
     code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
     encoders, code = _leakage_encoders(code)
     v_n = channels.tensor_power(v, code.n, cap)
-    m_dist = _dist(params, "m_dist", len(code.messages), "params.m_dist")
+    m_dist = _dist(params, "m_dist", len(code.messages))
     value = channels.leakage_cr(m_dist, encoders, v_n)
     report = {
         "kind": "eval-leakage",
@@ -284,7 +283,7 @@ def _run_bound_chain(inputs, params, output, cap):
         raise InvalidStateError(
             f"function expects {f.n_inputs} inputs, channel provides {len(base.alphabet)}"
         )
-    m_dist = _dist(params, "m_dist", len(f.regularity_set), "params.m_dist")
+    m_dist = _dist(params, "m_dist", len(f.regularity_set))
     reports = bounds.certify_chain(f, base, v_prime, m_dist)
     _write_reports(reports, output)
     ok = all(r.holds for r in reports)
@@ -314,15 +313,13 @@ def _run_capacity(inputs, params, output, cap):
 
 def _run_typicality_report(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
-    p = np.asarray(params["p"], dtype=float)
+    p = channels.check_distribution(params["p"], len(v.alphabet), "params.p")
     delta = float(params["delta"])
     ns = params.get("ns", [2, 4, 8])
     if not isinstance(ns, list) or not all(isinstance(n, int) and n >= 1 for n in ns):
         raise InvalidStateError("params.ns must be a list of positive block lengths")
 
-    if p.shape != (len(v.alphabet),):
-        raise InvalidStateError(f"params.p must list {len(v.alphabet)} probabilities")
-    avg = channels._average_state(p, v)
+    avg = channels._mixtures(p, np.array(v.states()))
     factors = typicality.factor_reports(v, p, delta, ns, cap)
 
     asserted = {"te2-rank-upper", "te3-eig-lower", "te3-eig-upper", "factor-rank"}

@@ -12,12 +12,12 @@ that stays exactly auditable.  :func:`entropies`,
 :func:`relative_entropies` and :func:`exp2_renyi2` take ``(..., d, d)``
 stacks, validated in one vectorised pass and decomposed by one
 ``eigvalsh``/``eigh`` call; :func:`entropy` and :func:`relative_entropy`
-are their one-matrix case.  Each of the two validates its operands and
-then calls one private core: ``_entropy_core`` maps clipped spectra to
-entropies, and ``_divergence_core`` takes sigma's ``eigh`` and returns the
-overlaps, the support mask, the leak flag and the cross term.  The
-optimizers in :mod:`cqwiretap.channels` validate their states once on
-entry and call the cores directly on every step.
+are their one-matrix case.  Each of the three validates its operands and
+then calls one private core: ``_entropy_core``, ``_relative_core`` or
+``_renyi2_core``; the last two take sigma's ``eigh`` and build on
+``_divergence_core`` (overlaps, support mask, leak flag, cross term).
+The optimizers of :mod:`cqwiretap.channels` and the chain table of
+:mod:`cqwiretap.bounds` validate their stacks once and call the cores.
 
 Tolerances
 ----------
@@ -102,17 +102,22 @@ def _spectra(a: np.ndarray, density: bool = False, vectors: bool = False,
     """
     a = check_hermitian(a)
     if density:
-        tr = _trace(a)
-        dev = np.abs(tr - 1.0)
-        if dev.size and dev.max() > tol_trace:
-            worst = tr.flat[np.argmax(dev)]
-            raise InvalidStateError(
-                f"density operator trace {worst!r} is not 1 within {tol_trace:.1e}"
-            )
+        _check_unit_trace(a, tol_trace)
     if vectors:
         w, u = np.linalg.eigh(a)
         return a, clip_spectrum(w), u
     return a, clip_spectrum(np.linalg.eigvalsh(a))
+
+
+def _check_unit_trace(a: np.ndarray, tol_trace: float = TOL_TRACE) -> None:
+    """Raise unless every matrix of the stack ``a`` has trace 1."""
+    tr = _trace(a)
+    dev = np.abs(tr - 1.0)
+    if dev.size and dev.max() > tol_trace:
+        worst = tr.flat[np.argmax(dev)]
+        raise InvalidStateError(
+            f"density operator trace {worst!r} is not 1 within {tol_trace:.1e}"
+        )
 
 
 def check_density(rho: np.ndarray, tol_trace: float = TOL_TRACE) -> np.ndarray:
@@ -260,8 +265,14 @@ def relative_entropies(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     rho, p = _spectra(rho)
     sigma, t, v = _spectra(sigma, vectors=True)
     _check_shapes(rho, sigma)
-    leaked, cross = _divergence_core(rho, t, v)[2:]
-    val = np.where(leaked, np.inf, _xlog2x(p).sum(axis=-1) - cross)
+    return _relative_core(rho, p, t, v)
+
+
+def _relative_core(rho, w_rho, w_sigma, u_sigma) -> np.ndarray:
+    """:func:`relative_entropies` on validated stacks, unchecked: ``rho``
+    symmetrized with clipped spectra ``w_rho``, and sigma's clipped ``eigh``."""
+    leaked, cross = _divergence_core(rho, w_sigma, u_sigma)[2:]
+    val = np.where(leaked, np.inf, _xlog2x(w_rho).sum(axis=-1) - cross)
     return np.where(_trace(rho) <= 0.0, 0.0, val)
 
 
@@ -322,9 +333,15 @@ def exp2_renyi2(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     rho = check_psd(rho)
     sigma, t, v = _spectra(sigma, vectors=True)
     _check_shapes(rho, sigma)
-    _, mask, leaked = _overlaps(rho, t, v)
-    tinv = np.where(mask, 1.0 / np.where(mask, t, 1.0), 0.0)
-    pinv = (v * tinv[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _renyi2_core(rho, t, v)
+
+
+def _renyi2_core(rho, w_sigma, u_sigma) -> np.ndarray:
+    """:func:`exp2_renyi2` on a validated, symmetrized ``rho`` and sigma's
+    clipped ``eigh``, unchecked."""
+    _, mask, leaked = _overlaps(rho, w_sigma, u_sigma)
+    tinv = np.where(mask, 1.0 / np.where(mask, w_sigma, 1.0), 0.0)
+    pinv = (u_sigma * tinv[..., None, :]) @ u_sigma.conj().swapaxes(-1, -2)
     val = np.where(leaked, np.inf, _trace(rho @ pinv @ rho))
     return np.where(_trace(rho) <= 0.0, 0.0, val)
 

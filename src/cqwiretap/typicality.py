@@ -54,15 +54,9 @@ import numpy as np
 
 from . import operators as op
 from .bounds import ORDERING_TOL, _ordering_scan, make_report
-from .channels import (
-    CqChannel,
-    _average_state,
-    _checked_output,
-    conditional_entropy,
-    holevo,
-    tensor_power,
-)
-from .config import STRING_CAP, TOL_ROWSUM, check_dim
+from .channels import CqChannel, _checked_output, _chi, _mixtures, _validated_stack
+from .channels import check_distribution, tensor_power
+from .config import STRING_CAP, check_dim
 from .errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -127,13 +121,6 @@ def sorted_eigenbasis(a: np.ndarray):
             vals[start:stop] = vals[order]
         start = stop
     return vals, vecs
-
-
-def _validate_dist(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size == 0 or np.any(p < 0.0) or abs(p.sum() - 1.0) > TOL_ROWSUM:
-        raise InvalidStateError("need a probability vector summing to one")
-    return p
 
 
 def _validate_block(n, delta):
@@ -340,7 +327,7 @@ def typical_set(p, n, delta, alphabet=None, cap=None) -> TypicalSet:
     alphabet order when its size |T| fits under the cap (``STRING_CAP`` by
     default), and otherwise the set is predicate-only.
     """
-    p = _validate_dist(p)
+    p = check_distribution(p)
     n, delta = _validate_block(n, delta)
     if alphabet is None:
         alphabet = tuple(range(p.size))
@@ -565,11 +552,7 @@ def _string_profile(xn, spectra, delta):
 def _typical_inputs(v, p, n, delta, cap):
     """Validated input distribution, product dimension, and the listed
     typical input strings of a channel; an empty set is an error."""
-    p = _validate_dist(p)
-    if p.size != len(v.alphabet):
-        raise DimensionMismatchError(
-            f"distribution size {p.size} != alphabet size {len(v.alphabet)}"
-        )
+    p = check_distribution(p, len(v.alphabet))
     dim_total = check_dim(v.dim**n, cap)
     members = typical_set(p, n, delta, alphabet=v.alphabet)._listed("list")
     if not members:
@@ -580,7 +563,7 @@ def _typical_inputs(v, p, n, delta, cap):
 def _average_basis(p, v, n, delta):
     """Deterministic eigenbasis of the average state PV and the index
     strings of its typical subspace, one row per string."""
-    avg = op.check_density(_average_state(p, v))
+    avg = op.check_density(_mixtures(p, np.array(v.states())))
     _, basis, strings = _typical_basis(avg, n, delta)
     return basis, np.array(strings, dtype=np.intp).reshape(len(strings), n)
 
@@ -926,15 +909,17 @@ def factor_reports(v, p, delta, ns, cap=None):
     PV and gamma the worst over the output spectra; they and the entropies
     are computed once, on the call.  ``cap`` bounds the dimension d^n.
     """
-    p = np.asarray(p, dtype=float)
-    avg = _average_state(p, v)
+    p = check_distribution(p, len(v.alphabet))
+    states, ent = _validated_stack(v.states())
+    avg = _mixtures(p, states)
 
     def window(rho):
         # ascending spectrum: the normalizing sum adds the smallest
         # eigenvalues first, the order the golden reports were recorded in
         return _entropy_and_window(_clean_spectrum(np.linalg.eigvalsh(rho)), delta)[1]
 
-    chi, s_cond, s_avg = holevo(p, v), conditional_entropy(p, v), op.entropy(avg)
+    chi = max(0.0, float(_chi(p, states, ent)))
+    s_cond, s_avg = float((ent * p).sum()), op.entropy(avg)
     beta = window(avg)
     gamma = max(window(v.output(a)) for a in v.alphabet)
 

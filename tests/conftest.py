@@ -10,7 +10,8 @@ from functools import reduce
 import numpy as np
 
 from cqwiretap import bri, channels
-from cqwiretap.channels import ClassicalChannel, CqChannel, _average_state, tensor_power
+from cqwiretap import operators as op
+from cqwiretap.channels import ClassicalChannel, CqChannel, _mixtures, tensor_power
 from cqwiretap.codes import (
     CommonRandomnessCode,
     DerandomizedCode,
@@ -71,6 +72,40 @@ def grid_holevo(points, states) -> np.ndarray:
 
     mixtures = np.einsum("gx,xij->gij", points, states)
     return np.maximum(entropy(mixtures) - points @ entropy(states), 0.0)
+
+
+def mix(v, subset) -> np.ndarray:
+    """Uniform mixture (1/|D|) sum_{x in D} V(x) over a nonempty subset."""
+    subset = list(subset)
+    if not subset:
+        raise InvalidStateError("mixture over an empty subset")
+    out = np.zeros((v.dim, v.dim), dtype=complex)
+    for x in subset:
+        out += v.output(x)
+    return out / len(subset)
+
+
+def holevo_relative_entropy_form(p, v) -> float:
+    """chi as D(rho_XV || rho_X (x) PV) on the explicit joint state."""
+    p = np.asarray(p, dtype=float)
+    k, d = len(v.alphabet), v.dim
+    joint = np.zeros((k * d, k * d), dtype=complex)
+    for i, (prob, x) in enumerate(zip(p, v.alphabet)):
+        joint[i * d : (i + 1) * d, i * d : (i + 1) * d] = prob * v.output(x)
+    avg = sum(prob * v.output(x) for prob, x in zip(p, v.alphabet))
+    marginal = np.kron(np.diag(p).astype(complex), avg)
+    return op.relative_entropy(joint, marginal)
+
+
+def holevo_average_form(p, v) -> float:
+    """chi as the P-average of D(V(x) || PV)."""
+    p = np.asarray(p, dtype=float)
+    avg = sum(prob * v.output(x) for prob, x in zip(p, v.alphabet))
+    total = 0.0
+    for prob, x in zip(p, v.alphabet):
+        if prob > 0.0:
+            total += prob * op.relative_entropy(v.output(x), avg)
+    return float(total)
 
 
 def random_cq_channel(g: np.random.Generator, n_inputs: int, dim: int):
@@ -137,7 +172,7 @@ def seed_embedded_leakage(f, v, m_dist) -> float:
         block = np.zeros((k * d, k * d), dtype=complex)
         for s in range(k):
             block[s * d : (s + 1) * d, s * d : (s + 1) * d] = (
-                channels.mix(v, bri.preimage(f, s, m)) / k
+                mix(v, bri.preimage(f, s, m)) / k
             )
         states[i] = block
     joint = CqChannel(range(len(f.regularity_set)), k * d, states, validate=False)
@@ -154,7 +189,8 @@ def dense_compression(v, p, n, delta):
     It builds every projector and product output in full, so it only
     serves to check the library's subspace-compressed construction.
     """
-    pi_avg = typical_projector(_average_state(np.asarray(p, dtype=float), v), n, delta).projector
+    avg = _mixtures(np.asarray(p, dtype=float), np.array(v.states()))
+    pi_avg = typical_projector(avg, n, delta).projector
     vn = tensor_power(v, n)
     outputs = {}
     avg_traces = []

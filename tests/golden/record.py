@@ -11,7 +11,9 @@ Regenerate the inputs, specs and expected outputs with
 
     PYTHONPATH=src python tests/golden/record.py
 
-only when an output change is intended, and name the change.
+only when an output change is intended, and name the change.  For every
+case whose bytes change, the script prints each changed value, old -> new,
+with its relative change, ready to be quoted.
 """
 
 from __future__ import annotations
@@ -211,17 +213,77 @@ def run_case(name: str, workdir: Path) -> tuple:
     return code, out.read_bytes(), csv.read_bytes() if csv.exists() else None
 
 
+def _json_values(data: bytes):
+    """(path, value) for every scalar of a JSON report, in file order."""
+
+    def walk(obj, path):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                yield from walk(value, f"{path}.{key}" if path else key)
+        elif isinstance(obj, list):
+            for i, value in enumerate(obj):
+                yield from walk(value, f"{path}[{i}]")
+        else:
+            yield path, obj
+
+    return walk(json.loads(data), "")
+
+
+def _csv_values(data: bytes):
+    """(row and column, value) for every cell of a CSV table below its header."""
+    header, *rows = (line.split(",") for line in data.decode().splitlines())
+    for r, row in enumerate(rows, 1):
+        for column, cell in zip(header, row):
+            try:
+                yield f"row {r} {column}", float(cell)
+            except ValueError:
+                yield f"row {r} {column}", cell
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def drift(old: bytes, new: bytes, values) -> list:
+    """One line per value that differs between two reports, old -> new,
+    with the relative change of numbers."""
+    before, after = dict(values(old)), dict(values(new))
+    lines = []
+    for path in {**before, **after}:
+        a, b = before.get(path), after.get(path)
+        if a == b or (_number(a) and _number(b) and math.isnan(a) and math.isnan(b)):
+            continue
+        line = f"  {path}: {a!r} -> {b!r}"
+        if _number(a) and _number(b):
+            rel = abs(b - a) / abs(a) if a else math.inf
+            line += f" (relative change {rel:.1e})"
+        lines.append(line)
+    return lines or ["  the bytes changed, no value did"]
+
+
+def _write(path: Path, data: bytes, values) -> None:
+    """Write ``data`` to ``path``, printing the drift from what was there."""
+    if path.exists() and path.read_bytes() != data:
+        print(f"{path.name}:")
+        print("\n".join(drift(path.read_bytes(), data, values)))
+    path.write_bytes(data)
+
+
 def record() -> None:
     write_inputs()
+    exits_path = GOLDEN / "exits.json"
+    old_exits = json.loads(exits_path.read_text()) if exits_path.exists() else {}
     exits = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
             code, report, csv = run_case(name, Path(tmp))
             exits[name] = code
-            (GOLDEN / f"{name}.expected.json").write_bytes(report)
+            if name in old_exits and old_exits[name] != code:
+                print(f"{name}: exit code {old_exits[name]} -> {code}")
+            _write(GOLDEN / f"{name}.expected.json", report, _json_values)
             if csv is not None:
-                (GOLDEN / f"{name}.expected.csv").write_bytes(csv)
-    serialize.dump_json(exits, GOLDEN / "exits.json")
+                _write(GOLDEN / f"{name}.expected.csv", csv, _csv_values)
+    serialize.dump_json(exits, exits_path)
 
 
 if __name__ == "__main__":

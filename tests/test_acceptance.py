@@ -18,6 +18,9 @@ from conftest import (
     derandomize,
     discard_dirichlet_draws,
     grid_holevo,
+    holevo_average_form,
+    holevo_relative_entropy_form,
+    mix,
     random_cq_channel,
     random_density,
     random_probability,
@@ -111,8 +114,8 @@ def test_criterion_02_holevo_consistency():
         p = random_probability(g, n_inputs)
         values = (
             channels.holevo(p, v),
-            channels.holevo_relative_entropy_form(p, v),
-            channels.holevo_average_form(p, v),
+            holevo_relative_entropy_form(p, v),
+            holevo_average_form(p, v),
         )
         worst = max(worst, max(values) - min(values))
     elapsed = time.perf_counter() - start
@@ -126,11 +129,11 @@ def test_criterion_03_seed_average_identity(corpus):
     for f in corpus.values():
         for _ in range(20):
             v = random_cq_channel(g, f.n_inputs, int(g.integers(2, 4)))
-            full = channels.mix(v, range(f.n_inputs))
+            full = mix(v, range(f.n_inputs))
             for m in f.regularity_set:
                 acc = np.zeros_like(full)
                 for s in range(f.n_seeds):
-                    acc += channels.mix(v, bri.preimage(f, s, m))
+                    acc += mix(v, bri.preimage(f, s, m))
                 worst = max(worst, float(np.max(np.abs(acc / f.n_seeds - full))))
     ok = worst <= 1e-12
     report(3, ok, f"{len(corpus)} functions x 20 channels, max deviation {worst:.3e}")
@@ -145,9 +148,9 @@ def damped_window_certifiable(f, v) -> bool:
     charge undershoots when the preimage mixtures carry too little
     divergence from the average, so such draws are rejected up front.
     """
-    v_avg = channels.mix(v, range(f.n_inputs))
+    v_avg = mix(v, range(f.n_inputs))
     for m in f.regularity_set:
-        mixtures = [channels.mix(v, bri.preimage(f, s, m)) for s in range(f.n_seeds)]
+        mixtures = [mix(v, bri.preimage(f, s, m)) for s in range(f.n_seeds)]
         big_l = float(np.mean([op.relative_entropy(r, v_avg) for r in mixtures]))
         big_a = float(np.mean([op.exp2_renyi2(r, v_avg) for r in mixtures]))
         if math.log2(0.9) + 0.1 + math.log2(big_a) - 0.98 * big_l < 0.01:
@@ -429,7 +432,7 @@ def test_criterion_10_typicality_exactness():
                 min_slack = min(min_slack, reps[name].slack)
             sub = typicality.subnormalized_channel(v, p, n, d)
             norm = max(op.operator_norm(sub.output(t)) for t in sub.alphabet)
-            rank = op.rank_eps(channels.mix(sub, sub.alphabet))
+            rank = op.rank_eps(mix(sub, sub.alphabet))
             product_worst = min(
                 product_worst, 2.0 ** (n * (chi + beta + gamma)) - rank * norm
             )

@@ -11,13 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_probability, rng, seed_embedded_leakage
+from conftest import mix, random_density, random_probability, rng, seed_embedded_leakage
 
 from cqwiretap import bounds, bri, channels, codes, serialize, typicality
 from cqwiretap import operators as op
 from cqwiretap.channels import ClassicalChannel, CqChannel, tensor_power
 from cqwiretap.errors import InvalidStateError, PsdOrderingError
 
+# largest entry gap between a mixture of densities formed with weights
+# 1/|D| and the same mixture summed and then divided by |D|
+MIXTURE_ROUNDING = 4 * np.finfo(float).eps
 TWO_LN_TWO = 1.3862943611198906
 G_AT_HALF = 1.3774437510817343
 
@@ -77,8 +80,8 @@ class TestSubnormalizedChannel:
         vp = v.scaled(0.75)
         assert vp.epsilon == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(vp.output(1), 0.75 * v.output(1))
-        avg = channels.mix(vp, vp.alphabet)
-        assert np.allclose(avg, 0.75 * channels.mix(v, v.alphabet))
+        avg = mix(vp, vp.alphabet)
+        assert np.allclose(avg, 0.75 * mix(v, v.alphabet))
 
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5, math.nan])
     def test_factor_outside_unit_interval_rejected(self, factor):
@@ -271,7 +274,7 @@ class TestChainSteps:
         per_seed = []
         for s in range(self.f.n_seeds):
             states = [
-                channels.mix(self.v, bri.preimage(self.f, s, m))
+                mix(self.v, bri.preimage(self.f, s, m))
                 for m in self.f.regularity_set
             ]
             avg = sum(p * st for p, st in zip(self.m_dist, states))
@@ -371,7 +374,7 @@ class TestChainSteps:
                 lam = bri.lambda2(self.f, m)
                 want_rhs = (
                     lam
-                    * op.rank_eps(channels.mix(vp, vp.alphabet))
+                    * op.rank_eps(mix(vp, vp.alphabet))
                     * max(op.operator_norm(vp.output(x)) for x in range(4))
                     + 1.0
                 )
@@ -475,7 +478,7 @@ class TestTotalAndChain:
         lam = max(bri.lambda2(f, m) for m in f.regularity_set)
         spectral = (
             lam
-            * op.rank_eps(channels.mix(vp, vp.alphabet))
+            * op.rank_eps(mix(vp, vp.alphabet))
             * max(op.operator_norm(vp.output(x)) for x in range(6))
         )
         want = spectral / math.log(2) + vp.epsilon + vp.epsilon * math.log2(6 / f.d_s)
@@ -570,16 +573,62 @@ class TestChainTable:
                 np.linalg, name, lambda a, _real=real: calls.append(a.shape) or _real(a)
             )
         g = rng(56)
-        counts = []
+        counts = {"scale": [], "identity": []}
         for f in (shift_bri(2), shift_bri(4), section_6x8()):
             v = qubit_channel(g, f.n_inputs)
-            vp, k = v.scaled(0.9), len(f.regularity_set)
-            calls.clear()
-            bounds.certify_chain(f, v, vp, [1.0 / k] * k)
-            # one 2 x 2 eigensolve per symbol for the ordering V' <= V
-            assert calls[: f.n_inputs] == [(2, 2)] * f.n_inputs
-            counts.append(len(calls) - f.n_inputs)
-        # V: the leakage's entropies and averages, and one relative-entropy
-        # call (stack, sigma); V': one relative-entropy call and one
-        # exp2_renyi2 call (stack, sigma each), and the norm/rank eigvalsh
-        assert counts == [9, 9, 9]
+            k = len(f.regularity_set)
+            for mode, vp in (("scale", v.scaled(0.9)), ("identity", v)):
+                calls.clear()
+                bounds.certify_chain(f, v, vp, [1.0 / k] * k)
+                # one 2 x 2 eigensolve per symbol for the ordering V' <= V
+                assert calls[: f.n_inputs] == [(2, 2)] * f.n_inputs
+                counts[mode].append(len(calls) - f.n_inputs)
+        # per table: one eigvalsh of the preimage stack and one eigh of
+        # sigma; V adds the eigvalsh of the leakage's averages, V' the
+        # eigvalsh of its outputs for the norm; identity mode has one table
+        assert counts == {"scale": [6, 6, 6], "identity": [4, 4, 4]}
+
+    def test_table_reads_match_the_public_functions(self):
+        # the cores see the stack and sigma the public functions would
+        # validate and decompose again, so the bits agree
+        for f, v, vp, m_dist in self.pairs():
+            for channel in (v, vp):
+                t = bounds._Table(f, channel)
+                want = op.relative_entropies(t.stack, t.sigma).mean(axis=1)
+                assert np.array_equal(t.divergences, want)
+                assert np.array_equal(t.renyi2, op.exp2_renyi2(t.stack, t.sigma).mean(axis=1))
+                norm = max(op.operator_norm(channel.output(x)) for x in range(f.n_inputs))
+                assert t.spectral == (norm, op.rank_eps(t.sigma))
+            t, p = bounds._Table(f, v), np.asarray(m_dist, dtype=float)
+            seeds = [
+                CqChannel(range(len(m_dist)), v.dim, dict(enumerate(t.stack[:, s])))
+                for s in range(f.n_seeds)
+            ]
+            assert t.leakage(p) == np.mean([channels.holevo(p, u) for u in seeds])
+
+    def test_table_mixtures_match_the_subset_oracle(self):
+        # weights 1/|D| times each output, against the oracle's sum over D
+        # divided by |D|: the two differ by rounding only (six inputs give
+        # sigma weights of 1/6, which are not exact)
+        g = rng(58)
+        six = CqChannel(range(6), 3, {x: random_density(g, 3) for x in range(6)})
+        cases = [(f, v) for f, v, _, _ in self.pairs()]
+        for f, v in cases + [(bri.construct_exhaustive(3, 6, 3, 1.0), six)]:
+            t = bounds._Table(f, v)
+            for i, m in enumerate(f.regularity_set):
+                for s in range(f.n_seeds):
+                    want = mix(v, bri.preimage(f, s, m))
+                    assert np.abs(t.stack[i, s] - want).max() <= MIXTURE_ROUNDING
+            assert np.abs(t.sigma - mix(v, range(f.n_inputs))).max() <= MIXTURE_ROUNDING
+
+    def test_subnormalized_v_rejected(self):
+        # the leakage takes entropies, so V must have density outputs
+        f = section_6x8()
+        v = qubit_channel(rng(57), f.n_inputs).scaled(0.9)
+        k = len(f.regularity_set)
+        with pytest.raises(InvalidStateError, match="trace"):
+            bounds.certify_chain(f, v, v.scaled(0.9), [1.0 / k] * k)
+        with pytest.raises(InvalidStateError, match="trace"):
+            bounds.certify_chain(f, v, v, [1.0 / k] * k)
+        with pytest.raises(InvalidStateError, match="trace"):
+            bounds.bound_leakage_by_divergence(f, v, [1.0 / k] * k)

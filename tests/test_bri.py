@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_cq_channel, rng
+from conftest import mix, random_cq_channel, rng
 from cqwiretap import bri
-from cqwiretap.channels import mix
 from cqwiretap.errors import (
     ConstructionUnverifiedError,
     InvalidStateError,

@@ -1,15 +1,16 @@
 """Classical-quantum channels: composition, Holevo quantities, leakage,
 optimizers.
 
-The Holevo quantity is computed three ways (entropy difference, relative
-entropy of the joint state, averaged relative entropy); the tests treat the
-latter two as oracles for the first.  Leakage under common randomness is
+The library computes the Holevo quantity one way, as an entropy
+difference; the relative entropy of the joint state and the averaged
+relative entropy are its oracles, kept in ``conftest``.  Leakage under common randomness is
 checked against an explicit joint-state construction that embeds the seed
 into the eavesdropper's output.  Optimizers are certified against
 exhaustive simplex grids.
 """
 
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from numpy.testing import assert_allclose
 from conftest import (
     capacity_sequential,
     grid_holevo,
+    holevo_average_form,
+    holevo_relative_entropy_form,
+    mix,
     random_cq_channel,
     random_density,
     random_probability,
@@ -35,13 +39,10 @@ from cqwiretap.channels import (
     capacity_lifted,
     capacity_single_letter,
     complementary_pair,
+    check_distribution,
     compose,
-    conditional_entropy,
     holevo,
-    holevo_average_form,
-    holevo_relative_entropy_form,
     leakage_cr,
-    mix,
     tensor_power,
 )
 from cqwiretap.errors import (
@@ -154,24 +155,56 @@ class TestTensorPower:
 
 
 class TestMix:
+    """``channels._mixtures``, the one mixture routine of the package."""
+
     def test_singleton(self):
         v = random_cq_channel(rng(37), 3, 2)
-        assert_allclose(mix(v, [1]), v.output(1), atol=1e-14)
+        states = np.array(v.states())
+        assert np.array_equal(channels._mixtures(np.eye(3)[1], states), v.output(1))
 
     def test_full_alphabet(self):
         v = random_cq_channel(rng(38), 3, 2)
         expected = sum(v.output(x) for x in range(3)) / 3
-        assert_allclose(mix(v, v.alphabet), expected, atol=1e-14)
+        got = channels._mixtures(np.full(3, 1 / 3), np.array(v.states()))
+        assert_allclose(got, expected, atol=1e-14)
+        assert_allclose(got, mix(v, v.alphabet), atol=1e-14)
 
     def test_orthogonal_pure_pair_eigenvalues(self):
         v = classical_channel_det(2)
-        w = np.linalg.eigvalsh(mix(v, [0, 1]))
+        w = np.linalg.eigvalsh(channels._mixtures(np.full(2, 0.5), np.array(v.states())))
         assert_allclose(np.sort(w), [0.5, 0.5], atol=1e-12)
 
-    def test_empty_subset_rejected(self):
-        v = random_cq_channel(rng(39), 2, 2)
+    def test_batch_rows_match_single_mixtures(self):
+        # a weight array of any leading shape gives every row the bits it
+        # gets alone, as the chain table's (|M|, |S|, |X|) weights rely on
+        g = rng(39)
+        v = random_cq_channel(g, 4, 3)
+        states = np.array(v.states())
+        weights = np.array([[random_probability(g, 4) for _ in range(3)] for _ in range(2)])
+        batch = channels._mixtures(weights, states)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(batch[i, j], channels._mixtures(weights[i, j], states))
+
+
+class TestCheckDistribution:
+    def test_returns_a_float_vector(self):
+        p = check_distribution((1, 0, 0), 3)
+        assert p.dtype == float and p.tolist() == [1.0, 0.0, 0.0]
+        assert check_distribution([0.25, 0.75]).tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize(
+        "p", [[1.2, -0.1, -0.1], [0.6, 0.6, 0.6], [0.5, 0.5, np.nan], [np.inf, 0.0, 0.0]]
+    )
+    def test_not_a_probability_vector(self, p):
         with pytest.raises(InvalidStateError):
-            mix(v, [])
+            check_distribution(p, 3)
+
+    @pytest.mark.parametrize(
+        "p, size", [([0.5, 0.5], 3), ([[0.5, 0.5]], 2), ([], 2), (1.0, 1), ([], None), ([[1.0]], None)]
+    )
+    def test_wrong_shape(self, p, size):
+        with pytest.raises(DimensionMismatchError):
+            check_distribution(p, size)
 
 
 class TestHolevo:
@@ -217,6 +250,12 @@ class TestHolevo:
                 for x, prob in rows[m].items():
                     p_pushed[x] += p[i] * prob
             assert holevo(p, compose(e, v)) <= holevo(p_pushed, v) + 1e-9
+
+
+def conditional_entropy(p, v) -> float:
+    """S(V|P) as the library reads it: the entropies of the validated
+    output stack, weighted by P."""
+    return float((channels._validated_stack(v.states())[1] * np.asarray(p)).sum())
 
 
 class TestConditionalEntropy:
@@ -294,6 +333,35 @@ class TestLeakageCr:
         single = leakage_cr(p, {0: e}, v)
         repeated = leakage_cr(p, {s: e for s in range(4)}, v)
         assert repeated == pytest.approx(single, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [[1.2, -0.1, -0.1], [0.6, 0.6, 0.6]])
+    def test_invalid_message_distribution_rejected(self, p):
+        # the average of a non-probability vector is no density, and the
+        # entropies would read it as one without this check
+        v = random_cq_channel(rng(48), 3, 2)
+        e = ClassicalChannel((0, 1, 2), {m: {m: 1.0} for m in range(3)})
+        with pytest.raises(InvalidStateError):
+            leakage_cr(p, {0: e, 1: e}, v)
+        with pytest.raises(InvalidStateError):
+            holevo(p, v)
+
+
+def encoders_over(*message_sets):
+    """One encoder per seed, message i of each set sent to input i."""
+    return {
+        s: ClassicalChannel(msgs, {m: {i: 1.0} for i, m in enumerate(msgs)})
+        for s, msgs in enumerate(message_sets)
+    }
+
+
+@pytest.mark.parametrize(
+    "message_sets", [(("a", "b"), ("c", "d")), ((0, 1), (0, 1, 2))], ids=["renamed", "sizes"]
+)
+@pytest.mark.parametrize("search", [adversarial_leakage, partial(leakage_cr, [0.5, 0.5])])
+def test_seeds_must_share_one_message_set(message_sets, search):
+    v = random_cq_channel(rng(49), 3, 2)
+    with pytest.raises(InvalidStateError, match="one message set"):
+        search(encoders_over(*message_sets), v)
 
 
 class TestAdversarialLeakage:

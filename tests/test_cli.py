@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from conftest import random_density, random_unitary, rng
 from cqwiretap import cli, codes, serialize
 from cqwiretap.channels import CqChannel
 from cqwiretap.cli import KINDS, main
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def flip_channel() -> CqChannel:
@@ -302,6 +305,11 @@ class TestBoundChain:
         spec = self.setup_spec(ws, {"mode": "identity"}, m_dist=[0.2, 0.3, 0.5])
         assert main(["bound-chain", spec]) == 3
 
+    @pytest.mark.parametrize("m_dist", [[1.2, -0.2], [0.6, 0.6]])
+    def test_m_dist_not_a_probability_vector_exits_3(self, ws, m_dist):
+        spec = self.setup_spec(ws, {"mode": "identity"}, m_dist=m_dist)
+        assert main(["bound-chain", spec]) == 3
+
     def test_unknown_mode(self, ws):
         spec = self.setup_spec(ws, {"mode": "shrink"})
         assert main(["bound-chain", spec]) == 3
@@ -529,6 +537,21 @@ class TestBuildAndEval:
         report = serialize.load_json(ws.out())
         assert report["adversarial"]["value"] >= report["leakage"] - 1e-9
         assert report["adversarial"]["upper"] >= report["adversarial"]["value"]
+
+
+class TestEvalLeakageInputs:
+    """eval-leakage on the inputs of the ``eval-leakage`` golden case."""
+
+    def spec(self, ws, m_dist):
+        inputs = {role: str(GOLDEN_INPUTS / name) for role, name in
+                  (("channel", "eve_qubit.json"), ("code", "cr_3x8.json"))}
+        return ws.spec("eval-leakage", inputs, {"m_dist": m_dist})
+
+    @pytest.mark.parametrize("m_dist", [[1.2, -0.1, -0.1], [0.6, 0.6, 0.6], [0.5, 0.5]])
+    def test_invalid_m_dist_exits_3(self, ws, m_dist, capsys):
+        assert main(["eval-leakage", self.spec(ws, m_dist)]) == 3
+        assert "params.m_dist" in capsys.readouterr().err
+        assert not ws.out().exists()
 
 
 class TestTypicalityReport:

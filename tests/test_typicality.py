@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_compression, random_density, random_unitary, rng
+from conftest import dense_compression, mix, random_density, random_unitary, rng
 
 from cqwiretap import channels, serialize, typicality
 from cqwiretap import operators as op
 from cqwiretap.bounds import ORDERING_TOL
-from cqwiretap.channels import CqChannel, conditional_entropy, holevo, mix, tensor_power
+from cqwiretap.channels import CqChannel, holevo, tensor_power
 from cqwiretap.errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -609,7 +609,7 @@ class TestCheckTypicalProjector:
     def test_te5_constants_recomputed(self):
         v = flip_channel()
         n = 2
-        s_cond = conditional_entropy((0.6, 0.4), v)
+        s_cond = np.dot((0.6, 0.4), op.entropies(np.array(v.states())))
         gamma_p = 0.5 * abs(np.log2(0.2))
         reports = {r.name: r for r in check_typical_projector(v, n, 0.5, p=(0.6, 0.4))}
         assert reports["te5-eig-lower"].lhs == pytest.approx(2 ** (-n * (s_cond + gamma_p)))
@@ -693,7 +693,7 @@ class TestSubnormalizedChannel:
         n = 3
         v = flip_channel()
         sub = subnormalized_channel(v, p, n, 0.5)
-        s_cond = conditional_entropy(p, v)
+        s_cond = np.dot(p, op.entropies(np.array(v.states())))
         gamma_p = 0.5 * abs(np.log2(0.2))
         cap = 2 ** (-n * (s_cond - gamma_p))
         worst = max(op.operator_norm(sub.output(x)) for x in sub.alphabet)
@@ -776,7 +776,7 @@ class TestDenseOracle:
     def test_matches_dense_sandwich(self, case):
         make, p, n, delta, rank = ORACLE_CASES[case]
         v = make()
-        avg = channels._average_state(np.asarray(p), v)
+        avg = channels._mixtures(np.asarray(p, dtype=float), np.array(v.states()))
         assert typical_projector(avg, n, delta).rank == rank
         dense, te7 = dense_compression(v, p, n, delta)
         sub = subnormalized_channel(v, p, n, delta)
