@@ -168,14 +168,32 @@ class BriFunction:
     def section(self, m) -> SectionMatrix:
         if m not in self.regularity_set:
             raise InvalidStateError(f"{m!r} is not in the regularity set")
-        if m not in self._sections:
-            hits = (self.table == m).astype(np.float64)
-            counts = hits.T @ hits
-            matrix = counts / (self.d_s * self.d_x)
-            sv = np.linalg.svd(matrix, compute_uv=False)
-            lam = 1.0 if sv[0] - sv[1] < LAMBDA2_TIE_TOL else float(sv[1])
-            self._sections[m] = SectionMatrix(m, matrix, lam)
+        if not self._sections:
+            matrices, lams = _section_spectra(self.table, self.regularity_set, self.d_s, self.d_x)
+            self._sections = {
+                key: SectionMatrix(key, matrix, lam)
+                for key, matrix, lam in zip(self.regularity_set, matrices, lams)
+            }
         return self._sections[m]
+
+
+def _section_spectra(table, regularity_set, d_s, d_x):
+    """Section matrices and lambda2 of every m in the regularity set.
+
+    The m-section matrices hits_m^T hits_m / (d_S d_X) are formed as one
+    stack and their singular values taken by one batched SVD.  A tie with
+    the top singular value (difference below ``LAMBDA2_TIE_TOL``) gives
+    lambda2 = 1.0; a one-input table gives lambda2 = 0.0, since the
+    complement of the all-ones direction is {0}.  Returns
+    (matrices, lambda2s) in regularity-set order.
+    """
+    hits = np.stack([table == m for m in regularity_set]).astype(np.float64)
+    matrices = hits.transpose(0, 2, 1) @ hits / (d_s * d_x)
+    if matrices.shape[-1] == 1:
+        return matrices, [0.0] * len(regularity_set)
+    sv = np.linalg.svd(matrices, compute_uv=False)
+    lams = np.where(sv[:, 0] - sv[:, 1] < LAMBDA2_TIE_TOL, 1.0, sv[:, 1])
+    return matrices, lams.tolist()
 
 
 def section_matrix(f: BriFunction, m) -> SectionMatrix:
@@ -187,7 +205,8 @@ def lambda2(f: BriFunction, m) -> float:
     """Second largest singular value of the section matrix of m.
 
     A tie with the top singular value (difference below 1e-10) is
-    reported as exactly 1.0, failing irreducibility conservatively.
+    reported as exactly 1.0, failing irreducibility conservatively.  A
+    one-input function has no second singular value; its lambda2 is 0.0.
     """
     return f.section(m).lambda2
 
@@ -195,14 +214,6 @@ def lambda2(f: BriFunction, m) -> float:
 def preimage(f: BriFunction, s: int, m) -> np.ndarray:
     """Inputs x with f_s(x) = m, ascending."""
     return np.nonzero(f.table[s] == m)[0]
-
-
-def sample_preimage(f: BriFunction, s: int, m, rng: np.random.Generator):
-    """Uniform draw from f_s^{-1}(m) (exactly d_S candidates for m in M)."""
-    candidates = preimage(f, s, m)
-    if candidates.size == 0:
-        raise InvalidStateError(f"empty preimage of {m!r} at seed {s}")
-    return int(rng.choice(candidates))
 
 
 def quadratic_form_bound(sm: SectionMatrix, omega) -> tuple[float, float]:
@@ -238,6 +249,11 @@ def construct_exhaustive(
     rows lexicographically nondecreasing) which preserves completeness up
     to row/column permutations; visiting more than ``cap`` search nodes
     raises a resource error with progress attached.
+
+    The search state is held in Python lists and stepped by
+    :func:`~cqwiretap._kernels.search_step`.  Each complete table is
+    screened by one batched section spectrum; a :class:`BriFunction` is
+    built only for the first table whose max lambda2 meets the target.
     """
     if n_outputs < 1 or n_seeds < 1 or n_inputs < 1:
         raise InvalidStateError("sizes must be positive")
@@ -247,19 +263,23 @@ def construct_exhaustive(
     d_x = n_seeds // n_outputs
     regularity_set = tuple(range(n_outputs))
 
-    table = np.zeros((n_seeds, n_inputs), dtype=np.int64)
-    table[0] = np.arange(n_inputs) // d_s
-    if n_seeds == 1:
-        f = BriFunction(table, regularity_set)
-        if max(lambda2(f, m) for m in regularity_set) <= lambda2_target:
-            return f
+    def screened(rows):
+        table = np.array(rows, dtype=np.int64)
+        if max(_section_spectra(table, regularity_set, d_s, d_x)[1]) <= lambda2_target:
+            return BriFunction(table, regularity_set)
         return None
 
-    row_counts = np.zeros((n_seeds, n_outputs), dtype=np.int64)
-    row_counts[0] = d_s
-    col_counts = np.zeros((n_inputs, n_outputs), dtype=np.int64)
-    col_counts[np.arange(n_inputs), table[0]] = 1
-    nxt = np.zeros(n_seeds * n_inputs, dtype=np.int64)
+    table = [[0] * n_inputs for _ in range(n_seeds)]
+    table[0] = [x // d_s for x in range(n_inputs)]
+    if n_seeds == 1:
+        return screened(table)
+
+    row_counts = [[0] * n_outputs for _ in range(n_seeds)]
+    row_counts[0] = [d_s] * n_outputs
+    col_counts = [[0] * n_outputs for _ in range(n_inputs)]
+    for x, v in enumerate(table[0]):
+        col_counts[x][v] = 1
+    nxt = [0] * (n_seeds * n_inputs)
     pos = n_inputs
     used = 0
     while True:
@@ -276,7 +296,7 @@ def construct_exhaustive(
             d_x,
             cap - used,
         )
-        used += int(nodes)
+        used += nodes
         if status == 0:
             return None
         if status == -1:
@@ -286,9 +306,9 @@ def construct_exhaustive(
                 cap=cap,
                 progress=f"deepest open cell at row {pos // n_inputs}",
             )
-        candidate = BriFunction(table.copy(), regularity_set)
-        if max(lambda2(candidate, m) for m in regularity_set) <= lambda2_target:
-            return candidate
+        f = screened(table)
+        if f is not None:
+            return f
 
 
 def construct_seeded(k: int, d: int, cap: int = TABLE_CAP) -> BriFunction:

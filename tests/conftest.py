@@ -5,12 +5,13 @@ every run sees the same instances.
 """
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
 from cqwiretap import bri, channels
 from cqwiretap import operators as op
+from cqwiretap._kernels import search_step
 from cqwiretap.channels import ClassicalChannel, CqChannel, _mixtures, tensor_power
 from cqwiretap.codes import (
     CommonRandomnessCode,
@@ -83,6 +84,74 @@ def mix(v, subset) -> np.ndarray:
     for x in subset:
         out += v.output(x)
     return out / len(subset)
+
+
+def sample_preimage(f, s: int, m, g: np.random.Generator) -> int:
+    """Uniform draw from f_s^{-1}(m) (exactly d_S candidates for m in M)."""
+    candidates = bri.preimage(f, s, m)
+    if candidates.size == 0:
+        raise InvalidStateError(f"empty preimage of {m!r} at seed {s}")
+    return int(g.choice(candidates))
+
+
+def drive(n_s, n_x, n_m, budget):
+    """Step the table-search kernel to exhaustion on 2-D numpy state.
+
+    Mirrors the state of :func:`cqwiretap.bri.construct_exhaustive`, which
+    holds it in lists, and calls the kernel with ``budget`` nodes at a
+    time.  Returns (tables, nodes): every complete table in visiting order
+    and the nodes visited, where a budget stop's refused node counts once,
+    at the call that tries it again.
+    """
+    d_s, d_x = n_x // n_m, n_s // n_m
+    table = np.zeros((n_s, n_x), dtype=np.int64)
+    table[0] = np.arange(n_x) // d_s
+    row_counts = np.zeros((n_s, n_m), dtype=np.int64)
+    row_counts[0] = d_s
+    col_counts = np.zeros((n_x, n_m), dtype=np.int64)
+    col_counts[np.arange(n_x), table[0]] = 1
+    nxt = np.zeros(n_s * n_x, dtype=np.int64)
+    pos = n_x
+    tables, visited = [], 0
+    while True:
+        status, pos, nodes = search_step(
+            table, nxt, row_counts, col_counts, pos, n_s, n_x, n_m, d_s, d_x, budget
+        )
+        visited += nodes - (status == -1)
+        if status == 1:
+            tables.append(table.copy())
+        elif status == 0:
+            return tables, visited
+
+
+def lambda2_per_m(table, regularity_set) -> list[float]:
+    """Reference oracle: lambda2 of every m, one section matrix at a time.
+
+    Builds the verified :class:`~cqwiretap.bri.BriFunction`, then takes one
+    SVD per m with the tie rule, as the exhaustive search once did for
+    every complete table; it only serves to check the batched section
+    spectrum of :mod:`cqwiretap.bri`.
+    """
+    f = bri.BriFunction(table, regularity_set)
+    out = []
+    for m in f.regularity_set:
+        hits = (f.table == m).astype(np.float64)
+        sv = np.linalg.svd(hits.T @ hits / (f.d_s * f.d_x), compute_uv=False)
+        out.append(1.0 if sv[0] - sv[1] < bri.LAMBDA2_TIE_TOL else float(sv[1]))
+    return out
+
+
+@cache
+def full_enumeration(n_s, n_x, n_m):
+    """``drive`` in one unbounded call, kept for the session; do not mutate."""
+    return drive(n_s, n_x, n_m, 10**9)
+
+
+@cache
+def exhaustive_candidates(n_s, n_x, n_m):
+    """Every complete table of the canonical search with its per-m lambda2."""
+    tables, _ = full_enumeration(n_s, n_x, n_m)
+    return [(t, lambda2_per_m(t, range(n_m))) for t in tables]
 
 
 def holevo_relative_entropy_form(p, v) -> float:

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import mix, random_cq_channel, rng
+from conftest import (
+    exhaustive_candidates,
+    lambda2_per_m,
+    mix,
+    random_cq_channel,
+    rng,
+    sample_preimage,
+)
 from cqwiretap import bri
 from cqwiretap.errors import (
     ConstructionUnverifiedError,
@@ -156,18 +163,59 @@ class TestLambda2:
         f = bri.BriFunction(table, (0, 1))
         assert bri.lambda2(f, 0) == 1.0
 
+    def test_one_input_is_zero(self):
+        # the complement of the all-ones direction is {0}
+        f = bri.BriFunction([[0], [0]], [0])
+        assert bri.lambda2(f, 0) == 0.0
+        assert f.irreducible
+        lhs, rhs = bri.quadratic_form_bound(bri.section_matrix(f, 0), [3.0])
+        assert lhs == rhs == 9.0
+
+
+# (seeds, inputs, outputs) of the full enumerations the batched spectrum
+# is checked on: 3,592 tables in all
+ENUMERATIONS = [(4, 4, 2), (6, 6, 2), (6, 6, 3), (4, 8, 2), (8, 4, 2)]
+
+
+class TestBatchedSpectrumParity:
+    @pytest.mark.parametrize("sizes", ENUMERATIONS, ids=lambda s: "x".join(map(str, s)))
+    def test_equals_per_m_oracle_on_every_candidate(self, sizes):
+        n_s, n_x, n_m = sizes
+        rs = tuple(range(n_m))
+        for table, expected in exhaustive_candidates(*sizes):
+            assert bri._section_spectra(table, rs, n_x // n_m, n_s // n_m)[1] == expected
+
+    def test_enumerations_cover_3592_tables(self):
+        assert sum(len(exhaustive_candidates(*sizes)) for sizes in ENUMERATIONS) == 3592
+
+    @pytest.mark.parametrize("sizes", ENUMERATIONS, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("target", [0.0, 0.5, 0.75, 1 - 1e-9, 1.0])
+    def test_construct_matches_per_candidate_loop(self, sizes, target):
+        expected = next(
+            (t for t, lams in exhaustive_candidates(*sizes) if max(lams) <= target), None
+        )
+        f = bri.construct_exhaustive(*sizes, target)
+        if expected is None:
+            assert f is None
+        else:
+            assert f is not None
+            assert f.table.tolist() == expected.tolist()
+            assert [bri.lambda2(f, m) for m in f.regularity_set] == lambda2_per_m(
+                expected, f.regularity_set
+            )
+
 
 class TestSamplePreimage:
     def test_singleton_deterministic(self):
         table = np.array([[0, 1], [1, 0]])
         f = bri.BriFunction(table, (0, 1))
         g = rng(61)
-        assert all(bri.sample_preimage(f, 0, 0, g) == 0 for _ in range(5))
+        assert all(sample_preimage(f, 0, 0, g) == 0 for _ in range(5))
 
     def test_uniform_frequencies(self):
         f = bri.BriFunction(section_6x8(), (0,))
         g = rng(62)
-        draws = np.array([bri.sample_preimage(f, 0, 0, g) for _ in range(100_000)])
+        draws = np.array([sample_preimage(f, 0, 0, g) for _ in range(100_000)])
         for x in SECTION_ROWS[0]:
             freq = (draws == x).mean()
             sigma = math.sqrt(0.25 * 0.75 / 100_000)
@@ -222,8 +270,29 @@ class TestConstructExhaustive:
         assert bri.construct_exhaustive(2, 2, 2, 0.5) is None
 
     def test_cap_exceeded(self):
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError) as exc:
             bri.construct_exhaustive(8, 8, 2, 0.0, cap=50)
+        assert (exc.value.requested, exc.value.cap) == (51, 50)
+        assert exc.value.progress == "deepest open cell at row 6"
+
+    def test_first_irreducible_six_by_six_three(self):
+        # the 402nd complete table, at the 41,697th node, is the first
+        # irreducible one
+        candidates = exhaustive_candidates(6, 6, 3)
+        first = next(i for i, (_, lams) in enumerate(candidates) if max(lams) < 1.0)
+        assert first == 401
+        with pytest.raises(ResourceCapError) as exc:
+            bri.construct_exhaustive(6, 6, 3, 1 - 1e-9, cap=41_696)
+        assert (exc.value.requested, exc.value.cap) == (41_697, 41_696)
+        assert exc.value.progress == "deepest open cell at row 5"
+        f = bri.construct_exhaustive(6, 6, 3, 1 - 1e-9, cap=41_697)
+        assert f.table.tolist() == candidates[first][0].tolist()
+
+    def test_one_input(self):
+        f = bri.construct_exhaustive(2, 1, 1, 1.0)
+        assert f.table.tolist() == [[0], [0]]
+        assert (f.d_s, f.d_x) == (1, 2)
+        assert bri.lambda2(f, 0) == 0.0
 
 
 class TestConstructSeeded:

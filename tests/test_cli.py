@@ -215,6 +215,14 @@ class TestVerifyBri:
         assert report["irreducible"] is False
         assert report["lambda2"][0][1] == 1.0
 
+    def test_one_input_table(self, ws):
+        path = ws.file("one.json", {"S": 2, "X": 1, "M": [0], "table": [[0], [0]]})
+        spec = ws.spec("verify-bri", {"bri": path}, {})
+        assert main(["verify-bri", spec]) == 0
+        report = serialize.load_json(ws.out())
+        assert report["irreducible"] is True
+        assert report["lambda2"] == [[0, 0.0]]
+
     def test_out_flag_overrides(self, ws):
         spec = ws.spec("verify-bri", {"bri": str(serialize.bundled("section_6x8.json"))}, {})
         target = ws.root / "elsewhere.json"
