@@ -123,6 +123,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _window_width(value, what) -> float:
+    """A typicality window width: a JSON number, not a string or a bool
+    (its sign is checked by the library)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidStateError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _rng(params) -> np.random.Generator:
     seed = params.get("seed")
     if not _is_int(seed):
@@ -272,7 +280,11 @@ def _chain_pair(v, params, cap):
     if name == "scale":
         return v, v.scaled(float(mode.get("factor", 1.0)))
     p = np.asarray(mode["p"], dtype=float)
-    return typicality.reindexed_pair(v, p, int(mode["n"]), float(mode["delta"]), cap)
+    n = mode["n"]
+    if not _is_int(n):
+        raise InvalidStateError(f"params.v_prime.n must be an integer, got {n!r}")
+    delta = _window_width(mode["delta"], "params.v_prime.delta")
+    return typicality.reindexed_pair(v, p, n, delta, cap)
 
 
 def _run_bound_chain(inputs, params, output, cap):
@@ -314,9 +326,9 @@ def _run_capacity(inputs, params, output, cap):
 def _run_typicality_report(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
     p = channels.check_distribution(params["p"], len(v.alphabet), "params.p")
-    delta = float(params["delta"])
+    delta = _window_width(params["delta"], "params.delta")
     ns = params.get("ns", [2, 4, 8])
-    if not isinstance(ns, list) or not all(isinstance(n, int) and n >= 1 for n in ns):
+    if not isinstance(ns, list) or not all(_is_int(n) and n >= 1 for n in ns):
         raise InvalidStateError("params.ns must be a list of positive block lengths")
 
     avg = channels._mixtures(p, np.array(v.states()))
@@ -333,12 +345,11 @@ def _run_typicality_report(inputs, params, output, cap):
     rows = []
     per_n = []
     ok = True
-    for n in ns:
+    for n, (epsilon, sub_reports) in zip(ns, factors):
         reports = {r.name: r for r in typicality.check_typical_projector(avg, n, delta)}
         reports.update(
             {r.name: r for r in typicality.check_typical_projector(v, n, delta, p=p, cap=cap)}
         )
-        sub, sub_reports = next(factors)
         reports.update({r.name: r for r in sub_reports})
         ok = ok and all(reports[name].holds for name in asserted)
         rows.append([
@@ -355,7 +366,7 @@ def _run_typicality_report(inputs, params, output, cap):
             reports["te6-rank-lower"].slack,
             reports["te6-rank-upper"].slack,
             reports["te7-trace"].lhs,
-            sub.epsilon,
+            epsilon,
             reports["factor-norm"].slack,
             reports["factor-rank"].slack,
             reports["factor-product"].slack,

@@ -28,22 +28,26 @@ typicality mode, and ``factor_reports`` the spectral factor bounds of the
 compressed channel.
 
 The compression works inside the typical subspace of the average state,
-of rank R <= d^n, and streams over the typical strings.  The symbol
-eigenbases, their d x d overlaps with the average eigenbasis and the
-d^n x R isometry A onto the subspace are taken once per call; per string,
-the compressed output is A K A* with an R x R matrix K built from those
-overlaps, validated by one R x R eigensolve (that spectrum also gives the
-factor-norm).  The ordering V' <= V^n is decided at the same rank: a
-screen built from the same overlaps bounds the largest eigenvalue of V'
-relative to V^n, with a rounding allowance computed from the data, and
-certifies the string without forming V^n(x).  Only a string the screen
+of rank R <= d^n, and streams over the type classes of the typical set.
+The symbol eigenbases, their d x d overlaps with the average eigenbasis
+and the d^n x R isometry A onto the subspace are taken once per call.
+Per class, the compressed output of its first member is A K A* with an
+R x R matrix K built from those overlaps, validated by one R x R
+eigensolve (that spectrum also gives the factor-norm); every other member
+of the class has the same K with rows and columns permuted, because
+permuting positions maps the typical subspace onto itself.  The ordering
+V' <= V^n is decided at the same rank and once per class: a screen built
+from the same overlaps bounds the largest eigenvalue of V' relative to
+V^n, with a rounding allowance computed from the data, and certifies the
+class without forming V^n(x).  Only the members of a class the screen
 cannot certify (a violation, a near-boundary case or a singular output)
-has its product output built by one Kronecker chain and decomposed once
-at dimension d^n, by the dense rule that alone reports a violation.  No
-stack of |T| product outputs and no d^n x d^n projector is ever held.
-The te7 trace against the average-state projector is read off the
-product structure without building either.  The product columns of every
-projector are built together, one broadcast step per letter position.
+have their product outputs built by one Kronecker chain and decomposed
+once at dimension d^n, by the dense rule that alone reports a violation.
+No stack of |T| product outputs and no d^n x d^n projector is ever held,
+and the factor reports read the R x R cores alone.  The te7 trace against
+the average-state projector is read off the product structure without
+building either.  The product columns of every projector are built
+together, one broadcast step per letter position.
 """
 
 import itertools
@@ -550,14 +554,15 @@ def _string_profile(xn, spectra, delta):
 
 
 def _typical_inputs(v, p, n, delta, cap):
-    """Validated input distribution, product dimension, and the listed
-    typical input strings of a channel; an empty set is an error."""
+    """Validated input distribution and the listed typical input strings of
+    a channel, once the product dimension is checked against ``cap``; an
+    empty set is an error."""
     p = check_distribution(p, len(v.alphabet))
-    dim_total = check_dim(v.dim**n, cap)
+    check_dim(v.dim**n, cap)
     members = typical_set(p, n, delta, alphabet=v.alphabet)._listed("list")
     if not members:
         raise InvalidStateError("typical set is empty at this block length")
-    return p, dim_total, members
+    return p, members
 
 
 def _average_basis(p, v, n, delta):
@@ -569,7 +574,7 @@ def _average_basis(p, v, n, delta):
 
 
 def _conditional_reports(v, p, n, delta, cap):
-    p, _, members = _typical_inputs(v, p, n, delta, cap)
+    p, members = _typical_inputs(v, p, n, delta, cap)
     spectra = {}
     for a in v.alphabet:
         spectra[a] = _clean_spectrum(np.linalg.eigvalsh(v.output(a))[::-1])
@@ -580,8 +585,14 @@ def _conditional_reports(v, p, n, delta, cap):
     )
     window = max(_entropy_and_window(spectra[a], delta)[1] for a in v.alphabet)
 
-    ranks, traces, lows, highs = [], [], [], []
+    # the profile depends on the letter counts of xn only, so it is taken
+    # on the first member of each type class
+    firsts = {}
     for xn in members:
+        firsts.setdefault(tuple(map(xn.count, v.alphabet)), xn)
+
+    ranks, traces, lows, highs = [], [], [], []
+    for xn in firsts.values():
         rank, trace, log_lo, log_hi = _string_profile(xn, spectra, delta)
         ranks.append(rank)
         traces.append(trace)
@@ -742,10 +753,17 @@ def _ordering_screen(v, basis, avg_strings, raw, bases, overlaps):
     return certified
 
 
+def _sandwich(iso, k):
+    """The compressed output A K A* at dimension d^n, symmetrized."""
+    out = iso @ k @ iso.conj().T
+    return (out + out.conj().T) / 2.0
+
+
 def _compress(v, p, n, delta, cap=None, products=None):
-    """The channel of :func:`subnormalized_channel`, the largest
-    eigenvalue over its outputs and the R x R mean of the cores K_x, from
-    one pass over the typical strings.
+    """The typical strings of :func:`subnormalized_channel`, the D x R
+    isometry A, the R x R cores K_x (one per string, in string order) and
+    the largest eigenvalue over the outputs A K_x A*, from one pass over
+    the type classes of the typical set.
 
     With A the D x R isometry onto the average state's typical subspace
     (columns a_t, products of its eigenvectors) and b_j the conditional
@@ -754,9 +772,21 @@ def _compress(v, p, n, delta, cap=None, products=None):
     K_x = M diag(w) M* and M[t, j] = <a_t|b_j> = prod_i <a_{t_i}|b^{x_i}_{j_i}>,
     a product of d x d overlaps.  So neither projector is formed at
     dimension D = d^n.  The symbol eigenbases, their overlaps with the
-    average eigenbasis and A are taken once.  Per string, the R x R K_x is
-    validated by one eigensolve that also gives the nonzero spectrum of
-    V'(x).
+    average eigenbasis and A are taken once.  K_x is validated by one
+    eigensolve that also gives the nonzero spectrum of V'(x).
+
+    The work is done once per type class.  The typical set of the average
+    state is a union of type classes, so permuting positions maps it onto
+    itself, and A uses the same eigenbasis at every position.  So for a
+    string y with y_i = x_{pi(i)} (the same letter counts as x), exactly,
+    V^n(y) = U V^n(x) U* with U the unitary permuting the factors, and
+    K_y[t, t'] = K_x[s, s'] with s_{pi(i)} = t_i and s'_{pi(i)} = t'_i: the
+    conditional strings of y are those of x permuted the same way, with
+    the same weights.  K_y is a re-indexing of K_x, without arithmetic,
+    with the same spectrum and trace, and V^n(y) - V'(y) is unitarily
+    equivalent to V^n(x) - V'(x).  M, K, its validation and the ordering
+    screen below are taken on the first member x of each class only;
+    every other member gets its permuted core.
 
     The ordering V'(x) <= V^n(x) is first screened at rank R.  Write
     V(a) ~ E_a diag(lam_a) E_a* for the symbol decompositions,
@@ -767,7 +797,7 @@ def _compress(v, p, n, delta, cap=None, products=None):
     lambda_max(C* C) <= 1 + tau.  C* C = B* G B is J x J, and
     G = F diag(1/Lam) F* is an R x R matrix of products
     G[t, t'] = prod_i <a_{t_i}|E lam^{-1} E*|a_{t'_i}> of d x d entries, so
-    neither C nor V^n(x) is formed.  With tol = ORDERING_TOL, a string is
+    neither C nor V^n(x) is formed.  With tol = ORDERING_TOL, a class is
     accepted when
 
         max(0, Omega^2 (lambda_max + slack) - 1) * ||V~|| + drift <= tol / 2,
@@ -775,7 +805,8 @@ def _compress(v, p, n, delta, cap=None, products=None):
     with lambda_max the computed top eigenvalue of B* G B.  Then
     V^n - V' >= -max(0, tau) ||V~|| - ||V^n - V~|| - (rounding of either
     side) >= -tol / 2, so the dense rule could not have failed.  Every term
-    of the allowance is computed from the data:
+    of the allowance is computed from the data, and each is symmetric in
+    the order of the n factors, so it covers every member of the class:
 
     * ``slack`` bounds ||B* G B - C_ex* C_ex||, where C_ex is built from the
       exact overlaps of the stored eigenvectors, by the largest row sum of
@@ -799,55 +830,66 @@ def _compress(v, p, n, delta, cap=None, products=None):
     The margin tol / 2 leaves room for the rounding of the dense
     eigensolve itself.  V' = 0 (R = 0 or J = 0) is accepted outright when
     no letter has a negative raw eigenvalue, as V^n(x) is then a product of
-    positive semidefinite factors.  Any other string with a nonpositive
-    raw eigenvalue in a letter (a singular output), or one the bound cannot
-    certify (a violation or a near-boundary case), goes to the dense check
-    of ``_ordering_scan``:
-    V^n(x) is built by one Kronecker chain and decomposed once at
-    dimension D, so the dense rule alone decides a failure and its
-    :class:`PsdOrderingError` payload (a certified string's difference has
-    no eigenvalue below -tol / 2, so it never is the worst).  V^n(x) is
-    then dropped, unless ``products`` is a dict, which keeps it, screened
-    or not, under its string.
+    positive semidefinite factors.  Every member of any other class with a
+    nonpositive raw eigenvalue in a letter (a singular output), or of one
+    the bound cannot certify (a violation or a near-boundary case), goes,
+    in string order, to the dense check of ``_ordering_scan``: V^n(y) is
+    built by one Kronecker chain, V'(y) = A K_y A* formed, and their
+    difference decomposed once at dimension D, so the dense rule alone
+    decides a failure and its :class:`PsdOrderingError` payload (a
+    certified string's difference has no eigenvalue below -tol / 2, so it
+    never is the worst).  V^n(y) is then dropped, unless ``products`` is a
+    dict, which keeps it, screened or not, under its string.  No other
+    d^n x d^n operator is formed here.
     """
     n, delta = _validate_block(n, delta)
-    p, dim_total, members = _typical_inputs(v, p, n, delta, cap)
+    p, members = _typical_inputs(v, p, n, delta, cap)
     basis, avg_strings = _average_basis(p, v, n, delta)
     iso = _column_stack([basis] * n, avg_strings)
-    iso_h = iso.conj().T
     vn = tensor_power(v, n, cap)
     raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
     overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
     certified = _ordering_screen(v, basis, avg_strings, raw, bases, overlaps)
-    outputs, tops = {}, []
-    core = np.zeros((len(avg_strings), len(avg_strings)), dtype=complex)
+    letter = {a: i for i, a in enumerate(v.alphabet)}
+    # big-endian codes of the average strings, ascending as the rows are
+    powers = basis.shape[0] ** np.arange(n - 1, -1, -1)
+    codes = avg_strings @ powers
+    classes = {}  # sorted letters -> (sort order of the first member, K, screened)
+    cores, tops = [], []
 
     def triples():
         for xn in members:
-            strings = _group_filter(xn, spectra, delta)
-            idx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
-            m = np.ones((len(avg_strings), len(strings)), dtype=complex)
-            w = np.ones(len(strings))
-            for pos, a in enumerate(xn):
-                m *= overlaps[a][avg_strings[:, pos, None], idx[None, :, pos]]
-                w *= raw[a][idx[:, pos]]
-            k, spectrum = _checked_output(xn, (m * w) @ m.conj().T)
-            np.add(core, k, out=core)
-            out = iso @ k @ iso_h
-            outputs[xn] = out = (out + out.conj().T) / 2.0
-            tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
-            screened = certified(xn, m, w)
+            idx = np.array([letter[a] for a in xn])
+            order = np.argsort(idx, kind="stable")
+            key = tuple(idx[order])
+            if key not in classes:
+                strings = _group_filter(xn, spectra, delta)
+                jdx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
+                m = np.ones((len(avg_strings), len(strings)), dtype=complex)
+                w = np.ones(len(strings))
+                for pos, a in enumerate(xn):
+                    m *= overlaps[a][avg_strings[:, pos, None], jdx[None, :, pos]]
+                    w *= raw[a][jdx[:, pos]]
+                k, spectrum = _checked_output(xn, (m * w) @ m.conj().T)
+                tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
+                classes[key] = (order, k, certified(xn, m, w))
+            first_order, k, screened = classes[key]
+            # xn = x[pi] for the class's first member x
+            pi = np.empty(n, dtype=np.intp)
+            pi[order] = first_order
+            perm = np.searchsorted(codes, avg_strings @ powers[pi])
+            k = k[np.ix_(perm, perm)]
+            cores.append(k)
             if screened and products is None:
                 continue
             rho = vn.output(xn)
             if products is not None:
                 products[xn] = rho
             if not screened:
-                yield xn, rho, out
+                yield xn, rho, _sandwich(iso, k)
 
     _ordering_scan(triples())
-    channel = CqChannel(members, dim_total, outputs, validate=False)
-    return channel, max(tops), core / len(members)
+    return members, iso, cores, max(tops)
 
 
 def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
@@ -857,15 +899,17 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     its conditional projector, then by the typical projector of the average
     state.  The trace deficit is measured and becomes the channel's
     epsilon.  Domination by the product channel is verified on every
-    output; a violation raises :class:`PsdOrderingError`.  The strings are
-    streamed: each compressed output is validated by one eigensolve at the
-    rank R of the average-state projector, and its ordering is certified at
-    that rank by the screen of :func:`_compress`.  A product output is built
-    (and decomposed once at d^n) only for a string the screen cannot
-    certify, so an instance the screen covers makes no d^n eigensolve.
-    ``cap`` bounds the dimension d^n.
+    output; a violation raises :class:`PsdOrderingError`.  The work runs
+    per type class of the typical set: one eigensolve at the rank R of the
+    average-state projector validates the class's compressed outputs, and
+    the screen of :func:`_compress` certifies their ordering at that rank.
+    A product output is built (and decomposed once at d^n) only for a
+    string of a class the screen cannot certify, so an instance the screen
+    covers makes no d^n eigensolve.  ``cap`` bounds the dimension d^n.
     """
-    return _compress(v, p, n, delta, cap)[0]
+    members, iso, cores, _ = _compress(v, p, n, delta, cap)
+    outputs = {xn: _sandwich(iso, k) for xn, k in zip(members, cores)}
+    return CqChannel(members, iso.shape[0], outputs, validate=False)
 
 
 def reindexed_pair(v, p, n, delta, cap=None):
@@ -881,55 +925,59 @@ def reindexed_pair(v, p, n, delta, cap=None):
     dimension d^n.
     """
     products = {}
-    sub = _compress(v, p, n, delta, cap, products)[0]
-    index = range(len(sub))
+    members, iso, cores, _ = _compress(v, p, n, delta, cap, products)
+    index = range(len(members))
     # neither is validated again: Kronecker products of validated densities
     # are exactly Hermitian, and _compress validated the R x R core K of
-    # every output A K A* of V' and symmetrized the output
-    base = CqChannel(
-        index, sub.dim, {i: products[t] for i, t in enumerate(sub.alphabet)}, validate=False
-    )
-    prime = CqChannel(
-        index, sub.dim, {i: sub.output(t) for i, t in enumerate(sub.alphabet)}, validate=False
-    )
+    # every output A K A* of V', which _sandwich symmetrizes
+    base = CqChannel(index, iso.shape[0], {i: products[t] for i, t in enumerate(members)},
+                     validate=False)
+    prime = CqChannel(index, iso.shape[0], {i: _sandwich(iso, k) for i, k in enumerate(cores)},
+                      validate=False)
     return base, prime
 
 
 def factor_reports(v, p, delta, ns, cap=None):
-    """``(sub, reports)`` for every block length n in ``ns``, built lazily.
+    """``(epsilon, reports)`` for every block length n in ``ns``.
 
-    ``sub`` is ``subnormalized_channel(v, p, n, delta)`` and ``reports``
-    its spectral factor bounds.  factor-norm: the largest output operator
-    norm, read off the R x R spectra that validated the outputs, against
-    2^(-n (S(V|P) - gamma)); factor-rank: the rank of the uniform average
-    output A K A* (the rank of the R x R mean core K, as A is an isometry)
-    against 2^(n (S(PV) + beta)); factor-product: their product
-    against 2^(n (chi + beta + gamma)).  The window constants are
-    ``delta * max |log2 q|``, beta over the spectrum of the average state
-    PV and gamma the worst over the output spectra; they and the entropies
-    are computed once, on the call.  ``cap`` bounds the dimension d^n.
+    ``epsilon`` is the trace deficit of ``subnormalized_channel(v, p, n,
+    delta)``, read off the cores as 1 - min_x tr K_x (tr A K A* = tr K, as
+    A is an isometry), and ``reports`` its spectral factor bounds.
+    factor-norm: the largest output operator norm, read off the R x R
+    spectra that validated the outputs, against 2^(-n (S(V|P) - gamma));
+    factor-rank: the rank of the uniform average output A K A* (the rank of
+    the R x R mean core K) against 2^(n (S(PV) + beta)); factor-product:
+    their product against 2^(n (chi + beta + gamma)).  No d^n x d^n output
+    is formed.  The window constants are ``delta * max |log2 q|``, beta
+    over the spectrum of the average state PV and gamma the worst over the
+    output spectra; they and the entropies are computed once, on the call,
+    and one spectrum of PV gives chi, S(PV) and beta.  ``cap`` bounds the
+    dimension d^n.
     """
     p = check_distribution(p, len(v.alphabet))
     states, ent = _validated_stack(v.states())
-    avg = _mixtures(p, states)
+    # PV is exactly Hermitian (a real mixture of symmetrized states), so its
+    # spectrum is the one every entropy routine would take of it; ascending,
+    # so the normalizing sum of the window adds the smallest eigenvalues
+    # first, the order the golden reports were recorded in
+    w = op.clip_spectrum(np.linalg.eigvalsh(_mixtures(p, states)))
+    s_cond, s_avg = float((ent * p).sum()), float(op._entropy_core(w))
+    chi = max(0.0, s_avg - s_cond)
 
-    def window(rho):
-        # ascending spectrum: the normalizing sum adds the smallest
-        # eigenvalues first, the order the golden reports were recorded in
-        return _entropy_and_window(_clean_spectrum(np.linalg.eigvalsh(rho)), delta)[1]
+    def window(q):
+        return _entropy_and_window(_clean_spectrum(q), delta)[1]
 
-    chi = max(0.0, float(_chi(p, states, ent)))
-    s_cond, s_avg = float((ent * p).sum()), op.entropy(avg)
-    beta = window(avg)
-    gamma = max(window(v.output(a)) for a in v.alphabet)
+    beta = window(w)
+    gamma = max(window(np.linalg.eigvalsh(v.output(a))) for a in v.alphabet)
 
     def reports(n):
-        sub, norm, core = _compress(v, p, n, delta, cap)
-        rank = op.rank_eps(core)
-        return sub, [
+        _, _, cores, norm = _compress(v, p, n, delta, cap)
+        epsilon = max(0.0, 1.0 - min(float(np.trace(k).real) for k in cores))
+        rank = op.rank_eps(sum(cores) / len(cores))
+        return epsilon, [
             make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),
             make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),
             make_report("factor-product", rank * norm, 2.0 ** (n * (chi + beta + gamma))),
         ]
 
-    return map(reports, ns)
+    return [reports(n) for n in ns]

@@ -9,7 +9,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from cqwiretap import bri, channels
+from cqwiretap import bri, channels, typicality
 from cqwiretap import operators as op
 from cqwiretap._kernels import search_step
 from cqwiretap.channels import ClassicalChannel, CqChannel, _mixtures, tensor_power
@@ -269,6 +269,41 @@ def dense_compression(v, p, n, delta):
         outputs[xn] = pi_avg @ (pi_cond @ rho @ pi_cond) @ pi_avg
         avg_traces.append(float(np.trace(rho @ pi_avg).real))
     return outputs, min(avg_traces)
+
+
+def compress_per_string(v, p, n, delta):
+    """Reference oracle: the typicality cores K_x built string by string.
+
+    For every typical input string x, in string order,
+    M[t, j] = prod_i <a_{t_i}|b^{x_i}_{j_i}> over the average state's
+    typical strings t and the conditional typical strings j of x, and
+    K_x = M diag(w) M* with w the raw product eigenvalues, validated by its
+    own eigensolve.  Returns (cores, tops, epsilon, core): K_x per string,
+    the largest eigenvalue of each K_x, the trace deficit of the outputs
+    A K_x A* and the mean core.  It repeats the R x R work of every member
+    of a type class, so it only serves to check the per-class construction
+    of :func:`cqwiretap.typicality._compress`.
+    """
+    p, members = typicality._typical_inputs(v, p, n, delta, None)
+    basis, avg_strings = typicality._average_basis(p, v, n, delta)
+    iso = typicality._column_stack([basis] * n, avg_strings)
+    raw, spectra, bases = typicality._symbol_eigenbases(v, v.alphabet)
+    overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
+    cores, tops, deficit = {}, [], 0.0
+    for xn in members:
+        strings = typicality._group_filter(xn, spectra, delta)
+        idx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
+        m = np.ones((len(avg_strings), len(strings)), dtype=complex)
+        w = np.ones(len(strings))
+        for pos, a in enumerate(xn):
+            m *= overlaps[a][avg_strings[:, pos, None], idx[None, :, pos]]
+            w *= raw[a][idx[:, pos]]
+        k, spectrum = channels._checked_output(xn, (m * w) @ m.conj().T)
+        cores[xn] = k
+        tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
+        out = iso @ k @ iso.conj().T
+        deficit = max(deficit, 1.0 - float(np.trace((out + out.conj().T) / 2.0).real))
+    return cores, tops, max(0.0, deficit), sum(cores.values()) / len(cores)
 
 
 def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):

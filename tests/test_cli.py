@@ -297,6 +297,18 @@ class TestBoundChain:
         err = capsys.readouterr().err
         assert f"missing keys for v_prime mode 'typicality': ['{key}']" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 2.7), ("n", "2"), ("n", True), ("n", 2.0), ("delta", "0.5"), ("delta", True)],
+    )
+    def test_typicality_mode_malformed_value_exits_3(self, ws, key, value, capsys):
+        # each would once run as n = 2 or delta = 0.5 (or 1.0)
+        v_prime = {"mode": "typicality", "p": [0.6, 0.4], "n": 2, "delta": 0.5, key: value}
+        spec = self.setup_spec(ws, v_prime)
+        assert main(["bound-chain", spec]) == 3
+        assert f"params.v_prime.{key}" in capsys.readouterr().err
+        assert not ws.out().exists()
+
     def test_typicality_mode_size_mismatch(self, ws):
         # delta = 1.5 admits all four strings, too many for a 2-input table
         spec = self.setup_spec(
@@ -611,6 +623,31 @@ class TestTypicalityReport:
             {"p": [0.6, 0.4], "delta": 0.5, "ns": [0]},
         )
         assert main(["typicality-report", spec]) == 3
+
+    @pytest.mark.parametrize("ns", [[True], [2, 2.0], ["2"], 2])
+    def test_malformed_ns_exits_3(self, ws, ns, capsys):
+        # ns: [true] once ran as n = 1
+        ws.channel("v.json", flip_channel())
+        spec = ws.spec(
+            "typicality-report",
+            {"channel": str(ws.root / "v.json")},
+            {"p": [0.6, 0.4], "delta": 0.5, "ns": ns},
+        )
+        assert main(["typicality-report", spec]) == 3
+        assert "params.ns" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    @pytest.mark.parametrize("delta", ["0.5", True, None, [0.5]])
+    def test_malformed_delta_exits_3(self, ws, delta, capsys):
+        ws.channel("v.json", flip_channel())
+        spec = ws.spec(
+            "typicality-report",
+            {"channel": str(ws.root / "v.json")},
+            {"p": [0.6, 0.4], "delta": delta, "ns": [2]},
+        )
+        assert main(["typicality-report", spec]) == 3
+        assert "params.delta" in capsys.readouterr().err
+        assert not ws.out().exists()
 
 
 class TestDerandomize:

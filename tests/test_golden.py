@@ -49,3 +49,19 @@ def test_typicality_reports_certify_the_ordering_at_rank_r(name, tmp_path, monke
     assert code == EXITS[name] == 0
     assert report == (GOLDEN / f"{name}.expected.json").read_bytes()
     assert csv == (GOLDEN / f"{name}.expected.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["typicality-report", "typicality-report-clock", "typicality-report-qutrit"]
+)
+def test_typicality_reports_form_no_dn_output(name, tmp_path, monkeypatch):
+    # the reports read the R x R cores: no compressed output A K A*, no
+    # product output and no projector is formed at d^n x d^n
+    monkeypatch.setattr(typicality, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
+    monkeypatch.setattr(typicality, "_assemble", lambda *a: pytest.fail("projector assembled"))
+    monkeypatch.setattr(
+        channels.ProductChannel, "output", lambda *a: pytest.fail("product output built")
+    )
+    code, report, _ = run_case(name, tmp_path)
+    assert code == EXITS[name] == 0
+    assert report == (GOLDEN / f"{name}.expected.json").read_bytes()

@@ -8,6 +8,7 @@ a hand count of admissible letter frequencies.
 
 import itertools
 import math
+from collections import deque
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_compression, mix, random_density, random_unitary, rng
+from conftest import (
+    compress_per_string,
+    dense_compression,
+    mix,
+    random_density,
+    random_unitary,
+    rng,
+)
 
 from cqwiretap import channels, serialize, typicality
 from cqwiretap import operators as op
@@ -806,13 +814,14 @@ class TestDenseOracle:
 
 
 class TestStreamingCompression:
-    """Per typical string: one R x R eigensolve (validation and spectrum of
-    the compressed output), the ordering V' <= V decided at rank R by the
+    """Per type class: one R x R eigensolve (validation and spectrum of
+    the compressed outputs), the ordering V' <= V decided at rank R by the
     screen, and no product output, d^n eigensolve or d^n projector.  Flip
     channel, p (0.6, 0.4), n 3, delta 0.5: R = 6 of d^n = 8, so the counts
     tell the R x R validation apart from a d^n one; every conditional
     window holds one string (J = 1), so the screen's J x J solves are
-    (1, 1)."""
+    (1, 1).  The 3 typical strings form one type class, so the counts
+    also tell one solve per class apart from one per string."""
 
     P, N, DELTA = (0.6, 0.4), 3, 0.5
 
@@ -839,19 +848,22 @@ class TestStreamingCompression:
         sub = subnormalized_channel(flip_channel(), self.P, self.N, self.DELTA)
         assert len(sub) == 3
         assert calls.count((8, 8)) == 0
-        assert calls.count((6, 6)) == len(sub)
-        assert calls.count((1, 1)) == len(sub)
+        assert calls.count((6, 6)) == 1
+        assert calls.count((1, 1)) == 1
         assert "product" not in calls
 
     def test_factor_reports_reuse_the_spectra(self, monkeypatch):
         calls = self.count(monkeypatch)
         monkeypatch.setattr(op, "operator_norm", lambda a: pytest.fail("operator_norm called"))
-        (sub, reports), = factor_reports(flip_channel(), self.P, self.DELTA, [self.N])
-        # at R the validations plus the rank of the mean core: no d^n
-        # eigensolve, neither for the ordering nor for the average output
+        monkeypatch.setattr(typicality, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
+        (epsilon, reports), = factor_reports(flip_channel(), self.P, self.DELTA, [self.N])
+        # at R the one validation of the class plus the rank of the mean
+        # core: no d^n eigensolve, neither for the ordering nor for the
+        # average output, and no d^n x d^n output
         assert calls.count((8, 8)) == 0
-        assert calls.count((6, 6)) == len(sub) + 1
+        assert calls.count((6, 6)) == 1 + 1
         assert "product" not in calls
+        assert epsilon == pytest.approx(1.0 - 0.8**3, abs=1e-12)
         assert reports[0].lhs == pytest.approx(0.8**3, abs=1e-12)
 
     def test_reindexed_pair_builds_each_product_once(self, monkeypatch):
@@ -861,7 +873,7 @@ class TestStreamingCompression:
         # the chain's own ordering check is the one dense check of the pair
         assert calls.count("product") == len(base) == len(prime) == 3
         assert calls.count((8, 8)) == 0
-        assert calls.count((6, 6)) == len(base)
+        assert calls.count((6, 6)) == 1
 
     def test_violation_reaches_the_dense_eigensolves(self, monkeypatch):
         calls = self.count(monkeypatch)
@@ -901,27 +913,33 @@ def dense_minima(v, p, n, delta):
 
 def screened_compression(v, p, n, delta):
     """``subnormalized_channel`` with the strings its ordering screen
-    certified; returns (min_eigenvalue or None, certified strings)."""
-    certified = []
+    certified; returns (min_eigenvalue or None, certified strings, the
+    strings the screen was asked about).  The screen decides a whole type
+    class on its first member, so the certified strings are every typical
+    string with the letter counts of a certified one."""
+    asked, certified = [], set()
     real = typicality._ordering_screen
 
     def spy(*args):
         test = real(*args)
 
         def recorded(xn, m, w):
+            asked.append(xn)
             ok = test(xn, m, w)
             if ok:
-                certified.append(xn)
+                certified.add(tuple(sorted(xn)))
             return ok
 
         return recorded
 
+    got = None
     with mock.patch.object(typicality, "_ordering_screen", spy):
         try:
             subnormalized_channel(v, p, n, delta)
         except PsdOrderingError as exc:
-            return exc.min_eigenvalue, certified
-    return None, certified
+            got = exc.min_eigenvalue
+    members = typical_set(p, n, delta, alphabet=v.alphabet)
+    return got, [xn for xn in members if tuple(sorted(xn)) in certified], asked
 
 
 def near_commuting_channel(g, d, k, theta):
@@ -975,7 +993,7 @@ class TestOrderingScreen:
         except (InvalidStateError, ValueError):
             return  # empty typical set
         worst = min(minima.values())
-        got, certified = screened_compression(v, p, n, delta)
+        got, certified, _ = screened_compression(v, p, n, delta)
         assert (got is not None) == (worst < -ORDERING_TOL)
         if got is not None:
             assert abs(got - worst) <= 1e-13
@@ -988,29 +1006,31 @@ class TestOrderingScreen:
         # dense rule still raises, with its own minimum eigenvalue
         v, p = theta_channel(theta), (0.75, 0.25)
         worst = min(dense_minima(v, p, n, delta).values())
-        got, _ = screened_compression(v, p, n, delta)
+        got, _, _ = screened_compression(v, p, n, delta)
         assert worst < -ORDERING_TOL
         assert got == pytest.approx(worst, abs=1e-13)
 
     def test_zero_outputs_certified_without_products(self, monkeypatch):
-        # empty-conditional: every V'(x) = 0
+        # empty-conditional: every V'(x) = 0; the 4 strings are one type
+        # class, decided by one screen call
         monkeypatch.setattr(
             channels.ProductChannel, "output", lambda *a: pytest.fail("product built")
         )
-        _, certified = screened_compression(flip_channel(), (0.75, 0.25), 4, 0.2)
+        _, certified, asked = screened_compression(flip_channel(), (0.75, 0.25), 4, 0.2)
+        assert asked == [(0, 0, 0, 1)]
         assert len(certified) == 4
 
     def test_singular_outputs_take_the_dense_path(self):
         pure = np.zeros((2, 2), dtype=complex)
         pure[0, 0] = 1.0
         v = CqChannel((0, 1), 2, {0: pure, 1: pure})
-        got, certified = screened_compression(v, (0.7, 0.3), 2, 0.5)
+        got, certified, _ = screened_compression(v, (0.7, 0.3), 2, 0.5)
         assert got is None and not certified
 
     def test_near_pure_flip_passes(self):
         v, p, n, delta = flip_channel(1.0 - 1e-13), (0.6, 0.4), 3, 0.5
         minima = dense_minima(v, p, n, delta)
-        got, _ = screened_compression(v, p, n, delta)
+        got, _, _ = screened_compression(v, p, n, delta)
         assert got is None
         assert min(minima.values()) >= -ORDERING_TOL
 
@@ -1030,15 +1050,65 @@ class TestChainPair:
 
     def test_factor_reports_commuting_instance(self):
         v, p, n, delta = flip_channel(), (0.6, 0.4), 3, 0.5
-        pairs = list(factor_reports(v, p, delta, [2, n]))
-        assert [len(sub.alphabet[0]) for sub, _ in pairs] == [2, n]
-        sub, reports = pairs[1]
-        expected = subnormalized_channel(v, p, n, delta)
-        assert sub.alphabet == expected.alphabet
-        assert sub.epsilon == expected.epsilon
-        for t in sub.alphabet:
-            assert np.array_equal(sub.output(t), expected.output(t))
+        pairs = factor_reports(v, p, delta, [2, n])
+        assert isinstance(pairs, list) and len(pairs) == 2
+        for (epsilon, _), m in zip(pairs, [2, n]):
+            assert epsilon == pytest.approx(subnormalized_channel(v, p, m, delta).epsilon, abs=1e-15)
+        epsilon, reports = pairs[1]
+        assert epsilon == pytest.approx(1.0 - 0.8**3, abs=1e-12)
         assert [r.name for r in reports] == ["factor-norm", "factor-rank", "factor-product"]
         assert all(r.holds for r in reports)
         assert reports[0].lhs == pytest.approx(0.8**3, abs=1e-12)
         assert reports[1].lhs == 3
+
+
+class TestPerClassCompression:
+    """The per-class cores of ``_compress`` against the per-string oracle
+    ``conftest.compress_per_string``: every K_x, the largest eigenvalue,
+    the trace deficit and the mean core agree within 1e-14."""
+
+    @staticmethod
+    def assert_parity(v, p, n, delta):
+        cores, tops, epsilon, core = compress_per_string(v, p, n, delta)
+        # the cores are compared whatever the ordering decides
+        with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
+            members, _, got, top = typicality._compress(v, p, n, delta)
+            (eps, _), = factor_reports(v, p, delta, [n])
+            sub = subnormalized_channel(v, p, n, delta)
+        assert members == tuple(cores)
+        for xn, k in zip(members, got):
+            assert np.abs(k - cores[xn]).max(initial=0.0) <= 1e-14
+        assert abs(top - max(tops)) <= 1e-14
+        assert np.abs(sum(got) / len(got) - core).max(initial=0.0) <= 1e-14
+        assert abs(eps - epsilon) <= 1e-14
+        assert abs(sub.epsilon - epsilon) <= 1e-14
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_per_string_oracle(self, case):
+        make, p, n, delta, _ = ORACLE_CASES[case]
+        self.assert_parity(make(), p, n, delta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["commuting", "generic", "near"]),
+        log_theta=st.floats(-6.0, -1.0),
+        n=st.integers(2, 3),
+        delta=st.sampled_from([0.3, 0.5, 1.0, 2.0]),
+    )
+    def test_qutrit_sweep(self, seed, kind, log_theta, n, delta):
+        # 3-letter alphabet, d = 3: the classes hold up to 6 strings
+        g = rng(seed)
+        if kind == "generic":
+            v = CqChannel((0, 1, 2), 3, {x: random_density(g, 3) for x in range(3)})
+        else:
+            v = near_commuting_channel(g, 3, 3, 0.0 if kind == "commuting" else 10**log_theta)
+        p = g.dirichlet(np.ones(3))
+        try:
+            minima = dense_minima(v, p, n, delta)
+        except (InvalidStateError, ValueError):
+            return  # empty typical set
+        got, certified, _ = screened_compression(v, p, n, delta)
+        assert (got is not None) == (min(minima.values()) < -ORDERING_TOL)
+        assert all(minima[xn] >= -ORDERING_TOL for xn in certified)
+        self.assert_parity(v, p, n, delta)
