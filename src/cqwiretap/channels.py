@@ -46,12 +46,14 @@ from .errors import ConvergenceWarning, DimensionMismatchError, InvalidStateErro
 class CqChannel:
     """A classical-quantum channel with explicitly stored outputs.
 
-    Each output is a Hermitian PSD operator of trace at most 1, validated
-    one at a time unless ``validate`` is off.  ``epsilon`` is the measured
-    worst trace deficit ``max(0, max_x 1 - tr V(x))``: 0 for a channel of
-    density outputs, positive for a subnormalized one such as the
-    dominated V' <= V of the leakage chain.  Unit trace is checked where a
-    channel enters from a file and where entropies are taken.
+    Each output is a Hermitian PSD operator of trace at most 1.  Unless
+    ``validate`` is off, the ``(k, d, d)`` stack of outputs is validated by
+    one :func:`cqwiretap.operators._spectra` call, so by one ``eigvalsh``
+    per channel.  ``epsilon`` is the measured worst trace deficit
+    ``max(0, max_x 1 - tr V(x))``: 0 for a channel of density outputs,
+    positive for a subnormalized one such as the dominated V' <= V of the
+    leakage chain.  Unit trace is checked where a channel enters from a
+    file and where entropies are taken.
 
     Parameters
     ----------
@@ -67,20 +69,21 @@ class CqChannel:
         self.dim = int(dim)
         if set(outputs) != set(self.alphabet) or len(self.alphabet) != len(set(self.alphabet)):
             raise InvalidStateError("outputs must cover the alphabet exactly")
-        table = {}
-        deficit = 0.0
+        states = []
         for x in self.alphabet:
             rho = np.asarray(outputs[x], dtype=complex)
             if rho.shape != (self.dim, self.dim):
                 raise InvalidStateError(
                     f"output for {x!r} has shape {rho.shape}, expected ({self.dim}, {self.dim})"
                 )
-            if validate:
-                rho = _checked_output(x, rho)[0]
+            states.append(rho)
+        if validate:
+            states = list(_checked_outputs(self.alphabet, np.array(states))[0])
+        deficit = 0.0
+        for rho in states:
             deficit = max(deficit, 1.0 - float(np.real(np.trace(rho))))
-            table[x] = rho
         self.epsilon = max(0.0, deficit)
-        self._outputs = table
+        self._outputs = dict(zip(self.alphabet, states))
 
     def scaled(self, factor: float) -> "CqChannel":
         """Uniform damping V'(x) = factor * V(x) for 0 < factor <= 1."""
@@ -104,16 +107,21 @@ class CqChannel:
         return len(self.alphabet)
 
 
-def _checked_output(x, rho):
-    """Validate the output for symbol ``x``: Hermitian PSD of trace <= 1.
+def _checked_outputs(symbols, rho):
+    """Validate the outputs ``rho`` for ``symbols``: Hermitian PSD of trace
+    <= 1, the trace check naming the first symbol that fails it.
 
-    One eigensolve.  Returns the symmetrized output and its clipped
-    ascending spectrum.
+    ``rho`` is the ``(k, d, d)`` stack of the k symbols' outputs, or the
+    ``(d, d)`` output of a single symbol.  One
+    :func:`cqwiretap.operators._spectra` call, so one eigensolve.  Returns
+    the symmetrized outputs and their clipped ascending spectra.
     """
     rho, w = op._spectra(rho)
-    t = float(np.real(np.trace(rho)))
-    if t > 1.0 + TOL_TRACE:
-        raise InvalidStateError(f"output for {x!r} has trace {t} > 1")
+    t = op._trace(rho)
+    over = np.flatnonzero(t > 1.0 + TOL_TRACE)
+    if over.size:
+        i = over[0]
+        raise InvalidStateError(f"output for {symbols[i]!r} has trace {float(t.flat[i])} > 1")
     return rho, w
 
 

@@ -147,36 +147,40 @@ class DerandomizedCode:
         return self.seed_code.n + self.inner.n * self.n_repeats
 
 
-def _success(decoder: np.ndarray, state: np.ndarray) -> float:
-    return float(np.trace(decoder @ state).real)
+def _worst_errors(codes, w) -> np.ndarray:
+    """Worst-message error of each wiretap code in ``codes`` on the
+    single-letter channel ``w``; the codes share messages, n and dim.
+
+    sum_x E(x|m)(1 - tr(D_m W(x))) is the row sum of E(.|m) less
+    tr(D_m U(m)) for the composed output U(m) = sum_x E(x|m) W^{(x)n}(x),
+    so every trace comes from one ``einsum`` over the stacked decoders and
+    composed outputs.
+    """
+    w_n = tensor_power(w, codes[0].n)
+    msgs = codes[0].messages
+    outputs = np.array([compose(c.encoder, w_n).states() for c in codes])
+    decoders = np.array([[c.decoders[m] for m in msgs] for c in codes])
+    mass = np.array([[sum(c.encoder.row(m).values()) for m in msgs] for c in codes])
+    success = np.einsum("cmij,cmji->cm", decoders, outputs).real
+    return np.maximum((mass - success).max(axis=1), 0.0)
 
 
 def error_max(code, w) -> float:
     """Worst-message decoding error sup_m sum_x E(x|m)(1 - tr(D_m W(x))).
 
     ``w`` is the single-letter channel; only strings in the encoder's
-    support are evaluated, with output states cached per string.
+    support are evaluated.
     """
     if isinstance(code, TransmissionCode):
         code = code.as_wiretap()
-    w_n = tensor_power(w, code.n)
-    cache = {}
-    worst = 0.0
-    for m in code.messages:
-        total = 0.0
-        for x, prob in code.encoder.row(m).items():
-            if prob == 0.0:
-                continue
-            if x not in cache:
-                cache[x] = w_n.output(x)
-            total += prob * (1.0 - _success(code.decoders[m], cache[x]))
-        worst = max(worst, total)
-    return worst
+    return float(_worst_errors([code], w)[0])
 
 
 def error_expected_cr(crcode: CommonRandomnessCode, w) -> float:
-    """Seed-average of the per-seed worst-message error."""
-    return sum(error_max(crcode.per_seed[s], w) for s in crcode.seeds) / len(crcode.seeds)
+    """Seed-average of the per-seed worst-message error, from one ``einsum``
+    over every seed."""
+    errors = _worst_errors([crcode.per_seed[s] for s in crcode.seeds], w)
+    return sum(errors.tolist()) / len(crcode.seeds)
 
 
 def assemble_bri_modular(t: TransmissionCode, f: BriFunction) -> CommonRandomnessCode:
@@ -212,13 +216,6 @@ def assemble_bri_modular(t: TransmissionCode, f: BriFunction) -> CommonRandomnes
     return CommonRandomnessCode(per_seed)
 
 
-def codeword_channel(t: TransmissionCode, v) -> CqChannel:
-    """The channel c -> V^{(x)n}(x^n_c) seen through the codeword map."""
-    v_n = tensor_power(v, t.n)
-    outputs = {c: v_n.output(x) for c, x in t.codewords.items()}
-    return CqChannel(t.messages, v_n.dim, outputs, validate=False)
-
-
 def derandomized_channel(d: DerandomizedCode, v, cap=None) -> CqChannel:
     """The eavesdropper's channel of a derandomized code.
 
@@ -250,41 +247,32 @@ def error_derandomized(d: DerandomizedCode, w, cap=None) -> float:
 
     The decoder trace factorizes over the seed block and the N message
     blocks, so the error needs only the seed-block confusion matrix
-    A[s, s'] and per-block terms B[s, s', m]; no operator on the
-    concatenated space is formed; only the block dimensions count against
-    ``cap``.
+    A[s, s'] = tr(D'_{s'} W(c_s)) and the per-block terms
+    B[s, s', m] = tr(D^{s'}_m U_s(m)), with U_s the seed's inner code
+    composed with W: one ``einsum`` each, and no operator on the
+    concatenated space.  The success of a message tuple,
+    sum_{s,s'} A[s, s'] prod_i B[s, s', m_i], does not depend on the order
+    of the tuple, so the worst case takes one (k, k) product per multiset
+    of N messages.  Only the block dimensions count against ``cap``.
     """
     seeds = d.inner.seeds
     k = len(seeds)
     w_head = tensor_power(w, d.seed_code.n, cap)
-    head_states = {s: w_head.output(d.seed_code.codewords[s]) for s in seeds}
-    a = np.array(
-        [[_success(d.seed_code.decoders[s2], head_states[s1]) for s2 in seeds] for s1 in seeds]
-    )
+    heads = np.array([w_head.output(d.seed_code.codewords[s]) for s in seeds])
+    seed_decoders = np.array([d.seed_code.decoders[s] for s in seeds])
+    a = np.einsum("tij,sji->st", seed_decoders, heads).real
     w_block = tensor_power(w, d.inner.n, cap)
-    cache = {}
     msgs = d.inner.messages
-    b = np.zeros((k, k, len(msgs)))
-    for i, s1 in enumerate(seeds):
-        enc = d.inner.per_seed[s1].encoder
-        for m_i, m in enumerate(msgs):
-            for x, prob in enc.row(m).items():
-                if prob == 0.0:
-                    continue
-                if x not in cache:
-                    cache[x] = w_block.output(x)
-                for j, s2 in enumerate(seeds):
-                    b[i, j, m_i] += prob * _success(d.inner.per_seed[s2].decoders[m], cache[x])
+    inner = [d.inner.per_seed[s] for s in seeds]
+    blocks = np.array([compose(c.encoder, w_block).states() for c in inner])
+    decoders = np.array([[c.decoders[m] for m in msgs] for c in inner])
+    b = np.einsum("tmij,smji->mst", decoders, blocks).real
     worst = 0.0
-    for mbar in itertools.product(range(len(msgs)), repeat=d.n_repeats):
-        success = 0.0
-        for i in range(k):
-            for j in range(k):
-                term = a[i, j]
-                for m_i in mbar:
-                    term *= b[i, j, m_i]
-                success += term
-        worst = max(worst, 1.0 - success / k)
+    for mbar in itertools.combinations_with_replacement(range(len(msgs)), d.n_repeats):
+        term = a
+        for m_i in mbar:
+            term = term * b[m_i]
+        worst = max(worst, 1.0 - term.sum() / k)
     return float(worst)
 
 

@@ -59,11 +59,14 @@ def _as_stack(a: np.ndarray) -> np.ndarray:
 def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     """Validate Hermiticity within ``tol`` (max absolute entry deviation).
 
-    ``a`` is a matrix or a ``(..., d, d)`` stack of them.  Returns the
-    symmetrized ``(a + a*)/2`` so downstream spectral calls operate on an
-    exactly Hermitian input.
+    ``a`` is a matrix or a ``(..., d, d)`` stack of them, with finite
+    entries: nan and inf are rejected here, so no validator built on this
+    one accepts them.  Returns the symmetrized ``(a + a*)/2`` so downstream
+    spectral calls operate on an exactly Hermitian input.
     """
     a = _as_stack(a)
+    if not np.isfinite(a).all():
+        raise InvalidStateError("matrix has a non-finite entry")
     a_star = a.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(a - a_star)) if a.size else 0.0
     if dev > tol:
@@ -136,14 +139,21 @@ def check_psd(a: np.ndarray) -> np.ndarray:
 def check_measurement(d: np.ndarray) -> np.ndarray:
     """Validate a measurement operator: Hermitian with spectrum in [0, 1].
 
-    Eigenvalues may stray into [-1e-10, 1+1e-10]; more is an error.
+    ``d`` is a matrix or a ``(..., d, d)`` stack of them, checked by one
+    :func:`check_hermitian` and one ``eigvalsh``; the message of a bad
+    spectrum gives that of the first failing matrix.  Eigenvalues may stray
+    into [-1e-10, 1+1e-10]; more is an error.  Returns the symmetrized input.
     """
     d = check_hermitian(d)
     w = np.linalg.eigvalsh(d)
-    if w.size and (w.min() < EIG_FLOOR or w.max() > 1.0 - EIG_FLOOR):
-        raise InvalidStateError(
-            f"measurement operator spectrum [{w.min():.3e}, {w.max():.3e}] leaves [0, 1]"
-        )
+    if w.size:
+        lo, hi = w.min(axis=-1), w.max(axis=-1)
+        bad = np.flatnonzero((lo < EIG_FLOOR) | (hi > 1.0 - EIG_FLOOR))
+        if bad.size:
+            i = bad[0]
+            raise InvalidStateError(
+                f"measurement operator spectrum [{lo.flat[i]:.3e}, {hi.flat[i]:.3e}] leaves [0, 1]"
+            )
     return d
 
 
@@ -152,25 +162,26 @@ def check_sub_povm(elements, dim: int, tol: float = TOL_SUBPOVM) -> list:
 
     ``elements`` is any iterable of matrices (dict values are accepted).
     The deficit from the identity is the abort outcome, so the sum may fall
-    short but must not exceed the identity by more than ``tol``.  Returns
-    the symmetrized elements in input order.
+    short but must not exceed the identity by more than ``tol``.  The
+    ``(k, d, d)`` stack of elements is checked by one
+    :func:`check_measurement` (one ``check_hermitian`` and one ``eigvalsh``)
+    and the sum by one more ``eigvalsh``.  Returns the symmetrized elements
+    in input order.
     """
     if isinstance(elements, dict):
-        elements = list(elements.values())
-    cleaned = []
-    total = np.zeros((dim, dim), dtype=complex)
+        elements = elements.values()
+    elements = [_as_square(d) for d in elements]
     for d in elements:
-        d = check_measurement(d)
         if d.shape[0] != dim:
             raise DimensionMismatchError(
                 f"sub-POVM element dimension {d.shape[0]} != {dim}"
             )
-        cleaned.append(d)
-        total += d
-    excess = np.linalg.eigvalsh(check_hermitian(total)).max() - 1.0 if dim else 0.0
+    stack = check_measurement(np.array(elements).reshape(len(elements), dim, dim))
+    # a sum of exactly Hermitian matrices is exactly Hermitian
+    excess = np.linalg.eigvalsh(stack.sum(axis=0)).max() - 1.0 if dim else 0.0
     if excess > tol:
         raise InvalidStateError(f"sub-POVM exceeds the identity by {excess:.3e}")
-    return cleaned
+    return list(stack)
 
 
 def _xlog2x(w: np.ndarray) -> np.ndarray:

@@ -23,6 +23,12 @@ floats use their shortest round-trip representation, and files end with a
 newline.  Infinite values appear as the Python literals ``Infinity`` /
 ``-Infinity``, which :func:`json.loads` accepts back.
 
+:func:`canonical_json` is the package's own encoder.  Its text is byte for
+byte that of ``json.dumps(obj, indent=2, sort_keys=True)``, which the tests
+use as its oracle; it writes a whole matrix with one ``str.join`` instead
+of one call per number, and :func:`matrix_from_json` checks and converts a
+whole matrix in a few C-level passes.
+
 Malformed structure raises :class:`~cqwiretap.errors.InvalidStateError`;
 JSON syntax errors propagate as :class:`json.JSONDecodeError`.
 """
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +46,9 @@ from .channels import ClassicalChannel, CqChannel
 from .codes import CommonRandomnessCode, TransmissionCode, WiretapCode
 from .config import TOL_TRACE
 from .errors import InvalidStateError
+
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
 
 __all__ = [
     "matrix_to_json",
@@ -81,35 +91,37 @@ def _symbol(value, what):
 
 
 def matrix_to_json(a) -> list:
-    a = np.asarray(a, dtype=complex)
+    a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != 2:
         raise InvalidStateError(f"matrix must be 2-dimensional, got shape {a.shape}")
-    return [[[float(e.real), float(e.imag)] for e in row] for row in a]
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise InvalidStateError("matrix must be a non-empty list of rows")
-    width = None
-    rows = []
+    # whole-matrix checks: rows, then entries, then numbers, each one pass
+    widths = set(map(len, obj)) if set(map(type, obj)) == {list} else ()
+    if len(widths) == 1 and 0 not in widths:
+        entries = list(chain.from_iterable(obj))
+        if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+            flat = list(chain.from_iterable(entries))
+            if set(map(type, flat)) <= {int, float}:
+                return np.array(flat, dtype=float).view(complex).reshape(len(obj), -1)
+    raise InvalidStateError(_matrix_fault(obj))
+
+
+def _matrix_fault(obj) -> str:
+    """The message for the first malformed row or entry of ``obj``."""
+    width = len(obj[0]) if type(obj[0]) is list else None
     for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
-            raise InvalidStateError(f"matrix row {i} must be a non-empty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InvalidStateError(f"matrix row {i} has {len(row)} entries, expected {width}")
-        entries = []
+        if type(row) is not list or not row:
+            return f"matrix row {i} must be a non-empty list"
+        if len(row) != width:
+            return f"matrix row {i} has {len(row)} entries, expected {width}"
         for j, e in enumerate(row):
-            if (
-                not isinstance(e, list)
-                or len(e) != 2
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in e)
-            ):
-                raise InvalidStateError(f"matrix entry ({i}, {j}) must be a [re, im] pair")
-            entries.append(complex(e[0], e[1]))
-        rows.append(entries)
-    return np.array(rows, dtype=complex)
+            if type(e) is not list or len(e) != 2 or not {type(e[0]), type(e[1])} <= {int, float}:
+                return f"matrix entry ({i}, {j}) must be a [re, im] pair"
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +360,104 @@ def reports_to_csv(reports) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Serialize with sorted keys and a trailing newline.
+    """Serialize with sorted keys, two-space indents and a trailing newline.
 
-    Equal inputs give byte-identical text; floats keep full precision.
+    The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``
+    plus ``"\n"``: the same key sorting and key conversion, ``NaN`` and
+    ``Infinity``, ASCII escapes, and :class:`TypeError` for any other type
+    (``np.int64`` included).  A circular structure raises
+    :class:`RecursionError`.  A matrix (equal-length rows of exact-float
+    ``[re, im]`` pairs) is written by one join over its entries.
     """
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    out = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar_text(obj):
+    """The JSON text of None, a bool, an int or a float; None for any other type."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (_INF, -_INF):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    return None
+
+
+def _encode(obj, newline: str, out: list) -> None:
+    """Append the text of ``obj``, nested at the indent that ``newline``
+    (a newline and the current indent) carries."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        elif not _encode_matrix(obj, newline, out):
+            inner = newline + "  "
+            sep = "[" + inner
+            for value in obj:
+                out.append(sep)
+                _encode(value, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            text = key if isinstance(key, str) else _scalar_text(key)
+            if text is None:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+                )
+            out.append(sep + _escape(text) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        text = _scalar_text(obj)
+        if text is None:
+            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _encode_matrix(rows, newline: str, out: list) -> bool:
+    """Append ``rows`` as a matrix if it is a list of equal-length rows of
+    exact-float ``[re, im]`` pairs, and say whether it was one."""
+    if type(rows) is not list or set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+        return False
+    entries = list(chain.from_iterable(rows))
+    if not entries or set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return False
+    flat = list(chain.from_iterable(entries))
+    if set(map(type, flat)) != {float}:
+        return False
+    n1, n2, n3 = (newline + "  " * k for k in (1, 2, 3))
+    # one separator after each number: inside a pair, between pairs, between rows
+    seps = ["," + n3, n2 + "]," + n2 + "[" + n3] * len(rows[0])
+    seps[-1] = n2 + "]" + n1 + "]," + n1 + "[" + n2 + "[" + n3
+    seps *= len(rows)
+    seps[-1] = n2 + "]" + n1 + "]" + newline + "]"
+    parts = [None] * (2 * len(flat))
+    parts[0::2] = map(float.__repr__, flat)
+    parts[1::2] = seps
+    text = "".join(parts)
+    if "n" in text:  # float.__repr__ spells nan, inf and -inf in lower case
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    out.append("[" + n1 + "[" + n2 + "[" + n3 + text)
+    return True
 
 
 def dump_json(obj, path) -> None:

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import operators as op
 from .bounds import ORDERING_TOL, _ordering_scan, make_report
-from .channels import CqChannel, _checked_output, _chi, _mixtures, _validated_stack
+from .channels import CqChannel, _checked_outputs, _chi, _mixtures, _validated_stack
 from .channels import check_distribution, tensor_power
 from .config import STRING_CAP, check_dim
 from .errors import (
@@ -870,7 +870,7 @@ def _compress(v, p, n, delta, cap=None, products=None):
                 for pos, a in enumerate(xn):
                     m *= overlaps[a][avg_strings[:, pos, None], jdx[None, :, pos]]
                     w *= raw[a][jdx[:, pos]]
-                k, spectrum = _checked_output(xn, (m * w) @ m.conj().T)
+                k, spectrum = _checked_outputs((xn,), (m * w) @ m.conj().T)
                 tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
                 classes[key] = (order, k, certified(xn, m, w))
             first_order, k, screened = classes[key]

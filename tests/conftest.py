@@ -182,6 +182,14 @@ def random_cq_channel(g: np.random.Generator, n_inputs: int, dim: int):
     return CqChannel(tuple(range(n_inputs)), dim, outputs)
 
 
+def codeword_channel(t: TransmissionCode, v) -> CqChannel:
+    """Reference oracle: the channel c -> V^{(x)n}(x^n_c) seen through the
+    codeword map of a transmission code."""
+    v_n = tensor_power(v, t.n)
+    outputs = {c: v_n.output(x) for c, x in t.codewords.items()}
+    return CqChannel(t.messages, v_n.dim, outputs, validate=False)
+
+
 def derandomize(
     seed_code: TransmissionCode,
     crcode: CommonRandomnessCode,
@@ -298,7 +306,7 @@ def compress_per_string(v, p, n, delta):
         for pos, a in enumerate(xn):
             m *= overlaps[a][avg_strings[:, pos, None], idx[None, :, pos]]
             w *= raw[a][idx[:, pos]]
-        k, spectrum = channels._checked_output(xn, (m * w) @ m.conj().T)
+        k, spectrum = channels._checked_outputs((xn,), (m * w) @ m.conj().T)
         cores[xn] = k
         tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
         out = iso @ k @ iso.conj().T

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    codeword_channel,
     derandomize,
     discard_dirichlet_draws,
     grid_holevo,
@@ -299,7 +300,7 @@ def test_criterion_08_modular_code_behavior(corpus):
         error = codes.error_expected_cr(cr, w)
         m_dist = np.full(len(cr.messages), 1.0 / len(cr.messages))
         leak = channels.leakage_cr(m_dist, {s: cr.per_seed[s].encoder for s in cr.seeds}, v_n)
-        base = codes.codeword_channel(t, v)
+        base = codeword_channel(t, v)
         rep = bounds.bound_leakage_total(
             f44, base, base.scaled(1.0), m_dist
         )

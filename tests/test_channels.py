@@ -93,6 +93,49 @@ class TestTypes:
             ClassicalChannel((0,), {0: {0: 1.2, 1: -0.2}})
 
 
+class TestValidatedOutputs:
+    """The outputs are checked as one stack; each message matches the one
+    the same fault gave when the outputs were checked one at a time."""
+
+    HALF = I2 / 2
+
+    def test_one_eigensolve_per_channel(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        g = rng(41)
+        v = CqChannel(range(5), 3, {x: random_density(g, 3) for x in range(5)})
+        assert calls == [(5, 3, 3)]
+        back = serialize.channel_from_json(serialize.channel_to_json(v))
+        assert calls == [(5, 3, 3), (5, 3, 3)]
+        for x in v.alphabet:
+            assert np.array_equal(back.output(x), v.output(x))
+
+    def test_non_hermitian_output_after_the_first(self):
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(InvalidStateError) as err:
+            CqChannel((0, 1, 2), 2, {0: self.HALF, 1: self.HALF, 2: skew})
+        assert str(err.value) == "matrix is not Hermitian: deviation 1.000e-01 > 1.0e-10"
+
+    def test_negative_output_after_the_first(self):
+        with pytest.raises(InvalidStateError) as err:
+            CqChannel((0, 1, 2), 2, {0: self.HALF, 1: np.diag([1.2, -0.2]), 2: self.HALF})
+        assert str(err.value) == "operator is not positive semidefinite: min eigenvalue -2.000e-01"
+
+    def test_over_trace_names_the_first_failing_symbol(self):
+        with pytest.raises(InvalidStateError) as err:
+            outputs = {"a": self.HALF, "b": np.diag([0.75, 0.5]), "c": np.diag([1.0, 1.0])}
+            CqChannel(("a", "b", "c"), 2, outputs)
+        assert str(err.value) == "output for 'b' has trace 1.25 > 1"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_rejected(self, value):
+        bad = self.HALF.copy()
+        bad[0, 1] = bad[1, 0] = value
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            CqChannel((0, 1), 2, {0: self.HALF, 1: bad})
+
+
 class TestCompose:
     def test_identity_encoder(self):
         v = random_cq_channel(rng(30), 3, 2)

@@ -10,6 +10,7 @@ d_S = 4, d_X = 3.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -416,6 +417,19 @@ class TestCapacity:
         first = ws.out().read_bytes()
         main(["capacity", spec])
         assert ws.out().read_bytes() == first
+
+    def test_non_finite_channel_file_exits_3(self, ws, capsys):
+        # the golden capacity inputs with nan off-diagonals in one output
+        clock = serialize.load_json(GOLDEN_INPUTS / "clock.json")
+        clock["outputs"]["1"][0][1] = clock["outputs"]["1"][1][0] = [math.nan, 0.0]
+        spec = ws.spec(
+            "capacity",
+            {"channel_w": str(GOLDEN_INPUTS / "qutrit.json"), "channel_v": ws.file("v.json", clock)},
+            {"seed": 3, "starts": 4},
+        )
+        assert main(["capacity", spec]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not ws.out().exists()
 
     def test_lifted_two_letter(self, ws):
         ws.channel("w.json", noiseless(2))

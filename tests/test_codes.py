@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import derandomize, random_density, random_probability, rng
+from conftest import codeword_channel, derandomize, random_density, random_probability, rng
 
 from cqwiretap import bri, channels, codes
 from cqwiretap import operators as op
@@ -78,7 +78,7 @@ class TestTransmissionCode:
             )
 
     def test_decoders_validated_once(self, monkeypatch):
-        # one spectrum per decoder plus one for their sum; the stored
+        # one spectrum for the decoder stack plus one for their sum; the stored
         # decoders are the symmetrized inputs
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -86,7 +86,7 @@ class TestTransmissionCode:
         skew = np.diag([0.3, 0.2]).astype(complex)
         skew[0, 1] = 1e-12
         t = codes.TransmissionCode({0: (0,), 1: (1,), 2: (0,)}, {0: skew, 1: skew, 2: skew}, n=1, dim=2)
-        assert len(calls) == 4
+        assert len(calls) == 2
         for d in t.decoders.values():
             assert np.array_equal(d, (skew + skew.conj().T) / 2)
 
@@ -286,7 +286,7 @@ class TestAssembleBriModular:
             {s: modular.per_seed[s].encoder for s in modular.seeds},
             tensor_power(v, 1),
         )
-        u = codes.codeword_channel(t, v)
+        u = codeword_channel(t, v)
         composed_encoders = {
             s: ClassicalChannel(
                 self.f.regularity_set,
@@ -311,7 +311,7 @@ class TestCodewordChannel:
             n=2,
             dim=4,
         )
-        u = codes.codeword_channel(t, v)
+        u = codeword_channel(t, v)
         assert u.alphabet == (0, 1, 2, 3)
         v2 = tensor_power(v, 2)
         for c in range(4):

@@ -64,6 +64,96 @@ class TestValidation:
             op.check_sub_povm([0.7 * I2, 0.7 * I2], 2)
 
 
+def non_finite(value, where):
+    """A density operator with ``value`` on the diagonal or in a Hermitian
+    off-diagonal pair."""
+    a = I2 / 2
+    if where == "diagonal":
+        a[1, 1] = value
+    else:
+        a[0, 1] = a[1, 0] = value
+    return a
+
+
+NON_FINITE = [
+    pytest.param(value, where, id=f"{name}-{where}")
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+    for where in ("diagonal", "off-diagonal")
+]
+
+
+class TestNonFinite:
+    """nan and inf entries are rejected by every validator, through
+    ``check_hermitian``; a nan deviation used to compare as within tolerance."""
+
+    @pytest.mark.parametrize("value, where", NON_FINITE)
+    def test_check_hermitian(self, value, where):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            op.check_hermitian(non_finite(value, where))
+
+    @pytest.mark.parametrize("value, where", NON_FINITE)
+    def test_check_density(self, value, where):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            op.check_density(non_finite(value, where))
+
+    @pytest.mark.parametrize("value, where", NON_FINITE)
+    def test_check_measurement(self, value, where):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            op.check_measurement(non_finite(value, where))
+
+    @pytest.mark.parametrize("value, where", NON_FINITE)
+    def test_check_sub_povm(self, value, where):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            op.check_sub_povm([0.25 * I2, non_finite(value, where)], 2)
+
+
+class TestSubPovmStack:
+    """One check of the whole stack; each message is that of the first
+    failing element, as when the elements were checked one at a time."""
+
+    NON_HERMITIAN = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+
+    def test_non_hermitian_element_after_the_first(self):
+        with pytest.raises(InvalidStateError) as err:
+            op.check_sub_povm([0.2 * I2, 0.2 * I2, self.NON_HERMITIAN], 2)
+        assert str(err.value) == "matrix is not Hermitian: deviation 1.000e-01 > 1.0e-10"
+
+    def test_spectrum_above_one_after_the_first(self):
+        with pytest.raises(InvalidStateError) as err:
+            op.check_sub_povm([0.2 * I2, diag(1.5, 0.0)], 2)
+        assert str(err.value) == "measurement operator spectrum [0.000e+00, 1.500e+00] leaves [0, 1]"
+
+    def test_first_failing_element_is_named(self):
+        with pytest.raises(InvalidStateError) as err:
+            op.check_sub_povm([0.2 * I2, diag(-0.5, 0.2), diag(2.0, 0.0)], 2)
+        assert str(err.value) == "measurement operator spectrum [-5.000e-01, 2.000e-01] leaves [0, 1]"
+
+    def test_dimension_mismatch_after_the_first(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            op.check_sub_povm([0.2 * I2, np.eye(3) / 3], 2)
+        assert str(err.value) == "sub-POVM element dimension 3 != 2"
+
+    def test_sum_over_identity(self):
+        with pytest.raises(InvalidStateError) as err:
+            op.check_sub_povm([I2 / 2, I2 / 2, 0.25 * I2], 2)
+        assert str(err.value) == "sub-POVM exceeds the identity by 2.500e-01"
+
+    def test_two_eigensolves_and_symmetrized_elements(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        skew = diag(0.3, 0.2)
+        skew[0, 1] = 1e-12
+        cleaned = op.check_sub_povm({m: skew for m in range(3)}, 2)
+        assert calls == [(3, 2, 2), (2, 2)]
+        assert len(cleaned) == 3
+        for d in cleaned:
+            assert np.array_equal(d, (skew + skew.conj().T) / 2)
+
+    def test_empty_family(self):
+        assert op.check_sub_povm([], 2) == []
+
+
 class TestEntropy:
     def test_pure_state_zero(self):
         assert op.entropy(KET0) == 0.0

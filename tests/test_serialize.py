@@ -8,6 +8,7 @@ than anything produced by the writers themselves.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from cqwiretap import bri, codes, serialize
 from cqwiretap.bounds import make_report
 from cqwiretap.channels import ClassicalChannel, CqChannel
 from cqwiretap.errors import InvalidStateError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def xor_table() -> bri.BriFunction:
@@ -80,6 +83,129 @@ class TestMatrix:
     def test_rejects_bool_components(self):
         with pytest.raises(InvalidStateError):
             serialize.matrix_from_json([[[True, 0.0]]])
+
+
+class TestMatrixMessages:
+    """Malformed matrices after the first entry: the whole-matrix checks
+    report the first fault in row-major order, as an entry-by-entry scan does."""
+
+    GOOD = [1.0, 0.0]
+
+    def fault(self, obj) -> str:
+        with pytest.raises(InvalidStateError) as err:
+            serialize.matrix_from_json(obj)
+        return str(err.value)
+
+    @pytest.mark.parametrize("bad", [[True, 0.0], [0.5, "0"], [1.0, 0.0, 0.0], 1.0, None])
+    def test_bad_entry_named_by_position(self, bad):
+        obj = [[self.GOOD, self.GOOD, self.GOOD], [self.GOOD, self.GOOD, bad]]
+        assert self.fault(obj) == "matrix entry (1, 2) must be a [re, im] pair"
+
+    def test_ragged_row(self):
+        obj = [[self.GOOD, self.GOOD], [self.GOOD, self.GOOD], [self.GOOD]]
+        assert self.fault(obj) == "matrix row 2 has 1 entries, expected 2"
+
+    def test_empty_or_non_list_row(self):
+        assert self.fault([[self.GOOD], []]) == "matrix row 1 must be a non-empty list"
+        assert self.fault([[self.GOOD], (self.GOOD,)]) == "matrix row 1 must be a non-empty list"
+
+    def test_first_fault_in_row_major_order(self):
+        # a bad entry in row 0 comes before a ragged row 1
+        obj = [[self.GOOD, [0.0, False]], [self.GOOD]]
+        assert self.fault(obj) == "matrix entry (0, 1) must be a [re, im] pair"
+
+    def test_integer_components_accepted(self):
+        back = serialize.matrix_from_json([[[1, 0], [0, -2]], [[0, 2], [3, 0]]])
+        assert back.dtype == complex
+        assert np.array_equal(back, np.array([[1, -2j], [2j, 3]]))
+
+
+# Values json.dumps(indent=2, sort_keys=True) accepts, and what the
+# library writes: nested containers, matrices of [re, im] pairs, and
+# "almost matrices" that must take the generic path.
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | FLOATS | FLOATS.map(np.float64) | st.text(max_size=6)
+)
+KEYS = st.text(max_size=4) | st.integers(-5, 5) | FLOATS | st.booleans() | st.none()
+
+
+def equal_rows(entries):
+    return st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=3)
+    )
+
+
+MATRICES = (
+    equal_rows(st.lists(FLOATS, min_size=2, max_size=2))
+    | equal_rows(st.lists(FLOATS | st.integers(-3, 3), min_size=2, max_size=2))
+    | equal_rows(st.lists(FLOATS.map(np.float64), min_size=2, max_size=2))
+    | st.lists(st.lists(st.lists(FLOATS, min_size=1, max_size=3), max_size=3), max_size=3)
+)
+DOCUMENTS = st.recursive(
+    SCALARS | MATRICES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+def oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestCanonicalJson:
+    """The library's encoder against its oracle, ``json.dumps``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(DOCUMENTS)
+    def test_matches_json_dumps(self, obj):
+        try:
+            expected = oracle(obj)
+        except TypeError:
+            # keys of types that do not sort together
+            with pytest.raises(TypeError):
+                serialize.canonical_json(obj)
+            return
+        assert serialize.canonical_json(obj) == expected
+
+    def test_every_data_and_golden_file(self):
+        paths = sorted((ROOT / "tests" / "golden").rglob("*.json"))
+        paths += sorted((ROOT / "src" / "cqwiretap" / "data").glob("*.json"))
+        assert len(paths) > 30
+        for path in paths:
+            obj = json.loads(path.read_text())
+            assert serialize.canonical_json(obj) == oracle(obj), path.name
+
+    def test_code_files_match_the_oracle(self):
+        g = rng(12)
+        v = random_cq_channel(g, 3, 2)
+        for obj in (
+            serialize.channel_to_json(v),
+            serialize.code_to_json(small_wiretap()),
+            serialize.code_to_json(codes.CommonRandomnessCode({0: small_wiretap(), 1: small_wiretap()})),
+            serialize.matrix_to_json(random_unitary(g, 4)),
+        ):
+            assert serialize.canonical_json(obj) == oracle(obj)
+
+    def test_non_finite_matrix_entries(self):
+        obj = [[[math.nan, -0.0], [math.inf, -math.inf]], [[1e-300, 1e300], [-2.5, 0.1]]]
+        assert serialize.canonical_json(obj) == oracle(obj)
+        assert "NaN" in serialize.canonical_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [np.int64(3), [1, np.int64(2)], {"a": np.bool_(True)}, {np.int64(1): 1}, {1, 2}, object()],
+    )
+    def test_unsupported_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError) as ours:
+            serialize.canonical_json(obj)
+        with pytest.raises(TypeError) as theirs:
+            oracle(obj)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestChannel:
