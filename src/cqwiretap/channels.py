@@ -86,10 +86,15 @@ class CqChannel:
         self._outputs = dict(zip(self.alphabet, states))
 
     def scaled(self, factor: float) -> "CqChannel":
-        """Uniform damping V'(x) = factor * V(x) for 0 < factor <= 1."""
+        """Uniform damping V'(x) = factor * V(x) for 0 < factor <= 1.
+
+        Not validated again: scaling a Hermitian PSD output of trace <= 1
+        by a factor in (0, 1] keeps it one, so no eigensolve is made.
+        """
         if not 0.0 < factor <= 1.0:
             raise InvalidStateError(f"factor must be in (0, 1], got {factor}")
-        return CqChannel(self.alphabet, self.dim, {x: factor * self.output(x) for x in self.alphabet})
+        outputs = {x: factor * self.output(x) for x in self.alphabet}
+        return CqChannel(self.alphabet, self.dim, outputs, validate=False)
 
     def output(self, x) -> np.ndarray:
         try:

@@ -331,9 +331,6 @@ def _run_typicality_report(inputs, params, output, cap):
     if not isinstance(ns, list) or not all(_is_int(n) and n >= 1 for n in ns):
         raise InvalidStateError("params.ns must be a list of positive block lengths")
 
-    avg = channels._mixtures(p, np.array(v.states()))
-    factors = typicality.factor_reports(v, p, delta, ns, cap)
-
     asserted = {"te2-rank-upper", "te3-eig-lower", "te3-eig-upper", "factor-rank"}
     columns = [
         "n", "trace", "rank",
@@ -345,12 +342,8 @@ def _run_typicality_report(inputs, params, output, cap):
     rows = []
     per_n = []
     ok = True
-    for n, (epsilon, sub_reports) in zip(ns, factors):
-        reports = {r.name: r for r in typicality.check_typical_projector(avg, n, delta)}
-        reports.update(
-            {r.name: r for r in typicality.check_typical_projector(v, n, delta, p=p, cap=cap)}
-        )
-        reports.update({r.name: r for r in sub_reports})
+    for n, (epsilon, named) in zip(ns, typicality.typicality_reports(v, p, delta, ns, cap)):
+        reports = {r.name: r for r in named}
         ok = ok and all(reports[name].holds for name in asserted)
         rows.append([
             n,

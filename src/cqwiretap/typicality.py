@@ -5,9 +5,11 @@ within ``delta / |alphabet|`` of its probability and letters of zero
 probability never occur.  Lifting this to operators, the typical projector
 of a state keeps the eigenvector products indexed by typical strings of its
 spectrum; the conditional projector of a channel at an input string applies
-the same filter per symbol group.  Both are assembled in a deterministic
-eigenbasis (descending eigenvalues, near-ties ordered by phase-fixed
-eigenvector entries) so repeated runs produce identical matrices.
+the same filter per symbol group.  Both live in a deterministic eigenbasis
+(descending eigenvalues, near-ties ordered by phase-fixed eigenvector
+entries) so repeated runs produce identical outputs.  Neither projector is
+ever formed at dimension d^n: every quantity below is read off the index
+strings and d x d overlaps.
 
 ``check_typical_projector`` reports the trace, rank, and eigenvalue windows
 of the projected operators.  The eigenvalue sandwiches and the rank upper
@@ -24,41 +26,48 @@ result is dominated by the product channel whenever the two projector
 families are compatible; this is measured on every output and a violation
 raises rather than returning a channel that would poison later bounds.
 ``reindexed_pair`` gives the (V, V') pair the leakage chain takes in
-typicality mode, and ``factor_reports`` the spectral factor bounds of the
-compressed channel.
+typicality mode, ``factor_reports`` the spectral factor bounds of the
+compressed channel, and ``typicality_reports`` every report of a
+``typicality-report`` run.
 
-The compression works inside the typical subspace of the average state,
-of rank R <= d^n, and streams over the type classes of the typical set.
-The symbol eigenbases, their d x d overlaps with the average eigenbasis
-and the d^n x R isometry A onto the subspace are taken once per call.
-Per class, the compressed output of its first member is A K A* with an
-R x R matrix K built from those overlaps, validated by one R x R
-eigensolve (that spectrum also gives the factor-norm); every other member
-of the class has the same K with rows and columns permuted, because
-permuting positions maps the typical subspace onto itself.  The ordering
-V' <= V^n is decided at the same rank and once per class: a screen built
-from the same overlaps bounds the largest eigenvalue of V' relative to
-V^n, with a rounding allowance computed from the data, and certifies the
-class without forming V^n(x).  Only the members of a class the screen
-cannot certify (a violation, a near-boundary case or a singular output)
-have their product outputs built by one Kronecker chain and decomposed
-once at dimension d^n, by the dense rule that alone reports a violation.
-No stack of |T| product outputs and no d^n x d^n projector is ever held,
-and the factor reports read the R x R cores alone.  The te7 trace against
-the average-state projector is read off the product structure without
-building either.  The product columns of every projector are built
-together, one broadcast step per letter position.
+Every report of one (V, p, n, delta) reads one private block: the typical
+inputs grouped by type class, the eigenbasis and typical strings of the
+average state, and the symbol eigenbases with their d x d overlaps, so
+each is computed once per block length.  The compression works inside the
+typical subspace of the average state, of rank R <= d^n, once per type
+class.  The compressed output of a class's first member is A K A*, with A
+the d^n x R isometry onto the subspace and an R x R matrix K built from
+the overlaps, validated by one R x R eigensolve (that spectrum also gives
+the factor-norm); every other member of the class has the same K with rows
+and columns permuted, because permuting positions maps the typical
+subspace onto itself.  The ordering V' <= V^n is decided at the same rank
+and once per class: a screen built from the same overlaps bounds the
+largest eigenvalue of V' relative to V^n, with a rounding allowance
+computed from the data, and certifies the class without forming V^n(x).
+Only the members of a class the screen cannot certify (a violation, a
+near-boundary case or a singular output) have their product outputs built
+by one Kronecker chain and decomposed once at dimension d^n, by the dense
+rule that alone reports a violation.
+
+Only the class cores are kept, never one per typical string.  The factor
+reports read per member an O(R) permuted diagonal (its trace) and add its
+permuted core into one R x R buffer (the mean core), so their memory is in
+R^2 whatever the size |T| of the typical set, and they form neither A nor
+any d^n x d^n operator.  The te7 trace against the average-state projector
+is read off the product structure per string.  The product columns of A
+are built together, one broadcast step per letter position.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import operators as op
 from .bounds import ORDERING_TOL, _ordering_scan, make_report
-from .channels import CqChannel, _checked_outputs, _chi, _mixtures, _validated_stack
+from .channels import CqChannel, _checked_outputs, _mixtures, _validated_stack
 from .channels import check_distribution, tensor_power
 from .config import STRING_CAP, check_dim
 from .errors import (
@@ -69,16 +78,13 @@ from .errors import (
 
 __all__ = [
     "TypicalSet",
-    "TypicalProjector",
-    "ConditionalTypicalProjector",
     "sorted_eigenbasis",
     "typical_set",
-    "typical_projector",
-    "cond_typical_projector",
     "check_typical_projector",
     "subnormalized_channel",
     "reindexed_pair",
     "factor_reports",
+    "typicality_reports",
 ]
 
 # eigenvalues at or below this are treated as exact zeros for the
@@ -370,80 +376,6 @@ def _column_stack(bases, strings):
     return cols
 
 
-def _assemble(cols, dim_total):
-    if cols.shape[1] == 0:
-        return np.zeros((dim_total, dim_total), dtype=complex)
-    proj = cols @ cols.conj().T
-    return (proj + proj.conj().T) / 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class TypicalProjector:
-    """Projector onto eigenvector products indexed by spectrum-typical strings."""
-
-    rho: np.ndarray
-    n: int
-    delta: float
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    strings: tuple
-    projector: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.strings)
-
-
-def _typical_basis(rho, n, delta):
-    """Cleaned spectrum and deterministic eigenbasis of a validated density
-    ``rho``, and the spectrum-typical index strings of length n."""
-    vals, basis = sorted_eigenbasis(rho)
-    q = _clean_spectrum(vals)
-    return q, basis, typical_set(q, n, delta)._listed("project onto")
-
-
-def typical_projector(rho, n, delta, cap=None) -> TypicalProjector:
-    """Typical projector of ``rho**(x) n`` in its deterministic eigenbasis."""
-    rho = op.check_density(np.asarray(rho, dtype=complex))
-    n, delta = _validate_block(n, delta)
-    dim_total = check_dim(rho.shape[0] ** n, cap)
-    q, basis, strings = _typical_basis(rho, n, delta)
-    cols = _column_stack([basis] * n, strings)
-    return TypicalProjector(
-        rho=rho,
-        n=n,
-        delta=delta,
-        eigenvalues=q,
-        basis=basis,
-        strings=strings,
-        projector=_assemble(cols, dim_total),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalTypicalProjector:
-    """Per-symbol-group typical projector at one channel input string.
-
-    ``strings`` are the admitted eigenvalue-index strings and ``weights``
-    their product eigenvalues; these are exactly the nonzero spectrum of
-    the projected output.
-    """
-
-    xn: tuple
-    delta: float
-    strings: tuple
-    weights: np.ndarray
-    projector: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.xn)
-
-    @property
-    def rank(self) -> int:
-        return len(self.strings)
-
-
 def _group_filter(xn, spectra, delta):
     """Admitted index strings: every symbol group's subsequence is typical
     for that symbol's spectrum, with window ``delta/dim``."""
@@ -471,38 +403,6 @@ def _symbol_eigenbases(v, symbols):
         raw[a], bases[a] = sorted_eigenbasis(v.output(a))
         spectra[a] = _clean_spectrum(raw[a])
     return raw, spectra, bases
-
-
-def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjector:
-    """Conditional typical projector of a cq channel at an input string.
-
-    Defined for every string over the channel alphabet, typical or not;
-    the projector commutes with the product output at the same string.
-    """
-    xn = tuple(xn)
-    if not xn:
-        raise InvalidStateError("input string is empty")
-    for x in xn:
-        if not v.has_symbol(x):
-            raise DimensionMismatchError(f"symbol {x!r} not in channel alphabet")
-    _, delta = _validate_block(len(xn), delta)
-    dim_total = check_dim(v.dim ** len(xn), cap)
-    _, spectra, bases = _symbol_eigenbases(v, set(xn))
-    strings = _group_filter(xn, spectra, delta)
-    weights = np.array(
-        [
-            float(np.prod([spectra[a][j] for a, j in zip(xn, jn)]))
-            for jn in strings
-        ]
-    )
-    cols = _column_stack([bases[a] for a in xn], strings)
-    return ConditionalTypicalProjector(
-        xn=xn,
-        delta=float(delta),
-        strings=strings,
-        weights=weights,
-        projector=_assemble(cols, dim_total),
-    )
 
 
 def _unconditional_reports(rho, n, delta):
@@ -565,16 +465,71 @@ def _typical_inputs(v, p, n, delta, cap):
     return p, members
 
 
-def _average_basis(p, v, n, delta):
-    """Deterministic eigenbasis of the average state PV and the index
-    strings of its typical subspace, one row per string."""
-    avg = op.check_density(_mixtures(p, np.array(v.states())))
-    _, basis, strings = _typical_basis(avg, n, delta)
+def _average_basis(avg, n, delta):
+    """Deterministic eigenbasis of the average state PV, validated here as
+    a density, and the index strings of its typical subspace, one row per
+    string."""
+    vals, basis = sorted_eigenbasis(op.check_density(avg))
+    strings = typical_set(_clean_spectrum(vals), n, delta)._listed("project onto")
     return basis, np.array(strings, dtype=np.intp).reshape(len(strings), n)
 
 
-def _conditional_reports(v, p, n, delta, cap):
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """What every report of one (V, p, n, delta) reads, computed once.
+
+    ``classes`` groups the typical input strings ``members`` (string order)
+    by type class, keyed by their sorted letter indices, in the order of
+    the classes' first members.  ``basis`` and ``avg_strings`` are the
+    eigenbasis of PV and its typical index strings; ``raw``, ``spectra``
+    and ``bases`` the raw and cleaned spectra and the eigenbases of the
+    symbols, ``overlaps`` the d x d matrices basis* E_a.
+    """
+
+    v: CqChannel
+    p: np.ndarray
+    n: int
+    delta: float
+    cap: int | None
+    members: tuple
+    classes: dict
+    basis: np.ndarray
+    avg_strings: np.ndarray
+    raw: dict
+    spectra: dict
+    bases: dict
+    overlaps: dict
+
+    @cached_property
+    def iso(self):
+        """The d^n x R isometry A onto the typical subspace of PV."""
+        return _column_stack([self.basis] * self.n, self.avg_strings)
+
+
+def _block(v, p, n, delta, cap=None, avg=None):
+    """The :class:`_Block` of (v, p, n, delta); ``avg`` is PV when the
+    caller has it, and is formed here otherwise."""
+    n, delta = _validate_block(n, delta)
     p, members = _typical_inputs(v, p, n, delta, cap)
+    if avg is None:
+        avg = _mixtures(p, np.array(v.states()))
+    basis, avg_strings = _average_basis(avg, n, delta)
+    raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
+    letter = {a: i for i, a in enumerate(v.alphabet)}
+    classes = {}
+    for xn in members:
+        classes.setdefault(tuple(sorted(letter[a] for a in xn)), []).append(xn)
+    return _Block(
+        v=v, p=p, n=n, delta=delta, cap=cap, members=members, classes=classes,
+        basis=basis, avg_strings=avg_strings, raw=raw, spectra=spectra, bases=bases,
+        overlaps={a: basis.conj().T @ bases[a] for a in v.alphabet},
+    )
+
+
+def _conditional_reports(block):
+    v, p, n, delta = block.v, block.p, block.n, block.delta
+    # eigvalsh, not the block's eigh spectra: the two differ in the last
+    # bits, and te4-te6 were recorded from these
     spectra = {}
     for a in v.alphabet:
         spectra[a] = _clean_spectrum(np.linalg.eigvalsh(v.output(a))[::-1])
@@ -587,12 +542,8 @@ def _conditional_reports(v, p, n, delta, cap):
 
     # the profile depends on the letter counts of xn only, so it is taken
     # on the first member of each type class
-    firsts = {}
-    for xn in members:
-        firsts.setdefault(tuple(map(xn.count, v.alphabet)), xn)
-
     ranks, traces, lows, highs = [], [], [], []
-    for xn in firsts.values():
+    for xn, *_ in block.classes.values():
         rank, trace, log_lo, log_hi = _string_profile(xn, spectra, delta)
         ranks.append(rank)
         traces.append(trace)
@@ -601,7 +552,7 @@ def _conditional_reports(v, p, n, delta, cap):
             highs.append(log_hi)
 
     # tr(V^n(x) Pi_avg) = sum over typical t of prod_i <a_{t_i}|V(x_i)|a_{t_i}>
-    basis, avg_strings = _average_basis(p, v, n, delta)
+    basis, avg_strings = block.basis, block.avg_strings
     diagonals = {
         a: (basis.conj().T @ v.output(a) @ basis).diagonal().real for a in v.alphabet
     }
@@ -612,7 +563,7 @@ def _conditional_reports(v, p, n, delta, cap):
             terms *= diagonals[a][avg_strings[:, pos]]
         return float(terms.sum())
 
-    avg_trace = min(avg_trace_at(xn) for xn in members)
+    avg_trace = min(avg_trace_at(xn) for xn in block.members)
 
     reports = [
         make_report("te4-trace", min(traces), 1.0),
@@ -657,11 +608,11 @@ def check_typical_projector(source, n, delta, p=None, cap=None):
             raise InvalidStateError(
                 "conditional checks need the input distribution"
             )
-        return _conditional_reports(source, p, n, delta, cap)
+        return _conditional_reports(_block(source, p, n, delta, cap))
     return _unconditional_reports(source, n, delta)
 
 
-def _ordering_screen(v, basis, avg_strings, raw, bases, overlaps):
+def _ordering_screen(block):
     """A test ``certified(xn, m, w)`` that proves, at the typical rank,
     that V^n(x) - V'(x) has no eigenvalue below -ORDERING_TOL / 2, or
     returns False; see :func:`_compress`.
@@ -669,18 +620,27 @@ def _ordering_screen(v, basis, avg_strings, raw, bases, overlaps):
     The d x d factors of every symbol are taken here, once per call.  A
     symbol with a nonpositive raw eigenvalue has none, and every string
     containing it goes to the dense check, unless V'(x) = 0 and no raw
-    eigenvalue of its letters is negative.
+    eigenvalue of its letters is negative.  The R x R index matrix of a
+    letter position is built when that position is read, so the n of them
+    are never held together.
     """
+    v, basis, avg_strings = block.v, block.basis, block.avg_strings
+    raw, bases, overlaps = block.raw, block.bases, block.overlaps
     u = np.finfo(float).eps / 2  # unit roundoff
     d = basis.shape[0]
     n = avg_strings.shape[1]
-    pairs = [avg_strings[:, i, None] * d + avg_strings[None, :, i] for i in range(n)]
+
+    def pairs():
+        # flat indices into a d x d matrix of the letters (t_i, t'_i) at i
+        for i in range(n):
+            yield avg_strings[:, i, None] * d + avg_strings[None, :, i]
+
     basis_abs = np.abs(basis)
     # |A|*|A| over the typical columns: ||(|A| X |A|*)|| is at most the
     # largest row sum of X |A|*|A| for entrywise nonnegative X
     overlap_abs = (basis_abs.T @ basis_abs).ravel()
     gram_abs = np.ones((len(avg_strings), len(avg_strings)))
-    for pair in pairs:
+    for pair in pairs():
         gram_abs *= overlap_abs[pair]
     gram_rows = gram_abs.sum(axis=1)
     psd = {a for a in v.alphabet if raw[a].min() >= 0.0}
@@ -725,7 +685,7 @@ def _ordering_screen(v, basis, avg_strings, raw, bases, overlaps):
         dg = np.zeros((r, r))
         omega = norm = size = 1.0
         drift = 0.0
-        for a, pair in zip(xn, pairs):
+        for a, pair in zip(xn, pairs()):
             g_a, h_a, dh_a, omega_a, norm_a, resid_a, size_a = factors[a]
             g *= g_a[pair]
             h_a, dh_a = h_a[pair], dh_a[pair]
@@ -759,11 +719,11 @@ def _sandwich(iso, k):
     return (out + out.conj().T) / 2.0
 
 
-def _compress(v, p, n, delta, cap=None, products=None):
-    """The typical strings of :func:`subnormalized_channel`, the D x R
-    isometry A, the R x R cores K_x (one per string, in string order) and
-    the largest eigenvalue over the outputs A K_x A*, from one pass over
-    the type classes of the typical set.
+def _compress(block, products=None):
+    """The R x R core K of every type class of ``block`` (of its first
+    member, keyed as ``block.classes``) and the largest eigenvalue of its
+    output A K A*, once the ordering V' <= V^n has been decided for every
+    typical string; :func:`_member_cores` gives each member its core.
 
     With A the D x R isometry onto the average state's typical subspace
     (columns a_t, products of its eigenvectors) and b_j the conditional
@@ -771,9 +731,10 @@ def _compress(v, p, n, delta, cap=None, products=None):
     w_j, the compressed output is V'(x) = A K_x A* with
     K_x = M diag(w) M* and M[t, j] = <a_t|b_j> = prod_i <a_{t_i}|b^{x_i}_{j_i}>,
     a product of d x d overlaps.  So neither projector is formed at
-    dimension D = d^n.  The symbol eigenbases, their overlaps with the
-    average eigenbasis and A are taken once.  K_x is validated by one
-    eigensolve that also gives the nonzero spectrum of V'(x).
+    dimension D = d^n.  The symbol eigenbases and their overlaps with the
+    average eigenbasis come from the block; A is formed only for the dense
+    check below.  K_x is validated by one eigensolve that also gives the
+    nonzero spectrum of V'(x).
 
     The work is done once per type class.  The typical set of the average
     state is a union of type classes, so permuting positions maps it onto
@@ -785,8 +746,9 @@ def _compress(v, p, n, delta, cap=None, products=None):
     the same weights.  K_y is a re-indexing of K_x, without arithmetic,
     with the same spectrum and trace, and V^n(y) - V'(y) is unitarily
     equivalent to V^n(x) - V'(x).  M, K, its validation and the ordering
-    screen below are taken on the first member x of each class only;
-    every other member gets its permuted core.
+    screen below are taken on the first member x of each class only, and
+    only the |classes| cores are kept: a member's permuted core is formed
+    when it is read, so the memory is in R^2, not in |T| R^2.
 
     The ordering V'(x) <= V^n(x) is first screened at rank R.  Write
     V(a) ~ E_a diag(lam_a) E_a* for the symbol decompositions,
@@ -842,54 +804,66 @@ def _compress(v, p, n, delta, cap=None, products=None):
     dict, which keeps it, screened or not, under its string.  No other
     d^n x d^n operator is formed here.
     """
-    n, delta = _validate_block(n, delta)
-    p, members = _typical_inputs(v, p, n, delta, cap)
-    basis, avg_strings = _average_basis(p, v, n, delta)
-    iso = _column_stack([basis] * n, avg_strings)
-    vn = tensor_power(v, n, cap)
-    raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
-    overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
-    certified = _ordering_screen(v, basis, avg_strings, raw, bases, overlaps)
-    letter = {a: i for i, a in enumerate(v.alphabet)}
-    # big-endian codes of the average strings, ascending as the rows are
-    powers = basis.shape[0] ** np.arange(n - 1, -1, -1)
-    codes = avg_strings @ powers
-    classes = {}  # sorted letters -> (sort order of the first member, K, screened)
-    cores, tops = [], []
+    v, n = block.v, block.n
+    certified = _ordering_screen(block)
+    cores, tops, screened = {}, {}, {}
+    for key, (xn, *_) in block.classes.items():
+        strings = _group_filter(xn, block.spectra, block.delta)
+        jdx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
+        m = np.ones((len(block.avg_strings), len(strings)), dtype=complex)
+        w = np.ones(len(strings))
+        for pos, a in enumerate(xn):
+            m *= block.overlaps[a][block.avg_strings[:, pos, None], jdx[None, :, pos]]
+            w *= block.raw[a][jdx[:, pos]]
+        cores[key], spectrum = _checked_outputs((xn,), (m * w) @ m.conj().T)
+        tops[key] = float(spectrum[-1]) if spectrum.size else 0.0
+        screened[key] = certified(xn, m, w)
+    if products is None and all(screened.values()):
+        return cores, max(tops.values())
+    vn = tensor_power(v, n, block.cap)
 
     def triples():
-        for xn in members:
-            idx = np.array([letter[a] for a in xn])
-            order = np.argsort(idx, kind="stable")
-            key = tuple(idx[order])
-            if key not in classes:
-                strings = _group_filter(xn, spectra, delta)
-                jdx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
-                m = np.ones((len(avg_strings), len(strings)), dtype=complex)
-                w = np.ones(len(strings))
-                for pos, a in enumerate(xn):
-                    m *= overlaps[a][avg_strings[:, pos, None], jdx[None, :, pos]]
-                    w *= raw[a][jdx[:, pos]]
-                k, spectrum = _checked_outputs((xn,), (m * w) @ m.conj().T)
-                tops.append(float(spectrum[-1]) if spectrum.size else 0.0)
-                classes[key] = (order, k, certified(xn, m, w))
-            first_order, k, screened = classes[key]
-            # xn = x[pi] for the class's first member x
-            pi = np.empty(n, dtype=np.intp)
-            pi[order] = first_order
-            perm = np.searchsorted(codes, avg_strings @ powers[pi])
-            k = k[np.ix_(perm, perm)]
-            cores.append(k)
-            if screened and products is None:
+        for xn, key, perm in _member_perms(block):
+            if screened[key] and products is None:
                 continue
             rho = vn.output(xn)
             if products is not None:
                 products[xn] = rho
-            if not screened:
-                yield xn, rho, _sandwich(iso, k)
+            if not screened[key]:
+                yield xn, rho, _sandwich(block.iso, cores[key][np.ix_(perm, perm)])
 
     _ordering_scan(triples())
-    return members, iso, cores, max(tops)
+    return cores, max(tops.values())
+
+
+def _member_perms(block):
+    """``(y, key, perm)`` for every typical string y, in string order: its
+    type class and the index map with K_y = K_x[perm][:, perm] for the
+    class's first member x.  y = x[pi], and perm maps each average string
+    t to the index of the string s with s_{pi(i)} = t_i, found by
+    ``searchsorted`` on big-endian codes."""
+    n, avg_strings = block.n, block.avg_strings
+    letter = {a: i for i, a in enumerate(block.v.alphabet)}
+    # big-endian codes of the average strings, ascending as the rows are
+    powers = block.basis.shape[0] ** np.arange(n - 1, -1, -1)
+    codes = avg_strings @ powers
+    firsts = {
+        key: np.argsort([letter[a] for a in first], kind="stable")
+        for key, (first, *_) in block.classes.items()
+    }
+    for xn in block.members:
+        idx = np.array([letter[a] for a in xn])
+        order = np.argsort(idx, kind="stable")
+        key = tuple(idx[order].tolist())
+        pi = np.empty(n, dtype=np.intp)
+        pi[order] = firsts[key]
+        yield xn, key, np.searchsorted(codes, avg_strings @ powers[pi])
+
+
+def _member_cores(block, cores):
+    """``(y, K_y)`` for every typical string y, in string order."""
+    for xn, key, perm in _member_perms(block):
+        yield xn, cores[key][np.ix_(perm, perm)]
 
 
 def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
@@ -907,9 +881,10 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     string of a class the screen cannot certify, so an instance the screen
     covers makes no d^n eigensolve.  ``cap`` bounds the dimension d^n.
     """
-    members, iso, cores, _ = _compress(v, p, n, delta, cap)
-    outputs = {xn: _sandwich(iso, k) for xn, k in zip(members, cores)}
-    return CqChannel(members, iso.shape[0], outputs, validate=False)
+    block = _block(v, p, n, delta, cap)
+    cores, _ = _compress(block)
+    outputs = {xn: _sandwich(block.iso, k) for xn, k in _member_cores(block, cores)}
+    return CqChannel(block.members, block.iso.shape[0], outputs, validate=False)
 
 
 def reindexed_pair(v, p, n, delta, cap=None):
@@ -924,17 +899,65 @@ def reindexed_pair(v, p, n, delta, cap=None):
     is then the one dense ordering check of the pair.  ``cap`` bounds the
     dimension d^n.
     """
+    block = _block(v, p, n, delta, cap)
     products = {}
-    members, iso, cores, _ = _compress(v, p, n, delta, cap, products)
-    index = range(len(members))
+    cores, _ = _compress(block, products)
+    index = range(len(block.members))
+    dim = block.iso.shape[0]
     # neither is validated again: Kronecker products of validated densities
     # are exactly Hermitian, and _compress validated the R x R core K of
     # every output A K A* of V', which _sandwich symmetrizes
-    base = CqChannel(index, iso.shape[0], {i: products[t] for i, t in enumerate(members)},
+    base = CqChannel(index, dim, {i: products[t] for i, t in enumerate(block.members)},
                      validate=False)
-    prime = CqChannel(index, iso.shape[0], {i: _sandwich(iso, k) for i, k in enumerate(cores)},
+    prime = CqChannel(index, dim, {i: _sandwich(block.iso, k)
+                                   for i, (_, k) in enumerate(_member_cores(block, cores))},
                       validate=False)
     return base, prime
+
+
+def _factor_reports(v, p, delta):
+    """The validated p, the average state PV and a function taking a
+    :class:`_Block` of (v, p, n, delta) to ``(epsilon, reports)``; see
+    :func:`factor_reports`.  The window constants and the entropies are
+    computed here, once: one spectrum of PV gives chi, S(PV) and beta."""
+    p = check_distribution(p, len(v.alphabet))
+    states, ent = _validated_stack(v.states())
+    avg = _mixtures(p, states)
+    # PV is exactly Hermitian (a real mixture of symmetrized states), so its
+    # spectrum is the one every entropy routine would take of it; ascending,
+    # so the normalizing sum of the window adds the smallest eigenvalues
+    # first, the order the golden reports were recorded in
+    w = op.clip_spectrum(np.linalg.eigvalsh(avg))
+    s_cond, s_avg = float((ent * p).sum()), float(op._entropy_core(w))
+    chi = max(0.0, s_avg - s_cond)
+
+    def window(q):
+        return _entropy_and_window(_clean_spectrum(q), delta)[1]
+
+    beta = window(w)
+    gamma = max(window(np.linalg.eigvalsh(v.output(a))) for a in v.alphabet)
+
+    def reports(block):
+        n = block.n
+        cores, norm = _compress(block)
+        # per member, O(R) for its trace (the diagonal of K_y is that of
+        # K_x permuted) and one R x R gather added into the mean core,
+        # skipped where the class core is zero (an empty conditional window)
+        live = {key: k.any() for key, k in cores.items()}
+        least, mean = np.inf, np.zeros_like(next(iter(cores.values())))
+        for _, key, perm in _member_perms(block):
+            k = cores[key]
+            least = min(least, float(k.diagonal()[perm].sum().real))
+            if live[key]:
+                mean += k[np.ix_(perm, perm)]
+        rank = op.rank_eps(mean / len(block.members))
+        return max(0.0, 1.0 - least), [
+            make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),
+            make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),
+            make_report("factor-product", rank * norm, 2.0 ** (n * (chi + beta + gamma))),
+        ]
+
+    return p, avg, reports
 
 
 def factor_reports(v, p, delta, ns, cap=None):
@@ -947,37 +970,34 @@ def factor_reports(v, p, delta, ns, cap=None):
     spectra that validated the outputs, against 2^(-n (S(V|P) - gamma));
     factor-rank: the rank of the uniform average output A K A* (the rank of
     the R x R mean core K) against 2^(n (S(PV) + beta)); factor-product:
-    their product against 2^(n (chi + beta + gamma)).  No d^n x d^n output
-    is formed.  The window constants are ``delta * max |log2 q|``, beta
-    over the spectrum of the average state PV and gamma the worst over the
-    output spectra; they and the entropies are computed once, on the call,
-    and one spectrum of PV gives chi, S(PV) and beta.  ``cap`` bounds the
-    dimension d^n.
+    their product against 2^(n (chi + beta + gamma)).  The window
+    constants are ``delta * max |log2 q|``, beta over the spectrum of the
+    average state PV and gamma the worst over the output spectra.
+
+    All three are read per type class, from the cores of :func:`_compress`:
+    the norm is the class's top eigenvalue, tr K_y is summed off the
+    permuted diagonal of its class core, and every member's permuted core
+    is added into one R x R buffer for the mean.  So the memory is in R^2,
+    whatever the size |T| of the typical set, and no d^n x d^n output is
+    formed.  ``cap`` bounds the dimension d^n.
     """
-    p = check_distribution(p, len(v.alphabet))
-    states, ent = _validated_stack(v.states())
-    # PV is exactly Hermitian (a real mixture of symmetrized states), so its
-    # spectrum is the one every entropy routine would take of it; ascending,
-    # so the normalizing sum of the window adds the smallest eigenvalues
-    # first, the order the golden reports were recorded in
-    w = op.clip_spectrum(np.linalg.eigvalsh(_mixtures(p, states)))
-    s_cond, s_avg = float((ent * p).sum()), float(op._entropy_core(w))
-    chi = max(0.0, s_avg - s_cond)
+    p, avg, reports = _factor_reports(v, p, delta)
+    return [reports(_block(v, p, n, delta, cap, avg)) for n in ns]
 
-    def window(q):
-        return _entropy_and_window(_clean_spectrum(q), delta)[1]
 
-    beta = window(w)
-    gamma = max(window(np.linalg.eigvalsh(v.output(a))) for a in v.alphabet)
-
-    def reports(n):
-        _, _, cores, norm = _compress(v, p, n, delta, cap)
-        epsilon = max(0.0, 1.0 - min(float(np.trace(k).real) for k in cores))
-        rank = op.rank_eps(sum(cores) / len(cores))
-        return epsilon, [
-            make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),
-            make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),
-            make_report("factor-product", rank * norm, 2.0 ** (n * (chi + beta + gamma))),
-        ]
-
-    return [reports(n) for n in ns]
+def typicality_reports(v, p, delta, ns, cap=None):
+    """``(epsilon, reports)`` for every block length n in ``ns``: the
+    reports te1-te3 of the average state PV, te4-te7 of the channel
+    (:func:`check_typical_projector`) and the factor reports of
+    :func:`factor_reports`, in that order.  PV is formed once, and the
+    typical inputs and the basis and typical strings of PV once per n, for
+    all three.  ``cap`` bounds the dimension d^n.
+    """
+    p, avg, factors = _factor_reports(v, p, delta)
+    out = []
+    for n in ns:
+        block = _block(v, p, n, delta, cap, avg)
+        epsilon, reports = factors(block)
+        out.append((epsilon, _unconditional_reports(avg, block.n, block.delta)
+                    + _conditional_reports(block) + reports))
+    return out

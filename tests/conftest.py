@@ -5,6 +5,7 @@ every run sees the same instances.
 """
 
 import itertools
+from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
@@ -20,8 +21,8 @@ from cqwiretap.codes import (
     WiretapCode,
 )
 from cqwiretap.config import STRING_CAP, check_dim
-from cqwiretap.errors import InvalidStateError
-from cqwiretap.typicality import cond_typical_projector, typical_projector, typical_set
+from cqwiretap.errors import DimensionMismatchError, InvalidStateError
+from cqwiretap.typicality import typical_set
 
 
 def rng(seed: int = 7) -> np.random.Generator:
@@ -256,6 +257,95 @@ def seed_embedded_leakage(f, v, m_dist) -> float:
     return channels.holevo(m_dist, joint)
 
 
+def _assemble(cols, dim_total):
+    if cols.shape[1] == 0:
+        return np.zeros((dim_total, dim_total), dtype=complex)
+    proj = cols @ cols.conj().T
+    return (proj + proj.conj().T) / 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class TypicalProjector:
+    """Projector onto eigenvector products indexed by spectrum-typical strings."""
+
+    rho: np.ndarray
+    n: int
+    delta: float
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    strings: tuple
+    projector: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return len(self.strings)
+
+
+def typical_projector(rho, n, delta, cap=None) -> TypicalProjector:
+    """Reference oracle: the typical projector of ``rho**(x) n`` in the
+    library's deterministic eigenbasis, assembled at dimension d^n.  The
+    library works inside its typical subspace and never forms it."""
+    rho = op.check_density(np.asarray(rho, dtype=complex))
+    n, delta = typicality._validate_block(n, delta)
+    dim_total = check_dim(rho.shape[0] ** n, cap)
+    vals, basis = typicality.sorted_eigenbasis(rho)
+    q = typicality._clean_spectrum(vals)
+    strings = typical_set(q, n, delta)._listed("project onto")
+    cols = typicality._column_stack([basis] * n, strings)
+    return TypicalProjector(
+        rho=rho, n=n, delta=delta, eigenvalues=q, basis=basis, strings=strings,
+        projector=_assemble(cols, dim_total),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ConditionalTypicalProjector:
+    """Per-symbol-group typical projector at one channel input string.
+
+    ``strings`` are the admitted eigenvalue-index strings and ``weights``
+    their product eigenvalues; these are exactly the nonzero spectrum of
+    the projected output.
+    """
+
+    xn: tuple
+    delta: float
+    strings: tuple
+    weights: np.ndarray
+    projector: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.xn)
+
+    @property
+    def rank(self) -> int:
+        return len(self.strings)
+
+
+def cond_typical_projector(v, xn, delta, cap=None) -> ConditionalTypicalProjector:
+    """Reference oracle: the conditional typical projector of a cq channel
+    at an input string, typical or not, assembled at dimension d^n; it
+    commutes with the product output at the same string."""
+    xn = tuple(xn)
+    if not xn:
+        raise InvalidStateError("input string is empty")
+    for x in xn:
+        if not v.has_symbol(x):
+            raise DimensionMismatchError(f"symbol {x!r} not in channel alphabet")
+    _, delta = typicality._validate_block(len(xn), delta)
+    dim_total = check_dim(v.dim ** len(xn), cap)
+    _, spectra, bases = typicality._symbol_eigenbases(v, set(xn))
+    strings = typicality._group_filter(xn, spectra, delta)
+    weights = np.array(
+        [float(np.prod([spectra[a][j] for a, j in zip(xn, jn)])) for jn in strings]
+    )
+    cols = typicality._column_stack([bases[a] for a in xn], strings)
+    return ConditionalTypicalProjector(
+        xn=xn, delta=float(delta), strings=strings, weights=weights,
+        projector=_assemble(cols, dim_total),
+    )
+
+
 def dense_compression(v, p, n, delta):
     """Reference oracle: the typicality-compressed outputs, formed densely.
 
@@ -293,7 +383,7 @@ def compress_per_string(v, p, n, delta):
     of :func:`cqwiretap.typicality._compress`.
     """
     p, members = typicality._typical_inputs(v, p, n, delta, None)
-    basis, avg_strings = typicality._average_basis(p, v, n, delta)
+    basis, avg_strings = typicality._average_basis(_mixtures(p, np.array(v.states())), n, delta)
     iso = typicality._column_stack([basis] * n, avg_strings)
     raw, spectra, bases = typicality._symbol_eigenbases(v, v.alphabet)
     overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}

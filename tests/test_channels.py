@@ -111,6 +111,23 @@ class TestValidatedOutputs:
         for x in v.alphabet:
             assert np.array_equal(back.output(x), v.output(x))
 
+    def test_scaled_channel_not_validated_again(self, monkeypatch):
+        # a factor in (0, 1] keeps validated outputs Hermitian PSD of trace
+        # <= 1, so damping makes no eigensolve
+        g = rng(41)
+        v = CqChannel(range(8), 2, {x: random_density(g, 2) for x in range(8)})
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, _real=real: calls.append(a.shape) or _real(a))
+        damped = v.scaled(0.9)
+        assert calls == []
+        for x in v.alphabet:
+            assert np.array_equal(damped.output(x), 0.9 * v.output(x))
+        assert damped.epsilon == pytest.approx(0.1, abs=1e-15)
+        with pytest.raises(InvalidStateError):
+            v.scaled(1.5)
+
     def test_non_hermitian_output_after_the_first(self):
         skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidStateError) as err:

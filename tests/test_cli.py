@@ -22,7 +22,7 @@ import pytest
 
 from conftest import random_density, random_unitary, rng
 
-from cqwiretap import cli, codes, serialize
+from cqwiretap import cli, codes, serialize, typicality
 from cqwiretap.channels import CqChannel
 from cqwiretap.cli import KINDS, main
 
@@ -619,6 +619,27 @@ class TestTypicalityReport:
         first = ws.out().read_bytes(), (ws.root / "report.csv").read_bytes()
         self.run_spec(ws)
         assert (ws.out().read_bytes(), (ws.root / "report.csv").read_bytes()) == first
+
+    def test_one_block_per_block_length(self, ws, monkeypatch):
+        # te4-te7, the compression and the factor reports read one block per
+        # n: the typical inputs and the average-state basis are taken once
+        # per block length, and PV once per run
+        calls = []
+        for name, at in (("_typical_inputs", 2), ("_average_basis", 1)):
+            real = getattr(typicality, name)
+            monkeypatch.setattr(
+                typicality, name,
+                lambda *a, _real=real, _name=name, _at=at: calls.append((_name, a[_at])) or _real(*a),
+            )
+        real_mixtures = typicality._mixtures
+        monkeypatch.setattr(
+            typicality, "_mixtures", lambda *a: calls.append(("PV", None)) or real_mixtures(*a)
+        )
+        assert self.run_spec(ws, ns=(2, 4, 5)) == 0
+        assert sorted(calls, key=str) == sorted(
+            [("PV", None)] + [(name, n) for n in (2, 4, 5)
+                              for name in ("_typical_inputs", "_average_basis")], key=str
+        )
 
     def test_ordering_violation_exits_4(self, ws):
         ws.channel("v.json", rotated_channel(51))

@@ -56,9 +56,9 @@ def test_typicality_reports_certify_the_ordering_at_rank_r(name, tmp_path, monke
 )
 def test_typicality_reports_form_no_dn_output(name, tmp_path, monkeypatch):
     # the reports read the R x R cores: no compressed output A K A*, no
-    # product output and no projector is formed at d^n x d^n
+    # product output and not even the d^n x R isometry A is formed
     monkeypatch.setattr(typicality, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
-    monkeypatch.setattr(typicality, "_assemble", lambda *a: pytest.fail("projector assembled"))
+    monkeypatch.setattr(typicality, "_column_stack", lambda *a: pytest.fail("A formed"))
     monkeypatch.setattr(
         channels.ProductChannel, "output", lambda *a: pytest.fail("product output built")
     )

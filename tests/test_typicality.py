@@ -8,6 +8,7 @@ a hand count of admissible letter frequencies.
 
 import itertools
 import math
+import tracemalloc
 from collections import deque
 from pathlib import Path
 from unittest import mock
@@ -19,11 +20,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     compress_per_string,
+    cond_typical_projector,
     dense_compression,
     mix,
     random_density,
     random_unitary,
     rng,
+    typical_projector,
 )
 
 from cqwiretap import channels, serialize, typicality
@@ -41,12 +44,10 @@ from cqwiretap.typicality import (
     _class_total,
     _column_stack,
     check_typical_projector,
-    cond_typical_projector,
     factor_reports,
     reindexed_pair,
     sorted_eigenbasis,
     subnormalized_channel,
-    typical_projector,
     typical_set,
 )
 
@@ -838,9 +839,6 @@ class TestStreamingCompression:
             "output",
             lambda self, xn: calls.append("product") or real_output(self, xn),
         )
-        monkeypatch.setattr(
-            typicality, "_assemble", lambda *a: pytest.fail("d^n projector assembled")
-        )
         return calls
 
     def test_no_product_and_no_dn_eigensolve(self, monkeypatch):
@@ -856,6 +854,7 @@ class TestStreamingCompression:
         calls = self.count(monkeypatch)
         monkeypatch.setattr(op, "operator_norm", lambda a: pytest.fail("operator_norm called"))
         monkeypatch.setattr(typicality, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
+        monkeypatch.setattr(typicality, "_column_stack", lambda *a: pytest.fail("A formed"))
         (epsilon, reports), = factor_reports(flip_channel(), self.P, self.DELTA, [self.N])
         # at R the one validation of the class plus the rank of the mean
         # core: no d^n eigensolve, neither for the ordering nor for the
@@ -1072,14 +1071,16 @@ class TestPerClassCompression:
         cores, tops, epsilon, core = compress_per_string(v, p, n, delta)
         # the cores are compared whatever the ordering decides
         with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
-            members, _, got, top = typicality._compress(v, p, n, delta)
+            block = typicality._block(v, p, n, delta)
+            per_class, top = typicality._compress(block)
             (eps, _), = factor_reports(v, p, delta, [n])
             sub = subnormalized_channel(v, p, n, delta)
-        assert members == tuple(cores)
-        for xn, k in zip(members, got):
+        got = dict(typicality._member_cores(block, per_class))
+        assert block.members == tuple(got) == tuple(cores)
+        for xn, k in got.items():
             assert np.abs(k - cores[xn]).max(initial=0.0) <= 1e-14
         assert abs(top - max(tops)) <= 1e-14
-        assert np.abs(sum(got) / len(got) - core).max(initial=0.0) <= 1e-14
+        assert np.abs(sum(got.values()) / len(got) - core).max(initial=0.0) <= 1e-14
         assert abs(eps - epsilon) <= 1e-14
         assert abs(sub.epsilon - epsilon) <= 1e-14
 
@@ -1112,3 +1113,78 @@ class TestPerClassCompression:
         assert (got is not None) == (min(minima.values()) < -ORDERING_TOL)
         assert all(minima[xn] >= -ORDERING_TOL for xn in certified)
         self.assert_parity(v, p, n, delta)
+
+
+# the golden typicality-report channels at small block lengths
+GOLDEN_FACTOR_CASES = {
+    "flip": ("flip.json", (0.6, 0.4), 0.5, [2, 4]),
+    "flip-haar": ("flip_haar.json", (2 / 3, 1 / 3), 0.5, [2, 3, 4]),
+    "clock": ("clock.json", (1 / 3, 1 / 3, 1 / 3), 1.0, [2, 3]),
+    "qutrit": ("qutrit.json", (0.5, 0.25, 0.25), 1.0, [2, 4]),
+}
+
+
+class TestFactorReportsPerClass:
+    """epsilon, factor-norm and factor-rank read per type class (the
+    permuted diagonals, the class's top eigenvalue and one R x R buffer
+    for the mean core) against the per-string oracle
+    ``conftest.compress_per_string``."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_FACTOR_CASES))
+    def test_matches_per_string_oracle(self, case):
+        name, p, delta, ns = GOLDEN_FACTOR_CASES[case]
+        v = golden_channel(name)
+        for n, (epsilon, reports) in zip(ns, factor_reports(v, p, delta, ns)):
+            cores, tops, _, core = compress_per_string(v, p, n, delta)
+            norm, rank, _ = reports
+            assert rank.lhs == op.rank_eps(core)
+            assert abs(norm.lhs - max(tops)) <= 1e-12
+            # a per-string core multiplies the d x d overlaps in its own
+            # string's order, so its trace may differ in the last bits
+            traces = [float(np.trace(k).real) for k in cores.values()]
+            assert abs(epsilon - max(0.0, 1.0 - min(traces))) <= 1e-15
+            # against every member's fully gathered core the O(R) read of
+            # its permuted diagonal is exact
+            block = typicality._block(v, p, n, delta)
+            per_class, top = typicality._compress(block)
+            members = typicality._member_cores(block, per_class)
+            assert epsilon == max(0.0, 1.0 - min(float(np.trace(k).real) for _, k in members))
+            assert norm.lhs == top
+
+    @pytest.mark.parametrize(
+        "theta, n, delta, recorded",
+        [
+            (1e-3, 4, 0.5, -4.146003598405894e-07),
+            (0.1, 6, 0.3, -0.0042505631971615125),
+            (0.3, 4, 0.5, -0.032444989188591615),
+        ],
+    )
+    def test_rotated_instance_still_raises(self, theta, n, delta, recorded):
+        # the payload recorded when every string kept its own core, and the
+        # dense rule's minimum
+        v, p = theta_channel(theta), (0.75, 0.25)
+        with pytest.raises(PsdOrderingError) as info:
+            factor_reports(v, p, delta, [n])
+        assert info.value.min_eigenvalue == pytest.approx(recorded, abs=1e-13)
+        worst = min(dense_minima(v, p, n, delta).values())
+        assert info.value.min_eigenvalue == pytest.approx(worst, abs=1e-13)
+
+    def test_peak_memory_in_r_squared(self):
+        # flip 0.8 in a Haar frame, p (0.6, 0.4), delta 0.5 at n = 8: 210
+        # typical strings in 4 type classes, R = 210; one R x R core per
+        # string held 148 MiB
+        u = random_unitary(rng(3), 2)
+        v = CqChannel((0, 1), 2, {x: u @ np.diag(d) @ u.conj().T
+                                  for x, d in ((0, [0.8, 0.2]), (1, [0.2, 0.8]))})
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            (epsilon, _), = factor_reports(v, (0.6, 0.4), 0.5, [8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert epsilon == pytest.approx(0.4232832, abs=1e-12)
+        assert peak < 16 * 2**20
