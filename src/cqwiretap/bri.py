@@ -196,11 +196,6 @@ def _section_spectra(table, regularity_set, d_s, d_x):
     return matrices, lams.tolist()
 
 
-def section_matrix(f: BriFunction, m) -> SectionMatrix:
-    """P_{f,m}(x, x') = |{s : f_s(x) = f_s(x') = m}| / (d_S d_X)."""
-    return f.section(m)
-
-
 def lambda2(f: BriFunction, m) -> float:
     """Second largest singular value of the section matrix of m.
 
@@ -214,22 +209,6 @@ def lambda2(f: BriFunction, m) -> float:
 def preimage(f: BriFunction, s: int, m) -> np.ndarray:
     """Inputs x with f_s(x) = m, ascending."""
     return np.nonzero(f.table[s] == m)[0]
-
-
-def quadratic_form_bound(sm: SectionMatrix, omega) -> tuple[float, float]:
-    """Evaluate <w|P|w> against lambda2 <w|w> + |<w|1>|^2.
-
-    The all-ones direction carries the simple top singular value of a
-    doubly stochastic symmetric matrix; everything orthogonal to it is
-    contracted by lambda2.  Returns (lhs, rhs) for the caller to compare.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    n = sm.matrix.shape[0]
-    lhs = float(np.real(omega.conj() @ sm.matrix @ omega))
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    overlap = np.abs(np.dot(ones, omega)) ** 2
-    rhs = float(sm.lambda2 * np.real(np.vdot(omega, omega)) + overlap)
-    return lhs, rhs
 
 
 def construct_exhaustive(

@@ -2,9 +2,9 @@
 
 Dense Hermitian operators as complex numpy arrays, with the handful of
 spectral quantities everything else is built from: von Neumann entropy,
-relative and Renyi relative entropies, trace and operator norms, ranks and
-support comparisons.  All logarithms are base 2 and the convention
-0 log 0 = 0 applies throughout.
+relative entropy, the quadratic Renyi exponential tr(rho^2 sigma^+), trace
+norms and ranks.  All logarithms are base 2 and the convention 0 log 0 = 0
+applies throughout.
 
 Matrix functions go through full Hermitian eigendecompositions; at the desk
 scales this package targets (dimension <= 4096) that is the simplest route
@@ -300,37 +300,6 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(relative_entropies(rho, sigma))
 
 
-def renyi_relative_entropy(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Renyi relative entropy ``D_alpha`` in bits for alpha in (0,1) or (1,inf).
-
-    ``(1/(alpha-1)) log2 tr(rho^alpha sigma^(1-alpha))`` with sigma's
-    negative powers taken on its support (pseudo-inverse).  Returns ``inf``
-    on support violation when alpha > 1, and when the supports are
-    orthogonal for alpha < 1.  ``alpha = 1`` is rejected; use
-    :func:`relative_entropy`.
-    """
-    alpha = float(alpha)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError(f"alpha must lie in (0,1) or (1,inf), got {alpha}")
-    rho, p, u = _spectra(_as_square(rho), vectors=True)
-    sigma, t, v = _spectra(_as_square(sigma), vectors=True)
-    _check_shapes(rho, sigma)
-    if _trace(rho) <= 0.0:
-        return 0.0
-    if alpha > 1.0 and _overlaps(rho, t, v)[2]:
-        return np.inf
-    pa = np.where(p > 0.0, p, 0.0) ** alpha
-    mask = _support_mask(t)
-    tb = np.zeros_like(t)
-    tb[mask] = t[mask] ** (1.0 - alpha)
-    a_mat = (u * pa) @ u.conj().T
-    b_mat = (v * tb) @ v.conj().T
-    val = np.trace(a_mat @ b_mat).real
-    if val <= 1e-300:
-        return np.inf if alpha < 1.0 else -np.inf
-    return float(np.log2(val) / (alpha - 1.0))
-
-
 def exp2_renyi2(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``tr(rho^2 sigma^+)``, the base-2 exponential of D_2 in bits, over stacks.
 
@@ -363,26 +332,10 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.abs(w).sum())
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix: largest absolute eigenvalue."""
-    w = np.linalg.eigvalsh(check_hermitian(a))
-    return float(np.abs(w).max()) if w.size else 0.0
-
-
 def rank_eps(a: np.ndarray) -> int:
     """Support rank: eigenvalues above 1e-12 of the largest in magnitude."""
     w = np.linalg.eigvalsh(check_hermitian(a))
     return int(_support_mask(w).sum())
-
-
-def support_leq(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether supp(a) is contained in supp(b), both Hermitian PSD."""
-    a = check_psd(_as_square(a))
-    b, t, v = _spectra(_as_square(b), vectors=True)
-    _check_shapes(a, b)
-    if _trace(a) <= 0.0:
-        return True
-    return not _overlaps(a, t, v)[2]
 
 
 def binary_entropy(p: float) -> float:

@@ -178,6 +178,67 @@ def holevo_average_form(p, v) -> float:
     return float(total)
 
 
+def renyi_relative_entropy(alpha: float, rho, sigma) -> float:
+    """Reference oracle: the Renyi relative entropy ``D_alpha`` in bits for
+    alpha in (0,1) or (1,inf).
+
+    ``(1/(alpha-1)) log2 tr(rho^alpha sigma^(1-alpha))`` with sigma's
+    negative powers taken on its support (pseudo-inverse).  Returns ``inf``
+    on support violation when alpha > 1, and when the supports are
+    orthogonal for alpha < 1.  ``alpha = 1`` is rejected.  The library's
+    chain needs only alpha = 2, as :func:`cqwiretap.operators.exp2_renyi2`.
+    """
+    alpha = float(alpha)
+    if alpha <= 0.0 or alpha == 1.0:
+        raise ValueError(f"alpha must lie in (0,1) or (1,inf), got {alpha}")
+    rho, p, u = op._spectra(op._as_square(rho), vectors=True)
+    sigma, t, v = op._spectra(op._as_square(sigma), vectors=True)
+    op._check_shapes(rho, sigma)
+    if op._trace(rho) <= 0.0:
+        return 0.0
+    if alpha > 1.0 and op._overlaps(rho, t, v)[2]:
+        return np.inf
+    pa = np.where(p > 0.0, p, 0.0) ** alpha
+    mask = op._support_mask(t)
+    tb = np.zeros_like(t)
+    tb[mask] = t[mask] ** (1.0 - alpha)
+    val = np.trace((u * pa) @ u.conj().T @ (v * tb) @ v.conj().T).real
+    if val <= 1e-300:
+        return np.inf if alpha < 1.0 else -np.inf
+    return float(np.log2(val) / (alpha - 1.0))
+
+
+def support_leq(a, b) -> bool:
+    """Reference oracle: whether supp(a) lies in supp(b), both Hermitian PSD."""
+    a = op.check_psd(op._as_square(a))
+    b, t, v = op._spectra(op._as_square(b), vectors=True)
+    op._check_shapes(a, b)
+    return op._trace(a) <= 0.0 or not op._overlaps(a, t, v)[2]
+
+
+def operator_norm(a) -> float:
+    """Reference oracle: the largest absolute eigenvalue of a Hermitian matrix."""
+    w = np.linalg.eigvalsh(op.check_hermitian(a))
+    return float(np.abs(w).max()) if w.size else 0.0
+
+
+def quadratic_form_bound(sm, omega) -> tuple[float, float]:
+    """Reference oracle: <w|P|w> against lambda2 <w|w> + |<w|1>|^2 for a
+    :class:`~cqwiretap.bri.SectionMatrix` P.
+
+    The all-ones direction carries the simple top singular value of a
+    doubly stochastic symmetric matrix; everything orthogonal to it is
+    contracted by lambda2.  Returns (lhs, rhs) for the caller to compare.
+    """
+    omega = np.asarray(omega, dtype=complex)
+    n = sm.matrix.shape[0]
+    lhs = float(np.real(omega.conj() @ sm.matrix @ omega))
+    ones = np.full(n, 1.0 / np.sqrt(n))
+    overlap = np.abs(np.dot(ones, omega)) ** 2
+    rhs = float(sm.lambda2 * np.real(np.vdot(omega, omega)) + overlap)
+    return lhs, rhs
+
+
 def random_cq_channel(g: np.random.Generator, n_inputs: int, dim: int):
     outputs = {x: random_density(g, dim) for x in range(n_inputs)}
     return CqChannel(tuple(range(n_inputs)), dim, outputs)
@@ -404,15 +465,30 @@ def compress_per_string(v, p, n, delta):
     return cores, tops, max(0.0, deficit), sum(cores.values()) / len(cores)
 
 
+def simplex_grid(k: int) -> np.ndarray:
+    """The capacity search's grid, in its order: 10,001 points for k = 2,
+    10,011 (resolution 140, first weight outer) for k = 3, the vertex for
+    k = 1."""
+    if k == 1:
+        return np.ones((1, 1))
+    if k == 2:
+        return np.array([[a, 10000 - a] for a in range(10001)]) / 10000
+    return np.array(
+        [[a, b, 140 - a - b] for a in range(141) for b in range(141 - a)]
+    ) / 140
+
+
 def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
     """Reference oracle: the capacity search with one start at a time.
 
     Each of the uniform start, the ``starts`` Dirichlet starts and the grid
     point (k <= 3) ascends alone, with its own one-dimensional simplex
-    projection and gradient clean-up.  The reduction is by best value with
-    ties to the lowest restart index, then the grid rule.  It repeats the
-    eigensolves of every start, so it only serves to check the lockstep
-    batch of :func:`cqwiretap.channels.capacity_single_letter`.
+    projection and gradient clean-up.  The grid point is the first exact
+    maximum over every point of :func:`simplex_grid`, with no screen.  The
+    reduction is by best value with ties to the lowest restart index, then
+    the grid rule.  It repeats the eigensolves of every start and of every
+    grid point, so it only serves to check the lockstep batch and the
+    screened grid of :func:`cqwiretap.channels.capacity_single_letter`.
     """
     rng = rng or channels._default_rng()
     k = len(w.alphabet)
@@ -460,8 +536,9 @@ def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
         if val > best_val:
             best_p, best_val, best_conv = p, val, conv
     if k <= 3:
-        points = channels._simplex_grid(k)
-        chunk = max(1, channels._GRID_ENTRIES // max(w.dim, v.dim) ** 2)
+        points = simplex_grid(k)
+        # every grid point evaluated exactly, 2048 matrix entries per block
+        chunk = max(1, 2048 // max(w.dim, v.dim) ** 2)
         grid_best, grid_arg = -np.inf, None
         for start in range(0, len(points), chunk):
             block = points[start : start + chunk]

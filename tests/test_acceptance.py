@@ -22,6 +22,8 @@ from conftest import (
     holevo_average_form,
     holevo_relative_entropy_form,
     mix,
+    operator_norm,
+    quadratic_form_bound,
     random_cq_channel,
     random_density,
     random_probability,
@@ -213,7 +215,7 @@ def test_criterion_05_quadratic_form_bound(corpus):
             sections += 1
             for _ in range(1000):
                 omega = g.normal(size=f.n_inputs) + 1j * g.normal(size=f.n_inputs)
-                lhs, rhs = bri.quadratic_form_bound(sm, omega)
+                lhs, rhs = quadratic_form_bound(sm, omega)
                 min_slack = min(min_slack, rhs - lhs)
     ok = min_slack >= -TOL
     report(5, ok, f"{sections} sections x 1000 vectors, min slack {min_slack:.3e}")
@@ -432,7 +434,7 @@ def test_criterion_10_typicality_exactness():
             for name in asserted_conditional:
                 min_slack = min(min_slack, reps[name].slack)
             sub = typicality.subnormalized_channel(v, p, n, d)
-            norm = max(op.operator_norm(sub.output(t)) for t in sub.alphabet)
+            norm = max(operator_norm(sub.output(t)) for t in sub.alphabet)
             rank = op.rank_eps(mix(sub, sub.alphabet))
             product_worst = min(
                 product_worst, 2.0 ** (n * (chi + beta + gamma)) - rank * norm

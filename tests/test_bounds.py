@@ -11,7 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mix, random_density, random_probability, rng, seed_embedded_leakage
+from conftest import (
+    mix,
+    operator_norm,
+    random_density,
+    random_probability,
+    rng,
+    seed_embedded_leakage,
+)
 
 from cqwiretap import bounds, bri, channels, codes, serialize, typicality
 from cqwiretap import operators as op
@@ -375,7 +382,7 @@ class TestChainSteps:
                 want_rhs = (
                     lam
                     * op.rank_eps(mix(vp, vp.alphabet))
-                    * max(op.operator_norm(vp.output(x)) for x in range(4))
+                    * max(operator_norm(vp.output(x)) for x in range(4))
                     + 1.0
                 )
                 assert r.rhs == pytest.approx(want_rhs, abs=1e-9)
@@ -479,7 +486,7 @@ class TestTotalAndChain:
         spectral = (
             lam
             * op.rank_eps(mix(vp, vp.alphabet))
-            * max(op.operator_norm(vp.output(x)) for x in range(6))
+            * max(operator_norm(vp.output(x)) for x in range(6))
         )
         want = spectral / math.log(2) + vp.epsilon + vp.epsilon * math.log2(6 / f.d_s)
         assert r.rhs == pytest.approx(want, abs=1e-9)
@@ -597,7 +604,7 @@ class TestChainTable:
                 want = op.relative_entropies(t.stack, t.sigma).mean(axis=1)
                 assert np.array_equal(t.divergences, want)
                 assert np.array_equal(t.renyi2, op.exp2_renyi2(t.stack, t.sigma).mean(axis=1))
-                norm = max(op.operator_norm(channel.output(x)) for x in range(f.n_inputs))
+                norm = max(operator_norm(channel.output(x)) for x in range(f.n_inputs))
                 assert t.spectral == (norm, op.rank_eps(t.sigma))
             t, p = bounds._Table(f, v), np.asarray(m_dist, dtype=float)
             seeds = [

@@ -18,6 +18,7 @@ from conftest import (
     exhaustive_candidates,
     lambda2_per_m,
     mix,
+    quadratic_form_bound,
     random_cq_channel,
     rng,
     sample_preimage,
@@ -106,7 +107,7 @@ class TestVerifyBiregular:
 class TestSectionMatrix:
     def test_matches_bruteforce_cooccurrence(self):
         f = bri.BriFunction(section_6x8(), (0,))
-        sm = bri.section_matrix(f, 0)
+        sm = f.section(0)
         expected = np.zeros((8, 8))
         for x in range(8):
             for y in range(8):
@@ -118,21 +119,21 @@ class TestSectionMatrix:
 
     def test_doubly_stochastic_and_symmetric(self):
         f = bri.BriFunction(section_6x8(), (0,))
-        sm = bri.section_matrix(f, 0)
+        sm = f.section(0)
         assert_allclose(sm.matrix.sum(axis=0), np.ones(8), atol=1e-12)
         assert_allclose(sm.matrix.sum(axis=1), np.ones(8), atol=1e-12)
         assert_allclose(sm.matrix, sm.matrix.T, atol=0)
 
     def test_full_preimage_gives_flat_matrix(self):
         f = bri.BriFunction(np.zeros((3, 4), dtype=np.int64), (0,))
-        sm = bri.section_matrix(f, 0)
+        sm = f.section(0)
         assert_allclose(sm.matrix, np.full((4, 4), 0.25), atol=1e-15)
         assert sm.lambda2 == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton_preimages_give_identity(self):
         table = np.array([[0, 1], [1, 0]])
         f = bri.BriFunction(table, (0, 1))
-        sm = bri.section_matrix(f, 0)
+        sm = f.section(0)
         assert_allclose(sm.matrix, np.eye(2), atol=1e-15)
         assert sm.lambda2 == 1.0
         assert not f.irreducible
@@ -140,7 +141,7 @@ class TestSectionMatrix:
     def test_m_outside_regularity_set(self):
         f = bri.BriFunction(section_6x8(), (0,))
         with pytest.raises(InvalidStateError):
-            bri.section_matrix(f, 1)
+            f.section(1)
 
 
 class TestLambda2:
@@ -168,7 +169,7 @@ class TestLambda2:
         f = bri.BriFunction([[0], [0]], [0])
         assert bri.lambda2(f, 0) == 0.0
         assert f.irreducible
-        lhs, rhs = bri.quadratic_form_bound(bri.section_matrix(f, 0), [3.0])
+        lhs, rhs = quadratic_form_bound(f.section(0), [3.0])
         assert lhs == rhs == 9.0
 
 
@@ -236,16 +237,16 @@ class TestQuadraticFormBound:
     def test_random_vectors(self):
         g = rng(64)
         f = bri.BriFunction(section_6x8(), (0,))
-        sm = bri.section_matrix(f, 0)
+        sm = f.section(0)
         for _ in range(200):
             omega = g.normal(size=8) + 1j * g.normal(size=8)
-            lhs, rhs = bri.quadratic_form_bound(sm, omega)
+            lhs, rhs = quadratic_form_bound(sm, omega)
             assert lhs <= rhs + 1e-9
 
     def test_flat_vector_saturates(self):
         f = bri.BriFunction(np.zeros((2, 4), dtype=np.int64), (0,))
-        sm = bri.section_matrix(f, 0)
-        lhs, rhs = bri.quadratic_form_bound(sm, np.ones(4))
+        sm = f.section(0)
+        lhs, rhs = quadratic_form_bound(sm, np.ones(4))
         assert_allclose(lhs, rhs, atol=1e-12)
 
 

@@ -9,6 +9,7 @@ into the eavesdropper's output.  Optimizers are certified against
 exhaustive simplex grids.
 """
 
+import tracemalloc
 import warnings
 from functools import partial
 from pathlib import Path
@@ -28,6 +29,7 @@ from conftest import (
     random_probability,
     random_unitary,
     rng,
+    simplex_grid,
 )
 from cqwiretap import channels
 from cqwiretap import operators as op
@@ -517,6 +519,23 @@ class TestAdversarialLeakage:
         assert saved[2:] == legacy[2:]
 
 
+    def test_short_of_the_gap_upper_stays_certified(self):
+        # four messages over three qubit inputs where the ascent stops
+        # 1.41e-9 short of its 1e-9 gap: the search says so, and its upper
+        # side still bounds chi everywhere on the message simplex
+        g = rng(8)
+        v = CqChannel(range(3), 2, {x: random_density(g, 2) for x in range(3)})
+        code = ClassicalChannel(
+            range(4), {m: dict(enumerate(random_probability(g, 3))) for m in range(4)}
+        )
+        with pytest.warns(ConvergenceWarning, match="adversarial_leakage"):
+            res = adversarial_leakage({0: code}, v)
+        assert not res.converged
+        assert res.upper - res.value == pytest.approx(1.41e-9, abs=1e-11)
+        points = np.vstack([rng(9).dirichlet(np.ones(4), size=20000), np.eye(4)])
+        assert grid_holevo(points, compose(code, v).states()).max() <= res.upper
+
+
 class TestCapacity:
     def test_equal_channels_exactly_zero(self):
         v = random_cq_channel(rng(50), 3, 2)
@@ -637,6 +656,110 @@ class TestCapacityParity:
         assert (out >= 0.0).all()
         for row, expected in zip(y, out):
             assert np.array_equal(channels._project_simplex(row), expected)
+
+
+def mixed_pair(k: int, kind: str, seed: int):
+    """A capacity pair of the grid sweep: qubit or qutrit outputs, pure
+    outputs, W = V, or a V that mixes W with 0.001 of another channel."""
+    dims = {"qutrit-qubit": (3, 2), "qubit-qutrit": (2, 3)}.get(kind, (2, 2))
+    w, v = random_pair(seed, k, *dims, rank=1 if kind == "rank-1" else None)
+    if kind == "w-equals-v":
+        return w, w
+    if kind == "w-near-v":
+        outputs = {x: 0.999 * w.output(x) + 0.001 * v.output(x) for x in w.alphabet}
+        return w, CqChannel(w.alphabet, 2, outputs)
+    return w, v
+
+
+GRID_KINDS = ("qubit-qubit", "qutrit-qubit", "qubit-qutrit", "rank-1", "w-equals-v", "w-near-v")
+
+
+class TestCapacityGrid:
+    """The grid is screened in closed form for qubit channels and only the
+    points within twice ``_GRID_ALLOWANCE`` of the screened maximum are
+    evaluated exactly; the result is the exact grid's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sweep_matches_the_exact_grid(self, k, kind, seed):
+        w, v = mixed_pair(k, kind, 300 + 10 * seed + k)
+        batch = both_searches(w, v, seed=seed, starts=4)
+        if kind == "w-equals-v":
+            assert batch.value == 0.0
+
+    def test_qubit_grid_solves_only_its_candidates(self, monkeypatch):
+        w, v = random_pair(71, 3)
+        (sw, ew), (sv, ev) = (channels._validated_stack(c.states()) for c in (w, v))
+        points = simplex_grid(3)
+        exact = channels._chi(points, sw, ew) - channels._chi(points, sv, ev)
+        expected = points[exact >= exact.max() - 2 * channels._GRID_ALLOWANCE]
+        assert 1 <= len(expected) <= 3
+        shapes, rows = [], []
+        real_eigvalsh, real_chi = np.linalg.eigvalsh, channels._chi
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real_eigvalsh(a)
+        )
+        monkeypatch.setattr(channels, "_chi", lambda p, *a: rows.append(p) or real_chi(p, *a))
+        capacity_single_letter(w, v, rng=rng(3), starts=16)
+        assert (512, 2, 2) not in shapes
+        # the exact pass over the candidates, one call per channel, comes
+        # before the first step of the (18, 3) batch of starts
+        first = next(i for i, p in enumerate(rows) if p.shape == (18, 3))
+        assert first == 2
+        assert all(np.array_equal(p, expected) for p in rows[:first])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equal_channels_stay_chunked(self, dim):
+        # W = V: every one of the 10,011 points is a candidate; one block
+        # of the grid at a time keeps the traced peak below 1.5 MB, where
+        # the whole grid at once peaks at 3.2 MB (qubits) or 6.4 MB (qutrits)
+        g = rng(72)
+        v = CqChannel(range(3), dim, {x: random_density(g, dim) for x in range(3)})
+        capacity_single_letter(v, v, rng=rng(3), starts=0)
+        tracemalloc.start()
+        try:
+            res = capacity_single_letter(v, v, rng=rng(3), starts=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == 0.0
+        assert peak < 1.5e6
+
+    @pytest.mark.parametrize("size", [1, 3, 512])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chi_row_alone_equals_the_batch(self, dim, size):
+        # the exact pass evaluates a subset of the grid: each row must get
+        # the bits it gets inside any batch
+        g = rng(400 + dim)
+        states, ent = channels._validated_stack(
+            [random_density(g, dim, rank=r) for r in (1, dim, dim)]
+        )
+        points = simplex_grid(3)[: 512 * 4 : 4]
+        batch = channels._chi(points, states, ent)
+        for start in range(0, len(points), size):
+            block = points[start : start + size]
+            assert np.array_equal(channels._chi(block, states, ent), batch[start : start + size])
+        assert all(channels._chi(p, states, ent) == batch[i] for i, p in enumerate(points[:8]))
+
+    def test_closed_form_entropy_within_the_allowance(self):
+        # random qubit mixtures, pure states and I/2: the closed form is
+        # within 1e-13 bits of the eigensolver, far below the allowance
+        g = rng(410)
+        states, ent = channels._validated_stack(
+            [random_density(g, 2, rank=r) for r in (1, 1, 2, 2)] + [I2 / 2]
+        )
+        points = np.vstack([g.dirichlet(np.ones(5), size=2000), np.eye(5)])
+        points[-1] = [0.5, 0.0, 0.0, 0.0, 0.5]
+        screen = channels._screened_chi(points, states, ent)
+        exact = channels._chi(points, states, ent)
+        assert np.abs(screen - exact).max() <= 1e-13
+        assert channels._GRID_ALLOWANCE == 1e-9
+        # qutrit stacks take the exact evaluation
+        qutrits = channels._validated_stack([random_density(g, 3) for _ in range(5)])
+        assert np.array_equal(
+            channels._screened_chi(points, *qutrits), channels._chi(points, *qutrits)
+        )
 
 
 # one output of each invalid kind, stored unchecked so only the optimizers see it

@@ -23,6 +23,7 @@ from conftest import (
     cond_typical_projector,
     dense_compression,
     mix,
+    operator_norm,
     random_density,
     random_unitary,
     rng,
@@ -705,7 +706,7 @@ class TestSubnormalizedChannel:
         s_cond = np.dot(p, op.entropies(np.array(v.states())))
         gamma_p = 0.5 * abs(np.log2(0.2))
         cap = 2 ** (-n * (s_cond - gamma_p))
-        worst = max(op.operator_norm(sub.output(x)) for x in sub.alphabet)
+        worst = max(operator_norm(sub.output(x)) for x in sub.alphabet)
         assert worst <= cap + 1e-12
         assert worst == pytest.approx(0.8**3, abs=1e-12)
 
@@ -723,7 +724,7 @@ class TestSubnormalizedChannel:
         assert op.rank_eps(avg) == 3
         assert op.rank_eps(avg) <= 2 ** (n * (s_avg + beta)) + 1e-9
         gamma_p = delta * abs(np.log2(0.2))
-        worst = max(op.operator_norm(sub.output(x)) for x in sub.alphabet)
+        worst = max(operator_norm(sub.output(x)) for x in sub.alphabet)
         chi = holevo(p, v)
         assert op.rank_eps(avg) * worst <= 2 ** (n * (chi + beta + gamma_p)) + 1e-9
 
@@ -852,7 +853,6 @@ class TestStreamingCompression:
 
     def test_factor_reports_reuse_the_spectra(self, monkeypatch):
         calls = self.count(monkeypatch)
-        monkeypatch.setattr(op, "operator_norm", lambda a: pytest.fail("operator_norm called"))
         monkeypatch.setattr(typicality, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
         monkeypatch.setattr(typicality, "_column_stack", lambda *a: pytest.fail("A formed"))
         (epsilon, reports), = factor_reports(flip_channel(), self.P, self.DELTA, [self.N])
