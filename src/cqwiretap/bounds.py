@@ -78,17 +78,17 @@ def make_report(name: str, lhs, rhs) -> BoundReport:
     return BoundReport(name, lhs, rhs, slack, slack >= -TOL_BOUND)
 
 
-def check_psd_ordering(v_prime, v, tol: float = ORDERING_TOL) -> float:
+def check_psd_ordering(v_prime, v) -> float:
     """Assert V'(x) <= V(x) in PSD order for every shared symbol.
 
     Returns the most negative eigenvalue seen across the differences
     (0.0 when the ordering is exact); raises :class:`PsdOrderingError`
-    when it drops below -tol.
+    when it drops below -``ORDERING_TOL``.
     """
-    return _ordering_scan(((x, v.output(x), v_prime.output(x)) for x in v_prime.alphabet), tol)
+    return _ordering_scan((x, v.output(x), v_prime.output(x)) for x in v_prime.alphabet)
 
 
-def _ordering_scan(triples, tol: float = ORDERING_TOL) -> float:
+def _ordering_scan(triples) -> float:
     """The rule of :func:`check_psd_ordering` over ``(x, V(x), V'(x))``
     triples, consumed one at a time so a caller may build them lazily.
     The worst symbol is reported after the whole scan."""
@@ -100,7 +100,7 @@ def _ordering_scan(triples, tol: float = ORDERING_TOL) -> float:
         low = float(w[0]) if w.size else 0.0
         if low < worst:
             worst, worst_x = low, x
-    if worst < -tol:
+    if worst < -ORDERING_TOL:
         raise PsdOrderingError(
             f"channel ordering violated at symbol {worst_x!r}: "
             f"min eigenvalue of the difference is {worst:.3e}",
@@ -118,12 +118,6 @@ def _require(f, *channels):
             raise DimensionMismatchError(
                 f"channel alphabet does not match the {f.n_inputs} function inputs"
             )
-
-
-def _index(f, m) -> int:
-    if m not in f.regularity_set:
-        raise InvalidStateError(f"{m!r} is not in the regularity set")
-    return f.regularity_set.index(m)
 
 
 class _Table:
@@ -217,63 +211,13 @@ def _leakage_total(tp, leak) -> BoundReport:
     return make_report("leakage-total", leak, rhs)
 
 
-def bound_leakage_by_divergence(f, v, m_dist) -> BoundReport:
-    """Leakage of the seeded preimage ensemble vs the worst-message
-    expected divergence from the channel average.
-
-    lhs = chi(M; S, V o f_S^{-1}), taken per seed;
-    rhs = max_m E_S D(V o f_s^{-1}(m) || V(X)).
-    """
-    _require(f, v)
-    p = check_distribution(m_dist, len(f.regularity_set), "message distribution")
-    tv = _Table(f, v)
-    return make_report("leakage-vs-divergence", tv.leakage(p), tv.divergences.max())
-
-
-def bound_divergence_by_subnormalized(f, v, v_prime, m) -> BoundReport:
-    """Expected divergence under V vs under a dominated V', plus the
-    trace-deficit charge epsilon * log2(|X| / d_S).
-
-    Requires V' <= V in PSD order symbol by symbol (checked).
-    """
-    _require(f, v, v_prime)
-    i = _index(f, m)
-    check_psd_ordering(v_prime, v)
-    return _divergence_vs_subnormalized(_Table(f, v), _Table(f, v_prime), i)
-
-
-def bound_divergence_by_renyi2(f, v_prime, m) -> BoundReport:
-    """Expected divergence vs log2 of the seed-averaged tr(rho^2 sigma^+),
-    plus the trace deficit epsilon.
-
-    The "+ epsilon" charge comes from a natural-log estimate and is short
-    in bits, so a strictly subnormalized V' can give negative slack well
-    beyond complete mixing (see the module docstring and the ROADMAP item
-    "A chain that is sound in bits").
-    """
-    _require(f, v_prime)
-    return _divergence_vs_renyi2(_Table(f, v_prime), _index(f, m))
-
-
-def bound_renyi2_by_spectrum(f, v_prime, m) -> BoundReport:
-    """Seed-averaged tr(rho^2 sigma^+) vs lambda2 * rank * max norm + 1."""
-    _require(f, v_prime)
-    return _renyi2_vs_spectrum(_Table(f, v_prime), _index(f, m))
-
-
-def bound_leakage_total(f, v, v_prime, m_dist) -> BoundReport:
-    """Leakage vs the closed-form spectral bound
-
-    (1/ln 2) max_m lambda2(f,m) * rank * max norm + eps + eps log2(|X|/d_S).
-    """
-    _require(f, v, v_prime)
-    p = check_distribution(m_dist, len(f.regularity_set), "message distribution")
-    check_psd_ordering(v_prime, v)
-    return _leakage_total(_Table(f, v_prime), _Table(f, v).leakage(p))
-
-
 def certify_chain(f, v, v_prime, m_dist) -> list:
-    """All five chain reports in derivation order.
+    """All five chain reports in derivation order (see the module
+    docstring).  The right sides: the divergence-vs-subnormalized charge is
+    eps log2(|X| / d_S) and the divergence-vs-renyi2 one eps;
+    renyi2-vs-spectrum is lambda2(f, m) * rank * max norm + 1, with the
+    rank of sigma' and the largest output norm of V'; and leakage-total is
+    max_m lambda2(f, m) * rank * max norm / ln 2 + eps + eps log2(|X| / d_S).
 
     The three per-message steps are evaluated for every m in the
     regularity set and the worst (smallest slack) report is kept, ties

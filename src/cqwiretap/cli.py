@@ -18,7 +18,9 @@ randomness flows from one counter-based generator built from the seed.
 A seed is required exactly when a step is randomized (the random starts
 of the capacity search); other runs ignore it, and ``eval-leakage`` also
 accepts and ignores ``restarts``.  Each subcommand takes only the params
-keys it reads, plus ``seed``; any other key, or a missing required key,
+keys it reads, plus ``seed``; any other key, a missing required key, or
+a value of the wrong JSON type (a string or a bool for a number, a
+float for a count, anything but true or false for ``adversarial``)
 is a validation error.  ``--cap`` is passed to the library as an
 explicit dimension cap.
 
@@ -123,9 +125,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _window_width(value, what) -> float:
-    """A typicality window width: a JSON number, not a string or a bool
-    (its sign is checked by the library)."""
+def _number(value, what) -> float:
+    """A JSON number, not a string or a bool (its range is checked where
+    it is used)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidStateError(f"{what} must be a number, got {value!r}")
     return float(value)
@@ -171,8 +173,7 @@ def _require(keys, required, what):
 def _run_verify_bri(inputs, params, output, cap):
     f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
     balance = f.d_x * f.n_inputs == f.d_s * f.n_seeds
-    lambda2 = [[m, bri.lambda2(f, m)] for m in f.regularity_set]
-    irreducible = all(v < 1.0 for _, v in lambda2)
+    irreducible = f.irreducible
     report = {
         "kind": "verify-bri",
         "ok": balance and irreducible,
@@ -182,7 +183,7 @@ def _run_verify_bri(inputs, params, output, cap):
         "n_inputs": f.n_inputs,
         "balance": [f.d_x * f.n_inputs, f.d_s * f.n_seeds],
         "regularity_set": list(f.regularity_set),
-        "lambda2": lambda2,
+        "lambda2": [[m, bri.lambda2(f, m)] for m in f.regularity_set],
         "irreducible": irreducible,
     }
     serialize.dump_json(report, output)
@@ -191,8 +192,13 @@ def _run_verify_bri(inputs, params, output, cap):
 
 
 def _run_build_code(inputs, params, output, cap):
-    w = _load_channel(inputs, "channel")
     n = params.get("n", 1)
+    if not _is_int(n) or n < 1:
+        raise InvalidStateError(f"params.n must be a positive integer, got {n!r}")
+    budget = params.get("max_error")
+    if budget is not None:
+        budget = _number(budget, "params.max_error")
+    w = _load_channel(inputs, "channel")
     raw = params.get("codewords")
     if not isinstance(raw, list) or not raw:
         raise InvalidStateError("params.codewords must list [message, string] pairs")
@@ -210,10 +216,7 @@ def _run_build_code(inputs, params, output, cap):
     else:
         error = codes.error_max(t, w)
     serialize.dump_json(serialize.code_to_json(code), output)
-    ok = True
-    budget = params.get("max_error")
-    if budget is not None:
-        ok = error <= float(budget) + 1e-9
+    ok = budget is None or error <= budget + 1e-9
     return ok, f"error={error!r} rate={codes.rate(code)!r}"
 
 
@@ -226,6 +229,9 @@ def _leakage_encoders(code):
 
 
 def _run_eval_leakage(inputs, params, output, cap):
+    adversarial = params.get("adversarial", False)
+    if not isinstance(adversarial, bool):
+        raise InvalidStateError(f"params.adversarial must be true or false, got {adversarial!r}")
     v = _load_channel(inputs, "channel")
     code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
     encoders, code = _leakage_encoders(code)
@@ -240,7 +246,7 @@ def _run_eval_leakage(inputs, params, output, cap):
         "leakage": value,
     }
     summary = f"leakage={value!r}"
-    if params.get("adversarial", False):
+    if adversarial:
         worst = channels.adversarial_leakage(encoders, v_n)
         report["adversarial"] = {
             "value": worst.value,
@@ -278,12 +284,12 @@ def _chain_pair(v, params, cap):
     if name == "identity":
         return v, v
     if name == "scale":
-        return v, v.scaled(float(mode.get("factor", 1.0)))
+        return v, v.scaled(_number(mode.get("factor", 1.0), "params.v_prime.factor"))
     p = np.asarray(mode["p"], dtype=float)
     n = mode["n"]
     if not _is_int(n):
         raise InvalidStateError(f"params.v_prime.n must be an integer, got {n!r}")
-    delta = _window_width(mode["delta"], "params.v_prime.delta")
+    delta = _number(mode["delta"], "params.v_prime.delta")
     return typicality.reindexed_pair(v, p, n, delta, cap)
 
 
@@ -291,10 +297,6 @@ def _run_bound_chain(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
     f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
     base, v_prime = _chain_pair(v, params, cap)
-    if len(base.alphabet) != f.n_inputs:
-        raise InvalidStateError(
-            f"function expects {f.n_inputs} inputs, channel provides {len(base.alphabet)}"
-        )
     m_dist = _dist(params, "m_dist", len(f.regularity_set))
     reports = bounds.certify_chain(f, base, v_prime, m_dist)
     _write_reports(reports, output)
@@ -326,7 +328,7 @@ def _run_capacity(inputs, params, output, cap):
 def _run_typicality_report(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
     p = channels.check_distribution(params["p"], len(v.alphabet), "params.p")
-    delta = _window_width(params["delta"], "params.delta")
+    delta = _number(params["delta"], "params.delta")
     ns = params.get("ns", [2, 4, 8])
     if not isinstance(ns, list) or not all(_is_int(n) and n >= 1 for n in ns):
         raise InvalidStateError("params.ns must be a list of positive block lengths")
@@ -399,6 +401,12 @@ def _trace_exponent(ns, traces):
 
 
 def _run_derandomize(inputs, params, output, cap):
+    n_repeats = params.get("N", 1)
+    if not _is_int(n_repeats) or n_repeats < 1:
+        raise InvalidStateError(f"params.N must be a positive integer, got {n_repeats!r}")
+    budget = "eps_prime" in params or "eps" in params
+    eps_prime = _number(params.get("eps_prime", 0.0), "params.eps_prime")
+    eps = _number(params.get("eps", 0.0), "params.eps")
     w = _load_channel(inputs, "channel_w")
     seed_code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "seed_code")))
     inner = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
@@ -406,21 +414,18 @@ def _run_derandomize(inputs, params, output, cap):
         raise InvalidStateError("seed_code must be a transmission code")
     if not isinstance(inner, codes.CommonRandomnessCode):
         raise InvalidStateError("code must be a common-randomness code")
-    n_repeats = params.get("N", 1)
     d = codes.DerandomizedCode(seed_code, inner, n_repeats)
     error = codes.error_derandomized(d, w, cap)
     report = {
         "kind": "derandomize",
-        "N": int(n_repeats),
+        "N": n_repeats,
         "n_total": d.n_total,
         "messages": len(d.messages),
         "rate": codes.rate(d),
         "error": error,
     }
     checks = []
-    if "eps_prime" in params or "eps" in params:
-        eps_prime = float(params.get("eps_prime", 0.0))
-        eps = float(params.get("eps", 0.0))
+    if budget:
         checks.append(bounds.make_report("error-budget", error, eps_prime + eps * n_repeats))
     if "channel_v" in inputs:
         eve = codes.derandomized_channel(d, _load_channel(inputs, "channel_v"), cap)

@@ -23,17 +23,12 @@ TOL_ROWSUM = 1e-12
 TOL_BOUND = 1e-9
 
 
-def dim_cap(override: int | None = None) -> int:
-    """Effective operator dimension cap: ``override`` when given, else
-    :data:`DIM_CAP`."""
-    return DIM_CAP if override is None else int(override)
-
-
 def check_dim(dim: int, override: int | None = None) -> int:
-    """Validate a materialized operator dimension against the cap."""
+    """Validate a materialized operator dimension against the cap:
+    ``override`` when given, else :data:`DIM_CAP`."""
     from .errors import ResourceCapError
 
-    cap = dim_cap(override)
+    cap = DIM_CAP if override is None else int(override)
     if dim > cap:
         raise ResourceCapError(
             f"operator dimension {dim} exceeds cap {cap}",

@@ -56,8 +56,8 @@ def _as_stack(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (max absolute entry deviation).
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity within ``TOL_HERM`` (max absolute entry deviation).
 
     ``a`` is a matrix or a ``(..., d, d)`` stack of them, with finite
     entries: nan and inf are rejected here, so no validator built on this
@@ -69,19 +69,19 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
         raise InvalidStateError("matrix has a non-finite entry")
     a_star = a.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(a - a_star)) if a.size else 0.0
-    if dev > tol:
-        raise InvalidStateError(f"matrix is not Hermitian: deviation {dev:.3e} > {tol:.1e}")
+    if dev > TOL_HERM:
+        raise InvalidStateError(f"matrix is not Hermitian: deviation {dev:.3e} > {TOL_HERM:.1e}")
     return (a + a_star) / 2
 
 
-def clip_spectrum(w: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Clip eigenvalue noise in ``[floor, 0)`` to zero.
+def clip_spectrum(w: np.ndarray) -> np.ndarray:
+    """Clip eigenvalue noise in ``[EIG_FLOOR, 0)`` to zero.
 
-    Eigenvalues below ``floor`` indicate a genuinely invalid operator and
+    Eigenvalues below ``EIG_FLOOR`` indicate a genuinely invalid operator and
     raise instead of being clipped.
     """
     w = np.asarray(w, dtype=float)
-    if w.size and w.min() < floor:
+    if w.size and w.min() < EIG_FLOOR:
         raise InvalidStateError(
             f"operator is not positive semidefinite: min eigenvalue {w.min():.3e}"
         )
@@ -92,12 +92,11 @@ def _trace(a: np.ndarray) -> np.ndarray:
     return np.trace(a, axis1=-2, axis2=-1).real
 
 
-def _spectra(a: np.ndarray, density: bool = False, vectors: bool = False,
-             tol_trace: float = TOL_TRACE):
+def _spectra(a: np.ndarray, density: bool = False, vectors: bool = False):
     """Validate a ``(..., d, d)`` stack of PSD operators and decompose it once.
 
     One vectorised pass checks every matrix: Hermiticity to ``TOL_HERM``,
-    unit trace to ``tol_trace`` when ``density`` is set, and the
+    unit trace to ``TOL_TRACE`` when ``density`` is set, and the
     ``EIG_FLOOR`` eigenvalue floor on the spectrum of the single
     ``eigvalsh`` call (``eigh`` when ``vectors`` is set).  Returns the
     symmetrized stack and its clipped eigenvalues, plus the eigenvectors
@@ -105,30 +104,30 @@ def _spectra(a: np.ndarray, density: bool = False, vectors: bool = False,
     """
     a = check_hermitian(a)
     if density:
-        _check_unit_trace(a, tol_trace)
+        _check_unit_trace(a)
     if vectors:
         w, u = np.linalg.eigh(a)
         return a, clip_spectrum(w), u
     return a, clip_spectrum(np.linalg.eigvalsh(a))
 
 
-def _check_unit_trace(a: np.ndarray, tol_trace: float = TOL_TRACE) -> None:
+def _check_unit_trace(a: np.ndarray) -> None:
     """Raise unless every matrix of the stack ``a`` has trace 1."""
     tr = _trace(a)
     dev = np.abs(tr - 1.0)
-    if dev.size and dev.max() > tol_trace:
+    if dev.size and dev.max() > TOL_TRACE:
         worst = tr.flat[np.argmax(dev)]
         raise InvalidStateError(
-            f"density operator trace {worst!r} is not 1 within {tol_trace:.1e}"
+            f"density operator trace {worst!r} is not 1 within {TOL_TRACE:.1e}"
         )
 
 
-def check_density(rho: np.ndarray, tol_trace: float = TOL_TRACE) -> np.ndarray:
+def check_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density operator (or a stack): Hermitian, PSD, unit trace.
 
     Returns the symmetrized matrix.
     """
-    return _spectra(rho, density=True, tol_trace=tol_trace)[0]
+    return _spectra(rho, density=True)[0]
 
 
 def check_psd(a: np.ndarray) -> np.ndarray:
@@ -157,12 +156,12 @@ def check_measurement(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def check_sub_povm(elements, dim: int, tol: float = TOL_SUBPOVM) -> list:
+def check_sub_povm(elements, dim: int) -> list:
     """Validate a sub-POVM: each element a measurement operator, sum <= identity.
 
     ``elements`` is any iterable of matrices (dict values are accepted).
     The deficit from the identity is the abort outcome, so the sum may fall
-    short but must not exceed the identity by more than ``tol``.  The
+    short but must not exceed the identity by more than ``TOL_SUBPOVM``.  The
     ``(k, d, d)`` stack of elements is checked by one
     :func:`check_measurement` (one ``check_hermitian`` and one ``eigvalsh``)
     and the sum by one more ``eigvalsh``.  Returns the symmetrized elements
@@ -179,7 +178,7 @@ def check_sub_povm(elements, dim: int, tol: float = TOL_SUBPOVM) -> list:
     stack = check_measurement(np.array(elements).reshape(len(elements), dim, dim))
     # a sum of exactly Hermitian matrices is exactly Hermitian
     excess = np.linalg.eigvalsh(stack.sum(axis=0)).max() - 1.0 if dim else 0.0
-    if excess > tol:
+    if excess > TOL_SUBPOVM:
         raise InvalidStateError(f"sub-POVM exceeds the identity by {excess:.3e}")
     return list(stack)
 
@@ -221,7 +220,7 @@ def entropy(rho: np.ndarray) -> float:
     return float(entropies(rho))
 
 
-def _support_mask(w: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:
+def _support_mask(w: np.ndarray) -> np.ndarray:
     """Boolean mask of eigenvalues counted as support (relative threshold).
 
     Applies along the last axis, so a stack of spectra gets one mask each.
@@ -229,7 +228,7 @@ def _support_mask(w: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:
     w = np.abs(np.asarray(w, dtype=float))
     if w.size == 0:
         return np.zeros(w.shape, dtype=bool)
-    return w > rtol * w.max(axis=-1, keepdims=True)
+    return w > SUPPORT_RTOL * w.max(axis=-1, keepdims=True)
 
 
 def _overlaps(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray):

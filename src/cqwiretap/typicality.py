@@ -26,9 +26,9 @@ result is dominated by the product channel whenever the two projector
 families are compatible; this is measured on every output and a violation
 raises rather than returning a channel that would poison later bounds.
 ``reindexed_pair`` gives the (V, V') pair the leakage chain takes in
-typicality mode, ``factor_reports`` the spectral factor bounds of the
-compressed channel, and ``typicality_reports`` every report of a
-``typicality-report`` run.
+typicality mode, and ``typicality_reports`` every report of a
+``typicality-report`` run, the spectral factor bounds of the compressed
+channel among them.
 
 Every report of one (V, p, n, delta) reads one private block: the typical
 inputs grouped by type class, the eigenbasis and typical strings of the
@@ -83,7 +83,6 @@ __all__ = [
     "check_typical_projector",
     "subnormalized_channel",
     "reindexed_pair",
-    "factor_reports",
     "typicality_reports",
 ]
 
@@ -915,11 +914,33 @@ def reindexed_pair(v, p, n, delta, cap=None):
     return base, prime
 
 
-def _factor_reports(v, p, delta):
-    """The validated p, the average state PV and a function taking a
-    :class:`_Block` of (v, p, n, delta) to ``(epsilon, reports)``; see
-    :func:`factor_reports`.  The window constants and the entropies are
-    computed here, once: one spectrum of PV gives chi, S(PV) and beta."""
+def typicality_reports(v, p, delta, ns, cap=None):
+    """``(epsilon, reports)`` for every block length n in ``ns``: the
+    reports te1-te3 of the average state PV, te4-te7 of the channel
+    (:func:`check_typical_projector`) and the three factor reports of the
+    compressed channel, in that order.  PV and the window constants are
+    formed once, and the typical inputs and the basis and typical strings
+    of PV once per n, for all of them.  ``cap`` bounds the dimension d^n.
+
+    ``epsilon`` is the trace deficit of ``subnormalized_channel(v, p, n,
+    delta)``, read off the cores as 1 - min_x tr K_x (tr A K A* = tr K, as
+    A is an isometry).  factor-norm: the largest output operator norm, read
+    off the R x R spectra that validated the outputs, against
+    2^(-n (S(V|P) - gamma)); factor-rank: the rank of the uniform average
+    output A K A* (the rank of the R x R mean core K) against
+    2^(n (S(PV) + beta)); factor-product: their product against
+    2^(n (chi + beta + gamma)).  The window constants are
+    ``delta * max |log2 q|``, beta over the spectrum of PV and gamma the
+    worst over the output spectra; one spectrum of PV gives chi, S(PV) and
+    beta.
+
+    All three are read per type class, from the cores of :func:`_compress`:
+    the norm is the class's top eigenvalue, tr K_y is summed off the
+    permuted diagonal of its class core, and every member's permuted core
+    is added into one R x R buffer for the mean.  So the memory is in R^2,
+    whatever the size |T| of the typical set, and no d^n x d^n output is
+    formed.
+    """
     p = check_distribution(p, len(v.alphabet))
     states, ent = _validated_stack(v.states())
     avg = _mixtures(p, states)
@@ -936,8 +957,9 @@ def _factor_reports(v, p, delta):
 
     beta = window(w)
     gamma = max(window(np.linalg.eigvalsh(v.output(a))) for a in v.alphabet)
-
-    def reports(block):
+    out = []
+    for length in ns:
+        block = _block(v, p, length, delta, cap, avg)
         n = block.n
         cores, norm = _compress(block)
         # per member, O(R) for its trace (the diagonal of K_y is that of
@@ -951,53 +973,11 @@ def _factor_reports(v, p, delta):
             if live[key]:
                 mean += k[np.ix_(perm, perm)]
         rank = op.rank_eps(mean / len(block.members))
-        return max(0.0, 1.0 - least), [
+        factors = [
             make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),
             make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),
             make_report("factor-product", rank * norm, 2.0 ** (n * (chi + beta + gamma))),
         ]
-
-    return p, avg, reports
-
-
-def factor_reports(v, p, delta, ns, cap=None):
-    """``(epsilon, reports)`` for every block length n in ``ns``.
-
-    ``epsilon`` is the trace deficit of ``subnormalized_channel(v, p, n,
-    delta)``, read off the cores as 1 - min_x tr K_x (tr A K A* = tr K, as
-    A is an isometry), and ``reports`` its spectral factor bounds.
-    factor-norm: the largest output operator norm, read off the R x R
-    spectra that validated the outputs, against 2^(-n (S(V|P) - gamma));
-    factor-rank: the rank of the uniform average output A K A* (the rank of
-    the R x R mean core K) against 2^(n (S(PV) + beta)); factor-product:
-    their product against 2^(n (chi + beta + gamma)).  The window
-    constants are ``delta * max |log2 q|``, beta over the spectrum of the
-    average state PV and gamma the worst over the output spectra.
-
-    All three are read per type class, from the cores of :func:`_compress`:
-    the norm is the class's top eigenvalue, tr K_y is summed off the
-    permuted diagonal of its class core, and every member's permuted core
-    is added into one R x R buffer for the mean.  So the memory is in R^2,
-    whatever the size |T| of the typical set, and no d^n x d^n output is
-    formed.  ``cap`` bounds the dimension d^n.
-    """
-    p, avg, reports = _factor_reports(v, p, delta)
-    return [reports(_block(v, p, n, delta, cap, avg)) for n in ns]
-
-
-def typicality_reports(v, p, delta, ns, cap=None):
-    """``(epsilon, reports)`` for every block length n in ``ns``: the
-    reports te1-te3 of the average state PV, te4-te7 of the channel
-    (:func:`check_typical_projector`) and the factor reports of
-    :func:`factor_reports`, in that order.  PV is formed once, and the
-    typical inputs and the basis and typical strings of PV once per n, for
-    all three.  ``cap`` bounds the dimension d^n.
-    """
-    p, avg, factors = _factor_reports(v, p, delta)
-    out = []
-    for n in ns:
-        block = _block(v, p, n, delta, cap, avg)
-        epsilon, reports = factors(block)
-        out.append((epsilon, _unconditional_reports(avg, block.n, block.delta)
-                    + _conditional_reports(block) + reports))
+        out.append((max(0.0, 1.0 - least), _unconditional_reports(avg, n, block.delta)
+                    + _conditional_reports(block) + factors))
     return out

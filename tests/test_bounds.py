@@ -259,7 +259,15 @@ def flat_bri(n_seeds: int = 2, n_inputs: int = 4) -> bri.BriFunction:
     return bri.BriFunction(np.zeros((n_seeds, n_inputs), dtype=int), (0,))
 
 
+def chain_report(name, f, v, v_prime, m_dist) -> bounds.BoundReport:
+    """The report ``name`` of :func:`bounds.certify_chain`."""
+    return {r.name: r for r in bounds.certify_chain(f, v, v_prime, m_dist)}[name]
+
+
 class TestChainSteps:
+    """Chain-level reports through :func:`bounds.certify_chain`; the
+    per-message steps through the helpers it runs on its tables."""
+
     def setup_method(self):
         self.f = bri.construct_exhaustive(4, 4, 2, lambda2_target=0.999)
         g = rng(46)
@@ -269,13 +277,13 @@ class TestChainSteps:
     def test_leakage_by_divergence_constant_channel(self):
         rho = np.eye(2) / 2
         v = CqChannel(range(4), 2, {x: rho for x in range(4)})
-        r = bounds.bound_leakage_by_divergence(self.f, v, self.m_dist)
+        r = chain_report("leakage-vs-divergence", self.f, v, v, self.m_dist)
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.rhs == pytest.approx(0.0, abs=1e-12)
         assert r.holds
 
     def test_leakage_by_divergence_random(self):
-        r = bounds.bound_leakage_by_divergence(self.f, self.v, self.m_dist)
+        r = chain_report("leakage-vs-divergence", self.f, self.v, self.v, self.m_dist)
         assert r.holds
         # lhs recomputed: seed-average Holevo of the preimage-mixture channel
         per_seed = []
@@ -292,25 +300,28 @@ class TestChainSteps:
         assert r.lhs == pytest.approx(np.mean(per_seed), abs=1e-9)
 
     def test_deterministic_message_still_bounded(self):
-        r = bounds.bound_leakage_by_divergence(self.f, self.v, [1.0, 0.0])
+        r = chain_report("leakage-vs-divergence", self.f, self.v, self.v, [1.0, 0.0])
         assert r.holds
+
+    def subnormalized(self, vp, i):
+        return bounds._divergence_vs_subnormalized(
+            bounds._Table(self.f, self.v), bounds._Table(self.f, vp), i
+        )
 
     def test_subnormalized_equality_at_identity(self):
         vp = self.v.scaled(1.0)
-        for m in self.f.regularity_set:
-            r = bounds.bound_divergence_by_subnormalized(self.f, self.v, vp, m)
+        for i in range(len(self.f.regularity_set)):
+            r = self.subnormalized(vp, i)
             assert r.slack == pytest.approx(0.0, abs=1e-10)
             assert r.holds
 
     def test_subnormalized_scaled(self):
         vp = self.v.scaled(0.9)
-        for m in self.f.regularity_set:
-            r = bounds.bound_divergence_by_subnormalized(self.f, self.v, vp, m)
+        for i in range(len(self.f.regularity_set)):
+            r = self.subnormalized(vp, i)
             assert r.holds
             assert r.rhs == pytest.approx(
-                0.9 * bounds.bound_divergence_by_subnormalized(
-                    self.f, self.v, self.v.scaled(1.0), m
-                ).lhs
+                0.9 * self.subnormalized(self.v.scaled(1.0), i).lhs
                 + 0.1 * math.log2(4 / self.f.d_s),
                 abs=1e-9,
             )
@@ -325,14 +336,14 @@ class TestChainSteps:
             range(4), 2, {x: 0.9 * self.v.output(x) + 0.1 * np.eye(2) / 2 for x in range(4)}
         )
         with pytest.raises(PsdOrderingError):
-            bounds.bound_divergence_by_subnormalized(self.f, shrunk, big, 0)
+            bounds.certify_chain(self.f, shrunk, big, self.m_dist)
 
     def test_renyi2_single_seed_exact_zero(self):
         # one seed forces the preimage mixture to equal the average, so
         # both sides collapse: 0 <= log2(tr sigma) + 0 at full trace
         f1 = flat_bri(n_seeds=1, n_inputs=4)
         vp = self.v.scaled(1.0)
-        r = bounds.bound_divergence_by_renyi2(f1, vp, 0)
+        r = bounds._divergence_vs_renyi2(bounds._Table(f1, vp), 0)
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.rhs == pytest.approx(0.0, abs=1e-10)
         assert r.holds
@@ -344,39 +355,39 @@ class TestChainSteps:
         # charged in bits), so the report honestly carries negative slack
         f1 = flat_bri(n_seeds=1, n_inputs=4)
         vp = self.v.scaled(0.95)
-        r = bounds.bound_divergence_by_renyi2(f1, vp, 0)
+        r = bounds._divergence_vs_renyi2(bounds._Table(f1, vp), 0)
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.rhs == pytest.approx(math.log2(0.95) + 0.05, abs=1e-9)
         assert not r.holds
 
     def test_renyi2_normalized_always_holds(self):
-        vp = self.v.scaled(1.0)
-        for m in self.f.regularity_set:
-            r = bounds.bound_divergence_by_renyi2(self.f, vp, m)
+        t = bounds._Table(self.f, self.v.scaled(1.0))
+        for i in range(len(self.f.regularity_set)):
+            r = bounds._divergence_vs_renyi2(t, i)
             assert r.holds, r
 
     def test_renyi2_subnormalized_with_spread(self):
         # singleton preimages keep the per-seed divergences macroscopic,
         # which is the regime the subnormalized variant is meant for
         f = shift_bri(4)
-        vp = self.v.scaled(0.9)
-        for m in f.regularity_set:
-            r = bounds.bound_divergence_by_renyi2(f, vp, m)
+        t = bounds._Table(f, self.v.scaled(0.9))
+        for i in range(len(f.regularity_set)):
+            r = bounds._divergence_vs_renyi2(t, i)
             assert r.holds, r
 
     def test_spectrum_step_complete_mixing_lhs_one(self):
         # d_S = |X|: every preimage mixture equals the full average
         f = flat_bri(n_seeds=3, n_inputs=4)
-        vp = self.v.scaled(1.0)
-        r = bounds.bound_renyi2_by_spectrum(f, vp, 0)
+        r = bounds._renyi2_vs_spectrum(bounds._Table(f, self.v.scaled(1.0)), 0)
         assert r.lhs == pytest.approx(1.0, abs=1e-10)
         assert r.holds
 
     def test_spectrum_step_random(self):
         for scale in (1.0, 0.85):
             vp = self.v.scaled(scale)
-            for m in self.f.regularity_set:
-                r = bounds.bound_renyi2_by_spectrum(self.f, vp, m)
+            t = bounds._Table(self.f, vp)
+            for i, m in enumerate(self.f.regularity_set):
+                r = bounds._renyi2_vs_spectrum(t, i)
                 assert r.holds, r
                 lam = bri.lambda2(self.f, m)
                 want_rhs = (
@@ -393,8 +404,7 @@ class TestTotalAndChain:
         f = bri.construct_exhaustive(4, 4, 2, lambda2_target=0.999)
         rho = np.eye(2) / 2
         v = CqChannel(range(4), 2, {x: rho for x in range(4)})
-        vp = v.scaled(1.0)
-        r = bounds.bound_leakage_total(f, v, vp, [0.5, 0.5])
+        r = chain_report("leakage-total", f, v, v.scaled(1.0), [0.5, 0.5])
         assert r.lhs == pytest.approx(0.0, abs=1e-12)
         assert r.holds
 
@@ -402,8 +412,7 @@ class TestTotalAndChain:
         f = flat_bri(n_seeds=2, n_inputs=4)
         g = rng(47)
         v = qubit_channel(g, 4)
-        vp = v.scaled(1.0)
-        r = bounds.bound_leakage_total(f, v, vp, [1.0])
+        r = chain_report("leakage-total", f, v, v.scaled(1.0), [1.0])
         assert r.lhs <= 1e-10
         assert r.rhs == pytest.approx(0.0, abs=1e-9) or r.rhs >= 0.0
         assert r.holds
@@ -481,7 +490,7 @@ class TestTotalAndChain:
         v = CqChannel(range(6), 2, {x: random_density(g, 2) for x in range(6)})
         vp = v.scaled(0.88)
         m_dist = random_probability(g, 2)
-        r = bounds.bound_leakage_total(f, v, vp, m_dist)
+        r = chain_report("leakage-total", f, v, vp, m_dist)
         lam = max(bri.lambda2(f, m) for m in f.regularity_set)
         spectral = (
             lam
@@ -493,7 +502,7 @@ class TestTotalAndChain:
 
     def test_chain_checks_the_ordering_once(self, monkeypatch):
         # typicality-mode pair of the flip channel under the XOR table: the
-        # two per-message steps and the closing report share one check
+        # per-message step and the closing report share one check
         flip = CqChannel((0, 1), 2, {0: np.diag([0.8, 0.2]), 1: np.diag([0.2, 0.8])})
         base, prime = typicality.reindexed_pair(flip, (0.6, 0.4), 2, 0.5)
         calls = []
@@ -504,10 +513,6 @@ class TestTotalAndChain:
         reports = bounds.certify_chain(shift_bri(2), base, prime, [0.5, 0.5])
         assert len(calls) == 1
         assert all(r.holds for r in reports)
-        calls.clear()
-        bounds.bound_divergence_by_subnormalized(shift_bri(2), base, prime, 0)
-        bounds.bound_leakage_total(shift_bri(2), base, prime, [0.5, 0.5])
-        assert len(calls) == 2
 
     def test_chain_rejects_an_ordering_violation(self):
         # V' = v is not below V = 0.9 v + 0.1 I/2: V - V' = -0.1 (v - I/2)
@@ -555,22 +560,22 @@ class TestChainTable:
             reports = bounds.certify_chain(f, v, vp, m_dist)
             assert reports[0].lhs == pytest.approx(want, abs=1e-12)
             assert reports[4].lhs == reports[0].lhs
-            r = bounds.bound_leakage_by_divergence(f, v, m_dist)
-            assert r.lhs == reports[0].lhs
 
     def test_step_functions_agree_with_the_chain(self):
+        # each per-message report of the chain is the helper's report of
+        # smallest slack over m, ties going to the earlier m
         for f, v, vp, m_dist in self.pairs():
             reports = bounds.certify_chain(f, v, vp, m_dist)
+            tv, tp = bounds._Table(f, v), bounds._Table(f, vp)
             steps = [
-                lambda m: bounds.bound_divergence_by_subnormalized(f, v, vp, m),
-                lambda m: bounds.bound_divergence_by_renyi2(f, vp, m),
-                lambda m: bounds.bound_renyi2_by_spectrum(f, vp, m),
+                lambda i: bounds._divergence_vs_subnormalized(tv, tp, i),
+                lambda i: bounds._divergence_vs_renyi2(tp, i),
+                lambda i: bounds._renyi2_vs_spectrum(tp, i),
             ]
             for report, step in zip(reports[1:4], steps):
-                worst = min((step(m) for m in f.regularity_set), key=lambda r: r.slack)
-                assert report == worst
-            assert reports[0] == bounds.bound_leakage_by_divergence(f, v, m_dist)
-            assert reports[4] == bounds.bound_leakage_total(f, v, vp, m_dist)
+                per_message = [step(i) for i in range(len(f.regularity_set))]
+                least = min(r.slack for r in per_message)
+                assert report == next(r for r in per_message if r.slack == least)
 
     def test_eigensolves_do_not_grow_with_messages_or_seeds(self, monkeypatch):
         calls = []
@@ -637,5 +642,3 @@ class TestChainTable:
             bounds.certify_chain(f, v, v.scaled(0.9), [1.0 / k] * k)
         with pytest.raises(InvalidStateError, match="trace"):
             bounds.certify_chain(f, v, v, [1.0 / k] * k)
-        with pytest.raises(InvalidStateError, match="trace"):
-            bounds.bound_leakage_by_divergence(f, v, [1.0 / k] * k)

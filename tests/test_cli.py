@@ -317,6 +317,20 @@ class TestBoundChain:
         )
         assert main(["bound-chain", spec]) == 3
 
+    def test_identity_mode_size_mismatch(self, ws, capsys):
+        # a 4-input channel against the 2-input XOR table
+        spec = self.setup_spec(ws, {"mode": "identity"}, channel=noiseless(4))
+        assert main(["bound-chain", spec]) == 3
+        assert "does not match the 2 function inputs" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    @pytest.mark.parametrize("factor", ["0.9", True, None])
+    def test_malformed_scale_factor_exits_3(self, ws, factor, capsys):
+        spec = self.setup_spec(ws, {"mode": "scale", "factor": factor})
+        assert main(["bound-chain", spec]) == 3
+        assert "params.v_prime.factor" in capsys.readouterr().err
+        assert not ws.out().exists()
+
     def test_subnormalized_channel_file_exits_3(self, ws):
         # a channel file holds densities; a trace deficit belongs to V' only
         spec = self.setup_spec(ws, {"mode": "identity"}, channel=flip_channel().scaled(0.9))
@@ -510,6 +524,37 @@ class TestBuildAndEval:
         code = serialize.code_from_json(serialize.load_json(ws.root / "code.json"))
         assert isinstance(code, codes.CommonRandomnessCode)
         assert code.seeds == (0, 1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 2.7), ("n", True), ("n", 1.0), ("n", "1"), ("n", 0),
+         ("max_error", "0.4"), ("max_error", True), ("max_error", [0.4])],
+    )
+    def test_malformed_build_param_exits_3(self, ws, key, value, capsys):
+        # each would once run, as n = 1 or 2 or with a budget of 0.4 or 1
+        spec = self.build_spec(ws)
+        obj = serialize.load_json(spec)
+        obj["params"][key] = value
+        ws.file("spec.json", obj)
+        assert main(["build-code", spec]) == 3
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not (ws.root / "code.json").exists()
+
+    @pytest.mark.parametrize("adversarial", ["no", 1, 0, None, [True]])
+    def test_malformed_adversarial_exits_3(self, ws, adversarial, capsys):
+        # "no" once ran the search, 0 and null skipped it
+        main(["build-code", self.build_spec(ws)])
+        ws.channel("v.json", noiseless(2))
+        spec = ws.spec(
+            "eval-leakage",
+            {"channel": str(ws.root / "v.json"), "code": str(ws.root / "code.json")},
+            {"adversarial": adversarial},
+            name="eval.json",
+        )
+        capsys.readouterr()
+        assert main(["eval-leakage", spec]) == 3
+        assert "params.adversarial" in capsys.readouterr().err
+        assert not ws.out().exists()
 
     def test_error_budget_violation_exits_4(self, ws):
         ws.channel("w.json", flip_channel())
@@ -735,6 +780,19 @@ class TestDerandomize:
         inputs = self.setup_files(ws)
         spec = ws.spec("derandomize", inputs, {"N": 2, "eps_prim": 0.1})
         assert main(["derandomize", spec]) == 3
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("N", 2.7), ("N", True), ("N", 2.0), ("N", "2"), ("N", 0),
+         ("eps", "0.5"), ("eps", True), ("eps_prime", "0.25"), ("eps_prime", False)],
+    )
+    def test_malformed_param_exits_3(self, ws, key, value, capsys):
+        # N = 2.7 once ran as N = 2 while its budget charged eps * 2.7
+        params = {"N": 2, "eps_prime": 0.25, "eps": 0.5, key: value}
+        spec = ws.spec("derandomize", self.setup_files(ws), params)
+        assert main(["derandomize", spec]) == 3
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not ws.out().exists()
 
     def qutrit_files(self, ws):
         """A qutrit W under a qubit eavesdropper: at N = 2 the legitimate

@@ -45,12 +45,18 @@ from cqwiretap.typicality import (
     _class_total,
     _column_stack,
     check_typical_projector,
-    factor_reports,
     reindexed_pair,
     sorted_eigenbasis,
     subnormalized_channel,
     typical_set,
+    typicality_reports,
 )
+
+def factor_pairs(v, p, delta, ns):
+    """``(epsilon, [factor-norm, factor-rank, factor-product])`` per n: the
+    last three reports of :func:`typicality_reports`."""
+    return [(epsilon, reports[-3:]) for epsilon, reports in typicality_reports(v, p, delta, ns)]
+
 
 # hand count for p = (3/4, 1/4), delta = 1/2: the letter-0 frequency may
 # range over [1/2, 1], so the member count is sum_{k >= n/2} C(n, k)
@@ -755,7 +761,7 @@ class TestSubnormalizedChannel:
         for t in sub.alphabet:
             assert not sub.output(t).any()
         assert sub.epsilon == 1.0
-        (_, reports), = factor_reports(v, p, delta, [n])
+        (_, reports), = factor_pairs(v, p, delta, [n])
         assert reports[0].name == "factor-norm" and reports[0].lhs == 0.0
 
 
@@ -795,7 +801,7 @@ class TestDenseOracle:
             assert np.abs(sub.output(xn) - dense[xn]).max() <= 1e-13
         deficit = max(0.0, max(1.0 - np.trace(out).real for out in dense.values()))
         assert abs(sub.epsilon - deficit) <= 1e-13
-        (_, reports), = factor_reports(v, p, delta, [n])
+        (_, reports), = factor_pairs(v, p, delta, [n])
         norm = max(np.linalg.eigvalsh(out)[-1] for out in dense.values())
         assert reports[0].name == "factor-norm"
         assert abs(reports[0].lhs - norm) <= 1e-13
@@ -855,7 +861,7 @@ class TestStreamingCompression:
         calls = self.count(monkeypatch)
         monkeypatch.setattr(typicality, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
         monkeypatch.setattr(typicality, "_column_stack", lambda *a: pytest.fail("A formed"))
-        (epsilon, reports), = factor_reports(flip_channel(), self.P, self.DELTA, [self.N])
+        (epsilon, reports), = factor_pairs(flip_channel(), self.P, self.DELTA, [self.N])
         # at R the one validation of the class plus the rank of the mean
         # core: no d^n eigensolve, neither for the ordering nor for the
         # average output, and no d^n x d^n output
@@ -1049,7 +1055,7 @@ class TestChainPair:
 
     def test_factor_reports_commuting_instance(self):
         v, p, n, delta = flip_channel(), (0.6, 0.4), 3, 0.5
-        pairs = factor_reports(v, p, delta, [2, n])
+        pairs = factor_pairs(v, p, delta, [2, n])
         assert isinstance(pairs, list) and len(pairs) == 2
         for (epsilon, _), m in zip(pairs, [2, n]):
             assert epsilon == pytest.approx(subnormalized_channel(v, p, m, delta).epsilon, abs=1e-15)
@@ -1073,7 +1079,7 @@ class TestPerClassCompression:
         with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
             block = typicality._block(v, p, n, delta)
             per_class, top = typicality._compress(block)
-            (eps, _), = factor_reports(v, p, delta, [n])
+            (eps, _), = factor_pairs(v, p, delta, [n])
             sub = subnormalized_channel(v, p, n, delta)
         got = dict(typicality._member_cores(block, per_class))
         assert block.members == tuple(got) == tuple(cores)
@@ -1134,7 +1140,7 @@ class TestFactorReportsPerClass:
     def test_matches_per_string_oracle(self, case):
         name, p, delta, ns = GOLDEN_FACTOR_CASES[case]
         v = golden_channel(name)
-        for n, (epsilon, reports) in zip(ns, factor_reports(v, p, delta, ns)):
+        for n, (epsilon, reports) in zip(ns, factor_pairs(v, p, delta, ns)):
             cores, tops, _, core = compress_per_string(v, p, n, delta)
             norm, rank, _ = reports
             assert rank.lhs == op.rank_eps(core)
@@ -1164,7 +1170,7 @@ class TestFactorReportsPerClass:
         # dense rule's minimum
         v, p = theta_channel(theta), (0.75, 0.25)
         with pytest.raises(PsdOrderingError) as info:
-            factor_reports(v, p, delta, [n])
+            factor_pairs(v, p, delta, [n])
         assert info.value.min_eigenvalue == pytest.approx(recorded, abs=1e-13)
         worst = min(dense_minima(v, p, n, delta).values())
         assert info.value.min_eigenvalue == pytest.approx(worst, abs=1e-13)
@@ -1181,7 +1187,7 @@ class TestFactorReportsPerClass:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            (epsilon, _), = factor_reports(v, (0.6, 0.4), 0.5, [8])
+            (epsilon, _), = factor_pairs(v, (0.6, 0.4), 0.5, [8])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             if not tracing:
