@@ -2,8 +2,13 @@
 
 Conventions shared by every format here:
 
-* A complex matrix is a nested list of rows whose entries are two-element
-  ``[re, im]`` lists.  Loading always yields a complex array.
+* A complex matrix is written as ``{"data": ..., "shape": [rows, cols]}``:
+  ``data`` is the RFC 4648 base64 text, without line breaks, of the
+  row-major little-endian complex128 bytes, so a round trip is bit-exact
+  (signed zeros and NaN payloads included) and the file does not depend on
+  the platform.  Readers also accept the older, hand-writable form, a
+  nested list of rows whose entries are two-element ``[re, im]`` lists.
+  Loading always yields a native complex array.
 * A channel file is ``{"alphabet": [...], "dim": d, "outputs": {...}}``
   where ``outputs`` is keyed by ``str(symbol)``; alphabet entries are
   restricted to ints and strings so the keys stay unambiguous.  Every
@@ -25,9 +30,9 @@ newline.  Infinite values appear as the Python literals ``Infinity`` /
 
 :func:`canonical_json` is the package's own encoder.  Its text is byte for
 byte that of ``json.dumps(obj, indent=2, sort_keys=True)``, which the tests
-use as its oracle; it writes a whole matrix with one ``str.join`` instead
-of one call per number, and :func:`matrix_from_json` checks and converts a
-whole matrix in a few C-level passes.
+use as its oracle.  A packed matrix is one short string in that text, and
+:func:`matrix_from_json` decodes it with one base64 pass; a nested matrix
+is checked and converted in a few C-level passes.
 
 Malformed structure raises :class:`~cqwiretap.errors.InvalidStateError`;
 JSON syntax errors propagate as :class:`json.JSONDecodeError`.
@@ -35,6 +40,7 @@ JSON syntax errors propagate as :class:`json.JSONDecodeError`.
 
 from __future__ import annotations
 
+import binascii
 import importlib.resources
 import json
 from itertools import chain
@@ -90,16 +96,19 @@ def _symbol(value, what):
 # matrices
 
 
-def matrix_to_json(a) -> list:
-    a = np.ascontiguousarray(a, dtype=complex)
+def matrix_to_json(a) -> dict:
+    a = np.ascontiguousarray(a, dtype="<c16")
     if a.ndim != 2:
         raise InvalidStateError(f"matrix must be 2-dimensional, got shape {a.shape}")
-    return a.view(float).reshape(*a.shape, 2).tolist()
+    data = binascii.b2a_base64(a, newline=False).decode("ascii")
+    return {"data": data, "shape": list(a.shape)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    if type(obj) is dict:
+        return _packed_from_json(obj)
     if not isinstance(obj, list) or not obj:
-        raise InvalidStateError("matrix must be a non-empty list of rows")
+        raise InvalidStateError("matrix must be a {data, shape} object or a non-empty list of rows")
     # whole-matrix checks: rows, then entries, then numbers, each one pass
     widths = set(map(len, obj)) if set(map(type, obj)) == {list} else ()
     if len(widths) == 1 and 0 not in widths:
@@ -109,6 +118,36 @@ def matrix_from_json(obj) -> np.ndarray:
             if set(map(type, flat)) <= {int, float}:
                 return np.array(flat, dtype=float).view(complex).reshape(len(obj), -1)
     raise InvalidStateError(_matrix_fault(obj))
+
+
+def _packed_from_json(obj) -> np.ndarray:
+    """The matrix of a ``{"data", "shape"}`` object, as a native complex
+    array that owns its data."""
+    if set(obj) != {"data", "shape"}:
+        keys = sorted(map(str, obj))
+        raise InvalidStateError(
+            f"packed matrix must have exactly the keys 'data' and 'shape', got {keys}"
+        )
+    shape, data = obj["shape"], obj["data"]
+    if (
+        type(shape) is not list or len(shape) != 2
+        or any(type(n) is not int or n < 1 for n in shape)
+    ):
+        raise InvalidStateError(f"packed matrix shape must be two ints >= 1, got {shape!r}")
+    if type(data) is not str:
+        kind = type(data).__name__
+        raise InvalidStateError(f"packed matrix data must be a base64 string, got {kind}")
+    try:
+        raw = binascii.a2b_base64(data, strict_mode=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII string
+        raise InvalidStateError(f"packed matrix data is not strict base64: {err}") from None
+    rows, cols = shape
+    if len(raw) != 16 * rows * cols:
+        raise InvalidStateError(
+            f"packed matrix data decodes to {len(raw)} bytes, "
+            f"expected 16*{rows}*{cols} = {16 * rows * cols}"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(rows, cols).astype(complex)
 
 
 def _matrix_fault(obj) -> str:
@@ -366,8 +405,7 @@ def canonical_json(obj) -> str:
     plus ``"\n"``: the same key sorting and key conversion, ``NaN`` and
     ``Infinity``, ASCII escapes, and :class:`TypeError` for any other type
     (``np.int64`` included).  A circular structure raises
-    :class:`RecursionError`.  A matrix (equal-length rows of exact-float
-    ``[re, im]`` pairs) is written by one join over its entries.
+    :class:`RecursionError`.
     """
     out = []
     _encode(obj, "\n", out)
@@ -402,14 +440,14 @@ def _encode(obj, newline: str, out: list) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-        elif not _encode_matrix(obj, newline, out):
-            inner = newline + "  "
-            sep = "[" + inner
-            for value in obj:
-                out.append(sep)
-                _encode(value, inner, out)
-                sep = "," + inner
-            out.append(newline + "]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -431,33 +469,6 @@ def _encode(obj, newline: str, out: list) -> None:
         if text is None:
             raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
         out.append(text)
-
-
-def _encode_matrix(rows, newline: str, out: list) -> bool:
-    """Append ``rows`` as a matrix if it is a list of equal-length rows of
-    exact-float ``[re, im]`` pairs, and say whether it was one."""
-    if type(rows) is not list or set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
-        return False
-    entries = list(chain.from_iterable(rows))
-    if not entries or set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return False
-    flat = list(chain.from_iterable(entries))
-    if set(map(type, flat)) != {float}:
-        return False
-    n1, n2, n3 = (newline + "  " * k for k in (1, 2, 3))
-    # one separator after each number: inside a pair, between pairs, between rows
-    seps = ["," + n3, n2 + "]," + n2 + "[" + n3] * len(rows[0])
-    seps[-1] = n2 + "]" + n1 + "]," + n1 + "[" + n2 + "[" + n3
-    seps *= len(rows)
-    seps[-1] = n2 + "]" + n1 + "]" + newline + "]"
-    parts = [None] * (2 * len(flat))
-    parts[0::2] = map(float.__repr__, flat)
-    parts[1::2] = seps
-    text = "".join(parts)
-    if "n" in text:  # float.__repr__ spells nan, inf and -inf in lower case
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    out.append("[" + n1 + "[" + n2 + "[" + n3 + text)
-    return True
 
 
 def dump_json(obj, path) -> None:

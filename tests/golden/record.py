@@ -18,6 +18,7 @@ with its relative change, ready to be quoted.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import shutil
@@ -30,6 +31,7 @@ import numpy as np
 from cqwiretap import codes, serialize
 from cqwiretap.channels import ClassicalChannel, CqChannel
 from cqwiretap.cli import main
+from cqwiretap.errors import InvalidStateError
 
 GOLDEN = Path(__file__).resolve().parent
 INPUTS = GOLDEN / "inputs"
@@ -201,10 +203,11 @@ def write_inputs() -> None:
         serialize.dump_json(spec, GOLDEN / f"{name}.spec.json")
 
 
-def run_case(name: str, workdir: Path) -> tuple:
-    """Run one case in ``workdir``; return (exit code, JSON bytes, CSV bytes or None)."""
+def run_case(name: str, workdir: Path, root: Path = GOLDEN) -> tuple:
+    """Run one case in ``workdir``, its input paths taken relative to
+    ``root``; return (exit code, JSON bytes, CSV bytes or None)."""
     spec = json.loads((GOLDEN / f"{name}.spec.json").read_text())
-    spec["inputs"] = {role: str(GOLDEN / path) for role, path in spec["inputs"].items()}
+    spec["inputs"] = {role: str(root / path) for role, path in spec["inputs"].items()}
     spec_path = workdir / f"{name}.spec.json"
     serialize.dump_json(spec, spec_path)
     out = workdir / f"{name}.json"
@@ -214,9 +217,23 @@ def run_case(name: str, workdir: Path) -> tuple:
 
 
 def _json_values(data: bytes):
-    """(path, value) for every scalar of a JSON report, in file order."""
+    """(path, value) for every scalar of a JSON report, in file order.
+
+    A matrix, in either layout, yields its complex entries, each with its
+    ``(row, column)`` after the matrix path, so a layout change alone
+    shows no value change."""
 
     def walk(obj, path):
+        if isinstance(obj, (dict, list)):
+            try:
+                matrix = serialize.matrix_from_json(obj)
+            except InvalidStateError:
+                pass
+            else:
+                for i, row in enumerate(matrix.tolist()):
+                    for j, value in enumerate(row):
+                        yield f"{path}({i}, {j})", value
+                return
         if isinstance(obj, dict):
             for key, value in obj.items():
                 yield from walk(value, f"{path}.{key}" if path else key)
@@ -241,7 +258,7 @@ def _csv_values(data: bytes):
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
 
 
 def drift(old: bytes, new: bytes, values) -> list:
@@ -251,7 +268,7 @@ def drift(old: bytes, new: bytes, values) -> list:
     lines = []
     for path in {**before, **after}:
         a, b = before.get(path), after.get(path)
-        if a == b or (_number(a) and _number(b) and math.isnan(a) and math.isnan(b)):
+        if a == b or (_number(a) and _number(b) and cmath.isnan(a) and cmath.isnan(b)):
             continue
         line = f"  {path}: {a!r} -> {b!r}"
         if _number(a) and _number(b):

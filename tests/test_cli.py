@@ -435,7 +435,9 @@ class TestCapacity:
     def test_non_finite_channel_file_exits_3(self, ws, capsys):
         # the golden capacity inputs with nan off-diagonals in one output
         clock = serialize.load_json(GOLDEN_INPUTS / "clock.json")
-        clock["outputs"]["1"][0][1] = clock["outputs"]["1"][1][0] = [math.nan, 0.0]
+        out = serialize.matrix_from_json(clock["outputs"]["1"])
+        out[0, 1] = out[1, 0] = math.nan
+        clock["outputs"]["1"] = serialize.matrix_to_json(out)
         spec = ws.spec(
             "capacity",
             {"channel_w": str(GOLDEN_INPUTS / "qutrit.json"), "channel_v": ws.file("v.json", clock)},
@@ -443,6 +445,20 @@ class TestCapacity:
         )
         assert main(["capacity", spec]) == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    def test_short_packed_matrix_exits_3(self, ws, capsys):
+        # the golden clock channel with the last entry cut from one output
+        clock = serialize.load_json(GOLDEN_INPUTS / "clock.json")
+        out = serialize.matrix_from_json(clock["outputs"]["2"])
+        clock["outputs"]["2"]["data"] = serialize.matrix_to_json(out.reshape(1, 4)[:, :3])["data"]
+        spec = ws.spec(
+            "capacity",
+            {"channel_w": str(GOLDEN_INPUTS / "qutrit.json"), "channel_v": ws.file("v.json", clock)},
+            {"seed": 3, "starts": 4},
+        )
+        assert main(["capacity", spec]) == 3
+        assert "packed matrix data decodes to 48 bytes, expected 16*2*2 = 64" in capsys.readouterr().err
         assert not ws.out().exists()
 
     def test_lifted_two_letter(self, ws):

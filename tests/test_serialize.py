@@ -1,7 +1,8 @@
 """Tests for the JSON/CSV file formats.
 
-Round trips are checked for exact equality (the writers use shortest
-round-trip float text), frozen golden strings pin the wire format, and
+Round trips are checked for exact equality (matrices travel as their
+complex128 bytes, other floats as shortest round-trip text), frozen golden
+strings pin the wire format, and
 malformed documents are matched against hand-built JSON objects rather
 than anything produced by the writers themselves.
 """
@@ -50,8 +51,15 @@ def small_wiretap() -> codes.WiretapCode:
 
 class TestMatrix:
     def test_golden_identity(self):
+        # the 64 little-endian bytes of [1, 0, 0, 0, 0, 0, 1, 0]; 1.0 is
+        # 00 .. 00 f0 3f, whence the two "8D8"
         obj = serialize.matrix_to_json(np.eye(2))
-        assert obj == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        data = "AAAAAAAA8D8" + "A" * 61 + "8D8AAAAAAAAAAA=="
+        assert obj == {"data": data, "shape": [2, 2]}
+
+    def test_nested_layout_still_read(self):
+        nested = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        assert np.array_equal(serialize.matrix_from_json(nested), np.eye(2))
 
     def test_complex_entries_preserved(self):
         a = np.array([[1 + 2j, -0.5j], [3.25, -1 - 1j]])
@@ -85,9 +93,77 @@ class TestMatrix:
             serialize.matrix_from_json([[[True, 0.0]]])
 
 
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestMatrixExact:
+    """The packed layout is the complex128 bytes: every value comes back
+    with the same bits, and the text does not depend on byte order."""
+
+    SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 0.1]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4)])
+    def test_special_values_bit_identical(self, shape):
+        values = np.resize(np.array(self.SPECIAL), 2 * shape[0] * shape[1])
+        rng(len(values)).shuffle(values)
+        a = values.view(complex).reshape(shape)
+        back = serialize.matrix_from_json(serialize.matrix_to_json(a))
+        assert back.shape == shape
+        assert np.array_equal(bits(back), bits(a))
+
+    def test_each_special_value_as_a_1x1_matrix(self):
+        for re in self.SPECIAL:
+            for im in self.SPECIAL:
+                a = np.array([[complex(re, im)]])
+                back = serialize.matrix_from_json(serialize.matrix_to_json(a))
+                assert np.array_equal(bits(back), bits(a)), (re, im)
+
+    def test_nan_payload_survives(self):
+        a = np.array([[0j]])
+        a.view(np.uint64)[0, 0] = 0x7FF8_0000_DEAD_BEEF
+        back = serialize.matrix_from_json(serialize.matrix_to_json(a))
+        assert np.array_equal(bits(back), bits(a))
+
+    def test_through_the_file_text(self, tmp_path):
+        a = np.array([[-0.0 + 1j * math.nan, math.inf - 1j * math.inf, 5e-324j]])
+        serialize.dump_json(serialize.matrix_to_json(a), tmp_path / "m.json")
+        back = serialize.matrix_from_json(serialize.load_json(tmp_path / "m.json"))
+        assert np.array_equal(bits(back), bits(a))
+
+    def test_big_endian_writes_the_same_text(self):
+        a = rng(5).normal(size=(2, 3)) + 1j * rng(6).normal(size=(2, 3))
+        big = a.astype(">c16")
+        assert serialize.matrix_to_json(big) == serialize.matrix_to_json(a)
+        back = serialize.matrix_from_json(serialize.matrix_to_json(big))
+        assert back.dtype == np.dtype(complex)
+        assert np.array_equal(bits(back), bits(a))
+
+    def test_real_and_strided_inputs(self):
+        a = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(serialize.matrix_from_json(serialize.matrix_to_json(a)), a)
+        view = (a + 1j)[:, ::2]
+        assert np.array_equal(serialize.matrix_from_json(serialize.matrix_to_json(view)), view)
+
+    def test_result_is_writable_and_owns_its_data(self):
+        back = serialize.matrix_from_json(serialize.matrix_to_json(np.eye(3)))
+        assert back.flags.writeable and back.flags.owndata and back.flags.c_contiguous
+        back[0, 0] = 2.0
+        assert back[0, 0] == 2.0
+
+    def test_rejects_non_matrix_arrays(self):
+        for a in (np.ones(3), np.ones((2, 2, 2))):
+            with pytest.raises(InvalidStateError):
+                serialize.matrix_to_json(a)
+
+
+ONE = "AAAAAAAA8D8AAAAAAAAAAA=="  # the 16 bytes of 1+0j
+
+
 class TestMatrixMessages:
-    """Malformed matrices after the first entry: the whole-matrix checks
-    report the first fault in row-major order, as an entry-by-entry scan does."""
+    """Malformed matrices.  In the nested layout, a fault after the first
+    entry is reported as an entry-by-entry scan finds it, first in row-major
+    order; a malformed packed matrix raises a fault that names what is wrong."""
 
     GOOD = [1.0, 0.0]
 
@@ -118,6 +194,76 @@ class TestMatrixMessages:
         back = serialize.matrix_from_json([[[1, 0], [0, -2]], [[0, 2], [3, 0]]])
         assert back.dtype == complex
         assert np.array_equal(back, np.array([[1, -2j], [2j, 3]]))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"data": ONE},
+            {"shape": [1, 1]},
+            {"data": ONE, "shape": [1, 1], "dtype": "c16"},
+            {"Data": ONE, "shape": [1, 1]},
+            {},
+        ],
+    )
+    def test_keys_must_be_data_and_shape(self, obj):
+        assert self.fault(obj).startswith(
+            "packed matrix must have exactly the keys 'data' and 'shape'"
+        )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [[1], [1, 1, 1], [], [0, 1], [1, -1], [True, 1], [1, False], [1.0, 1], ["1", 1],
+         (1, 1), None, 1],
+    )
+    def test_shape_must_be_two_positive_ints(self, shape):
+        assert self.fault({"data": ONE, "shape": shape}) == (
+            f"packed matrix shape must be two ints >= 1, got {shape!r}"
+        )
+
+    @pytest.mark.parametrize("data", [None, 1, [ONE], {"b64": ONE}, b"AAAA"])
+    def test_data_must_be_a_string(self, data):
+        assert self.fault({"data": data, "shape": [1, 1]}).startswith(
+            "packed matrix data must be a base64 string, got "
+        )
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "AAAAAAAA8D8AAAAAAAAAAA",  # padding dropped
+            "AAAAAAAA8D8AAAAA\nAAAAAAA==",  # a line break
+            " " + ONE,
+            ONE + "AAAA",  # data after the padding
+            "AAAAAAAA8D8AAAAAAAAAAA=A",
+            "AAAAAAAA-D8AAAAAAAAAAA==",  # the URL-safe alphabet
+            "AAAAAAAA8D8AAAAAAAAAAA\u00e9=",
+        ],
+    )
+    def test_data_must_be_strict_base64(self, data):
+        assert self.fault({"data": data, "shape": [1, 1]}).startswith(
+            "packed matrix data is not strict base64: "
+        )
+
+    @pytest.mark.parametrize(
+        "data, shape, size",
+        [
+            ("", [1, 1], 0),
+            ("AAAAAAAA8D8=", [1, 1], 8),
+            (ONE, [1, 2], 16),
+            ("A" * 44, [1, 1], 33),
+            ("A" * 64, [2, 1], 48),
+        ],
+    )
+    def test_data_must_hold_16_bytes_per_entry(self, data, shape, size):
+        rows, cols = shape
+        assert self.fault({"data": data, "shape": shape}) == (
+            f"packed matrix data decodes to {size} bytes, "
+            f"expected 16*{rows}*{cols} = {16 * rows * cols}"
+        )
+
+    def test_non_list_non_object_named(self):
+        assert self.fault("AAAA") == (
+            "matrix must be a {data, shape} object or a non-empty list of rows"
+        )
 
 
 # Values json.dumps(indent=2, sort_keys=True) accepts, and what the
