@@ -10,12 +10,13 @@ lambda2 is the quantity the leakage bounds consume, and the function is
 irreducible when every lambda2 is strictly below 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import search_step
-from .config import TABLE_CAP
+from ._kernels import RowSearch, search_step
+from .config import STRING_CAP, TABLE_CAP
 from .errors import (
     ConstructionUnverifiedError,
     InvalidStateError,
@@ -177,23 +178,55 @@ class BriFunction:
         return self._sections[m]
 
 
-def _section_spectra(table, regularity_set, d_s, d_x):
-    """Section matrices and lambda2 of every m in the regularity set.
+def _section_matrices(tables, regularity_set, d_s, d_x):
+    """Section matrices hits_m^T hits_m / (d_S d_X) of every m, stacked
+    on axis -3, for one table (n_s, n_x) or a stack (..., n_s, n_x)."""
+    hits = np.stack([tables == m for m in regularity_set], axis=-3).astype(np.float64)
+    return np.swapaxes(hits, -1, -2) @ hits / (d_s * d_x)
 
-    The m-section matrices hits_m^T hits_m / (d_S d_X) are formed as one
-    stack and their singular values taken by one batched SVD.  A tie with
-    the top singular value (difference below ``LAMBDA2_TIE_TOL``) gives
-    lambda2 = 1.0; a one-input table gives lambda2 = 0.0, since the
-    complement of the all-ones direction is {0}.  Returns
-    (matrices, lambda2s) in regularity-set order.
+
+def _lambda2s(matrices):
+    """lambda2 of every section matrix in a stack, by one batched SVD.
+
+    A tie with the top singular value (difference below
+    ``LAMBDA2_TIE_TOL``) gives lambda2 = 1.0; a one-input table gives
+    lambda2 = 0.0, since the complement of the all-ones direction is {0}.
     """
-    hits = np.stack([table == m for m in regularity_set]).astype(np.float64)
-    matrices = hits.transpose(0, 2, 1) @ hits / (d_s * d_x)
     if matrices.shape[-1] == 1:
-        return matrices, [0.0] * len(regularity_set)
+        return np.zeros(matrices.shape[:-2])
     sv = np.linalg.svd(matrices, compute_uv=False)
-    lams = np.where(sv[:, 0] - sv[:, 1] < LAMBDA2_TIE_TOL, 1.0, sv[:, 1])
-    return matrices, lams.tolist()
+    return np.where(sv[..., 0] - sv[..., 1] < LAMBDA2_TIE_TOL, 1.0, sv[..., 1])
+
+
+def _section_spectra(table, regularity_set, d_s, d_x):
+    """Section matrices and lambda2 of every m in the regularity set,
+    as (matrices, lambda2s) in regularity-set order."""
+    matrices = _section_matrices(table, regularity_set, d_s, d_x)
+    return matrices, _lambda2s(matrices).tolist()
+
+
+def _connected(adjacency):
+    """Whether each boolean adjacency matrix of a stack (..., n, n) with a
+    full diagonal is connected, by repeated boolean squaring."""
+    reach = adjacency
+    for _ in range((adjacency.shape[-1] - 1).bit_length()):
+        reach = reach @ reach
+    return reach[..., 0, :].all(axis=-1)
+
+
+def _first_passing(tables, regularity_set, d_s, d_x, lambda2_target):
+    """Index of the first table of a stack whose max lambda2 meets the
+    target, or None, by one batched SVD.  Below target 1, tables with a
+    disconnected collision graph for some m are dropped before the SVD,
+    as :func:`construct_exhaustive` explains."""
+    matrices = _section_matrices(tables, regularity_set, d_s, d_x)
+    keep = np.arange(len(tables))
+    if lambda2_target < 1.0:
+        keep = np.flatnonzero(_connected(matrices > 0).all(axis=-1))
+        if not keep.size:
+            return None
+    passing = keep[_lambda2s(matrices[keep]).max(axis=-1) <= lambda2_target]
+    return int(passing[0]) if passing.size else None
 
 
 def lambda2(f: BriFunction, m) -> float:
@@ -223,17 +256,40 @@ def construct_exhaustive(
     The regularity set is the full output set {0..n_outputs-1}, so every
     row partitions the inputs into n_outputs blocks of d_S and every
     column meets each output exactly d_X times; divisibility failures
-    (including more outputs than inputs) return None immediately.
-    Enumeration is canonical (first row a sorted block partition, later
-    rows lexicographically nondecreasing) which preserves completeness up
-    to row/column permutations; visiting more than ``cap`` search nodes
-    raises a resource error with progress attached.
+    (including more outputs than inputs) return None immediately.  Sizes
+    must be integers (not bools) and the target a number other than nan.
 
-    The search state is held in Python lists and stepped by
-    :func:`~cqwiretap._kernels.search_step`.  Each complete table is
-    screened by one batched section spectrum; a :class:`BriFunction` is
-    built only for the first table whose max lambda2 meets the target.
+    Enumeration is canonical, which preserves completeness up to row and
+    column permutations: row 0 is the sorted block partition, row 1 any
+    balanced row and each later row lexicographically at or after its
+    predecessor.  The balanced rows, n_inputs! / (d_S!)^n_outputs of
+    them, are listed once in lexicographic order; more than
+    :data:`~cqwiretap.config.STRING_CAP` raises a resource error before
+    any is listed.  Rows 1 to n_seeds - 2 are searched depth first, each
+    from its predecessor's index, so complete tables come out in the
+    lexicographic order of their rows.  The last row is forced: after
+    n_seeds - 1 rows each column lacks exactly one value, so that value
+    is the only candidate, and it is looked up and checked against the
+    lexicographic bound.  A search node is one balanced row tested at one
+    row position (the lookup counts as one); visiting more than ``cap``
+    nodes raises a resource error with progress attached, unless a table
+    found within the cap passes.
+
+    :func:`~cqwiretap._kernels.search_step` hands complete tables back in
+    batches of 1, 2, 4, ... up to 64.  Each batch is screened in order by
+    one batched section spectrum, and a :class:`BriFunction` is built only
+    for the first table whose max lambda2 meets the target.  Below target
+    1, a table whose collision graph for some m is disconnected is
+    dropped before the SVD: that section matrix is block diagonal with
+    doubly stochastic blocks, so 1 is a repeated singular value, which
+    the tie rule reports as lambda2 = 1.0 and the target rejects.
     """
+    sizes = (n_seeds, n_inputs, n_outputs)
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+        raise InvalidStateError(f"sizes must be integers, got {sizes!r}")
+    n_seeds, n_inputs, n_outputs = map(int, sizes)
+    if math.isnan(lambda2_target):
+        raise InvalidStateError("lambda2 target is nan")
     if n_outputs < 1 or n_seeds < 1 or n_inputs < 1:
         raise InvalidStateError("sizes must be positive")
     if n_inputs % n_outputs or n_seeds % n_outputs:
@@ -242,40 +298,30 @@ def construct_exhaustive(
     d_x = n_seeds // n_outputs
     regularity_set = tuple(range(n_outputs))
 
-    def screened(rows):
-        table = np.array(rows, dtype=np.int64)
-        if max(_section_spectra(table, regularity_set, d_s, d_x)[1]) <= lambda2_target:
-            return BriFunction(table, regularity_set)
-        return None
-
-    table = [[0] * n_inputs for _ in range(n_seeds)]
-    table[0] = [x // d_s for x in range(n_inputs)]
     if n_seeds == 1:
-        return screened(table)
+        table = np.arange(n_inputs)[None, :] // d_s
+        if _first_passing(table[None], regularity_set, d_s, d_x, lambda2_target) is None:
+            return None
+        return BriFunction(table, regularity_set)
 
-    row_counts = [[0] * n_outputs for _ in range(n_seeds)]
-    row_counts[0] = [d_s] * n_outputs
-    col_counts = [[0] * n_outputs for _ in range(n_inputs)]
-    for x, v in enumerate(table[0]):
-        col_counts[x][v] = 1
-    nxt = [0] * (n_seeds * n_inputs)
-    pos = n_inputs
-    used = 0
-    while True:
-        status, pos, nodes = search_step(
-            table,
-            nxt,
-            row_counts,
-            col_counts,
-            pos,
-            n_seeds,
-            n_inputs,
-            n_outputs,
-            d_s,
-            d_x,
-            cap - used,
+    n_rows = math.factorial(n_inputs) // math.factorial(d_s) ** n_outputs
+    if n_rows > STRING_CAP:
+        raise ResourceCapError(
+            f"{n_rows} balanced rows exceed the listing cap {STRING_CAP}",
+            requested=n_rows,
+            cap=STRING_CAP,
         )
+    search = RowSearch(n_seeds, n_inputs, n_outputs)
+    used, want = 0, 1
+    while True:
+        found = []
+        status, pos, nodes = search_step(search, found, want, cap - used)
         used += nodes
+        if found:
+            tables = search.values[np.array(found)]
+            i = _first_passing(tables, regularity_set, d_s, d_x, lambda2_target)
+            if i is not None:
+                return BriFunction(tables[i], regularity_set)
         if status == 0:
             return None
         if status == -1:
@@ -283,11 +329,9 @@ def construct_exhaustive(
                 f"table search exceeded {cap} nodes",
                 requested=used,
                 cap=cap,
-                progress=f"deepest open cell at row {pos // n_inputs}",
+                progress=f"open row {pos}",
             )
-        f = screened(table)
-        if f is not None:
-            return f
+        want = min(2 * want, 64)
 
 
 def construct_seeded(k: int, d: int, cap: int = TABLE_CAP) -> BriFunction:

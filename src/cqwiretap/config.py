@@ -8,10 +8,12 @@ operators take an explicit ``cap`` argument that overrides ``DIM_CAP``.
 
 # operator dimension for any materialized matrix (kron products included)
 DIM_CAP = 4096
-# listed strings: typical-set size |T| (summed type-class sizes, not |X|^n)
-# and message-seed pairs of a derandomized code's eavesdropper channel
+# listed strings: typical-set size |T| (summed type-class sizes, not |X|^n),
+# message-seed pairs of a derandomized code's eavesdropper channel and the
+# balanced rows n_x! / (d_S!)^n_m an exhaustive BRI search lists
 STRING_CAP = 10**6
-# visited nodes in exhaustive BRI table search
+# visited nodes in exhaustive BRI table search: a node is one balanced row
+# tested at one row position, the lookup of the forced last row included
 TABLE_CAP = 10**7
 
 TOL_HERM = 1e-10

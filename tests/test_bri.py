@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    ENUMERATIONS,
     exhaustive_candidates,
     lambda2_per_m,
     mix,
@@ -24,6 +25,7 @@ from conftest import (
     sample_preimage,
 )
 from cqwiretap import bri
+from cqwiretap.config import STRING_CAP
 from cqwiretap.errors import (
     ConstructionUnverifiedError,
     InvalidStateError,
@@ -173,11 +175,6 @@ class TestLambda2:
         assert lhs == rhs == 9.0
 
 
-# (seeds, inputs, outputs) of the full enumerations the batched spectrum
-# is checked on: 3,592 tables in all
-ENUMERATIONS = [(4, 4, 2), (6, 6, 2), (6, 6, 3), (4, 8, 2), (8, 4, 2)]
-
-
 class TestBatchedSpectrumParity:
     @pytest.mark.parametrize("sizes", ENUMERATIONS, ids=lambda s: "x".join(map(str, s)))
     def test_equals_per_m_oracle_on_every_candidate(self, sizes):
@@ -204,6 +201,62 @@ class TestBatchedSpectrumParity:
             assert [bri.lambda2(f, m) for m in f.regularity_set] == lambda2_per_m(
                 expected, f.regularity_set
             )
+
+
+def collision_graph_connected(table, m) -> bool:
+    """Whether the inputs are connected when x ~ y for some seed mapping
+    both to m, by breadth-first search over the table."""
+    table = np.asarray(table)
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for s in np.nonzero(table[:, x] == m)[0]:
+            for y in np.nonzero(table[s] == m)[0].tolist():
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return len(seen) == table.shape[1]
+
+
+class TestDisconnectedPrefilter:
+    def test_disconnected_sections_screen_to_one(self):
+        sections = disconnected = 0
+        for n_s, n_x, n_m in ENUMERATIONS:
+            rs = tuple(range(n_m))
+            for table, lams in exhaustive_candidates(n_s, n_x, n_m):
+                matrices = bri._section_matrices(table, rs, n_x // n_m, n_s // n_m)
+                connected = bri._connected(matrices > 0).tolist()
+                for m in rs:
+                    sections += 1
+                    assert connected[m] == collision_graph_connected(table, m)
+                    if not connected[m]:
+                        disconnected += 1
+                        assert lams[m] == 1.0
+        assert (sections, disconnected) == (10_508, 3_716)
+
+    def test_disconnected_table_takes_no_svd_below_target_one(self, monkeypatch):
+        table, lams = exhaustive_candidates(6, 6, 3)[0]
+        assert not all(collision_graph_connected(table, m) for m in range(3))
+        assert max(lams) == 1.0
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert bri._first_passing(table[None], (0, 1, 2), 2, 2, 1 - 1e-9) is None
+        assert calls == []
+        assert bri._first_passing(table[None], (0, 1, 2), 2, 2, 1.0) == 0
+        assert calls == [(1, 3, 6, 6)]
+
+    @pytest.mark.parametrize("target", [1.0, 2.0])
+    def test_off_from_target_one(self, target):
+        # the first table has a disconnected section and lambda2 = 1.0
+        first = exhaustive_candidates(6, 6, 3)[0][0]
+        f = bri.construct_exhaustive(6, 6, 3, target)
+        assert f.table.tolist() == first.tolist()
 
 
 class TestSamplePreimage:
@@ -274,20 +327,42 @@ class TestConstructExhaustive:
         with pytest.raises(ResourceCapError) as exc:
             bri.construct_exhaustive(8, 8, 2, 0.0, cap=50)
         assert (exc.value.requested, exc.value.cap) == (51, 50)
-        assert exc.value.progress == "deepest open cell at row 6"
+        assert exc.value.progress == "open row 4"
 
     def test_first_irreducible_six_by_six_three(self):
-        # the 402nd complete table, at the 41,697th node, is the first
-        # irreducible one
+        # the 402nd complete table, whose last row is looked up at the
+        # 22,373rd node, is the first irreducible one
         candidates = exhaustive_candidates(6, 6, 3)
         first = next(i for i, (_, lams) in enumerate(candidates) if max(lams) < 1.0)
         assert first == 401
         with pytest.raises(ResourceCapError) as exc:
-            bri.construct_exhaustive(6, 6, 3, 1 - 1e-9, cap=41_696)
-        assert (exc.value.requested, exc.value.cap) == (41_697, 41_696)
-        assert exc.value.progress == "deepest open cell at row 5"
-        f = bri.construct_exhaustive(6, 6, 3, 1 - 1e-9, cap=41_697)
+            bri.construct_exhaustive(6, 6, 3, 1 - 1e-9, cap=22_372)
+        assert (exc.value.requested, exc.value.cap) == (22_373, 22_372)
+        assert exc.value.progress == "open row 5"
+        f = bri.construct_exhaustive(6, 6, 3, 1 - 1e-9, cap=22_373)
         assert f.table.tolist() == candidates[first][0].tolist()
+
+    def test_row_listing_capped_before_listing(self):
+        # 20! / (5!)^4 balanced rows
+        with pytest.raises(ResourceCapError) as exc:
+            bri.construct_exhaustive(20, 20, 4, 1.0)
+        assert (exc.value.requested, exc.value.cap) == (11_732_745_024, STRING_CAP)
+
+    def test_nan_target_rejected_before_search(self):
+        # cap 0 would stop any search at its first node
+        with pytest.raises(InvalidStateError, match="nan"):
+            bri.construct_exhaustive(6, 6, 3, float("nan"), cap=0)
+
+    @pytest.mark.parametrize(
+        "sizes", [(6.0, 6, 3), (6, 6.0, 3), (6, 6, 3.0), (True, 1, 1), (2, True, 1), (2, 1, True)]
+    )
+    def test_non_integer_sizes_rejected_before_search(self, sizes):
+        with pytest.raises(InvalidStateError, match="integers"):
+            bri.construct_exhaustive(*sizes, 1.0, cap=0)
+
+    def test_numpy_integer_sizes(self):
+        f = bri.construct_exhaustive(np.int64(4), np.int64(4), np.int64(2), 1 - 1e-9)
+        assert f.table.tolist() == bri.construct_exhaustive(4, 4, 2, 1 - 1e-9).table.tolist()
 
     def test_one_input(self):
         f = bri.construct_exhaustive(2, 1, 1, 1.0)
