@@ -44,18 +44,22 @@ subspace onto itself.  The ordering V' <= V^n is decided at the same rank
 and once per class: a screen built from the same overlaps bounds the
 largest eigenvalue of V' relative to V^n, with a rounding allowance
 computed from the data, and certifies the class without forming V^n(x).
-Only the members of a class the screen cannot certify (a violation, a
-near-boundary case or a singular output) have their product outputs built
-by one Kronecker chain and decomposed once at dimension d^n, by the dense
-rule that alone reports a violation.
+A class the screen cannot certify (a violation, a near-boundary case or a
+singular output) has its first member's product output built by one
+Kronecker chain and decomposed once at dimension d^n, by the dense rule
+that alone reports a violation; every other member's ordering difference
+is that one conjugated by a permutation unitary.
 
-Only the class cores are kept, never one per typical string.  The factor
-reports read per member an O(R) permuted diagonal (its trace) and add its
-permuted core into one R x R buffer (the mean core), so their memory is in
-R^2 whatever the size |T| of the typical set, and they form neither A nor
-any d^n x d^n operator.  The te7 trace against the average-state projector
-is read off the product structure per string.  The product columns of A
-are built together, one broadcast step per letter position.
+Only the class cores are kept, never one per typical string, and every
+quantity the reports read is invariant under permuting positions, so each
+is read once per type class: the trace deficit off the class core's
+diagonal, the te7 trace against the average-state projector off the
+product structure of the first member, and the mean core as the average of
+the class cores over the orbits of index pairs under the permutations of
+positions.  So the reports hold R x R buffers whatever the size |T| of the
+typical set, do no work per member, and form neither A nor any
+d^n x d^n operator.  The product columns of A are built together, one
+broadcast step per letter position.
 """
 
 import itertools
@@ -527,11 +531,7 @@ def _block(v, p, n, delta, cap=None, avg=None):
 
 def _conditional_reports(block):
     v, p, n, delta = block.v, block.p, block.n, block.delta
-    # eigvalsh, not the block's eigh spectra: the two differ in the last
-    # bits, and te4-te6 were recorded from these
-    spectra = {}
-    for a in v.alphabet:
-        spectra[a] = _clean_spectrum(np.linalg.eigvalsh(v.output(a))[::-1])
+    spectra = block.spectra
     cond_entropy = sum(
         prob * _entropy_and_window(spectra[a], delta)[0]
         for prob, a in zip(p, v.alphabet)
@@ -562,7 +562,8 @@ def _conditional_reports(block):
             terms *= diagonals[a][avg_strings[:, pos]]
         return float(terms.sum())
 
-    avg_trace = min(avg_trace_at(xn) for xn in block.members)
+    # the trace is invariant under permuting positions: one per type class
+    avg_trace = min(avg_trace_at(xn) for xn, *_ in block.classes.values())
 
     reports = [
         make_report("te4-trace", min(traces), 1.0),
@@ -743,11 +744,15 @@ def _compress(block, products=None):
     K_y[t, t'] = K_x[s, s'] with s_{pi(i)} = t_i and s'_{pi(i)} = t'_i: the
     conditional strings of y are those of x permuted the same way, with
     the same weights.  K_y is a re-indexing of K_x, without arithmetic,
-    with the same spectrum and trace, and V^n(y) - V'(y) is unitarily
-    equivalent to V^n(x) - V'(x).  M, K, its validation and the ordering
-    screen below are taken on the first member x of each class only, and
-    only the |classes| cores are kept: a member's permuted core is formed
-    when it is read, so the memory is in R^2, not in |T| R^2.
+    with the same spectrum and trace.  The same U maps the columns of A
+    onto columns of A (U A = A P with P the permutation matrix of that
+    re-indexing), so V'(y) = A P K_x P* A* = U V'(x) U* and
+    V^n(y) - V'(y) = U (V^n(x) - V'(x)) U*: the ordering differences of a
+    class are unitarily equivalent and share one spectrum.  M, K, its
+    validation and the ordering screen below are taken on the first
+    member x of each class only, and only the |classes| cores are kept: a
+    member's permuted core is formed when it is read
+    (:func:`_member_cores`), so the memory is in R^2, not in |T| R^2.
 
     The ordering V'(x) <= V^n(x) is first screened at rank R.  Write
     V(a) ~ E_a diag(lam_a) E_a* for the symbol decompositions,
@@ -791,17 +796,20 @@ def _compress(block, products=None):
     The margin tol / 2 leaves room for the rounding of the dense
     eigensolve itself.  V' = 0 (R = 0 or J = 0) is accepted outright when
     no letter has a negative raw eigenvalue, as V^n(x) is then a product of
-    positive semidefinite factors.  Every member of any other class with a
-    nonpositive raw eigenvalue in a letter (a singular output), or of one
-    the bound cannot certify (a violation or a near-boundary case), goes,
-    in string order, to the dense check of ``_ordering_scan``: V^n(y) is
-    built by one Kronecker chain, V'(y) = A K_y A* formed, and their
-    difference decomposed once at dimension D, so the dense rule alone
-    decides a failure and its :class:`PsdOrderingError` payload (a
-    certified string's difference has no eigenvalue below -tol / 2, so it
-    never is the worst).  V^n(y) is then dropped, unless ``products`` is a
-    dict, which keeps it, screened or not, under its string.  No other
-    d^n x d^n operator is formed here.
+    positive semidefinite factors.  A class with a nonpositive raw
+    eigenvalue in a letter (a singular output), or one the bound cannot
+    certify (a violation or a near-boundary case), goes to the dense check
+    of ``_ordering_scan`` through its first member alone, classes in the
+    order of their first members: V^n(x) is built by one Kronecker chain,
+    V'(x) = A K_x A* formed, and their difference decomposed once at
+    dimension D.  By the unitary equivalence above, that spectrum is every
+    member's, so one eigensolve decides the class, and the dense rule
+    alone decides a failure and its :class:`PsdOrderingError` payload,
+    which names the class's first member (a certified class's difference
+    has no eigenvalue below -tol / 2, so it never is the worst).  When
+    ``products`` is a dict, V^n(y) of every typical string y is built and
+    kept there under its string, for the caller's own ordering check; no
+    other d^n x d^n operator is formed here.
     """
     v, n = block.v, block.n
     certified = _ordering_screen(block)
@@ -820,18 +828,14 @@ def _compress(block, products=None):
     if products is None and all(screened.values()):
         return cores, max(tops.values())
     vn = tensor_power(v, n, block.cap)
-
-    def triples():
-        for xn, key, perm in _member_perms(block):
-            if screened[key] and products is None:
-                continue
-            rho = vn.output(xn)
-            if products is not None:
-                products[xn] = rho
-            if not screened[key]:
-                yield xn, rho, _sandwich(block.iso, cores[key][np.ix_(perm, perm)])
-
-    _ordering_scan(triples())
+    if products is not None:
+        products.update((xn, vn.output(xn)) for xn in block.members)
+    _ordering_scan(
+        (xn, products[xn] if products is not None else vn.output(xn),
+         _sandwich(block.iso, cores[key]))
+        for key, (xn, *_) in block.classes.items()
+        if not screened[key]
+    )
     return cores, max(tops.values())
 
 
@@ -865,6 +869,66 @@ def _member_cores(block, cores):
         yield xn, cores[key][np.ix_(perm, perm)]
 
 
+def _orbit_labels(strings, d):
+    """One label per pair (t, t') of rows of ``strings`` (row-major over
+    the len(strings)^2 pairs), equal for two pairs exactly when one maps
+    onto the other by a permutation of positions applied to both strings:
+    when their joint letter-pair types, the counts of each (t_i, t'_i) in
+    the d^2 letter pairs, agree.
+
+    A count vector is coded in base n + 1, but d^2 such digits can exceed
+    int64 (at d = 8, n = 4 already), so the digits are split into chunks
+    whose codes fit, and the rows of chunk codes are labelled by
+    ``np.unique``: exact for every d and n.
+    """
+    r, n = strings.shape
+    base = n + 1
+    width = 1
+    while base ** (width + 1) < 2**63:
+        width += 1
+    chunks = []
+    for lo in range(0, d * d, width):
+        digits = [base ** (k - lo) if lo <= k < lo + width else 0 for k in range(d * d)]
+        weight = np.array(digits, dtype=np.int64).reshape(d, d)
+        code = np.zeros((r, r), dtype=np.int64)
+        for i in range(n):
+            code += weight[strings[:, i, None], strings[None, :, i]]
+        chunks.append(code.ravel())
+    if len(chunks) == 1:
+        return np.unique(chunks[0], return_inverse=True)[1]
+    return np.unique(np.stack(chunks, axis=1), axis=0, return_inverse=True)[1].ravel()
+
+
+def _mean_core(block, cores):
+    """The uniform average (1/|T|) sum_y K_y of the cores of every typical
+    string y, without a per-member loop.
+
+    The cores of a class c are its first member's core K_c permuted, one
+    permutation of positions per member (:func:`_member_perms`), and K_c
+    is invariant under the permutations that fix the first member (exactly
+    in exact arithmetic; the computed K_c up to rounding).  So
+    sum_{y in c} K_y = |c| P(K_c), with P the average of a matrix over all
+    n! permutations of positions applied to both of its indices.  P maps a
+    matrix to its averages over the orbits of index pairs (t, t'), which
+    :func:`_orbit_labels` names; P is linear, so the mean core is
+    P(sum_c |c| K_c) / |T|: one label pass, orbit sums by ``bincount`` and
+    one gather.  A class whose core is zero (an empty conditional window)
+    adds nothing.
+    """
+    labels = _orbit_labels(block.avg_strings, block.basis.shape[0])
+    sizes = np.bincount(labels)
+    sums = np.zeros(sizes.size, dtype=complex)
+    for key, k in cores.items():
+        if k.any():
+            flat = k.ravel()
+            sums += len(block.classes[key]) * (
+                np.bincount(labels, flat.real, sizes.size)
+                + 1j * np.bincount(labels, flat.imag, sizes.size)
+            )
+    r = len(block.avg_strings)
+    return (sums / (sizes * len(block.members)))[labels].reshape(r, r)
+
+
 def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     """Project each typical product output into the typical subspaces.
 
@@ -876,9 +940,9 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     per type class of the typical set: one eigensolve at the rank R of the
     average-state projector validates the class's compressed outputs, and
     the screen of :func:`_compress` certifies their ordering at that rank.
-    A product output is built (and decomposed once at d^n) only for a
-    string of a class the screen cannot certify, so an instance the screen
-    covers makes no d^n eigensolve.  ``cap`` bounds the dimension d^n.
+    A product output is built (and decomposed once at d^n) only for the
+    first member of a class the screen cannot certify, so an instance the
+    screen covers makes no d^n eigensolve.  ``cap`` bounds the dimension d^n.
     """
     block = _block(v, p, n, delta, cap)
     cores, _ = _compress(block)
@@ -893,10 +957,10 @@ def reindexed_pair(v, p, n, delta, cap=None):
     on the same typical strings, kept from the same pass.  Both are
     re-indexed 0..|T|-1 in string order, so a function with |X| = |T|
     inputs applies.  Every product output is built once, for the chain,
-    but only those the ordering screen cannot certify are decomposed
-    here; the chain's own :func:`~cqwiretap.bounds.check_psd_ordering`
-    is then the one dense ordering check of the pair.  ``cap`` bounds the
-    dimension d^n.
+    but only the first member of each class the ordering screen cannot
+    certify is decomposed here; the chain's own
+    :func:`~cqwiretap.bounds.check_psd_ordering` is then the dense ordering
+    check of the pair over all members.  ``cap`` bounds the dimension d^n.
     """
     block = _block(v, p, n, delta, cap)
     products = {}
@@ -935,11 +999,12 @@ def typicality_reports(v, p, delta, ns, cap=None):
     beta.
 
     All three are read per type class, from the cores of :func:`_compress`:
-    the norm is the class's top eigenvalue, tr K_y is summed off the
-    permuted diagonal of its class core, and every member's permuted core
-    is added into one R x R buffer for the mean.  So the memory is in R^2,
-    whatever the size |T| of the typical set, and no d^n x d^n output is
-    formed.
+    the norm is the class's top eigenvalue, tr K_y = tr K_x for every
+    member y of x's class, and the mean core is the orbit average of
+    :func:`_mean_core`.  So the work after :func:`_compress` is one label
+    pass over the R^2 index pairs and one R x R eigensolve per block
+    length, without a loop over the members, the memory is in R^2 whatever
+    the size |T| of the typical set, and no d^n x d^n output is formed.
     """
     p = check_distribution(p, len(v.alphabet))
     states, ent = _validated_stack(v.states())
@@ -962,17 +1027,9 @@ def typicality_reports(v, p, delta, ns, cap=None):
         block = _block(v, p, length, delta, cap, avg)
         n = block.n
         cores, norm = _compress(block)
-        # per member, O(R) for its trace (the diagonal of K_y is that of
-        # K_x permuted) and one R x R gather added into the mean core,
-        # skipped where the class core is zero (an empty conditional window)
-        live = {key: k.any() for key, k in cores.items()}
-        least, mean = np.inf, np.zeros_like(next(iter(cores.values())))
-        for _, key, perm in _member_perms(block):
-            k = cores[key]
-            least = min(least, float(k.diagonal()[perm].sum().real))
-            if live[key]:
-                mean += k[np.ix_(perm, perm)]
-        rank = op.rank_eps(mean / len(block.members))
+        # tr K_y = tr K_x for every member y of x's class
+        least = min(float(k.diagonal().sum().real) for k in cores.values())
+        rank = op.rank_eps(_mean_core(block, cores))
         factors = [
             make_report("factor-norm", norm, 2.0 ** (-n * (s_cond - gamma))),
             make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),

@@ -5,8 +5,10 @@ every run sees the same instances.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
+from unittest import mock
 
 import numpy as np
 
@@ -550,6 +552,33 @@ def compress_per_string(v, p, n, delta):
         out = iso @ k @ iso.conj().T
         deficit = max(deficit, 1.0 - float(np.trace((out + out.conj().T) / 2.0).real))
     return cores, tops, max(0.0, deficit), sum(cores.values()) / len(cores)
+
+
+def gathered_mean_core(block, cores):
+    """Reference oracle: the mean core (1/|T|) sum_y K_y gathered member by
+    member, K_y = K_x[perm][:, perm] of its class core, skipping classes
+    whose core is zero.  One R x R gather per typical string, so it only
+    serves to check the orbit average of
+    :func:`cqwiretap.typicality._mean_core`."""
+    mean = np.zeros_like(next(iter(cores.values())))
+    for _, key, perm in typicality._member_perms(block):
+        if cores[key].any():
+            mean += cores[key][np.ix_(perm, perm)]
+    return mean / len(block.members)
+
+
+def member_ordering_minima(v, p, n, delta):
+    """Reference oracle: per typical string y, the smallest eigenvalue of
+    V^n(y) - A K_y A*, with K_y its permuted class core, decomposed at
+    dimension d^n for every member rather than once per type class."""
+    block = typicality._block(v, p, n, delta)
+    products = {}
+    with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
+        cores, _ = typicality._compress(block, products)
+    return {
+        y: float(np.linalg.eigvalsh(products[y] - typicality._sandwich(block.iso, k))[0])
+        for y, k in typicality._member_cores(block, cores)
+    }
 
 
 def simplex_grid(k: int) -> np.ndarray:

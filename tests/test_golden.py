@@ -139,3 +139,18 @@ def test_typicality_reports_form_no_dn_output(name, tmp_path, monkeypatch):
     code, report, _ = run_case(name, tmp_path)
     assert code == EXITS[name] == 0
     assert report == (GOLDEN / f"{name}.expected.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["typicality-report", "typicality-report-clock", "typicality-report-qutrit"]
+)
+def test_typicality_reports_read_no_member_permutation(name, tmp_path, monkeypatch):
+    # epsilon, te7 and the mean core are read per type class: no member's
+    # permutation of its class core is formed
+    monkeypatch.setattr(
+        typicality, "_member_perms", lambda *a: pytest.fail("member permutation read")
+    )
+    code, report, csv = run_case(name, tmp_path)
+    assert code == EXITS[name] == 0
+    assert report == (GOLDEN / f"{name}.expected.json").read_bytes()
+    assert csv == (GOLDEN / f"{name}.expected.csv").read_bytes()

@@ -22,6 +22,8 @@ from conftest import (
     compress_per_string,
     cond_typical_projector,
     dense_compression,
+    gathered_mean_core,
+    member_ordering_minima,
     mix,
     operator_norm,
     random_density,
@@ -1014,6 +1016,9 @@ class TestOrderingScreen:
         got, _, _ = screened_compression(v, p, n, delta)
         assert worst < -ORDERING_TOL
         assert got == pytest.approx(worst, abs=1e-13)
+        # one class representative is decomposed, not every member
+        assert got == pytest.approx(min(member_ordering_minima(v, p, n, delta).values()),
+                                    abs=1e-15)
 
     def test_zero_outputs_certified_without_products(self, monkeypatch):
         # empty-conditional: every V'(x) = 0; the 4 strings are one type
@@ -1131,10 +1136,9 @@ GOLDEN_FACTOR_CASES = {
 
 
 class TestFactorReportsPerClass:
-    """epsilon, factor-norm and factor-rank read per type class (the
-    permuted diagonals, the class's top eigenvalue and one R x R buffer
-    for the mean core) against the per-string oracle
-    ``conftest.compress_per_string``."""
+    """epsilon, factor-norm and factor-rank read per type class (the class
+    cores' traces, the class's top eigenvalue and the orbit-averaged mean
+    core) against the per-string oracle ``conftest.compress_per_string``."""
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_FACTOR_CASES))
     def test_matches_per_string_oracle(self, case):
@@ -1149,8 +1153,8 @@ class TestFactorReportsPerClass:
             # string's order, so its trace may differ in the last bits
             traces = [float(np.trace(k).real) for k in cores.values()]
             assert abs(epsilon - max(0.0, 1.0 - min(traces))) <= 1e-15
-            # against every member's fully gathered core the O(R) read of
-            # its permuted diagonal is exact
+            # a gathered member core holds its class core's entries, and on
+            # these channels its trace gives the same epsilon bit for bit
             block = typicality._block(v, p, n, delta)
             per_class, top = typicality._compress(block)
             members = typicality._member_cores(block, per_class)
@@ -1174,14 +1178,14 @@ class TestFactorReportsPerClass:
         assert info.value.min_eigenvalue == pytest.approx(recorded, abs=1e-13)
         worst = min(dense_minima(v, p, n, delta).values())
         assert info.value.min_eigenvalue == pytest.approx(worst, abs=1e-13)
+        per_member = min(member_ordering_minima(v, p, n, delta).values())
+        assert info.value.min_eigenvalue == pytest.approx(per_member, abs=1e-15)
 
     def test_peak_memory_in_r_squared(self):
         # flip 0.8 in a Haar frame, p (0.6, 0.4), delta 0.5 at n = 8: 210
         # typical strings in 4 type classes, R = 210; one R x R core per
         # string held 148 MiB
-        u = random_unitary(rng(3), 2)
-        v = CqChannel((0, 1), 2, {x: u @ np.diag(d) @ u.conj().T
-                                  for x, d in ((0, [0.8, 0.2]), (1, [0.2, 0.8]))})
+        v = haar_flip()
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -1194,3 +1198,103 @@ class TestFactorReportsPerClass:
                 tracemalloc.stop()
         assert epsilon == pytest.approx(0.4232832, abs=1e-12)
         assert peak < 16 * 2**20
+
+
+def haar_flip():
+    """Flip 0.8 in the frame ``random_unitary(rng(3), 2)``: both outputs
+    are diagonal in one basis, which is not the standard one."""
+    u = random_unitary(rng(3), 2)
+    return CqChannel((0, 1), 2, {x: u @ np.diag(d) @ u.conj().T
+                                 for x, d in ((0, [0.8, 0.2]), (1, [0.2, 0.8]))})
+
+
+def pair_orbits(strings):
+    """Oracle partition of the row pairs of ``strings`` by the multiset of
+    their letter pairs (t_i, t'_i)."""
+    keys = [tuple(sorted(zip(t, u))) for t in strings.tolist() for u in strings.tolist()]
+    first = {}
+    return np.array([first.setdefault(key, len(first)) for key in keys])
+
+
+class TestOrbitAverage:
+    """The mean core as an orbit average of the class cores, against the
+    member-by-member gather ``conftest.gathered_mean_core``: equal
+    factor-ranks, and entries within 1e-14 of the largest."""
+
+    @staticmethod
+    def assert_matches_gather(v, p, n, delta):
+        block = typicality._block(v, p, n, delta)
+        with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
+            cores, _ = typicality._compress(block)
+        got = typicality._mean_core(block, cores)
+        want = gathered_mean_core(block, cores)
+        assert op.rank_eps(got) == op.rank_eps(want)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(initial=0.0)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_FACTOR_CASES))
+    def test_golden_channels(self, case):
+        name, p, delta, ns = GOLDEN_FACTOR_CASES[case]
+        for n in ns:
+            self.assert_matches_gather(golden_channel(name), p, n, delta)
+
+    @pytest.mark.parametrize("n", [5, 7, 8, 9])
+    def test_rotated_frame(self, n):
+        # R = 25, 91, 210 and 456
+        self.assert_matches_gather(haar_flip(), (0.6, 0.4), n, 0.5)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_labels_exact_where_a_naive_code_wraps(self, n):
+        # d = 8: a base-(n + 1) code of the 64 pair counts reaches
+        # (n + 1)^63, far beyond int64, and numpy wraps it silently; at
+        # n = 3 (base 4) every pair (a, b) with a >= 4 then codes to 0
+        d = 8
+        assert (n + 1) ** (d * d - 1) > 2**63
+        g = rng(5)
+        strings = np.concatenate([
+            g.integers(0, d, size=(60, n)),
+            # high letters, whose pairs carry the highest digits
+            g.integers(d - 2, d, size=(20, n)),
+            # permutations of one string: every pair with its own
+            # permutation falls in one orbit
+            np.array(list(itertools.permutations([7, 6, 7, 0][:n]))),
+        ])
+        labels = typicality._orbit_labels(strings, d)
+        oracle = pair_orbits(strings)
+        assert labels.shape == oracle.shape == (len(strings) ** 2,)
+        # the same partition: a bijection between the two labellings
+        pairs = set(zip(labels.tolist(), oracle.tolist()))
+        assert len(pairs) == len(set(labels.tolist())) == len(set(oracle.tolist()))
+        # the wrapped int64 code merges orbits on these strings at n = 3
+        weight = (np.int64(n + 1) ** np.arange(d * d, dtype=np.int64)).reshape(d, d)
+        naive = sum(weight[strings[:, i, None], strings[None, :, i]] for i in range(n))
+        assert (len(set(naive.ravel().tolist())) < len(pairs)) == (n == 3)
+
+    def test_labels_single_chunk_qubit(self):
+        strings = np.array(list(itertools.product(range(2), repeat=3)))
+        labels = typicality._orbit_labels(strings, 2)
+        pairs = set(zip(labels.tolist(), pair_orbits(strings).tolist()))
+        # 4 letter pairs, counts summing to 3: C(6, 3) = 20 orbits
+        assert len(pairs) == len(set(labels.tolist())) == 20
+
+
+class TestPerClassWork:
+    """The dense ordering fallback of ``typicality_reports`` decomposes one
+    representative per class the screen leaves (that the reports read no
+    member permutation is pinned on the goldens, in test_golden)."""
+
+    def test_one_dense_check_per_uncertified_class(self, monkeypatch):
+        # clock 0.8, uniform p, delta 1, n = 5: the average is I/2, so
+        # Pi = I, and the top screened eigenvalue is exactly 1; the screen
+        # leaves 2 of the 12 classes, whose 20 members share 2 triples
+        scanned = []
+        real_scan = typicality._ordering_scan
+
+        def scan(triples):
+            return real_scan(scanned.append(t[0]) or t for t in triples)
+
+        monkeypatch.setattr(typicality, "_ordering_scan", scan)
+        (epsilon, reports), = factor_pairs(clock_channel(), (1 / 3, 1 / 3, 1 / 3), 1.0, [5])
+        assert scanned == [(0, 0, 0, 2, 2), (0, 0, 2, 2, 2)]
+        block = typicality._block(clock_channel(), (1 / 3, 1 / 3, 1 / 3), 5, 1.0)
+        assert len(block.classes) == 12
+        assert sum(len(block.classes[tuple(sorted(x))]) for x in scanned) == 20
