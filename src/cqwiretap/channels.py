@@ -20,9 +20,13 @@ values are those of :func:`cqwiretap.operators.entropies` and
 :func:`cqwiretap.operators.relative_entropies` bit for bit.
 
 The adversarial search is concave and deterministic: it starts at the
-uniform distribution.  The capacity search draws its random starts from a
-caller-supplied ``numpy.random.Generator`` (by default Philox with a fixed
-seed), so repeated calls reproduce each other exactly.  Its starts ascend
+uniform distribution, and each iteration tries a Newton step on the face
+of the distribution's non-negligible weights, with its curvature from the
+eigensolve that gave the gradient, then a Blahut-Arimoto step.  Its
+certificate holds whatever steps it takes.  The capacity search draws its
+random starts from a caller-supplied ``numpy.random.Generator`` (by
+default Philox with a fixed seed), so repeated calls reproduce each other
+exactly.  Its starts ascend
 in lockstep as one ``(N, k)`` batch, each row with its own step length;
 a row that stops leaves the batch through a live mask, and a row keeps
 its gradient until it moves, so each step is one ``eigvalsh`` per channel
@@ -318,9 +322,44 @@ def _chi_gradient(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndar
     """``D(U_x || PU)`` for every state: the gradient of chi in p up to a
     constant, from one ``eigh`` call over the averages.  Takes what
     :func:`_validated_stack` returns, as :func:`_chi` does."""
+    return _gradient_at(states, ent, *_average_eigh(p, states))
+
+
+def _average_eigh(p: np.ndarray, states: np.ndarray):
+    """Clipped spectra and eigenvectors of the averages ``PU``, shaped
+    ``(..., 1, d)`` and ``(..., 1, d, d)`` to broadcast over the states."""
     w, u = np.linalg.eigh(_mixtures(p, states)[..., None, :, :])
-    leaked, cross = op._divergence_core(states, op.clip_spectrum(w), u)[2:]
+    return op.clip_spectrum(w), u
+
+
+def _gradient_at(states: np.ndarray, ent: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_chi_gradient` from the averages' :func:`_average_eigh`."""
+    leaked, cross = op._divergence_core(states, w, u)[2:]
     return np.where(leaked, np.inf, -ent - cross)
+
+
+# eigenvalue pairs closer than this, relative to their sum, take the limit
+# 2/(a + b) of the divided difference (ln a - ln b)/(a - b)
+_CLOSE_PAIR = 1e-6
+
+
+def _chi_hessian(states: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The ``(k, k)`` Jacobian in p of the seed mean of :func:`_chi_gradient`.
+
+    ``states`` is ``(S, k, d, d)`` and ``w, u`` the :func:`_average_eigh`
+    of its averages, which must have full rank.  With ``PU_s = V diag(l) V*``
+    and ``T = V* U V``, ``H_mn = -(1/(S ln 2)) sum_s Re sum_ij G_ij
+    conj(T_m)_ij (T_n)_ij``, where ``G_ij`` is the divided difference of
+    ``ln`` at ``l_i, l_j``: the derivative of ``-tr U_m log2 PU`` along U_n.
+    """
+    log_w = np.log(w)
+    total, diff = w[..., :, None] + w[..., None, :], w[..., :, None] - w[..., None, :]
+    gamma = 2.0 / total
+    far = np.abs(diff) > _CLOSE_PAIR * total
+    np.divide(log_w[..., :, None] - log_w[..., None, :], diff, out=gamma, where=far)
+    t = u.conj().swapaxes(-1, -2) @ states @ u
+    h = np.einsum("smij,snij->mn", t.conj() * gamma, t).real
+    return h / (-len(states) * np.log(2.0))
 
 
 def _finite_gradient(g: np.ndarray) -> np.ndarray:
@@ -351,6 +390,53 @@ def _warn_unconverged(name: str, max_iters: int) -> None:
 
 # certification gap at which the adversarial search stops, in bits
 _GAP_TOL = 1e-9
+# The Newton step's face, with d_m = max g - g_m in bits and the gap
+# max g - <p, g>: the messages whose weight is above _FACE_SHARE of the
+# largest, or above _FLAT_SHARE of it where d_m < _FLAT_GAP (there the
+# Blahut-Arimoto step moves weight slowly), except the steep ones, whose d_m
+# is above both _FLAT_GAP and _STEEP_GAPS gaps.  A weight goes at most
+# _BOUNDARY_SHARE of the way to zero: on the face through the step length,
+# and off it, where d_m >= _FLAT_GAP, at once.
+_FACE_SHARE = 1e-3
+_FLAT_SHARE = 1e-5
+_FLAT_GAP = 1e-2
+_STEEP_GAPS = 3.0
+_BOUNDARY_SHARE = 0.9
+
+
+def _newton_trial(p: np.ndarray, g: np.ndarray, states: np.ndarray, w, u):
+    """The Newton trial of the adversarial search at p, or None.
+
+    On the face F it solves ``[[H_FF, 1], [1, 0]] [delta; mu] = [-g_F; 0]``,
+    with the :func:`_chi_hessian` H at p from the averages' eigh ``w, u``
+    that gave g, and goes ``min(1, 0.9 min p_m/|delta_m|)`` along delta;
+    the weights off F whose gradient entry is 1e-2 bits or more below the
+    largest shrink to a tenth.  A rank-deficient average (an eigenvalue 0),
+    where g may be infinite, or a face of one message has no trial.
+    """
+    if w.min() <= 0.0 or not np.isfinite(g).all():
+        return None
+    top, deficit = p.max(), g.max() - g
+    flat = deficit < _FLAT_GAP
+    steep = deficit > max(_FLAT_GAP, _STEEP_GAPS * (g.max() - p @ g))
+    on = ~steep & ((p > _FACE_SHARE * top) | (flat & (p > _FLAT_SHARE * top)))
+    face = np.flatnonzero(on)
+    n = len(face)
+    if n < 2:
+        return None
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = _chi_hessian(states[:, face], w, u)
+    kkt[n, n] = 0.0
+    try:
+        delta = np.linalg.solve(kkt, np.append(-g[face], 0.0))[:n]
+    except np.linalg.LinAlgError:
+        return None
+    shrink = delta < 0.0
+    reach = (p[face][shrink] / -delta[shrink]).min(initial=np.inf)
+    trial = p.copy()
+    trial[face] += min(1.0, _BOUNDARY_SHARE * reach) * delta
+    trial[~(on | flat)] *= 1.0 - _BOUNDARY_SHARE
+    return trial / trial.sum()
 
 
 def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeakage:
@@ -358,22 +444,34 @@ def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeak
 
     The objective (1/|S|) sum_s chi(P; U_s) is concave in P.  Its gradient
     ``g_m = (1/|S|) sum_s D(U_s(m) || U_s P)`` gives ``<P, g> = chi(P)`` and
-    ``chi(Q) <= <Q, g>`` for every Q: each step bounds the maximum below by
-    ``<P, g>`` and above by ``max_m g_m`` (Blahut 1972, Arimoto 1972;
-    Ramakrishnan et al., arXiv:1905.01286).  The cq Blahut-Arimoto step
-    P <- P 2^(lam (g - max g)) starts at the uniform P.  A trial that
-    certifies (a finite g and no zero weight) is accepted when it does not
-    lower the value, when ``lam`` is 1, or when its own gap
-    ``max g - <P, g>`` is no larger than the current point's, so that a
-    value lower by rounding alone does not stop the search.  ``lam`` grows
-    by 1.5 per accepted step and falls back to the monotone step 1 when a
-    trial is rejected.  ``value`` is the best lower side, reached at
-    ``argmax``, and ``upper`` the least upper side over every evaluated
-    point, always from the raw gradient.  The search stops
-    when ``upper - value <= 1e-9``, or warns with a
+    ``chi(Q) <= <Q, g>`` for every Q: each evaluated point bounds the
+    maximum below by ``<P, g>`` and above by ``max_m g_m`` (Blahut 1972,
+    Arimoto 1972; Ramakrishnan et al., arXiv:1905.01286).  The search
+    starts at the uniform P, and each iteration tries two steps.  First a
+    Newton step (:func:`_newton_trial`) on the face of the weights that are
+    not negligible, whose curvature (:func:`_chi_hessian`) comes from the
+    eigensolve that gave g; in the same trial the small weights whose
+    gradient entry lies well below the largest shrink to a tenth.  It is
+    skipped where an average has an eigenvalue 0.  Then the cq
+    Blahut-Arimoto step P <- P 2^(lam (g - max g)), which carries the
+    search where Newton steps do not.  A trial that certifies (a finite g
+    and no zero weight) is accepted when it does not lower the value, when
+    its own gap ``max g - <P, g>`` is no larger than the current point's,
+    so that a value lower by rounding alone does not stop the search, or,
+    for the Blahut-Arimoto step, when ``lam`` is 1.  ``lam`` grows by 1.5
+    per accepted Blahut-Arimoto step and falls back to the monotone step 1
+    when such a trial is rejected.
+
+    The certificate does not depend on the steps.  ``value`` is the best
+    lower side ``<P, g> = chi(P)``, reached at the certified evaluated
+    point ``argmax``, and ``upper`` the least ``max_m g_m`` over every
+    evaluated point, always from the raw gradient, which bounds the
+    maximum at any point by concavity.  The search stops when
+    ``upper - value <= 1e-9``, or warns with a
     :class:`~cqwiretap.errors.ConvergenceWarning` and ``converged=False``.
     It draws no random numbers.  The ``(S, k, d, d)`` state stack is
-    validated once; each step is one ``eigh`` of the ``(S, 1, d, d)`` averages.
+    validated once; each evaluation is one ``eigh`` of the ``(S, 1, d, d)``
+    averages.
     """
     states, ent = _seed_stack(encoders, v_n)
     k = states.shape[1]
@@ -381,32 +479,44 @@ def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeak
         return AdversarialLeakage(0.0, 0.0, np.array([1.0]), True)
 
     def sides(p):
-        # the gradient, <p, g> (-inf unless certified) and max_m g_m, in bits
-        g = _chi_gradient(p, states, ent).sum(axis=0) / len(states)
+        # the gradient, <p, g> (-inf unless certified), max_m g_m, in bits,
+        # and the averages' eigh that gave them
+        w, u = _average_eigh(p, states)
+        g = _gradient_at(states, ent, w, u).sum(axis=0) / len(states)
         certified = np.isfinite(g).all() and (p > 0.0).all()
-        return g, float(p @ g) if certified else -np.inf, float(g.max())
+        return g, float(p @ g) if certified else -np.inf, float(g.max()), (w, u)
+
+    def move(trial, lenient=False):
+        # evaluate a trial and take it when it certifies no worse than the
+        # current point, even when rounding puts its value a hair lower
+        nonlocal p, g, val, eig, upper, best_val, best_p
+        trial_g, trial_val, trial_upper, trial_eig = sides(trial)
+        upper = min(upper, trial_upper)
+        if trial_val == -np.inf or not (
+            lenient or trial_val >= val or trial_upper - trial_val <= g.max() - val
+        ):
+            return False
+        p, g, val, eig = trial, trial_g, trial_val, trial_eig
+        if val > best_val:
+            best_val, best_p = val, p
+        return True
 
     p = np.full(k, 1.0 / k)
-    g, val, upper = sides(p)
+    g, val, upper, eig = sides(p)
     best_val, best_p = val, p
     lam = 1.0
     for _ in range(max_iters):
         if upper - best_val <= _GAP_TOL:
             break
+        newton = _newton_trial(p, g, states, *eig)
+        if newton is not None:
+            move(newton)
+            if upper - best_val <= _GAP_TOL:
+                break
         step = _finite_gradient(g)
         trial = p * np.exp2(lam * (step - step.max()))
-        trial /= trial.sum()
-        trial_g, trial_val, trial_upper = sides(trial)
-        upper = min(upper, trial_upper)
-        # a trial that certifies no worse than the current point is taken
-        # even when rounding puts its value a hair lower
-        if trial_val > -np.inf and (
-            trial_val >= val or lam == 1.0 or trial_upper - trial_val <= g.max() - val
-        ):
-            p, g, val = trial, trial_g, trial_val
+        if move(trial / trial.sum(), lenient=lam == 1.0):
             lam *= 1.5
-            if val > best_val:
-                best_val, best_p = val, p
         elif lam > 1.0:
             lam = 1.0
         else:
