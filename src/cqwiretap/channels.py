@@ -26,16 +26,18 @@ eigensolve that gave the gradient, then a Blahut-Arimoto step.  Its
 certificate holds whatever steps it takes.  The capacity search draws its
 random starts from a caller-supplied ``numpy.random.Generator`` (by
 default Philox with a fixed seed), so repeated calls reproduce each other
-exactly.  Its starts ascend
-in lockstep as one ``(N, k)`` batch, each row with its own step length;
-a row that stops leaves the batch through a live mask, and a row keeps
-its gradient until it moves, so each step is one ``eigvalsh`` per channel
-over the live rows and at most one ``eigh`` over those that moved.  Every
-row follows the iterates it would follow alone, and restart reduction is
-by best value with ties to the lowest restart index, then the grid rule.
-For up to three inputs the grid point that joins the starts is screened
-first: qubit averages take closed-form spectra, with no eigensolve, and
-only the few points near the screened maximum are evaluated exactly.
+exactly.  Its starts ascend together as one ``(N, k)`` batch, each row
+with its own step length and its own budget of ``max_iters`` trials.  A
+rejected trial leaves a row as it was, so a row rejected s times in a row
+tries its next ``max(s, 1)`` halved steps in one round: each round is one
+``eigvalsh`` per channel over the trials of the live rows and at most one
+``eigh`` over the rows that moved.  Every row takes the trials and follows
+the iterates it would take and follow alone, and restart reduction is by
+best value with ties to the lowest restart index, then the grid rule.  For
+up to three inputs the grid point that joins the starts is screened first:
+qubit averages take closed-form spectra from entries linear in the point,
+with no eigensolve, and only the few points near the screened maximum are
+evaluated exactly.
 """
 
 import itertools
@@ -260,29 +262,6 @@ def holevo(p, v) -> float:
     return max(0.0, float(_chi(p, *_validated_stack(v.states()))))
 
 
-def _seed_stack(encoders, v_n):
-    """:func:`_validated_stack` of the ``(S, M, d, d)`` outputs of E^s V_n,
-    seeds sorted; the encoders must share one message set."""
-    seeds = sorted(encoders)
-    if not seeds:
-        raise InvalidStateError("need at least one seed")
-    msgs = encoders[seeds[0]].inputs
-    if any(encoders[s].inputs != msgs for s in seeds):
-        raise InvalidStateError("encoders must share one message set")
-    return _validated_stack([compose(encoders[s], v_n).states() for s in seeds])
-
-
-def leakage_cr(m_dist, encoders, v_n) -> float:
-    """Leakage under common randomness: (1/|S|) sum_s chi(M; E^s V).
-
-    ``encoders`` maps seeds to :class:`ClassicalChannel` instances sharing
-    one message set; the seed is uniform and independent of the message.
-    """
-    states, ent = _seed_stack(encoders, v_n)
-    p = check_distribution(m_dist, states.shape[1], "message distribution")
-    return max(0.0, float(_chi(p, states, ent).mean()))
-
-
 AdversarialLeakage = namedtuple("AdversarialLeakage", ["value", "upper", "argmax", "converged"])
 CapacityResult = namedtuple("CapacityResult", ["value", "argmax", "converged"])
 
@@ -322,7 +301,7 @@ def _chi_gradient(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndar
     """``D(U_x || PU)`` for every state: the gradient of chi in p up to a
     constant, from one ``eigh`` call over the averages.  Takes what
     :func:`_validated_stack` returns, as :func:`_chi` does."""
-    return _gradient_at(states, ent, *_average_eigh(p, states))
+    return _gradient_at(states, ent, op._trace(states), *_average_eigh(p, states))
 
 
 def _average_eigh(p: np.ndarray, states: np.ndarray):
@@ -332,9 +311,10 @@ def _average_eigh(p: np.ndarray, states: np.ndarray):
     return op.clip_spectrum(w), u
 
 
-def _gradient_at(states: np.ndarray, ent: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`_chi_gradient` from the averages' :func:`_average_eigh`."""
-    leaked, cross = op._divergence_core(states, w, u)[2:]
+def _gradient_at(states, ent, traces, w, u) -> np.ndarray:
+    """:func:`_chi_gradient` from the states' traces and the averages'
+    :func:`_average_eigh`."""
+    leaked, cross = op._divergence_core(states, w, u, traces)[2:]
     return np.where(leaked, np.inf, -ent - cross)
 
 
@@ -439,92 +419,142 @@ def _newton_trial(p: np.ndarray, g: np.ndarray, states: np.ndarray, w, u):
     return trial / trial.sum()
 
 
-def adversarial_leakage(encoders, v_n, max_iters: int = 2000) -> AdversarialLeakage:
-    """Worst-case leakage over message distributions, bounded from both sides.
+class SeedStack:
+    """The outputs E^s V_n of a code's encoders, one validated stack for
+    every leakage quantity of the code.
 
-    The objective (1/|S|) sum_s chi(P; U_s) is concave in P.  Its gradient
-    ``g_m = (1/|S|) sum_s D(U_s(m) || U_s P)`` gives ``<P, g> = chi(P)`` and
-    ``chi(Q) <= <Q, g>`` for every Q: each evaluated point bounds the
-    maximum below by ``<P, g>`` and above by ``max_m g_m`` (Blahut 1972,
-    Arimoto 1972; Ramakrishnan et al., arXiv:1905.01286).  The search
-    starts at the uniform P, and each iteration tries two steps.  First a
-    Newton step (:func:`_newton_trial`) on the face of the weights that are
-    not negligible, whose curvature (:func:`_chi_hessian`) comes from the
-    eigensolve that gave g; in the same trial the small weights whose
-    gradient entry lies well below the largest shrink to a tenth.  It is
-    skipped where an average has an eigenvalue 0.  Then the cq
-    Blahut-Arimoto step P <- P 2^(lam (g - max g)), which carries the
-    search where Newton steps do not.  A trial that certifies (a finite g
-    and no zero weight) is accepted when it does not lower the value, when
-    its own gap ``max g - <P, g>`` is no larger than the current point's,
-    so that a value lower by rounding alone does not stop the search, or,
-    for the Blahut-Arimoto step, when ``lam`` is 1.  ``lam`` grows by 1.5
-    per accepted Blahut-Arimoto step and falls back to the monotone step 1
-    when such a trial is rejected.
-
-    The certificate does not depend on the steps.  ``value`` is the best
-    lower side ``<P, g> = chi(P)``, reached at the certified evaluated
-    point ``argmax``, and ``upper`` the least ``max_m g_m`` over every
-    evaluated point, always from the raw gradient, which bounds the
-    maximum at any point by concavity.  The search stops when
-    ``upper - value <= 1e-9``, or warns with a
-    :class:`~cqwiretap.errors.ConvergenceWarning` and ``converged=False``.
-    It draws no random numbers.  The ``(S, k, d, d)`` state stack is
-    validated once; each evaluation is one ``eigh`` of the ``(S, 1, d, d)``
-    averages.
+    ``encoders`` maps seeds to :class:`ClassicalChannel` instances sharing
+    one message set, and ``v_n`` is the eavesdropper's channel or a lazy
+    :class:`ProductChannel`.  ``states`` is the ``(S, M, d, d)`` stack of
+    the composed outputs, seeds sorted, validated by one ``eigvalsh`` call
+    (:func:`_validated_stack`), and ``ent`` holds their entropies.
     """
-    states, ent = _seed_stack(encoders, v_n)
-    k = states.shape[1]
-    if k == 1:
-        return AdversarialLeakage(0.0, 0.0, np.array([1.0]), True)
 
-    def sides(p):
-        # the gradient, <p, g> (-inf unless certified), max_m g_m, in bits,
-        # and the averages' eigh that gave them
-        w, u = _average_eigh(p, states)
-        g = _gradient_at(states, ent, w, u).sum(axis=0) / len(states)
-        certified = np.isfinite(g).all() and (p > 0.0).all()
-        return g, float(p @ g) if certified else -np.inf, float(g.max()), (w, u)
+    __slots__ = ("states", "ent")
 
-    def move(trial, lenient=False):
-        # evaluate a trial and take it when it certifies no worse than the
-        # current point, even when rounding puts its value a hair lower
-        nonlocal p, g, val, eig, upper, best_val, best_p
-        trial_g, trial_val, trial_upper, trial_eig = sides(trial)
-        upper = min(upper, trial_upper)
-        if trial_val == -np.inf or not (
-            lenient or trial_val >= val or trial_upper - trial_val <= g.max() - val
-        ):
-            return False
-        p, g, val, eig = trial, trial_g, trial_val, trial_eig
-        if val > best_val:
-            best_val, best_p = val, p
-        return True
+    def __init__(self, encoders, v_n):
+        seeds = sorted(encoders)
+        if not seeds:
+            raise InvalidStateError("need at least one seed")
+        msgs = encoders[seeds[0]].inputs
+        if any(encoders[s].inputs != msgs for s in seeds):
+            raise InvalidStateError("encoders must share one message set")
+        self.states, self.ent = _validated_stack(
+            [compose(encoders[s], v_n).states() for s in seeds]
+        )
 
-    p = np.full(k, 1.0 / k)
-    g, val, upper, eig = sides(p)
-    best_val, best_p = val, p
-    lam = 1.0
-    for _ in range(max_iters):
-        if upper - best_val <= _GAP_TOL:
-            break
-        newton = _newton_trial(p, g, states, *eig)
-        if newton is not None:
-            move(newton)
+    def leakage_cr(self, m_dist) -> float:
+        """Leakage under common randomness at ``m_dist``: the seed mean of
+        chi(M; E^s V), the seed uniform and independent of the message."""
+        p = check_distribution(m_dist, self.states.shape[1], "message distribution")
+        return max(0.0, float(_chi(p, self.states, self.ent).mean()))
+
+    def adversarial_leakage(self, max_iters: int = 2000) -> AdversarialLeakage:
+        """Worst-case leakage over message distributions, bounded from both
+        sides.
+
+        The objective (1/|S|) sum_s chi(P; U_s) is concave in P.  Its
+        gradient ``g_m = (1/|S|) sum_s D(U_s(m) || U_s P)`` gives
+        ``<P, g> = chi(P)`` and ``chi(Q) <= <Q, g>`` for every Q: each
+        evaluated point bounds the maximum below by ``<P, g>`` and above by
+        ``max_m g_m`` (Blahut 1972, Arimoto 1972; Ramakrishnan et al.,
+        arXiv:1905.01286).  The search starts at the uniform P, and each
+        iteration tries two steps.  First a Newton step
+        (:func:`_newton_trial`) on the face of the weights that are not
+        negligible, whose curvature (:func:`_chi_hessian`) comes from the
+        eigensolve that gave g; in the same trial the small weights whose
+        gradient entry lies well below the largest shrink to a tenth.  It is
+        skipped where an average has an eigenvalue 0.  Then the cq
+        Blahut-Arimoto step P <- P 2^(lam (g - max g)), which carries the
+        search where Newton steps do not.  A trial that certifies (a finite
+        g and no zero weight) is accepted when it does not lower the value,
+        when its own gap ``max g - <P, g>`` is no larger than the current
+        point's, so that a value lower by rounding alone does not stop the
+        search, or, for the Blahut-Arimoto step, when ``lam`` is 1.  ``lam``
+        grows by 1.5 per accepted Blahut-Arimoto step and falls back to the
+        monotone step 1 when such a trial is rejected.
+
+        The certificate does not depend on the steps.  ``value`` is the
+        best lower side ``<P, g> = chi(P)``, reached at the certified
+        evaluated point ``argmax``, and ``upper`` the least ``max_m g_m``
+        over every evaluated point, always from the raw gradient, which
+        bounds the maximum at any point by concavity.  The search stops when
+        ``upper - value <= 1e-9``, or warns with a
+        :class:`~cqwiretap.errors.ConvergenceWarning` and
+        ``converged=False``.  It draws no random numbers.  Each evaluation
+        is one ``eigh`` of the ``(S, 1, d, d)`` averages; the traces of the
+        stack, against which a gradient entry is found infinite, are taken
+        once per search.
+        """
+        states, ent = self.states, self.ent
+        traces = op._trace(states)
+        k = states.shape[1]
+        if k == 1:
+            return AdversarialLeakage(0.0, 0.0, np.array([1.0]), True)
+
+        def sides(p):
+            # the gradient, <p, g> (-inf unless certified), max_m g_m, in bits,
+            # and the averages' eigh that gave them
+            w, u = _average_eigh(p, states)
+            g = _gradient_at(states, ent, traces, w, u).sum(axis=0) / len(states)
+            certified = np.isfinite(g).all() and (p > 0.0).all()
+            return g, float(p @ g) if certified else -np.inf, float(g.max()), (w, u)
+
+        def move(trial, lenient=False):
+            # evaluate a trial and take it when it certifies no worse than the
+            # current point, even when rounding puts its value a hair lower
+            nonlocal p, g, val, eig, upper, best_val, best_p
+            trial_g, trial_val, trial_upper, trial_eig = sides(trial)
+            upper = min(upper, trial_upper)
+            if trial_val == -np.inf or not (
+                lenient or trial_val >= val or trial_upper - trial_val <= g.max() - val
+            ):
+                return False
+            p, g, val, eig = trial, trial_g, trial_val, trial_eig
+            if val > best_val:
+                best_val, best_p = val, p
+            return True
+
+        p = np.full(k, 1.0 / k)
+        g, val, upper, eig = sides(p)
+        best_val, best_p = val, p
+        lam = 1.0
+        for _ in range(max_iters):
             if upper - best_val <= _GAP_TOL:
                 break
-        step = _finite_gradient(g)
-        trial = p * np.exp2(lam * (step - step.max()))
-        if move(trial / trial.sum(), lenient=lam == 1.0):
-            lam *= 1.5
-        elif lam > 1.0:
-            lam = 1.0
-        else:
-            break
-    converged = upper - best_val <= _GAP_TOL
-    if not converged:
-        _warn_unconverged("adversarial_leakage", max_iters)
-    return AdversarialLeakage(best_val, upper, best_p, converged)
+            newton = _newton_trial(p, g, states, *eig)
+            if newton is not None:
+                move(newton)
+                if upper - best_val <= _GAP_TOL:
+                    break
+            step = _finite_gradient(g)
+            trial = p * np.exp2(lam * (step - step.max()))
+            if move(trial / trial.sum(), lenient=lam == 1.0):
+                lam *= 1.5
+            elif lam > 1.0:
+                lam = 1.0
+            else:
+                break
+        converged = upper - best_val <= _GAP_TOL
+        if not converged:
+            _warn_unconverged("adversarial_leakage", max_iters)
+        return AdversarialLeakage(best_val, upper, best_p, converged)
+
+
+def leakage_cr(m_dist, encoders, v_n) -> float:
+    """Leakage under common randomness: (1/|S|) sum_s chi(M; E^s V).
+
+    ``encoders`` maps seeds to :class:`ClassicalChannel` instances sharing
+    one message set; the seed is uniform and independent of the message.
+    :meth:`SeedStack.leakage_cr` of the encoders' outputs.
+    """
+    return SeedStack(encoders, v_n).leakage_cr(m_dist)
+
+
+def adversarial_leakage(encoders, v_n, max_iters: int = 2000):
+    """Worst-case leakage over message distributions, bounded from both
+    sides: :meth:`SeedStack.adversarial_leakage` of the encoders' outputs."""
+    return SeedStack(encoders, v_n).adversarial_leakage(max_iters)
 
 
 def _project_simplex(y: np.ndarray) -> np.ndarray:
@@ -551,9 +581,12 @@ def _simplex_grid(k: int) -> np.ndarray:
     return np.stack([a, ab - a, 140 - ab], axis=1) / 140
 
 
-# matrix entries per grid chunk: 512 points of qubit averages (227 of qutrit
-# ones) per block of the screen and of the exact pass over its candidates
+# matrix entries per block of the exact grid evaluations: 512 points of
+# qubit averages (227 of qutrit ones), for the screen of a pair with a
+# larger output and for the exact pass over the screen's candidates
 _GRID_ENTRIES = 2048
+# grid points per block of the screen of a qubit pair
+_QUBIT_SCREEN_POINTS = 2048
 # bound, in bits, on |screened chi - exact chi| at any grid point
 _GRID_ALLOWANCE = 1e-9
 
@@ -563,15 +596,87 @@ def _screened_chi(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndar
 
     A qubit average M = [[a, b], [b*, c]] has eigenvalues
     (a + c)/2 -+ hypot((a - c)/2, |b|); these go through the same floor and
-    entropy core as :func:`_chi`.  Other dimensions take :func:`_chi`.
+    entropy core as :func:`_chi`.  The entries are linear in p, so one
+    ``(N, k) x (k, 4)`` product gives them for a batch of N points.  Other
+    dimensions take :func:`_chi`.
     """
     if states.shape[-1] != 2:
         return _chi(p, states, ent)
-    m = _mixtures(p, states)
-    a, c = m[..., 0, 0].real, m[..., 1, 1].real
-    mean, radius = (a + c) / 2, np.hypot((a - c) / 2, np.abs(m[..., 0, 1]))
+    m = p @ states.reshape(-1, 4)
+    a, c = m[..., 0].real, m[..., 3].real
+    mean, radius = (a + c) / 2, np.hypot((a - c) / 2, np.abs(m[..., 1]))
     w = op.clip_spectrum(np.stack([mean - radius, mean + radius], axis=-1))
     return op._entropy_core(w) - (ent * p).sum(axis=-1)
+
+
+# a row of the capacity ascent stops after this many rejected trials in a
+# row, or once its step falls below _STEP_FLOOR
+_STALL_LIMIT = 41
+_STEP_FLOOR = 1e-13
+
+
+def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
+    """Projected gradient ascent of every row of p, each with its own step.
+
+    A trial at step t is the simplex projection of ``p + t g``.  It is
+    accepted when it raises the objective by more than 1e-15; the step then
+    grows by 1.2, and otherwise it halves.  A row starts at step 0.25 and
+    stops after ``_STALL_LIMIT`` rejections in a row or once its step falls
+    below ``_STEP_FLOOR``; ``max_iters`` bounds the trials each row takes.
+
+    A rejected trial leaves the row's point, gradient and value as they
+    were, so the trials after it are known in advance: the same direction
+    at the halved steps.  A row that has been rejected s times in a row
+    tries its next ``max(s, 1)`` halvings as one batch, cut where the stall
+    rule, the step floor (compared on the exact halved steps) or the row's
+    remaining trials would end it, and takes its first accepted trial.  A
+    closing run of 41 rejections so takes 7 rounds (1, 1, 2, 4, 8, 16 and 9
+    trials).  Each round is one :func:`_project_simplex` and one
+    ``objectives`` call over the trials of every live row, and one
+    ``gradients`` call over the rows that moved in the round before.  The
+    trials after a row's first accepted one are discarded, and the trials
+    it takes, ``max_iters`` among them, are those of an ascent of its own,
+    bit for bit.  Returns the final rows, their values and whether each one
+    stopped.
+    """
+    rows = len(p)
+    val = objectives(p)
+    step = np.full(rows, 0.25)
+    stall = np.zeros(rows, dtype=int)
+    spent = np.zeros(rows, dtype=int)
+    stopped = np.zeros(rows, dtype=bool)
+    # a row keeps its gradient until it moves
+    grad = np.empty_like(p)
+    stale = np.ones(rows, dtype=bool)
+    while True:
+        live = np.flatnonzero(~stopped & (spent < max_iters))
+        if not live.size:
+            return p, val, stopped
+        moved = live[stale[live]]
+        if moved.size:
+            grad[moved] = gradients(p[moved])
+            stale[moved] = False
+        size = np.minimum(np.maximum(stall[live], 1), _STALL_LIMIT - stall[live])
+        size = np.minimum(size, max_iters - spent[live])
+        # halving is exact, so these are the sequential ascent's steps
+        ladder = step[live, None] * 0.5 ** np.arange(size.max())
+        size = np.minimum(size, (ladder >= _STEP_FLOOR).sum(axis=1))
+        tried = np.arange(ladder.shape[1]) < size[:, None]
+        owner = np.repeat(live, size)
+        trial = _project_simplex(p[owner] + ladder[tried][:, None] * grad[owner])
+        trial_val = objectives(trial)
+        up = np.zeros_like(tried)
+        up[tried] = trial_val > val[owner] + 1e-15
+        took = up.any(axis=1)
+        taken = np.where(took, up.argmax(axis=1) + 1, size)
+        last = ladder[np.arange(len(live)), taken - 1]
+        step[live] = last * np.where(took, 1.2, 0.5)
+        stall[live] = np.where(took, 0, stall[live] + size)
+        spent[live] += taken
+        pick = (np.cumsum(size) - size + taken - 1)[took]
+        p[live[took]], val[live[took]] = trial[pick], trial_val[pick]
+        stale[live[took]] = True
+        stopped[live] = ~took & ((step[live] < _STEP_FLOOR) | (stall[live] >= _STALL_LIMIT))
 
 
 def capacity_single_letter(
@@ -584,40 +689,43 @@ def capacity_single_letter(
     """max_P chi(P;W) - chi(P;V), the single-letter secrecy objective.
 
     The objective is a difference of concave functions, so the search uses
-    projected gradient ascent from a uniform start, ``starts`` random
-    starts and, for alphabets up to size 3, the best point of a simplex
-    grid.  The gradient is the analytic Holevo gradient
+    projected gradient ascent (:func:`_ascend`) from a uniform start,
+    ``starts`` random starts and, for alphabets up to size 3, the best
+    point of a simplex grid.  The gradient is the analytic Holevo gradient
     ``D(W_x || PW) - D(V_x || PV)``; it differs from the gradient on the
     normalized extension by a multiple of the all-ones vector, which the
     simplex projection removes.
 
-    All starts ascend in lockstep as one ``(N, k)`` batch, each row with
-    its own step length and stall count; a row that stops leaves the batch
-    through a live mask, so every step is at most one ``eigh`` (gradient)
-    and one ``eigvalsh`` (objective) per channel.  The objective covers the
-    live rows; the gradient only the live rows that moved on the last step,
-    as a row keeps its gradient while its trial steps are rejected.  Each
-    row follows the same iterates as an ascent of its own.  The result is the
-    best start's value, ties to the lowest restart index, unless the grid
-    row's ascent or the grid point itself is better (the ascent when it is
-    at least the grid value).  The output states are validated once here,
-    and the grid, evaluated in chunks before the ascent, draws no random
-    numbers.  When ``w is v`` holds numerically the two chi evaluations
-    cancel to exactly 0.0 at every point.  A search whose result stopped on
-    ``max_iters`` returns ``converged=False`` with a
-    :class:`~cqwiretap.errors.ConvergenceWarning`.
+    All starts ascend together as one ``(N, k)`` batch, each row with its
+    own step length, stall count and budget of ``max_iters`` trials.  A
+    round tries a run of halved steps for each live row, so it is one
+    ``eigvalsh`` per channel over every live row's trials and at most one
+    ``eigh`` per channel over the rows that moved on the round before; a
+    row keeps its gradient while its trials are rejected.  Each row takes
+    the same trials, and follows the same iterates, as an ascent of its
+    own.  The result is the best start's value, ties to the lowest restart
+    index, unless the grid row's ascent or the grid point itself is better
+    (the ascent when it is at least the grid value).  The output states are
+    validated once here, and the grid, evaluated in chunks before the
+    ascent, draws no random numbers.  When ``w is v`` holds numerically the
+    two chi evaluations cancel to exactly 0.0 at every point.  A search
+    whose result spent its ``max_iters`` trials without stopping returns
+    ``converged=False`` with a :class:`~cqwiretap.errors.ConvergenceWarning`.
 
     The grid point is the first exact maximum of the objective over the
     grid, found in two passes.  The screen takes every point's objective
-    from :func:`_screened_chi`: closed-form spectra for a qubit channel,
+    from :func:`_screened_chi`: closed-form spectra of averages whose
+    entries come from one linear map of the points for a qubit channel,
     the exact :func:`_chi` for any other.  The exact pass evaluates, in
     grid order, only the points whose screened value is within
     ``2 * _GRID_ALLOWANCE`` of the screened maximum.  This is exact.  The
-    closed form and the eigensolver are each within a few unit roundoffs of
-    the spectrum of a unit-trace 2 x 2 matrix, which moves -w log2 w by
-    less than 1e-13 bits, far below the allowance of 1e-9.  So a point
-    that maximizes the exact objective is screened within the allowance of
-    its exact value, and so within twice the allowance of the screened
+    screened entries differ from those of the exact mixture only in their
+    order of summation, by a few unit roundoffs; the closed form and the
+    eigensolver are each within a few unit roundoffs of the spectrum of a
+    unit-trace 2 x 2 matrix; together they move -w log2 w by less than
+    1e-13 bits, far below the allowance of 1e-9.  So a point that
+    maximizes the exact objective is screened within the allowance of its
+    exact value, and so within twice the allowance of the screened
     maximum.  :func:`_chi` gives a row the same bits alone as inside any
     batch, so every candidate's exact value, and the first maximum among
     them, are those of the exact pass over the whole grid.
@@ -637,43 +745,18 @@ def capacity_single_letter(
             g = _chi_gradient(p, sw, ew) - _chi_gradient(p, sv, ev)
         return _finite_gradient(g)
 
-    def ascend(p):
-        # every row of p ascends with its own step until it stalls; returns
-        # the final rows, their values and whether each one stopped
-        val = objectives(p)
-        step = np.full(len(p), 0.25)
-        stall = np.zeros(len(p), dtype=int)
-        live = np.ones(len(p), dtype=bool)
-        # a row keeps its gradient until it moves
-        grad = np.empty_like(p)
-        stale = np.ones(len(p), dtype=bool)
-        for _ in range(max_iters):
-            rows = np.flatnonzero(live)
-            if not rows.size:
-                break
-            moved = rows[stale[rows]]
-            if moved.size:
-                grad[moved] = gradients(p[moved])
-                stale[moved] = False
-            trial = _project_simplex(p[rows] + step[rows, None] * grad[rows])
-            trial_val = objectives(trial)
-            up = trial_val > val[rows] + 1e-15
-            p[rows[up]], val[rows[up]] = trial[up], trial_val[up]
-            stale[rows[up]] = True
-            step[rows] *= np.where(up, 1.2, 0.5)
-            stall[rows] = np.where(up, 0, stall[rows] + 1)
-            live[rows] = up | ((step[rows] >= 1e-13) & (stall[rows] <= 40))
-        return p, val, ~live
-
     candidates = [np.full(k, 1.0 / k)]
     candidates += [rng.dirichlet(np.ones(k)) for _ in range(starts)]
     restarts = len(candidates)
     if k <= 3:
         points = _simplex_grid(k)
         chunk = max(1, _GRID_ENTRIES // max(w.dim, v.dim) ** 2)
+        screen_chunk = _QUBIT_SCREEN_POINTS if w.dim == v.dim == 2 else chunk
         screen = np.concatenate([
             _screened_chi(block, sw, ew) - _screened_chi(block, sv, ev)
-            for block in (points[s : s + chunk] for s in range(0, len(points), chunk))
+            for block in (
+                points[s : s + screen_chunk] for s in range(0, len(points), screen_chunk)
+            )
         ])
         near = points[screen >= screen.max() - 2 * _GRID_ALLOWANCE]
         grid_best, grid_arg = -np.inf, None
@@ -684,7 +767,7 @@ def capacity_single_letter(
             if vals[i] > grid_best:
                 grid_best, grid_arg = float(vals[i]), block[i]
         candidates.append(grid_arg)
-    p, val, conv = ascend(np.array(candidates))
+    p, val, conv = _ascend(np.array(candidates), objectives, gradients, max_iters)
     i = int(np.argmax(val[:restarts]))
     best_p, best_val, best_conv = p[i], val[i], conv[i]
     if k <= 3 and max(val[-1], grid_best) > best_val:

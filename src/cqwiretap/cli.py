@@ -237,7 +237,8 @@ def _run_eval_leakage(inputs, params, output, cap):
     encoders, code = _leakage_encoders(code)
     v_n = channels.tensor_power(v, code.n, cap)
     m_dist = _dist(params, "m_dist", len(code.messages))
-    value = channels.leakage_cr(m_dist, encoders, v_n)
+    stack = channels.SeedStack(encoders, v_n)
+    value = stack.leakage_cr(m_dist)
     report = {
         "kind": "eval-leakage",
         "n": code.n,
@@ -247,7 +248,7 @@ def _run_eval_leakage(inputs, params, output, cap):
     }
     summary = f"leakage={value!r}"
     if adversarial:
-        worst = channels.adversarial_leakage(encoders, v_n)
+        worst = stack.adversarial_leakage()
         report["adversarial"] = {
             "value": worst.value,
             "upper": worst.upper,

@@ -231,28 +231,30 @@ def _support_mask(w: np.ndarray) -> np.ndarray:
     return w > SUPPORT_RTOL * w.max(axis=-1, keepdims=True)
 
 
-def _overlaps(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray):
+def _overlaps(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray, traces=None):
     """Diagonal of rho in sigma's eigenbasis, sigma's support mask, and
     whether rho puts more than ``1e-10 tr rho`` outside that support.
 
     Every argument may be a broadcastable stack; the results have one row
-    (or one flag) per matrix.
+    (or one flag) per matrix.  ``traces`` are rho's :func:`_trace` values,
+    taken here unless a caller that holds a fixed rho passes them.
     """
     q = np.sum(u_sigma.conj() * (rho @ u_sigma), axis=-2).real
     mask = _support_mask(w_sigma)
     outside = np.where(mask, 0.0, np.clip(q, 0.0, None)).sum(axis=-1)
-    return q, mask, outside > 1e-10 * _trace(rho)
+    return q, mask, outside > 1e-10 * (_trace(rho) if traces is None else traces)
 
 
-def _divergence_core(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray):
+def _divergence_core(rho: np.ndarray, w_sigma: np.ndarray, u_sigma: np.ndarray, traces=None):
     """The terms of ``D(rho || sigma)`` from sigma's ``eigh``, unchecked.
 
     Returns the overlaps, sigma's support mask and the leak flag of
-    :func:`_overlaps`, and the cross term ``sum_j q_j log2 t_j`` over the
-    support of ``sigma = sum_j t_j |v_j><v_j|``, one per matrix of the
-    broadcast stacks.  ``w_sigma`` must be clipped already.
+    :func:`_overlaps` (``traces`` as there), and the cross term
+    ``sum_j q_j log2 t_j`` over the support of
+    ``sigma = sum_j t_j |v_j><v_j|``, one per matrix of the broadcast
+    stacks.  ``w_sigma`` must be clipped already.
     """
-    q, mask, leaked = _overlaps(rho, w_sigma, u_sigma)
+    q, mask, leaked = _overlaps(rho, w_sigma, u_sigma, traces)
     cross = np.where(mask, q * np.log2(np.where(mask, w_sigma, 1.0)), 0.0).sum(axis=-1)
     return q, mask, leaked, cross
 

@@ -11,6 +11,7 @@ exhaustive simplex grids.
 
 import tracemalloc
 import warnings
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 
@@ -667,6 +668,57 @@ def both_searches(w, v, seed=3, **kw):
     return batch
 
 
+# one round of a row of the capacity ascent: the trials it tried, those it
+# took (up to and including the first accepted one) and whether one was
+# accepted
+Round = namedtuple("Round", ["tried", "taken", "accepted"])
+# a row of the ascent replayed alone: its rounds, whether it stopped (not
+# out of trials) and its final point
+Row = namedtuple("Row", ["rounds", "stopped", "point"])
+
+
+def ladder_rows(monkeypatch, w, v, seed=3, **kw):
+    """Run :func:`both_searches` and replay each row of its ascent alone.
+
+    Returns the search's result and a :data:`Row` per row.  Each row is
+    replayed through ``channels._ascend`` with the search's own objective
+    and gradient, and must end on the bits it ended on inside the batch.
+    """
+    seen = {}
+    real = channels._ascend
+
+    def spy(p, objectives, gradients, max_iters):
+        seen.update(p=p.copy(), objectives=objectives, gradients=gradients)
+        seen["out"] = real(p, objectives, gradients, max_iters)
+        return seen["out"]
+
+    monkeypatch.setattr(channels, "_ascend", spy)
+    batch = both_searches(w, v, seed=seed, **kw)
+    max_iters = kw.get("max_iters", 400)
+    rows = []
+    for r, p0 in enumerate(seen["p"]):
+        rounds, current = [], []
+
+        def objectives(p):
+            vals = seen["objectives"](p)
+            if current:
+                up = np.flatnonzero(vals > current[-1] + 1e-15)
+                taken = up[0] + 1 if up.size else len(vals)
+                rounds.append(Round(len(vals), taken, bool(up.size)))
+                if up.size:
+                    current.append(vals[up[0]])
+            else:
+                current.append(vals[0])
+            return vals
+
+        p, val, stopped = real(p0[None].copy(), objectives, seen["gradients"], max_iters)
+        out_p, out_val, out_stopped = seen["out"]
+        assert np.array_equal(p[0], out_p[r]) and val[0] == out_val[r]
+        assert stopped[0] == out_stopped[r]
+        rows.append(Row(rounds, bool(stopped[0]), p[0]))
+    return batch, rows
+
+
 class TestCapacityParity:
     @pytest.mark.parametrize("name", sorted(CAPACITY_PAIRS))
     def test_lockstep_matches_sequential(self, name):
@@ -676,20 +728,19 @@ class TestCapacityParity:
 
     @pytest.mark.parametrize("max_iters", [3, 45])
     def test_rows_stopping_at_different_steps(self, monkeypatch, max_iters):
-        # at 3 steps no row can stop; at 45 some rows have stopped and some
-        # are still live when the iteration budget runs out
+        # max_iters is each row's budget of trials; at 3 no row can stop, at
+        # 45 some rows have stopped and others run out of trials
         w, v = random_pair(71, 3)
-        live = []
-        real = channels._project_simplex
-        monkeypatch.setattr(
-            channels, "_project_simplex", lambda y: live.append(len(y)) or real(y)
-        )
-        batch = both_searches(w, v, max_iters=max_iters)
-        assert len(live) == max_iters
+        batch, rows = ladder_rows(monkeypatch, w, v, max_iters=max_iters)
+        spent = [sum(r.taken for r in row.rounds) for row in rows]
+        stopped = [row.stopped for row in rows]
+        assert len(rows) == 18 and max(spent) <= max_iters
+        assert all(row_stopped or n == max_iters for n, row_stopped in zip(spent, stopped))
         if max_iters == 3:
-            assert live == [18] * 3 and not batch.converged
+            assert not any(stopped) and not batch.converged
         else:
-            assert 0 < live[-1] < live[0] == 18
+            assert any(stopped) and not all(stopped)
+            assert min(spent) < max_iters
 
     def test_finite_gradient_per_row(self):
         g = np.array(
@@ -715,6 +766,75 @@ class TestCapacityParity:
         assert (out >= 0.0).all()
         for row, expected in zip(y, out):
             assert np.array_equal(channels._project_simplex(row), expected)
+
+
+# rows of the last two accept trials after runs of rejections, where a
+# batch of every remaining halving would take 2.7-2.8 times the oracle's
+# trials
+LADDER_PAIRS = {
+    "qubit-k3": (71, 3),
+    "qubit-k2": (70, 2),
+    "late-accepts-k3": (75, 3),
+    "late-accepts-k2": (77, 2),
+}
+
+
+def closing_run(rounds):
+    """The rounds after a row's last accepted trial."""
+    last = max((i for i, r in enumerate(rounds) if r.accepted), default=-1)
+    return rounds[last + 1 :]
+
+
+class TestCapacityLadder:
+    """A row rejected s times in a row tries its next max(s, 1) halved
+    steps as one batch; the iterates and budgets are the sequential
+    ascent's."""
+
+    @pytest.mark.parametrize("name", sorted(LADDER_PAIRS))
+    def test_row_trials_at_most_twice_the_oracle(self, monkeypatch, name):
+        # the sequential oracle takes one gradient per channel per trial
+        w, v = random_pair(*LADDER_PAIRS[name])
+        trials, gradients = [], []
+        real_project, real_gradient = channels._project_simplex, channels._chi_gradient
+        monkeypatch.setattr(
+            channels, "_project_simplex", lambda y: trials.append(len(y)) or real_project(y)
+        )
+        capacity_single_letter(w, v, rng=rng(3))
+        monkeypatch.setattr(
+            channels, "_chi_gradient", lambda *a: gradients.append(1) or real_gradient(*a)
+        )
+        capacity_sequential(w, v, rng=rng(3))
+        assert 0 < sum(trials) <= 2 * (len(gradients) // 2)
+
+    @pytest.mark.parametrize("name", sorted(LADDER_PAIRS))
+    def test_closing_run_takes_seven_rounds(self, monkeypatch, name):
+        _, rows = ladder_rows(monkeypatch, *random_pair(*LADDER_PAIRS[name]))
+        stalls = 0
+        for row in rows:
+            assert row.stopped
+            run = closing_run(row.rounds)
+            assert len(run) <= 7 and sum(r.tried for r in run) <= 41
+            if sum(r.tried for r in run) == 41:
+                stalls += 1
+                assert [r.tried for r in run] == [1, 1, 2, 4, 8, 16, 9]
+        assert stalls > 0
+
+    @pytest.mark.parametrize("name", sorted(LADDER_PAIRS))
+    def test_budget_ending_mid_ladder(self, monkeypatch, name):
+        # the budget ends two trials into the 4-trial batch of the closing
+        # run of the row whose point the full search returns
+        w, v = random_pair(*LADDER_PAIRS[name])
+        full, rows = ladder_rows(monkeypatch, w, v)
+        r = next(i for i, row in enumerate(rows) if np.array_equal(row.point, full.argmax))
+        rounds = rows[r].rounds
+        run = closing_run(rounds)
+        assert full.converged and len(run) == 7
+        budget = sum(x.taken for x in rounds[: len(rounds) - len(run)]) + 1 + 1 + 2 + 2
+        cut, cut_rows = ladder_rows(monkeypatch, w, v, max_iters=budget)
+        assert not cut.converged
+        assert np.array_equal(cut.argmax, full.argmax)
+        assert not cut_rows[r].stopped
+        assert cut_rows[r].rounds == rounds[: len(rounds) - 4] + [Round(2, 2, False)]
 
 
 def mixed_pair(k: int, kind: str, seed: int):
@@ -1030,6 +1150,26 @@ class TestStepKernels:
         assert not res.converged
         full, res = count(capacity_single_letter, w, v, rng=rng(1), starts=4, max_iters=400)
         assert res.converged and short == full > 0
+
+    def test_adversarial_traces_taken_once(self, monkeypatch):
+        # every gradient's leak flag compares against the stack's traces,
+        # taken once per search, not once per evaluation
+        v = random_cq_channel(rng(55), 3, 2)
+        encoders = {
+            s: ClassicalChannel((0, 1, 2), {m: {(m + s) % 3: 1.0} for m in range(3)})
+            for s in range(2)
+        }
+        stack = channels.SeedStack(encoders, v)
+        traces, evaluations = [], []
+        real_trace, real_eigh = op._trace, np.linalg.eigh
+        monkeypatch.setattr(op, "_trace", lambda a: traces.append(a.shape) or real_trace(a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: evaluations.append(1) or real_eigh(a))
+        res = stack.adversarial_leakage()
+        assert res.converged and len(evaluations) > 1
+        assert traces == [stack.states.shape]
+        again = adversarial_leakage(encoders, v)
+        assert (res.value, res.upper) == (again.value, again.upper)
+        assert np.array_equal(res.argmax, again.argmax)
 
 
 class TestAdversarialStall:

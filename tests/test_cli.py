@@ -634,6 +634,25 @@ class TestBuildAndEval:
         assert report["adversarial"]["upper"] >= report["adversarial"]["value"]
 
 
+    def test_adversarial_validates_the_stack_once(self, ws, monkeypatch):
+        # the leakage and the adversarial search share one validated stack:
+        # one eigvalsh over the (seeds, messages, d, d) outputs
+        main(["build-code", self.build_spec(ws)])
+        ws.channel("v.json", flip_channel())
+        spec = ws.spec(
+            "eval-leakage",
+            {"channel": str(ws.root / "v.json"), "code": str(ws.root / "code.json")},
+            {"adversarial": True, "m_dist": [0.5, 0.5]},
+            name="eval.json",
+        )
+        shapes = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+        assert main(["eval-leakage", spec]) == 0
+        stacks = [s for s in shapes if len(s) == 4]
+        assert len(stacks) == 1 and stacks[0][:2] == (1, 2)
+
+
 class TestEvalLeakageInputs:
     """eval-leakage on the inputs of the ``eval-leakage`` golden case."""
 
