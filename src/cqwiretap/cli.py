@@ -19,10 +19,11 @@ A seed is required exactly when a step is randomized (the random starts
 of the capacity search); other runs ignore it, and ``eval-leakage`` also
 accepts and ignores ``restarts``.  Each subcommand takes only the params
 keys it reads, plus ``seed``; any other key, a missing required key, or
-a value of the wrong JSON type (a string or a bool for a number, a
-float for a count, anything but true or false for ``adversarial``)
-is a validation error.  ``--cap`` is passed to the library as an
-explicit dimension cap.
+a value of the wrong JSON type (a string or a bool for a number or in a
+probability vector, a float for a count, anything but true or false for
+``adversarial``) is a validation error, and so is a ``build-code``
+message listed twice or with a codeword that is not a list.  ``--cap``
+is passed to the library as an explicit dimension cap.
 
 Exit codes: 0 all asserted checks hold; 2 a file does not parse;
 3 a spec or input fails validation; 4 an asserted bound or verification
@@ -140,13 +141,22 @@ def _rng(params) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _probabilities(raw, size, what) -> np.ndarray:
+    """``raw`` as a checked probability vector of ``size`` entries: a JSON
+    list of numbers, not of strings or bools."""
+    if not isinstance(raw, list):
+        raise InvalidStateError(f"{what} must be a list of probabilities, got {raw!r}")
+    entries = [_number(x, f"{what} entry") for x in raw]
+    return channels.check_distribution(entries, size, what)
+
+
 def _dist(params, key, size):
     """``params[key]`` as a checked probability vector of ``size``
     entries, uniform when the key is absent."""
     raw = params.get(key)
     if raw is None:
         return np.full(size, 1.0 / size)
-    return channels.check_distribution(raw, size, f"params.{key}")
+    return _probabilities(raw, size, f"params.{key}")
 
 
 def _load_channel(inputs, role) -> channels.CqChannel:
@@ -206,7 +216,12 @@ def _run_build_code(inputs, params, output, cap):
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise InvalidStateError("params.codewords entries must be [message, string] pairs")
-        codewords[item[0]] = tuple(item[1])
+        message, string = item
+        if message in codewords:
+            raise InvalidStateError(f"params.codewords repeats message {message!r}")
+        if not isinstance(string, list):
+            raise InvalidStateError(f"params.codewords string of message {message!r} is not a list")
+        codewords[message] = tuple(string)
     t = codes.transmission_code_pgm(codewords, w, n, cap)
     code = t
     if "bri" in inputs:
@@ -286,7 +301,7 @@ def _chain_pair(v, params, cap):
         return v, v
     if name == "scale":
         return v, v.scaled(_number(mode.get("factor", 1.0), "params.v_prime.factor"))
-    p = np.asarray(mode["p"], dtype=float)
+    p = _probabilities(mode["p"], len(v.alphabet), "params.v_prime.p")
     n = mode["n"]
     if not _is_int(n):
         raise InvalidStateError(f"params.v_prime.n must be an integer, got {n!r}")
@@ -328,7 +343,7 @@ def _run_capacity(inputs, params, output, cap):
 
 def _run_typicality_report(inputs, params, output, cap):
     v = _load_channel(inputs, "channel")
-    p = channels.check_distribution(params["p"], len(v.alphabet), "params.p")
+    p = _probabilities(params["p"], len(v.alphabet), "params.p")
     delta = _number(params["delta"], "params.delta")
     ns = params.get("ns", [2, 4, 8])
     if not isinstance(ns, list) or not all(_is_int(n) and n >= 1 for n in ns):

@@ -28,12 +28,6 @@ floats use their shortest round-trip representation, and files end with a
 newline.  Infinite values appear as the Python literals ``Infinity`` /
 ``-Infinity``, which :func:`json.loads` accepts back.
 
-:func:`canonical_json` is the package's own encoder.  Its text is byte for
-byte that of ``json.dumps(obj, indent=2, sort_keys=True)``, which the tests
-use as its oracle.  A packed matrix is one short string in that text, and
-:func:`matrix_from_json` decodes it with one base64 pass; a nested matrix
-is checked and converted in a few C-level passes.
-
 Malformed structure raises :class:`~cqwiretap.errors.InvalidStateError`;
 JSON syntax errors propagate as :class:`json.JSONDecodeError`.
 """
@@ -43,7 +37,6 @@ from __future__ import annotations
 import binascii
 import importlib.resources
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -52,9 +45,6 @@ from .channels import ClassicalChannel, CqChannel
 from .codes import CommonRandomnessCode, TransmissionCode, WiretapCode
 from .config import TOL_TRACE
 from .errors import InvalidStateError
-
-_escape = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 __all__ = [
     "matrix_to_json",
@@ -109,15 +99,10 @@ def matrix_from_json(obj) -> np.ndarray:
         return _packed_from_json(obj)
     if not isinstance(obj, list) or not obj:
         raise InvalidStateError("matrix must be a {data, shape} object or a non-empty list of rows")
-    # whole-matrix checks: rows, then entries, then numbers, each one pass
-    widths = set(map(len, obj)) if set(map(type, obj)) == {list} else ()
-    if len(widths) == 1 and 0 not in widths:
-        entries = list(chain.from_iterable(obj))
-        if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
-            flat = list(chain.from_iterable(entries))
-            if set(map(type, flat)) <= {int, float}:
-                return np.array(flat, dtype=float).view(complex).reshape(len(obj), -1)
-    raise InvalidStateError(_matrix_fault(obj))
+    fault = _matrix_fault(obj)
+    if fault is not None:
+        raise InvalidStateError(fault)
+    return np.array(obj, dtype=float).view(complex).reshape(len(obj), -1)
 
 
 def _packed_from_json(obj) -> np.ndarray:
@@ -150,8 +135,9 @@ def _packed_from_json(obj) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(rows, cols).astype(complex)
 
 
-def _matrix_fault(obj) -> str:
-    """The message for the first malformed row or entry of ``obj``."""
+def _matrix_fault(obj) -> str | None:
+    """The message for the first malformed row or entry of the non-empty
+    list ``obj``, or None when it is a well-formed nested matrix."""
     width = len(obj[0]) if type(obj[0]) is list else None
     for i, row in enumerate(obj):
         if type(row) is not list or not row:
@@ -399,76 +385,11 @@ def reports_to_csv(reports) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Serialize with sorted keys, two-space indents and a trailing newline.
-
-    The text is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``
-    plus ``"\n"``: the same key sorting and key conversion, ``NaN`` and
-    ``Infinity``, ASCII escapes, and :class:`TypeError` for any other type
-    (``np.int64`` included).  A circular structure raises
-    :class:`RecursionError`.
-    """
-    out = []
-    _encode(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _scalar_text(obj):
-    """The JSON text of None, a bool, an int or a float; None for any other type."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj in (_INF, -_INF):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    return None
-
-
-def _encode(obj, newline: str, out: list) -> None:
-    """Append the text of ``obj``, nested at the indent that ``newline``
-    (a newline and the current indent) carries."""
-    if isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _encode(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            text = key if isinstance(key, str) else _scalar_text(key)
-            if text is None:
-                raise TypeError(
-                    f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-                )
-            out.append(sep + _escape(text) + ": ")
-            _encode(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        text = _scalar_text(obj)
-        if text is None:
-            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-        out.append(text)
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline: sorted
+    keys, shortest round-trip floats, ``NaN`` and ``Infinity``, ASCII
+    escapes.  Any other type (``np.int64`` included) raises
+    :class:`TypeError`, and a circular structure :class:`ValueError`."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def dump_json(obj, path) -> None:

@@ -719,7 +719,7 @@ def _sandwich(iso, k):
     return (out + out.conj().T) / 2.0
 
 
-def _compress(block, products=None):
+def _compress(block):
     """The R x R core K of every type class of ``block`` (of its first
     member, keyed as ``block.classes``) and the largest eigenvalue of its
     output A K A*, once the ordering V' <= V^n has been decided for every
@@ -806,10 +806,8 @@ def _compress(block, products=None):
     member's, so one eigensolve decides the class, and the dense rule
     alone decides a failure and its :class:`PsdOrderingError` payload,
     which names the class's first member (a certified class's difference
-    has no eigenvalue below -tol / 2, so it never is the worst).  When
-    ``products`` is a dict, V^n(y) of every typical string y is built and
-    kept there under its string, for the caller's own ordering check; no
-    other d^n x d^n operator is formed here.
+    has no eigenvalue below -tol / 2, so it never is the worst).  No other
+    d^n x d^n operator is formed here.
     """
     v, n = block.v, block.n
     certified = _ordering_screen(block)
@@ -825,14 +823,9 @@ def _compress(block, products=None):
         cores[key], spectrum = _checked_outputs((xn,), (m * w) @ m.conj().T)
         tops[key] = float(spectrum[-1]) if spectrum.size else 0.0
         screened[key] = certified(xn, m, w)
-    if products is None and all(screened.values()):
-        return cores, max(tops.values())
     vn = tensor_power(v, n, block.cap)
-    if products is not None:
-        products.update((xn, vn.output(xn)) for xn in block.members)
     _ordering_scan(
-        (xn, products[xn] if products is not None else vn.output(xn),
-         _sandwich(block.iso, cores[key]))
+        (xn, vn.output(xn), _sandwich(block.iso, cores[key]))
         for key, (xn, *_) in block.classes.items()
         if not screened[key]
     )
@@ -954,23 +947,23 @@ def reindexed_pair(v, p, n, delta, cap=None):
     """The leakage chain's (V, V') pair in typicality mode.
 
     V' is :func:`subnormalized_channel` and V the n-letter product channel
-    on the same typical strings, kept from the same pass.  Both are
-    re-indexed 0..|T|-1 in string order, so a function with |X| = |T|
-    inputs applies.  Every product output is built once, for the chain,
-    but only the first member of each class the ordering screen cannot
-    certify is decomposed here; the chain's own
+    on the same typical strings.  Both are re-indexed 0..|T|-1 in string
+    order, so a function with |X| = |T| inputs applies.  Every product
+    output is built once here, for the chain; :func:`_compress` builds and
+    decomposes only the first member of each class the ordering screen
+    cannot certify, and the chain's own
     :func:`~cqwiretap.bounds.check_psd_ordering` is then the dense ordering
     check of the pair over all members.  ``cap`` bounds the dimension d^n.
     """
     block = _block(v, p, n, delta, cap)
-    products = {}
-    cores, _ = _compress(block, products)
+    cores, _ = _compress(block)
     index = range(len(block.members))
     dim = block.iso.shape[0]
+    vn = tensor_power(v, n, cap)
     # neither is validated again: Kronecker products of validated densities
     # are exactly Hermitian, and _compress validated the R x R core K of
     # every output A K A* of V', which _sandwich symmetrizes
-    base = CqChannel(index, dim, {i: products[t] for i, t in enumerate(block.members)},
+    base = CqChannel(index, dim, {i: vn.output(t) for i, t in enumerate(block.members)},
                      validate=False)
     prime = CqChannel(index, dim, {i: _sandwich(block.iso, k)
                                    for i, (_, k) in enumerate(_member_cores(block, cores))},

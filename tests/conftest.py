@@ -572,11 +572,11 @@ def member_ordering_minima(v, p, n, delta):
     V^n(y) - A K_y A*, with K_y its permuted class core, decomposed at
     dimension d^n for every member rather than once per type class."""
     block = typicality._block(v, p, n, delta)
-    products = {}
     with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
-        cores, _ = typicality._compress(block, products)
+        cores, _ = typicality._compress(block)
+    vn = tensor_power(v, n)
     return {
-        y: float(np.linalg.eigvalsh(products[y] - typicality._sandwich(block.iso, k))[0])
+        y: float(np.linalg.eigvalsh(vn.output(y) - typicality._sandwich(block.iso, k))[0])
         for y, k in typicality._member_cores(block, cores)
     }
 

@@ -556,6 +556,26 @@ class TestBuildAndEval:
         assert f"params.{key}" in capsys.readouterr().err
         assert not (ws.root / "code.json").exists()
 
+    @pytest.mark.parametrize(
+        "codewords, message",
+        [([[0, ["0"]], [1, ["1"]], [0, ["1"]]], "message 0"),
+         ([[0, ["0"]], [1, "1"]], "message 1")],
+        ids=["repeated message", "string codeword"],
+    )
+    def test_malformed_codewords_exit_3(self, ws, codewords, message, capsys):
+        # each once wrote a code: a repeated message kept its last codeword,
+        # and the string "1" was read as the codeword ("1",)
+        spec = self.build_spec(ws)
+        eye = np.eye(2)
+        ws.channel("w.json", CqChannel(("0", "1"), 2, {"0": np.outer(eye[0], eye[0]),
+                                                        "1": np.outer(eye[1], eye[1])}))
+        obj = serialize.load_json(spec)
+        obj["params"]["codewords"] = codewords
+        ws.file("spec.json", obj)
+        assert main(["build-code", spec]) == 3
+        assert message in capsys.readouterr().err
+        assert not (ws.root / "code.json").exists()
+
     @pytest.mark.parametrize("adversarial", ["no", 1, 0, None, [True]])
     def test_malformed_adversarial_exits_3(self, ws, adversarial, capsys):
         # "no" once ran the search, 0 and null skipped it
@@ -665,6 +685,47 @@ class TestEvalLeakageInputs:
     def test_invalid_m_dist_exits_3(self, ws, m_dist, capsys):
         assert main(["eval-leakage", self.spec(ws, m_dist)]) == 3
         assert "params.m_dist" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+
+class TestProbabilityVectors:
+    """Every probability vector a spec carries is a JSON list of numbers:
+    string or bool entries fail validation rather than being converted
+    (["0.6", "0.4"] once ran as p = (0.6, 0.4), [true, false] as (1, 0))."""
+
+    def spec(self, ws, where, entries):
+        ws.channel("v.json", flip_channel())
+        channel = str(ws.root / "v.json")
+        if where == "eval-leakage m_dist":
+            inputs = {role: str(GOLDEN_INPUTS / name) for role, name in
+                      (("channel", "eve_qubit.json"), ("code", "cr_3x8.json"))}
+            return "eval-leakage", ws.spec("eval-leakage", inputs, {"m_dist": entries(3)})
+        if where == "typicality-report p":
+            return "typicality-report", ws.spec(
+                "typicality-report", {"channel": channel},
+                {"p": entries(2), "delta": 0.5, "ns": [2]},
+            )
+        inputs = {"channel": channel, "bri": ws.file("f.json", xor_bri_json())}
+        if where == "bound-chain m_dist":
+            params = {"v_prime": {"mode": "identity"}, "m_dist": entries(2)}
+        else:
+            params = {"v_prime": {"mode": "typicality", "p": entries(2), "n": 2, "delta": 0.5}}
+        return "bound-chain", ws.spec("bound-chain", inputs, params)
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [("eval-leakage m_dist", "params.m_dist"), ("bound-chain m_dist", "params.m_dist"),
+         ("bound-chain v_prime.p", "params.v_prime.p"), ("typicality-report p", "params.p")],
+    )
+    @pytest.mark.parametrize(
+        "entries",
+        [lambda k: [str(1 / k)] * k, lambda k: [True] + [False] * (k - 1)],
+        ids=["strings", "bools"],
+    )
+    def test_non_number_entries_exit_3(self, ws, where, key, entries, capsys):
+        kind, spec = self.spec(ws, where, entries)
+        assert main([kind, spec]) == 3
+        assert f"{key} entry must be a number" in capsys.readouterr().err
         assert not ws.out().exists()
 
 

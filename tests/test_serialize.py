@@ -266,92 +266,43 @@ class TestMatrixMessages:
         )
 
 
-# Values json.dumps(indent=2, sort_keys=True) accepts, and what the
-# library writes: nested containers, matrices of [re, im] pairs, and
-# "almost matrices" that must take the generic path.
-FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
-SCALARS = (
-    st.none() | st.booleans() | st.integers() | FLOATS | FLOATS.map(np.float64) | st.text(max_size=6)
-)
-KEYS = st.text(max_size=4) | st.integers(-5, 5) | FLOATS | st.booleans() | st.none()
-
-
-def equal_rows(entries):
-    return st.integers(1, 3).flatmap(
-        lambda width: st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=3)
-    )
-
-
-MATRICES = (
-    equal_rows(st.lists(FLOATS, min_size=2, max_size=2))
-    | equal_rows(st.lists(FLOATS | st.integers(-3, 3), min_size=2, max_size=2))
-    | equal_rows(st.lists(FLOATS.map(np.float64), min_size=2, max_size=2))
-    | st.lists(st.lists(st.lists(FLOATS, min_size=1, max_size=3), max_size=3), max_size=3)
-)
-DOCUMENTS = st.recursive(
-    SCALARS | MATRICES,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(KEYS, inner, max_size=4)
-    ),
-    max_leaves=40,
-)
-
-
-def oracle(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 class TestCanonicalJson:
-    """The library's encoder against its oracle, ``json.dumps``."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(DOCUMENTS)
-    def test_matches_json_dumps(self, obj):
-        try:
-            expected = oracle(obj)
-        except TypeError:
-            # keys of types that do not sort together
-            with pytest.raises(TypeError):
-                serialize.canonical_json(obj)
-            return
-        assert serialize.canonical_json(obj) == expected
+    """The writer is ``json.dumps(indent=2, sort_keys=True)`` plus a
+    newline; these pin the files it must reproduce and the values it must
+    carry or refuse."""
 
     def test_every_data_and_golden_file(self):
+        # every shipped file is already in canonical form
         paths = sorted((ROOT / "tests" / "golden").rglob("*.json"))
         paths += sorted((ROOT / "src" / "cqwiretap" / "data").glob("*.json"))
         assert len(paths) > 30
         for path in paths:
-            obj = json.loads(path.read_text())
-            assert serialize.canonical_json(obj) == oracle(obj), path.name
-
-    def test_code_files_match_the_oracle(self):
-        g = rng(12)
-        v = random_cq_channel(g, 3, 2)
-        for obj in (
-            serialize.channel_to_json(v),
-            serialize.code_to_json(small_wiretap()),
-            serialize.code_to_json(codes.CommonRandomnessCode({0: small_wiretap(), 1: small_wiretap()})),
-            serialize.matrix_to_json(random_unitary(g, 4)),
-        ):
-            assert serialize.canonical_json(obj) == oracle(obj)
+            text = path.read_text()
+            assert serialize.canonical_json(json.loads(text)) == text, path.name
 
     def test_non_finite_matrix_entries(self):
         obj = [[[math.nan, -0.0], [math.inf, -math.inf]], [[1e-300, 1e300], [-2.5, 0.1]]]
-        assert serialize.canonical_json(obj) == oracle(obj)
-        assert "NaN" in serialize.canonical_json(obj)
+        text = serialize.canonical_json(obj)
+        assert "NaN" in text and "-Infinity" in text and "Infinity," in text
+        back = serialize.matrix_from_json(json.loads(text))
+        expected = np.array([[complex(math.nan, -0.0), complex(math.inf, -math.inf)],
+                             [complex(1e-300, 1e300), complex(-2.5, 0.1)]])
+        assert np.array_equal(back, expected, equal_nan=True)
+        assert math.copysign(1.0, back[0, 0].imag) == -1.0
 
     @pytest.mark.parametrize(
         "obj",
         [np.int64(3), [1, np.int64(2)], {"a": np.bool_(True)}, {np.int64(1): 1}, {1, 2}, object()],
     )
     def test_unsupported_types_raise_type_error(self, obj):
-        with pytest.raises(TypeError) as ours:
+        with pytest.raises(TypeError):
             serialize.canonical_json(obj)
-        with pytest.raises(TypeError) as theirs:
-            oracle(obj)
-        assert str(ours.value) == str(theirs.value)
+
+    def test_circular_structure_raises_value_error(self):
+        loop = {"a": []}
+        loop["a"].append(loop)
+        with pytest.raises(ValueError, match="[Cc]ircular"):
+            serialize.canonical_json(loop)
 
 
 class TestChannel:
