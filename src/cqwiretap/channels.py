@@ -236,9 +236,14 @@ def tensor_power(v: CqChannel, n: int, cap: int | None = None):
 def check_distribution(p, size: int | None = None, what: str = "distribution") -> np.ndarray:
     """``p`` as a float vector of ``size`` entries (any nonzero number by
     default), nonnegative and summing to 1 within ``TOL_ROWSUM``; a wrong
-    shape is a :class:`DimensionMismatchError`, nan and the rest an
+    shape is a :class:`DimensionMismatchError`, nan and the rest (a string or
+    bool entry too: numpy reads ``[0.5, True]`` as floats) an
     :class:`InvalidStateError`."""
-    p = np.asarray(p, dtype=float)
+    entries = p if isinstance(p, (list, tuple)) else ()
+    p = np.asarray(p)
+    if p.dtype.kind not in "iuf" or any(isinstance(x, (bool, np.bool_)) for x in entries):
+        raise InvalidStateError(f"{what} entry must be a number")
+    p = p.astype(float, copy=False)
     if p.ndim != 1 or p.size == 0 or (size is not None and p.size != size):
         want = "a nonempty vector" if size is None else f"{size} entries"
         raise DimensionMismatchError(f"{what} has shape {p.shape}, expected {want}")

@@ -15,15 +15,17 @@ are overrides: ``--seed``, ``--out``, ``--cap``.
 Every run with the same spec and seed writes byte-identical reports:
 keys are sorted, floats keep their shortest round-trip form, and all
 randomness flows from one counter-based generator built from the seed.
-A seed is required exactly when a step is randomized (the random starts
-of the capacity search); other runs ignore it, and ``eval-leakage`` also
-accepts and ignores ``restarts``.  Each subcommand takes only the params
-keys it reads, plus ``seed``; any other key, a missing required key, or
-a value of the wrong JSON type (a string or a bool for a number or in a
-probability vector, a float for a count, anything but true or false for
-``adversarial``) is a validation error, and so is a ``build-code``
-message listed twice or with a codeword that is not a list.  ``--cap``
-is passed to the library as an explicit dimension cap.
+
+``_SPECS`` declares each subcommand's input roles and params keys, each
+with its reader and its default or ``REQUIRED``, and :func:`main` reads
+the whole spec through it before a handler runs: any other key, a
+missing required one, a present ``null`` or a value of the wrong JSON
+type (a string or a bool for a number, a float for a count, a non-finite
+number, a negative budget, a repeat in ``ns``) is a validation error.
+Handlers size the probability vectors with
+:func:`~cqwiretap.channels.check_distribution`.  ``capacity`` requires
+``seed``; the others accept and ignore it, ``eval-leakage`` also
+``restarts``.  ``--cap`` is passed to the library as a dimension cap.
 
 Exit codes: 0 all asserted checks hold; 2 a file does not parse;
 3 a spec or input fails validation; 4 an asserted bound or verification
@@ -48,8 +50,6 @@ bound-chain        the five-step leakage certification chain; asserts
                    mode's product dimension d^n does.
 capacity           single-letter (or two-letter lifted) secrecy-rate
                    search; no asserted bound, convergence is reported.
-                   ``n`` is the integer 1 or 2 and ``starts`` a
-                   non-negative integer; other values fail validation.
 typicality-report  per-n CSV of projector traces, ranks, eigenvalue
                    sandwich slacks and spectral factor bounds.  Asserts
                    only the instance-independent rows (te2 upper rank,
@@ -84,41 +84,18 @@ from .errors import (
     VerificationError,
 )
 
-# subcommand -> the params keys it reads; ``seed`` is allowed for every
-# kind because --seed writes it, and eval-leakage accepts and ignores the
-# ``restarts`` older spec files carry
-_PARAMS = {
-    "verify-bri": set(),
-    "build-code": {"n", "codewords", "max_error"},
-    "eval-leakage": {"m_dist", "adversarial", "restarts"},
-    "bound-chain": {"v_prime", "m_dist"},
-    "capacity": {"n", "starts"},
-    "typicality-report": {"p", "delta", "ns"},
-    "derandomize": {"N", "eps_prime", "eps"},
-}
-KINDS = tuple(_PARAMS)
-# subcommand -> the params keys it cannot run without
-_REQUIRED = {"typicality-report": {"p", "delta"}}
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BOUND = 4
 EXIT_CAP = 5
 
-
-def _spec_dict(obj, key, what):
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise InvalidStateError(f"{what} must be a JSON object")
-    return value
+REQUIRED = object()  # the default of a key a spec must give
 
 
-def _input_path(inputs, role) -> str:
-    path = inputs.get(role)
-    if not isinstance(path, str) or not path:
-        raise InvalidStateError(f"spec inputs are missing the {role!r} file")
-    return path
+# ---------------------------------------------------------------------------
+# readers; each takes a JSON value and its name in the spec, and returns the
+# typed value or raises InvalidStateError naming the key
 
 
 def _is_int(value) -> bool:
@@ -126,52 +103,147 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value, what) -> float:
-    """A JSON number, not a string or a bool (its range is checked where
-    it is used)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidStateError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _is_finite(value) -> bool:
+    # the bound also rejects nan, +-inf and ints too large for a float
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _reader(check, want, cast=lambda value: value):
+    def read(value, what):
+        if not check(value):
+            raise InvalidStateError(f"{what} must be {want}, got {value!r}")
+        return cast(value)
+    return read
+
+
+_positive = _reader(lambda v: _is_int(v) and v >= 1, "a positive integer")
+_count = _reader(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_one_or_two = _reader(lambda v: _is_int(v) and v in (1, 2), "the integer 1 or 2")
+_number = _reader(_is_finite, "a finite number", float)
+_budget = _reader(lambda v: _is_finite(v) and v >= 0, "a finite number of at least 0", float)
+_bool = _reader(lambda v: isinstance(v, bool), "true or false")
+# the entries and the size are checked by channels.check_distribution
+_vector = _reader(lambda v: isinstance(v, list), "a list of probabilities")
+_block_lengths = _reader(
+    lambda v: isinstance(v, list) and v and all(_is_int(n) and n >= 1 for n in v)
+    and len(set(v)) == len(v),
+    "a nonempty list of distinct positive block lengths",
+)
+_path = _reader(lambda v: isinstance(v, str) and v, "a file path")
+_object = _reader(lambda v: isinstance(v, dict), "a JSON object")
+
+
+def _codewords(value, what) -> dict:
+    """``[[message, string], ...]`` as a message -> codeword tuple dict."""
+    if not isinstance(value, list) or not value:
+        raise InvalidStateError(f"{what} must list [message, string] pairs")
+    codewords = {}
+    for item in value:
+        if not isinstance(item, list) or len(item) != 2:
+            raise InvalidStateError(f"{what} entries must be [message, string] pairs")
+        message, string = item
+        if message in codewords:
+            raise InvalidStateError(f"{what} repeats message {message!r}")
+        if not isinstance(string, list):
+            raise InvalidStateError(f"{what} string of message {message!r} is not a list")
+        codewords[message] = tuple(string)
+    return codewords
+
+
+# v_prime mode -> its keys besides "mode", in the shape of a params table
+_V_PRIME_MODES = {
+    "identity": {},
+    "scale": {"factor": (_number, 1.0)},
+    "typicality": {"p": (_vector, REQUIRED), "n": (_positive, REQUIRED),
+                   "delta": (_number, REQUIRED)},
+}
+
+
+def _v_prime(value, what) -> tuple:
+    """The ``v_prime`` object as ``(mode, {key: typed value})``."""
+    if not isinstance(value, dict) or "mode" not in value:
+        raise InvalidStateError(f"{what} must be an object with a 'mode'")
+    name, keys = value["mode"], {k: v for k, v in value.items() if k != "mode"}
+    if name not in _V_PRIME_MODES:
+        raise InvalidStateError(f"unknown v_prime mode {name!r}")
+    return name, _read(_V_PRIME_MODES[name], keys, f"keys for v_prime mode {name!r}", what)
+
+
+def _file(loader):
+    """The reader of an input role: the JSON file at a path, loaded."""
+    return lambda value, what: loader(serialize.load_json(_path(value, what)))
+
+
+_CHANNEL = _file(serialize.channel_from_json)
+_BRI = _file(serialize.bri_from_json)
+_CODE = _file(serialize.code_from_json)
+_SEED = (_count, None)
+
+# the top-level keys of every spec
+_SPEC_KEYS = {"kind": (lambda value, what: value, REQUIRED), "inputs": (_object, {}),
+              "params": (_object, {}), "output": (_path, None)}
+
+# subcommand -> {"inputs": role -> (loader, None or REQUIRED),
+#                "params": key -> (reader, default or REQUIRED)}
+_SPECS = {
+    "verify-bri": {"inputs": {"bri": (_BRI, REQUIRED)}, "params": {"seed": _SEED}},
+    "build-code": {
+        "inputs": {"channel": (_CHANNEL, REQUIRED), "bri": (_BRI, None)},
+        "params": {"n": (_positive, 1), "codewords": (_codewords, REQUIRED),
+                   "max_error": (_budget, None), "seed": _SEED},
+    },
+    "eval-leakage": {
+        "inputs": {"channel": (_CHANNEL, REQUIRED), "code": (_CODE, REQUIRED)},
+        "params": {"m_dist": (_vector, None), "adversarial": (_bool, False),
+                   "restarts": (_count, None), "seed": _SEED},
+    },
+    "bound-chain": {
+        "inputs": {"channel": (_CHANNEL, REQUIRED), "bri": (_BRI, REQUIRED)},
+        "params": {"v_prime": (_v_prime, ("identity", {})), "m_dist": (_vector, None),
+                   "seed": _SEED},
+    },
+    "capacity": {
+        "inputs": {"channel_w": (_CHANNEL, REQUIRED), "channel_v": (_CHANNEL, REQUIRED)},
+        "params": {"n": (_one_or_two, 1), "starts": (_count, 16), "seed": (_count, REQUIRED)},
+    },
+    "typicality-report": {
+        "inputs": {"channel": (_CHANNEL, REQUIRED)},
+        "params": {"p": (_vector, REQUIRED), "delta": (_number, REQUIRED),
+                   "ns": (_block_lengths, [2, 4, 8]), "seed": _SEED},
+    },
+    "derandomize": {
+        "inputs": {"channel_w": (_CHANNEL, REQUIRED), "seed_code": (_CODE, REQUIRED),
+                   "code": (_CODE, REQUIRED), "channel_v": (_CHANNEL, None)},
+        "params": {"N": (_positive, 1), "eps_prime": (_budget, None), "eps": (_budget, None),
+                   "seed": _SEED},
+    },
+}
+KINDS = tuple(_SPECS)
+
+
+def _read(table, obj, what, label) -> dict:
+    """Every key of ``table`` (key -> (reader, default)) read from the JSON
+    object ``obj``: a present key by its reader, under the name
+    ``label.key``, an absent one as its default.  An unknown key or an
+    absent ``REQUIRED`` one is an error."""
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise InvalidStateError(f"unknown {what}: {unknown}")
+    missing = sorted(key for key, (_, default) in table.items()
+                     if default is REQUIRED and key not in obj)
+    if missing:
+        raise InvalidStateError(f"missing {what}: {missing}")
+    return {key: reader(obj[key], f"{label}.{key}") if key in obj else default
+            for key, (reader, default) in table.items()}
 
 
 def _rng(params) -> np.random.Generator:
-    seed = params.get("seed")
-    if not _is_int(seed):
-        raise InvalidStateError("an integer rng seed is required for randomized steps")
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def _probabilities(raw, size, what) -> np.ndarray:
-    """``raw`` as a checked probability vector of ``size`` entries: a JSON
-    list of numbers, not of strings or bools."""
-    if not isinstance(raw, list):
-        raise InvalidStateError(f"{what} must be a list of probabilities, got {raw!r}")
-    entries = [_number(x, f"{what} entry") for x in raw]
-    return channels.check_distribution(entries, size, what)
-
-
-def _dist(params, key, size):
-    """``params[key]`` as a checked probability vector of ``size``
-    entries, uniform when the key is absent."""
-    raw = params.get(key)
-    if raw is None:
-        return np.full(size, 1.0 / size)
-    return _probabilities(raw, size, f"params.{key}")
-
-
-def _load_channel(inputs, role) -> channels.CqChannel:
-    return serialize.channel_from_json(serialize.load_json(_input_path(inputs, role)))
+    return np.random.Generator(np.random.Philox(params["seed"]))
 
 
 def _write_reports(reports, output) -> None:
     serialize.dump_json(serialize.reports_to_json(reports), output)
     Path(output).with_suffix(".csv").write_text(serialize.reports_to_csv(reports))
-
-
-def _require(keys, required, what):
-    missing = sorted(required - set(keys))
-    if missing:
-        raise InvalidStateError(f"missing {what}: {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +253,7 @@ def _require(keys, required, what):
 
 
 def _run_verify_bri(inputs, params, output, cap):
-    f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
+    f = inputs["bri"]
     balance = f.d_x * f.n_inputs == f.d_s * f.n_seeds
     irreducible = f.irreducible
     report = {
@@ -202,35 +274,12 @@ def _run_verify_bri(inputs, params, output, cap):
 
 
 def _run_build_code(inputs, params, output, cap):
-    n = params.get("n", 1)
-    if not _is_int(n) or n < 1:
-        raise InvalidStateError(f"params.n must be a positive integer, got {n!r}")
-    budget = params.get("max_error")
-    if budget is not None:
-        budget = _number(budget, "params.max_error")
-    w = _load_channel(inputs, "channel")
-    raw = params.get("codewords")
-    if not isinstance(raw, list) or not raw:
-        raise InvalidStateError("params.codewords must list [message, string] pairs")
-    codewords = {}
-    for item in raw:
-        if not isinstance(item, list) or len(item) != 2:
-            raise InvalidStateError("params.codewords entries must be [message, string] pairs")
-        message, string = item
-        if message in codewords:
-            raise InvalidStateError(f"params.codewords repeats message {message!r}")
-        if not isinstance(string, list):
-            raise InvalidStateError(f"params.codewords string of message {message!r} is not a list")
-        codewords[message] = tuple(string)
-    t = codes.transmission_code_pgm(codewords, w, n, cap)
-    code = t
-    if "bri" in inputs:
-        f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
-        code = codes.assemble_bri_modular(t, f)
-        error = codes.error_expected_cr(code, w)
-    else:
-        error = codes.error_max(t, w)
+    w, f = inputs["channel"], inputs["bri"]
+    t = codes.transmission_code_pgm(params["codewords"], w, params["n"], cap)
+    code = t if f is None else codes.assemble_bri_modular(t, f)
+    error = codes.error_max(t, w) if f is None else codes.error_expected_cr(code, w)
     serialize.dump_json(serialize.code_to_json(code), output)
+    budget = params["max_error"]
     ok = budget is None or error <= budget + 1e-9
     return ok, f"error={error!r} rate={codes.rate(code)!r}"
 
@@ -244,14 +293,11 @@ def _leakage_encoders(code):
 
 
 def _run_eval_leakage(inputs, params, output, cap):
-    adversarial = params.get("adversarial", False)
-    if not isinstance(adversarial, bool):
-        raise InvalidStateError(f"params.adversarial must be true or false, got {adversarial!r}")
-    v = _load_channel(inputs, "channel")
-    code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
-    encoders, code = _leakage_encoders(code)
-    v_n = channels.tensor_power(v, code.n, cap)
-    m_dist = _dist(params, "m_dist", len(code.messages))
+    encoders, code = _leakage_encoders(inputs["code"])
+    v_n = channels.tensor_power(inputs["channel"], code.n, cap)
+    k = len(code.messages)
+    m_dist = np.full(k, 1.0 / k) if params["m_dist"] is None else params["m_dist"]
+    m_dist = channels.check_distribution(m_dist, k, "params.m_dist")
     stack = channels.SeedStack(encoders, v_n)
     value = stack.leakage_cr(m_dist)
     report = {
@@ -262,7 +308,7 @@ def _run_eval_leakage(inputs, params, output, cap):
         "leakage": value,
     }
     summary = f"leakage={value!r}"
-    if adversarial:
+    if params["adversarial"]:
         worst = stack.adversarial_leakage()
         report["adversarial"] = {
             "value": worst.value,
@@ -275,45 +321,23 @@ def _run_eval_leakage(inputs, params, output, cap):
     return True, summary
 
 
-# keys a v_prime object may carry, per mode; any other key is a spec error
-_V_PRIME_KEYS = {
-    "identity": {"mode"},
-    "scale": {"mode", "factor"},
-    "typicality": {"mode", "p", "n", "delta"},
-}
-# keys a v_prime mode cannot run without, besides "mode"
-_V_PRIME_REQUIRED = {"typicality": {"p", "n", "delta"}}
-
-
-def _chain_pair(v, params, cap):
+def _chain_pair(v, v_prime, cap):
     """The (V, V') pair of the chain for the spec's ``v_prime`` mode."""
-    mode = params.get("v_prime", {"mode": "identity"})
-    if not isinstance(mode, dict) or "mode" not in mode:
-        raise InvalidStateError("params.v_prime must be an object with a 'mode'")
-    name = mode["mode"]
-    if name not in _V_PRIME_KEYS:
-        raise InvalidStateError(f"unknown v_prime mode {name!r}")
-    unknown = sorted(set(mode) - _V_PRIME_KEYS[name])
-    if unknown:
-        raise InvalidStateError(f"unknown keys for v_prime mode {name!r}: {unknown}")
-    _require(mode, _V_PRIME_REQUIRED.get(name, set()), f"keys for v_prime mode {name!r}")
+    name, mode = v_prime
     if name == "identity":
         return v, v
     if name == "scale":
-        return v, v.scaled(_number(mode.get("factor", 1.0), "params.v_prime.factor"))
-    p = _probabilities(mode["p"], len(v.alphabet), "params.v_prime.p")
-    n = mode["n"]
-    if not _is_int(n):
-        raise InvalidStateError(f"params.v_prime.n must be an integer, got {n!r}")
-    delta = _number(mode["delta"], "params.v_prime.delta")
-    return typicality.reindexed_pair(v, p, n, delta, cap)
+        return v, v.scaled(mode["factor"])
+    p = channels.check_distribution(mode["p"], len(v.alphabet), "params.v_prime.p")
+    return typicality.reindexed_pair(v, p, mode["n"], mode["delta"], cap)
 
 
 def _run_bound_chain(inputs, params, output, cap):
-    v = _load_channel(inputs, "channel")
-    f = serialize.bri_from_json(serialize.load_json(_input_path(inputs, "bri")))
-    base, v_prime = _chain_pair(v, params, cap)
-    m_dist = _dist(params, "m_dist", len(f.regularity_set))
+    f = inputs["bri"]
+    base, v_prime = _chain_pair(inputs["channel"], params["v_prime"], cap)
+    k = len(f.regularity_set)
+    m_dist = np.full(k, 1.0 / k) if params["m_dist"] is None else params["m_dist"]
+    m_dist = channels.check_distribution(m_dist, k, "params.m_dist")
     reports = bounds.certify_chain(f, base, v_prime, m_dist)
     _write_reports(reports, output)
     ok = all(r.holds for r in reports)
@@ -321,18 +345,11 @@ def _run_bound_chain(inputs, params, output, cap):
 
 
 def _run_capacity(inputs, params, output, cap):
-    w = _load_channel(inputs, "channel_w")
-    v = _load_channel(inputs, "channel_v")
-    n = params.get("n", 1)
-    if not _is_int(n) or n not in (1, 2):
-        raise InvalidStateError(f"params.n must be the integer 1 or 2, got {n!r}")
-    starts = params.get("starts", 16)
-    if not _is_int(starts) or starts < 0:
-        raise InvalidStateError(f"params.starts must be a non-negative integer, got {starts!r}")
-    result = channels.capacity_lifted(w, v, n, rng=_rng(params), cap=cap, starts=starts)
+    result = channels.capacity_lifted(inputs["channel_w"], inputs["channel_v"], params["n"],
+                                      rng=_rng(params), cap=cap, starts=params["starts"])
     report = {
         "kind": "capacity",
-        "n": n,
+        "n": params["n"],
         "value": result.value,
         "argmax": [float(x) for x in result.argmax],
         "converged": bool(result.converged),
@@ -341,47 +358,34 @@ def _run_capacity(inputs, params, output, cap):
     return True, f"value={result.value!r} converged={result.converged}"
 
 
+# typicality-report CSV column -> the (report, field) it holds; epsilon is
+# the block's own value, not a report's
+_TYPICALITY_COLUMNS = {
+    "trace": ("te1-trace", "lhs"), "rank": ("te2-rank-upper", "lhs"),
+    "te2_lower_slack": ("te2-rank-lower", "slack"), "te2_upper_slack": ("te2-rank-upper", "slack"),
+    "te3_lower_slack": ("te3-eig-lower", "slack"), "te3_upper_slack": ("te3-eig-upper", "slack"),
+    "te4_trace": ("te4-trace", "lhs"),
+    "te5_lower_slack": ("te5-eig-lower", "slack"), "te5_upper_slack": ("te5-eig-upper", "slack"),
+    "te6_lower_slack": ("te6-rank-lower", "slack"), "te6_upper_slack": ("te6-rank-upper", "slack"),
+    "te7_trace": ("te7-trace", "lhs"), "epsilon": None,
+    "norm_slack": ("factor-norm", "slack"), "rank_slack": ("factor-rank", "slack"),
+    "product_slack": ("factor-product", "slack"),
+}
+
+
 def _run_typicality_report(inputs, params, output, cap):
-    v = _load_channel(inputs, "channel")
-    p = _probabilities(params["p"], len(v.alphabet), "params.p")
-    delta = _number(params["delta"], "params.delta")
-    ns = params.get("ns", [2, 4, 8])
-    if not isinstance(ns, list) or not all(_is_int(n) and n >= 1 for n in ns):
-        raise InvalidStateError("params.ns must be a list of positive block lengths")
+    v, delta, ns = inputs["channel"], params["delta"], params["ns"]
+    p = channels.check_distribution(params["p"], len(v.alphabet), "params.p")
 
     asserted = {"te2-rank-upper", "te3-eig-lower", "te3-eig-upper", "factor-rank"}
-    columns = [
-        "n", "trace", "rank",
-        "te2_lower_slack", "te2_upper_slack", "te3_lower_slack", "te3_upper_slack",
-        "te4_trace", "te5_lower_slack", "te5_upper_slack",
-        "te6_lower_slack", "te6_upper_slack", "te7_trace",
-        "epsilon", "norm_slack", "rank_slack", "product_slack",
-    ]
     rows = []
     per_n = []
     ok = True
     for n, (epsilon, named) in zip(ns, typicality.typicality_reports(v, p, delta, ns, cap)):
         reports = {r.name: r for r in named}
         ok = ok and all(reports[name].holds for name in asserted)
-        rows.append([
-            n,
-            reports["te1-trace"].lhs,
-            reports["te2-rank-upper"].lhs,
-            reports["te2-rank-lower"].slack,
-            reports["te2-rank-upper"].slack,
-            reports["te3-eig-lower"].slack,
-            reports["te3-eig-upper"].slack,
-            reports["te4-trace"].lhs,
-            reports["te5-eig-lower"].slack,
-            reports["te5-eig-upper"].slack,
-            reports["te6-rank-lower"].slack,
-            reports["te6-rank-upper"].slack,
-            reports["te7-trace"].lhs,
-            epsilon,
-            reports["factor-norm"].slack,
-            reports["factor-rank"].slack,
-            reports["factor-product"].slack,
-        ])
+        rows.append([n] + [epsilon if column is None else getattr(reports[column[0]], column[1])
+                           for column in _TYPICALITY_COLUMNS.values()])
         per_n.append({
             "n": n,
             "asserted": sorted(asserted),
@@ -398,7 +402,7 @@ def _run_typicality_report(inputs, params, output, cap):
         "trace_exponent": alpha,
     }
     serialize.dump_json(report, output)
-    lines = [",".join(columns)]
+    lines = [",".join(["n", *_TYPICALITY_COLUMNS])]
     for row in rows:
         lines.append(",".join([str(row[0])] + [repr(float(c)) for c in row[1:]]))
     Path(output).with_suffix(".csv").write_text("\n".join(lines) + "\n")
@@ -412,26 +416,20 @@ def _trace_exponent(ns, traces):
         return None
     xs = np.array([n for n, _ in pairs], dtype=float)
     ys = np.array([-math.log2(gap) for _, gap in pairs])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def _run_derandomize(inputs, params, output, cap):
-    n_repeats = params.get("N", 1)
-    if not _is_int(n_repeats) or n_repeats < 1:
-        raise InvalidStateError(f"params.N must be a positive integer, got {n_repeats!r}")
-    budget = "eps_prime" in params or "eps" in params
-    eps_prime = _number(params.get("eps_prime", 0.0), "params.eps_prime")
-    eps = _number(params.get("eps", 0.0), "params.eps")
-    w = _load_channel(inputs, "channel_w")
-    seed_code = serialize.code_from_json(serialize.load_json(_input_path(inputs, "seed_code")))
-    inner = serialize.code_from_json(serialize.load_json(_input_path(inputs, "code")))
+    n_repeats, eps_prime, eps = params["N"], params["eps_prime"], params["eps"]
+    budget = eps_prime is not None or eps is not None
+    eps_prime, eps = (0.0 if x is None else x for x in (eps_prime, eps))
+    seed_code, inner = inputs["seed_code"], inputs["code"]
     if not isinstance(seed_code, codes.TransmissionCode):
         raise InvalidStateError("seed_code must be a transmission code")
     if not isinstance(inner, codes.CommonRandomnessCode):
         raise InvalidStateError("code must be a common-randomness code")
     d = codes.DerandomizedCode(seed_code, inner, n_repeats)
-    error = codes.error_derandomized(d, w, cap)
+    error = codes.error_derandomized(d, inputs["channel_w"], cap)
     report = {
         "kind": "derandomize",
         "N": n_repeats,
@@ -443,15 +441,13 @@ def _run_derandomize(inputs, params, output, cap):
     checks = []
     if budget:
         checks.append(bounds.make_report("error-budget", error, eps_prime + eps * n_repeats))
-    if "channel_v" in inputs:
-        eve = codes.derandomized_channel(d, _load_channel(inputs, "channel_v"), cap)
+    if inputs["channel_v"] is not None:
+        eve = codes.derandomized_channel(d, inputs["channel_v"], cap)
         uniform = np.full(len(eve.alphabet), 1.0 / len(eve.alphabet))
         leakage = channels.holevo(uniform, eve)
         report["leakage"] = leakage
         if checks:
-            checks.append(
-                bounds.make_report("leakage-budget", leakage, eps * n_repeats + eps_prime)
-            )
+            checks.append(bounds.make_report("leakage-budget", leakage, eps * n_repeats + eps_prime))
     if checks:
         report["budget"] = serialize.reports_to_json(checks)
     serialize.dump_json(report, output)
@@ -484,7 +480,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to the experiment spec JSON")
         p.add_argument(
             "--seed", type=int, default=None,
-            help="override params.seed (eval-leakage accepts and ignores seed and restarts)",
+            help="override params.seed (only capacity uses it)",
         )
         p.add_argument("--out", default=None, help="override the spec output path")
         p.add_argument("--cap", type=int, default=None, help="override the dimension cap")
@@ -499,23 +495,20 @@ def main(argv=None) -> int:
         print(f"cqwiretap: cannot read spec: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        if not isinstance(spec, dict):
-            raise InvalidStateError("spec must be a JSON object")
-        if spec.get("kind") != args.kind:
+        spec = _read(_SPEC_KEYS, _object(spec, "spec"), "spec keys", "spec")
+        if spec["kind"] != args.kind:
             raise InvalidStateError(
-                f"spec kind {spec.get('kind')!r} does not match subcommand {args.kind!r}"
+                f"spec kind {spec['kind']!r} does not match subcommand {args.kind!r}"
             )
-        inputs = _spec_dict(spec, "inputs", "spec inputs")
-        params = dict(_spec_dict(spec, "params", "spec params"))
-        unknown = sorted(set(params) - _PARAMS[args.kind] - {"seed"})
-        if unknown:
-            raise InvalidStateError(f"unknown params for {args.kind}: {unknown}")
-        _require(params, _REQUIRED.get(args.kind, set()), f"params for {args.kind}")
-        if args.seed is not None:
-            params["seed"] = args.seed
-        output = args.out or spec.get("output")
-        if not isinstance(output, str) or not output:
+        output = args.out or spec["output"]
+        if output is None:
             raise InvalidStateError("spec needs an output path (or pass --out)")
+        # plain values first, then the input files
+        table, params = _SPECS[args.kind], spec["params"]
+        if args.seed is not None:
+            params = {**params, "seed": args.seed}
+        params = _read(table["params"], params, f"params for {args.kind}", "params")
+        inputs = _read(table["inputs"], spec["inputs"], f"inputs for {args.kind}", "inputs")
         ok, summary = _HANDLERS[args.kind](inputs, params, output, args.cap)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cqwiretap: cannot read a referenced file: {exc}", file=sys.stderr)

@@ -269,6 +269,31 @@ class TestCheckDistribution:
         with pytest.raises(DimensionMismatchError):
             check_distribution(p, size)
 
+    @pytest.mark.parametrize(
+        "p",
+        [["0.5", "0.5"], [True, False], [0.5, True], [0.5, "0.5"], (1, False),
+         np.array([True, False]), np.array(["0.5", "0.5"])],
+        ids=["strings", "bools", "float-and-bool", "float-and-string", "int-and-bool tuple",
+             "bool array", "string array"],
+    )
+    def test_non_number_entries_rejected(self, p):
+        # numpy alone reads [0.5, True] as (0.5, 1.0) and "0.5" as 0.5
+        with pytest.raises(InvalidStateError, match="^m entry must be a number$"):
+            check_distribution(p, 2, "m")
+
+    def test_non_number_entries_rejected_by_library_entries(self):
+        v = CqChannel((0, 1), 2, {0: np.diag([0.8, 0.2]), 1: np.diag([0.2, 0.8])})
+        for p in (["0.5", "0.5"], [True, False]):
+            with pytest.raises(InvalidStateError, match="entry must be a number"):
+                holevo(p, v)
+
+    @pytest.mark.parametrize(
+        "p", [[0, 1], (1, 0), np.array([0.25, 0.75]), np.array([1, 0]), np.array([0.5, 0.5], np.float32)]
+    )
+    def test_numbers_accepted(self, p):
+        q = check_distribution(p, 2)
+        assert q.dtype == float and q.tolist() == [float(x) for x in p]
+
 
 class TestHolevo:
     def test_constant_channel_zero(self):

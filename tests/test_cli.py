@@ -183,6 +183,187 @@ class TestExitCodes:
         assert f"missing params for typicality-report: ['{key}']" in capsys.readouterr().err
 
 
+GOLDEN = GOLDEN_INPUTS.parent
+# subcommand -> the golden case whose spec is the valid base of its tests
+GOLDEN_CASE = {
+    "verify-bri": "verify-bri",
+    "build-code": "build-code",
+    "eval-leakage": "eval-leakage",
+    "bound-chain": "bound-chain-typicality",
+    "capacity": "capacity",
+    "typicality-report": "typicality-report",
+    "derandomize": "derandomize",
+}
+
+
+def golden_spec(ws, kind, edit=lambda spec: None) -> str:
+    """The golden spec of ``kind`` with absolute input paths and the output
+    in ``ws``, passed through ``edit`` and written to ``ws``."""
+    spec = serialize.load_json(GOLDEN / f"{GOLDEN_CASE[kind]}.spec.json")
+    spec["inputs"] = {role: str(GOLDEN / path) for role, path in spec["inputs"].items()}
+    spec["output"] = str(ws.out())
+    edit(spec)
+    return ws.file("spec.json", spec)
+
+
+class TestSpecTable:
+    """Every top-level key, input role and params key is read before a
+    handler runs: unknown ones, present nulls and values of the wrong type
+    exit 3, name the key and write nothing."""
+
+    @pytest.mark.parametrize("where", ["inputs", "spec"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_role_or_top_level_key_exits_3(self, ws, kind, where, capsys):
+        # each once ran the golden case and ignored the key
+        target = (lambda spec: spec["inputs"]) if where == "inputs" else (lambda spec: spec)
+        spec = golden_spec(ws, kind, lambda spec: target(spec).update(bogus="x.json"))
+        assert main([kind, spec]) == 3
+        label = f"inputs for {kind}" if where == "inputs" else "spec keys"
+        assert f"unknown {label}: ['bogus']" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    @staticmethod
+    def rename(obj, old, new):
+        obj[new] = obj.pop(old)
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            # derandomize once reported no leakage
+            ("derandomize", lambda s: TestSpecTable.rename(s["inputs"], "channel_v", "channel_V"),
+             "unknown inputs for derandomize: ['channel_V']"),
+            # build-code once wrote the transmission code, not the modular one
+            ("build-code", lambda s: TestSpecTable.rename(s["inputs"], "bri", "BRI"),
+             "unknown inputs for build-code: ['BRI']"),
+            # derandomize once ran with N = 1 and no budget
+            ("derandomize", lambda s: TestSpecTable.rename(s, "params", "param"),
+             "unknown spec keys: ['param']"),
+        ],
+        ids=["channel_V", "BRI", "param"],
+    )
+    def test_misspelled_key_exits_3(self, ws, kind, edit, message, capsys):
+        assert main([kind, golden_spec(ws, kind, edit)]) == 3
+        assert message in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("verify-bri", "seed", "abc"),
+            ("verify-bri", "seed", True),
+            ("verify-bri", "seed", None),
+            ("verify-bri", "seed", 1.5),
+            ("build-code", "n", "2"),
+            ("build-code", "n", True),
+            ("build-code", "n", None),
+            ("build-code", "n", 2.0),
+            ("build-code", "codewords", "00"),
+            ("build-code", "codewords", True),
+            ("build-code", "codewords", None),
+            ("build-code", "max_error", "0.4"),
+            ("build-code", "max_error", True),
+            ("build-code", "max_error", None),
+            ("build-code", "max_error", math.inf),
+            ("build-code", "max_error", math.nan),
+            ("build-code", "max_error", -0.1),
+            ("eval-leakage", "m_dist", "uniform"),
+            ("eval-leakage", "m_dist", True),
+            ("eval-leakage", "m_dist", None),
+            ("eval-leakage", "m_dist", [0.5, 0.5]),
+            ("eval-leakage", "adversarial", "yes"),
+            ("eval-leakage", "adversarial", None),
+            ("eval-leakage", "restarts", "2"),
+            ("eval-leakage", "restarts", True),
+            ("eval-leakage", "restarts", None),
+            ("eval-leakage", "restarts", 2.0),
+            ("eval-leakage", "restarts", -1),
+            ("bound-chain", "m_dist", "uniform"),
+            ("bound-chain", "m_dist", True),
+            ("bound-chain", "m_dist", None),
+            ("bound-chain", "m_dist", [0.2, 0.3, 0.5]),
+            ("bound-chain", "v_prime", "identity"),
+            ("bound-chain", "v_prime", True),
+            ("bound-chain", "v_prime", None),
+            ("bound-chain", "seed", "1"),
+            ("capacity", "n", "1"),
+            ("capacity", "n", True),
+            ("capacity", "n", None),
+            ("capacity", "n", 1.0),
+            ("capacity", "starts", "4"),
+            ("capacity", "starts", None),
+            ("capacity", "starts", 4.0),
+            ("capacity", "seed", "3"),
+            ("capacity", "seed", True),
+            ("capacity", "seed", None),
+            ("capacity", "seed", 3.0),
+            ("typicality-report", "p", "0.6,0.4"),
+            ("typicality-report", "p", True),
+            ("typicality-report", "p", None),
+            ("typicality-report", "p", [0.5, 0.25, 0.25]),
+            ("typicality-report", "delta", "0.5"),
+            ("typicality-report", "delta", True),
+            ("typicality-report", "delta", None),
+            ("typicality-report", "delta", math.inf),
+            ("typicality-report", "ns", "2"),
+            ("typicality-report", "ns", True),
+            ("typicality-report", "ns", None),
+            ("typicality-report", "ns", [2.0, 4]),
+            ("typicality-report", "ns", []),
+            ("typicality-report", "ns", [2, 2]),
+            ("derandomize", "N", "2"),
+            ("derandomize", "N", True),
+            ("derandomize", "N", None),
+            ("derandomize", "N", 2.0),
+            ("derandomize", "eps", "0.5"),
+            ("derandomize", "eps", True),
+            ("derandomize", "eps", None),
+            ("derandomize", "eps", math.inf),
+            ("derandomize", "eps", -0.5),
+            ("derandomize", "eps_prime", "0.5"),
+            ("derandomize", "eps_prime", None),
+            ("derandomize", "eps_prime", math.nan),
+            ("derandomize", "eps_prime", -0.25),
+        ],
+    )
+    def test_malformed_param_exits_3(self, ws, kind, key, value, capsys):
+        spec = golden_spec(ws, kind, lambda spec: spec["params"].update({key: value}))
+        assert main([kind, spec]) == 3
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p", "0.6,0.4"), ("p", None), ("p", [0.5, 0.25, 0.25]),
+         ("n", "2"), ("n", True), ("n", None), ("n", 2.0),
+         ("delta", "0.5"), ("delta", None), ("delta", math.inf)],
+    )
+    def test_malformed_v_prime_key_exits_3(self, ws, key, value, capsys):
+        spec = golden_spec(ws, "bound-chain", lambda spec: spec["params"]["v_prime"].update({key: value}))
+        assert main(["bound-chain", spec]) == 3
+        assert f"params.v_prime.{key}" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    @pytest.mark.parametrize("factor", [None, math.inf, math.nan])
+    def test_malformed_scale_factor_exits_3(self, ws, factor, capsys):
+        v_prime = {"mode": "scale", "factor": factor}
+        spec = golden_spec(ws, "bound-chain", lambda spec: spec["params"].update(v_prime=v_prime))
+        assert main(["bound-chain", spec]) == 3
+        assert "params.v_prime.factor" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    def test_null_input_role_exits_3(self, ws, capsys):
+        # build-code with "bri": null once ran as if the role were absent
+        spec = golden_spec(ws, "build-code", lambda spec: spec["inputs"].update(bri=None))
+        assert main(["build-code", spec]) == 3
+        assert "inputs.bri" in capsys.readouterr().err
+        assert not ws.out().exists()
+
+    def test_restarts_accepted_and_ignored(self, ws):
+        spec = golden_spec(ws, "eval-leakage", lambda spec: spec["params"].update(restarts=1))
+        assert main(["eval-leakage", spec]) == 0
+        assert ws.out().read_bytes() == (GOLDEN / "eval-leakage.expected.json").read_bytes()
+
+
 class TestVerifyBri:
     def test_bundled_section(self, ws):
         spec = ws.spec("verify-bri", {"bri": str(serialize.bundled("section_6x8.json"))}, {})
