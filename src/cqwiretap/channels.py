@@ -614,10 +614,26 @@ def _screened_chi(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndar
     return op._entropy_core(w) - (ent * p).sum(axis=-1)
 
 
-# a row of the capacity ascent stops after this many rejected trials in a
-# row, or once its step falls below _STEP_FLOOR
+# a row of the capacity ascent stops once its first-order residual (see
+# _kkt_residual) is at most _KKT_TOL bits; failing that, after
+# _STALL_LIMIT rejected trials in a row, or once its step falls below
+# _STEP_FLOOR
+_KKT_TOL = 1e-6
 _STALL_LIMIT = 41
 _STEP_FLOOR = 1e-13
+
+
+def _kkt_residual(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """First-order residual of each row of p on the simplex, in bits.
+
+    ``max_x g_x - min_{x : p_x > 0} g_x``: 0 exactly at a KKT point of the
+    simplex, where g is level on the support and no higher off it (at a
+    vertex: where its own entry is the largest), and the same for g shifted
+    by any multiple of the all-ones vector.  Where the objective is concave
+    it bounds the gap to the maximum: f* - f(p) <= max g - <p, g> <= the
+    residual.
+    """
+    return g.max(axis=-1) - np.where(p > 0, g, np.inf).min(axis=-1)
 
 
 def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
@@ -625,9 +641,13 @@ def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
 
     A trial at step t is the simplex projection of ``p + t g``.  It is
     accepted when it raises the objective by more than 1e-15; the step then
-    grows by 1.2, and otherwise it halves.  A row starts at step 0.25 and
-    stops after ``_STALL_LIMIT`` rejections in a row or once its step falls
-    below ``_STEP_FLOOR``; ``max_iters`` bounds the trials each row takes.
+    grows by 1.2, and otherwise it halves.  A row starts at step 0.25.  It
+    stops once the :func:`_kkt_residual` of the gradient at its point is at
+    most ``_KKT_TOL``, checked before its first trial and each time it
+    moves, so a row that starts at a KKT point takes no trial.  Failing
+    that, it stops after ``_STALL_LIMIT`` rejections in a row or once its
+    step falls below ``_STEP_FLOOR``.  ``max_iters`` bounds the trials each
+    row takes.
 
     A rejected trial leaves the row's point, gradient and value as they
     were, so the trials after it are known in advance: the same direction
@@ -635,14 +655,14 @@ def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
     tries its next ``max(s, 1)`` halvings as one batch, cut where the stall
     rule, the step floor (compared on the exact halved steps) or the row's
     remaining trials would end it, and takes its first accepted trial.  A
-    closing run of 41 rejections so takes 7 rounds (1, 1, 2, 4, 8, 16 and 9
-    trials).  Each round is one :func:`_project_simplex` and one
-    ``objectives`` call over the trials of every live row, and one
-    ``gradients`` call over the rows that moved in the round before.  The
-    trials after a row's first accepted one are discarded, and the trials
-    it takes, ``max_iters`` among them, are those of an ascent of its own,
-    bit for bit.  Returns the final rows, their values and whether each one
-    stopped.
+    closing run of 41 rejections, where the residual never reaches the
+    tolerance, so takes 7 rounds (1, 1, 2, 4, 8, 16 and 9 trials).  Each
+    round is one :func:`_project_simplex` and one ``objectives`` call over
+    the trials of every live row, and one ``gradients`` call over the rows
+    that moved in the round before.  The trials after a row's first
+    accepted one are discarded, and the trials it takes, ``max_iters`` among
+    them, are those of an ascent of its own, bit for bit.  Returns the final
+    rows, their values and whether each one stopped.
     """
     rows = len(p)
     val = objectives(p)
@@ -652,15 +672,15 @@ def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
     stopped = np.zeros(rows, dtype=bool)
     # a row keeps its gradient until it moves
     grad = np.empty_like(p)
-    stale = np.ones(rows, dtype=bool)
+    moved = np.arange(rows)
     while True:
+        moved = moved[spent[moved] < max_iters]
+        if moved.size:
+            grad[moved] = gradients(p[moved])
+            stopped[moved] = _kkt_residual(p[moved], grad[moved]) <= _KKT_TOL
         live = np.flatnonzero(~stopped & (spent < max_iters))
         if not live.size:
             return p, val, stopped
-        moved = live[stale[live]]
-        if moved.size:
-            grad[moved] = gradients(p[moved])
-            stale[moved] = False
         size = np.minimum(np.maximum(stall[live], 1), _STALL_LIMIT - stall[live])
         size = np.minimum(size, max_iters - spent[live])
         # halving is exact, so these are the sequential ascent's steps
@@ -679,8 +699,8 @@ def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
         stall[live] = np.where(took, 0, stall[live] + size)
         spent[live] += taken
         pick = (np.cumsum(size) - size + taken - 1)[took]
-        p[live[took]], val[live[took]] = trial[pick], trial_val[pick]
-        stale[live[took]] = True
+        moved = live[took]
+        p[moved], val[moved] = trial[pick], trial_val[pick]
         stopped[live] = ~took & ((step[live] < _STEP_FLOOR) | (stall[live] >= _STALL_LIMIT))
 
 
@@ -702,15 +722,21 @@ def capacity_single_letter(
     simplex projection removes.
 
     All starts ascend together as one ``(N, k)`` batch, each row with its
-    own step length, stall count and budget of ``max_iters`` trials.  A
-    round tries a run of halved steps for each live row, so it is one
-    ``eigvalsh`` per channel over every live row's trials and at most one
-    ``eigh`` per channel over the rows that moved on the round before; a
-    row keeps its gradient while its trials are rejected.  Each row takes
-    the same trials, and follows the same iterates, as an ascent of its
-    own.  The result is the best start's value, ties to the lowest restart
-    index, unless the grid row's ascent or the grid point itself is better
-    (the ascent when it is at least the grid value).  The output states are
+    own step length, stall count and budget of ``max_iters`` trials.  A row
+    stops once the spread of its gradient, from the largest entry down to
+    the smallest on its support, is at most ``_KKT_TOL``; the stall rule
+    and step floor of :func:`_ascend` end the rows that never get there.
+    The spread ignores the multiple of the all-ones vector, is 0 exactly at
+    a KKT point of the simplex and, where the objective is concave (V a
+    degraded W), bounds the row's gap to the maximum.  A round tries a run
+    of halved steps for each live row, so it is one ``eigvalsh`` per
+    channel over every live row's trials and at most one ``eigh`` per
+    channel over the rows that moved on the round before; a row keeps its
+    gradient while its trials are rejected.  Each row takes the same
+    trials, and follows the same iterates, as an ascent of its own.  The
+    result is the best start's value, ties to the lowest restart index,
+    unless the grid row's ascent or the grid point itself is better (the
+    ascent when it is at least the grid value).  The output states are
     validated once here, and the grid, evaluated in chunks before the
     ascent, draws no random numbers.  When ``w is v`` holds numerically the
     two chi evaluations cancel to exactly 0.0 at every point.  A search

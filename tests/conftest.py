@@ -599,12 +599,14 @@ def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
 
     Each of the uniform start, the ``starts`` Dirichlet starts and the grid
     point (k <= 3) ascends alone, with its own one-dimensional simplex
-    projection and gradient clean-up.  The grid point is the first exact
-    maximum over every point of :func:`simplex_grid`, with no screen.  The
-    reduction is by best value with ties to the lowest restart index, then
-    the grid rule.  It repeats the eigensolves of every start and of every
-    grid point, so it only serves to check the lockstep batch and the
-    screened grid of :func:`cqwiretap.channels.capacity_single_letter`.
+    projection and gradient clean-up, and stops before a trial once
+    ``max g - min_{p_x > 0} g_x`` is at most ``channels._KKT_TOL``.  The
+    grid point is the first exact maximum over every point of
+    :func:`simplex_grid`, with no screen.  The reduction is by best value
+    with ties to the lowest restart index, then the grid rule.  It repeats
+    the eigensolves of every start and of every grid point, so it only
+    serves to check the lockstep batch and the screened grid of
+    :func:`cqwiretap.channels.capacity_single_letter`.
     """
     rng = rng or channels._default_rng()
     k = len(w.alphabet)
@@ -635,7 +637,10 @@ def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
         val = float(objective(p))
         step, stall = 0.25, 0
         for _ in range(max_iters):
-            trial = project(p + step * gradient(p))
+            g = gradient(p)
+            if g.max() - g[p > 0].min() <= channels._KKT_TOL:
+                return p, val, True
+            trial = project(p + step * g)
             trial_val = float(objective(trial))
             if trial_val > val + 1e-15:
                 p, val, step, stall = trial, trial_val, step * 1.2, 0

@@ -693,6 +693,14 @@ def both_searches(w, v, seed=3, **kw):
     return batch
 
 
+@pytest.fixture
+def stall_only(monkeypatch):
+    """Switch off the residual stop of the capacity ascent, in the search
+    and in the sequential oracle, so every row ends by the stall rule, the
+    step floor or its budget."""
+    monkeypatch.setattr(channels, "_KKT_TOL", -np.inf)
+
+
 # one round of a row of the capacity ascent: the trials it tried, those it
 # took (up to and including the first accepted one) and whether one was
 # accepted
@@ -751,6 +759,7 @@ class TestCapacityParity:
         if name == "w-equals-v":
             assert batch.value == 0.0
 
+    @pytest.mark.usefixtures("stall_only")
     @pytest.mark.parametrize("max_iters", [3, 45])
     def test_rows_stopping_at_different_steps(self, monkeypatch, max_iters):
         # max_iters is each row's budget of trials; at 3 no row can stop, at
@@ -810,10 +819,12 @@ def closing_run(rounds):
     return rounds[last + 1 :]
 
 
+@pytest.mark.usefixtures("stall_only")
 class TestCapacityLadder:
     """A row rejected s times in a row tries its next max(s, 1) halved
     steps as one batch; the iterates and budgets are the sequential
-    ascent's."""
+    ascent's.  The residual stop is off, so the closing runs are those of
+    the stall rule."""
 
     @pytest.mark.parametrize("name", sorted(LADDER_PAIRS))
     def test_row_trials_at_most_twice_the_oracle(self, monkeypatch, name):
@@ -860,6 +871,99 @@ class TestCapacityLadder:
         assert np.array_equal(cut.argmax, full.argmax)
         assert not cut_rows[r].stopped
         assert cut_rows[r].rounds == rounds[: len(rounds) - 4] + [Round(2, 2, False)]
+
+
+# rounds and trial rows of the capacity ascent of each pair at seed 3 (the
+# stall rule alone takes 738-1065 trial rows on each)
+CAPACITY_COUNTS = {
+    "golden-qutrit-clock": (17, 261),
+    "k4-no-grid": (18, 199),
+    "k5-no-grid": (22, 281),
+    "qubit-k2": (16, 161),
+    "qubit-k3": (10, 97),
+    # the infinite gradient entries at its simplex vertex keep the residual
+    # large, so its rows still end by the stall rule
+    "rank-deficient": (25, 908),
+    "rank-deficient-k4": (24, 250),
+    "unequal-dims": (31, 273),
+    "w-equals-v": (0, 0),
+}
+
+
+def count_trials(monkeypatch) -> list:
+    """Record the trial rows of each round of the capacity ascent (one
+    ``channels._project_simplex`` call per round) from here on."""
+    rounds = []
+    real = channels._project_simplex
+    monkeypatch.setattr(channels, "_project_simplex", lambda y: rounds.append(len(y)) or real(y))
+    return rounds
+
+
+class TestCapacityResidualStop:
+    """A row of the capacity ascent stops once max g - min_{p_x > 0} g_x is
+    at most ``_KKT_TOL``, before its first trial and each time it moves."""
+
+    def test_residual_reads_the_support(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
+        g = np.array([[1.0, 1.0, 0.5], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0], [1.0, 3.0, 2.0]])
+        # 0 on a flat support with lower entries off it and at a vertex
+        # whose entry is the largest, whatever multiple of ones g carries
+        assert np.array_equal(channels._kkt_residual(p, g), [0.0, 0.0, 1.0, 2.0])
+        assert np.array_equal(channels._kkt_residual(p, g - 5.0), [0.0, 0.0, 1.0, 2.0])
+        assert channels._KKT_TOL == 1e-6
+
+    def test_kkt_start_takes_no_trial(self, monkeypatch):
+        # the golden pair's uniform start is a KKT point: one gradient, no
+        # trial, and the search returns the uniform distribution bit for bit
+        seen = {}
+        real = channels._ascend
+
+        def spy(p, objectives, gradients, max_iters):
+            seen.update(objectives=objectives, gradients=gradients)
+            return real(p, objectives, gradients, max_iters)
+
+        monkeypatch.setattr(channels, "_ascend", spy)
+        res = both_searches(*CAPACITY_PAIRS["golden-qutrit-clock"](), starts=4)
+        uniform = np.full(3, 1.0 / 3)
+        assert res.converged and np.array_equal(res.argmax, uniform)
+        gradients, trials = [], count_trials(monkeypatch)
+        p, _, stopped = real(
+            uniform[None].copy(),
+            seen["objectives"],
+            lambda p: gradients.append(len(p)) or seen["gradients"](p),
+            400,
+        )
+        assert gradients == [1] and trials == [] and stopped[0]
+        assert np.array_equal(p[0], uniform)
+
+    def test_single_input_takes_no_trial(self, monkeypatch):
+        # with the stall rule alone each of the 18 rows took 41 trials
+        trials = count_trials(monkeypatch)
+        res = both_searches(*random_pair(79, 1))
+        assert trials == [] and res.converged and abs(res.value) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(CAPACITY_PAIRS))
+    def test_rounds_and_trials(self, monkeypatch, name):
+        trials = count_trials(monkeypatch)
+        res = capacity_single_letter(*CAPACITY_PAIRS[name](), rng=rng(3))
+        assert res.converged
+        assert (len(trials), sum(trials)) == CAPACITY_COUNTS[name]
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (3, 2), (2, 3)], ids=["qubit-qubit", "qutrit-qubit", "qubit-qutrit"]
+    )
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_sweep_against_the_stall_rule(self, monkeypatch, k, dims):
+        # 48 pairs in all: the residual stop moves no value by more than
+        # 1e-11 bits (7e-14 measured) and changes no converged flag
+        for seed in range(4):
+            w, v = random_pair(500 + 10 * k + seed, k, *dims)
+            fast = capacity_single_letter(w, v, rng=rng(seed))
+            with monkeypatch.context() as m:
+                m.setattr(channels, "_KKT_TOL", -np.inf)
+                slow = capacity_single_letter(w, v, rng=rng(seed))
+            assert fast.converged == slow.converged
+            assert abs(fast.value - slow.value) <= 1e-11
 
 
 def mixed_pair(k: int, kind: str, seed: int):
@@ -1058,8 +1162,12 @@ class TestOptimizerInputs:
         # the two channels are evaluated at the same points
         per_channel = len(rows) // 2
         assert len(set(rows)) == per_channel
-        # far fewer gradient rows than live rows stepped
-        assert 18 <= per_channel < sum(steps) / 2
+        # one gradient row per start and at most one per accepted trial;
+        # with the residual stop the rows end without their closing runs of
+        # rejections, so the trials are about as many as the gradient rows
+        # (256 and 254 here, 1043 and 291 with the stall rule alone)
+        assert 18 <= per_channel <= 18 + sum(steps)
+        assert sum(steps) < 2 * per_channel
 
     def test_unconverged_searches_warn(self):
         g = rng(54)
@@ -1239,7 +1347,50 @@ class TestAdversarialStall:
         assert abs(res.value - leakage_cr(res.argmax, {0: code}, v)) <= 1e-12
 
 
+def binary_entropy(q: float) -> float:
+    return -q * np.log2(q) - (1 - q) * np.log2(1 - q)
+
+
+def amplitude_damping(gamma: float):
+    """(W, V) of U|0> = |00>, U|1> = sqrt(1 - gamma)|10> + sqrt(gamma)|01>
+    (receiver first), with the pure basis states as inputs."""
+    u = np.zeros((4, 2), dtype=complex)
+    u[0, 0] = 1.0
+    u[2, 1] = np.sqrt(1 - gamma)
+    u[1, 1] = np.sqrt(gamma)
+    return complementary_pair(u, 2, 2, classical_channel_det(2))
+
+
+def damping_rate(gamma: float) -> float:
+    """max_p h((1 - gamma) p) - h(gamma p) for gamma < 1/2, by bisection on
+    the derivative, which falls from +inf at p = 0 to -log2((1 - gamma) / gamma)
+    at p = 1 (the objective is concave: the pair is degradable)."""
+
+    def slope(p):
+        a, b = (1 - gamma) * p, gamma * p
+        return (1 - gamma) * np.log2((1 - a) / a) - gamma * np.log2((1 - b) / b)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    p = (lo + hi) / 2
+    return binary_entropy((1 - gamma) * p) - binary_entropy(gamma * p)
+
+
 class TestComplementaryPair:
+    @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.4])
+    def test_amplitude_damping_matches_the_closed_form(self, gamma):
+        # chi(P;W) - chi(P;V) = h((1 - gamma) p) - h(gamma p) with p = P(1)
+        res = capacity_single_letter(*amplitude_damping(gamma), rng=rng(3))
+        assert res.converged
+        assert abs(res.value - damping_rate(gamma)) <= 1e-12
+
+    def test_amplitude_damping_at_one_half_is_zero(self):
+        # W = V: receiver and environment each keep half of |1>
+        res = capacity_single_letter(*amplitude_damping(0.5), rng=rng(3))
+        assert res.converged and res.value == 0.0
+
     def test_copy_isometry_classical(self):
         # |x> -> |x>|x>
         u = np.zeros((4, 2), dtype=complex)
