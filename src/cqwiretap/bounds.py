@@ -33,7 +33,11 @@ replaces the logarithm by the chord bound log2(1 + u) <= u / ln 2 before
 the deficit enters.
 
 A subnormalized channel V' is a :class:`~cqwiretap.channels.CqChannel`
-whose ``epsilon`` is its measured trace deficit.
+whose ``epsilon`` is its measured trace deficit.  When V' lies in the range
+of an isometry A (typicality mode, V'(x) = A K_x A*), the chain takes the
+R x R cores K_x with A: every V' quantity it reads is invariant under A, so
+no operator of V' is decomposed at V's dimension, and only the ordering
+check forms A K_x A*.
 """
 
 import math
@@ -78,14 +82,47 @@ def make_report(name: str, lhs, rhs) -> BoundReport:
     return BoundReport(name, lhs, rhs, slack, slack >= -TOL_BOUND)
 
 
-def check_psd_ordering(v_prime, v) -> float:
+def check_psd_ordering(v_prime, v, iso=None) -> float:
     """Assert V'(x) <= V(x) in PSD order for every shared symbol.
 
-    Returns the most negative eigenvalue seen across the differences
-    (0.0 when the ordering is exact); raises :class:`PsdOrderingError`
-    when it drops below -``ORDERING_TOL``.
+    With ``iso`` the d x R isometry A, V' carries R x R outputs K_x on
+    the range of A and the ordering checked is A K_x A* <= V(x), each
+    A K_x A* formed as the scan reaches it.  Returns the most negative
+    eigenvalue seen across the differences (0.0 when the ordering is
+    exact); raises :class:`PsdOrderingError` when it drops below
+    -``ORDERING_TOL``.
     """
-    return _ordering_scan((x, v.output(x), v_prime.output(x)) for x in v_prime.alphabet)
+    iso = _check_embedding(v_prime, v, iso)
+    if iso is None:
+        triples = ((x, v.output(x), v_prime.output(x)) for x in v_prime.alphabet)
+    else:
+        triples = ((x, v.output(x), _sandwich(iso, v_prime.output(x))) for x in v_prime.alphabet)
+    return _ordering_scan(triples)
+
+
+def _check_embedding(v_prime, v, iso):
+    """V' has V's dimension, or ``iso`` is a (v.dim, v_prime.dim)
+    isometry: A*A = I within 1e-10, the rule of
+    :func:`~cqwiretap.channels.complementary_pair`."""
+    if iso is None:
+        if v_prime.dim != v.dim:
+            raise DimensionMismatchError(f"V' has dimension {v_prime.dim}, V has {v.dim}")
+        return None
+    iso = np.asarray(iso)
+    if iso.shape != (v.dim, v_prime.dim):
+        raise DimensionMismatchError(
+            f"iso has shape {iso.shape}, expected ({v.dim}, {v_prime.dim})"
+        )
+    dev = np.abs(iso.conj().T @ iso - np.eye(v_prime.dim)).max(initial=0.0)
+    if dev > 1e-10:
+        raise InvalidStateError(f"iso is not an isometry: A*A deviates from identity by {dev:.3e}")
+    return iso
+
+
+def _sandwich(iso, k):
+    """The compressed output A K A*, symmetrized."""
+    out = iso @ k @ iso.conj().T
+    return (out + out.conj().T) / 2.0
 
 
 def _ordering_scan(triples) -> float:
@@ -153,9 +190,11 @@ class _Table:
     @cached_property
     def spectral(self):
         """The largest output operator norm, from one ``eigvalsh`` over the
-        outputs, and the support rank of sigma, from its ``eigh``."""
+        outputs (0 for outputs of dimension 0, a V' on an empty typical
+        subspace), and the support rank of sigma, from its ``eigh``."""
         w = np.linalg.eigvalsh(op.check_hermitian(self.outputs))
-        return float(np.abs(w).max()), int(op._support_mask(self.sigma_eigh[0]).sum())
+        rank = int(op._support_mask(self.sigma_eigh[0]).sum())
+        return float(np.abs(w).max(initial=0.0)), rank
 
     def leakage(self, p) -> float:
         """chi(M; S, V o f_S^{-1}) = (1/|S|) sum_s chi(M; V o f_s^{-1}) for a
@@ -211,7 +250,7 @@ def _leakage_total(tp, leak) -> BoundReport:
     return make_report("leakage-total", leak, rhs)
 
 
-def certify_chain(f, v, v_prime, m_dist) -> list:
+def certify_chain(f, v, v_prime, m_dist, iso=None) -> list:
     """All five chain reports in derivation order (see the module
     docstring).  The right sides: the divergence-vs-subnormalized charge is
     eps log2(|X| / d_S) and the divergence-vs-renyi2 one eps;
@@ -225,10 +264,18 @@ def certify_chain(f, v, v_prime, m_dist) -> list:
     for all steps that need it, and every report is read off one table
     per channel (one in all when ``v_prime is v``), so the eigensolves do
     not grow with |M| or |S|.
+
+    ``iso``, when given, is a (v.dim, v_prime.dim) isometry A, and V' is
+    the channel x -> A K_x A* whose R x R cores K_x are ``v_prime``'s
+    outputs (``R = v_prime.dim``).  Every V' quantity the chain reads (the
+    divergences, tr(r^2 sigma'^+), the rank of sigma', the output norms
+    and epsilon) is unchanged under A, so the table of V' is built at
+    rank R; only the ordering check forms A K_x A*, one symbol at a time,
+    against V(x).  Without ``iso``, V and V' share one dimension.
     """
     _require(f, v, v_prime)
     p = check_distribution(m_dist, len(f.regularity_set), "message distribution")
-    check_psd_ordering(v_prime, v)
+    check_psd_ordering(v_prime, v, iso)
     tv = _Table(f, v)
     tp = tv if v_prime is v else _Table(f, v_prime)
     leak = tv.leakage(p)

@@ -322,23 +322,24 @@ def _run_eval_leakage(inputs, params, output, cap):
 
 
 def _chain_pair(v, v_prime, cap):
-    """The (V, V') pair of the chain for the spec's ``v_prime`` mode."""
+    """The (V, V', A) of the chain for the spec's ``v_prime`` mode: A is
+    the isometry V' is read through in typicality mode, None otherwise."""
     name, mode = v_prime
     if name == "identity":
-        return v, v
+        return v, v, None
     if name == "scale":
-        return v, v.scaled(mode["factor"])
+        return v, v.scaled(mode["factor"]), None
     p = channels.check_distribution(mode["p"], len(v.alphabet), "params.v_prime.p")
     return typicality.reindexed_pair(v, p, mode["n"], mode["delta"], cap)
 
 
 def _run_bound_chain(inputs, params, output, cap):
     f = inputs["bri"]
-    base, v_prime = _chain_pair(inputs["channel"], params["v_prime"], cap)
+    base, v_prime, iso = _chain_pair(inputs["channel"], params["v_prime"], cap)
     k = len(f.regularity_set)
     m_dist = np.full(k, 1.0 / k) if params["m_dist"] is None else params["m_dist"]
     m_dist = channels.check_distribution(m_dist, k, "params.m_dist")
-    reports = bounds.certify_chain(f, base, v_prime, m_dist)
+    reports = bounds.certify_chain(f, base, v_prime, m_dist, iso)
     _write_reports(reports, output)
     ok = all(r.holds for r in reports)
     return ok, f"{sum(r.holds for r in reports)}/{len(reports)} reports hold"

@@ -25,8 +25,10 @@ conditional projector and the typical projector of the average state.  The
 result is dominated by the product channel whenever the two projector
 families are compatible; this is measured on every output and a violation
 raises rather than returning a channel that would poison later bounds.
-``reindexed_pair`` gives the (V, V') pair the leakage chain takes in
-typicality mode, and ``typicality_reports`` every report of a
+``reindexed_pair`` gives the (V, V', A) the leakage chain takes in
+typicality mode, V' as its R x R cores on the range of the isometry A (no
+d^n output of V' is formed; the chain's ordering check forms each A K A*),
+and ``typicality_reports`` every report of a
 ``typicality-report`` run, the spectral factor bounds of the compressed
 channel among them.
 
@@ -70,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from . import operators as op
-from .bounds import ORDERING_TOL, _ordering_scan, make_report
+from .bounds import ORDERING_TOL, _ordering_scan, _sandwich, make_report
 from .channels import CqChannel, _checked_outputs, _mixtures, _validated_stack
 from .channels import check_distribution, tensor_power
 from .config import STRING_CAP, check_dim
@@ -713,12 +715,6 @@ def _ordering_screen(block):
     return certified
 
 
-def _sandwich(iso, k):
-    """The compressed output A K A* at dimension d^n, symmetrized."""
-    out = iso @ k @ iso.conj().T
-    return (out + out.conj().T) / 2.0
-
-
 def _compress(block):
     """The R x R core K of every type class of ``block`` (of its first
     member, keyed as ``block.classes``) and the largest eigenvalue of its
@@ -944,31 +940,36 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
 
 
 def reindexed_pair(v, p, n, delta, cap=None):
-    """The leakage chain's (V, V') pair in typicality mode.
+    """The leakage chain's (V, V', A) in typicality mode.
 
-    V' is :func:`subnormalized_channel` and V the n-letter product channel
-    on the same typical strings.  Both are re-indexed 0..|T|-1 in string
-    order, so a function with |X| = |T| inputs applies.  Every product
-    output is built once here, for the chain; :func:`_compress` builds and
-    decomposes only the first member of each class the ordering screen
-    cannot certify, and the chain's own
-    :func:`~cqwiretap.bounds.check_psd_ordering` is then the dense ordering
-    check of the pair over all members.  ``cap`` bounds the dimension d^n.
+    V is the n-letter product channel on the typical strings and A the
+    d^n x R isometry onto the typical subspace of the average state.  V'
+    is :func:`subnormalized_channel` on the range of A: its outputs are
+    the R x R cores K_x, so A K_x A* is the compressed output, and no d^n
+    output of V' is built.  Both channels are re-indexed 0..|T|-1 in
+    string order, so a function with |X| = |T| inputs applies, and
+    :func:`~cqwiretap.bounds.certify_chain` takes the three together.
+    Every product output is built once here, for the chain;
+    :func:`_compress` builds and decomposes only the first member of each
+    class the ordering screen cannot certify, and the chain's own
+    :func:`~cqwiretap.bounds.check_psd_ordering` is then the dense
+    ordering check of the pair over all members.  ``cap`` bounds the
+    dimension d^n.
     """
     block = _block(v, p, n, delta, cap)
     cores, _ = _compress(block)
     index = range(len(block.members))
-    dim = block.iso.shape[0]
+    iso = block.iso
     vn = tensor_power(v, n, cap)
     # neither is validated again: Kronecker products of validated densities
-    # are exactly Hermitian, and _compress validated the R x R core K of
-    # every output A K A* of V', which _sandwich symmetrizes
-    base = CqChannel(index, dim, {i: vn.output(t) for i, t in enumerate(block.members)},
+    # are exactly Hermitian, and _compress validated and symmetrized every
+    # core K, whose permutations are the member cores
+    base = CqChannel(index, iso.shape[0], {i: vn.output(t) for i, t in enumerate(block.members)},
                      validate=False)
-    prime = CqChannel(index, dim, {i: _sandwich(block.iso, k)
-                                   for i, (_, k) in enumerate(_member_cores(block, cores))},
+    prime = CqChannel(index, iso.shape[1],
+                      dict(enumerate(k for _, k in _member_cores(block, cores))),
                       validate=False)
-    return base, prime
+    return base, prime, iso
 
 
 def typicality_reports(v, p, delta, ns, cap=None):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 
-from cqwiretap import bri, channels, typicality
+from cqwiretap import bounds, bri, channels, typicality
 from cqwiretap import operators as op
 from cqwiretap.channels import ClassicalChannel, CqChannel, _mixtures, tensor_power
 from cqwiretap.codes import (
@@ -576,7 +576,7 @@ def member_ordering_minima(v, p, n, delta):
         cores, _ = typicality._compress(block)
     vn = tensor_power(v, n)
     return {
-        y: float(np.linalg.eigvalsh(vn.output(y) - typicality._sandwich(block.iso, k))[0])
+        y: float(np.linalg.eigvalsh(vn.output(y) - bounds._sandwich(block.iso, k))[0])
         for y, k in typicality._member_cores(block, cores)
     }
 

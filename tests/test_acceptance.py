@@ -73,7 +73,8 @@ def random_encoder(g, messages, symbols) -> ClassicalChannel:
 
 
 def reindexed_typical(v, p, n, delta):
-    """Dominating base and subnormalized channel over integer indices."""
+    """Dominating base, subnormalized channel on the typical subspace of the
+    average state and its isometry, over integer indices."""
     return typicality.reindexed_pair(v, np.asarray(p, dtype=float), n, delta)
 
 
@@ -184,20 +185,20 @@ def test_criterion_04_bound_chain_certification(corpus):
                 pytest.fail("no channel with enough divergence structure in 50 draws")
             scale = 1.0 if mode == 0 else float(g.uniform(0.9, 0.98))
             v_prime = v.scaled(scale)
-            base = v
+            base, iso = v, None
         else:
             if (i // 3) % 2 == 0:
                 heavy = float(g.uniform(0.8, 0.9))
                 f = corpus["exhaustive-4x4"]
-                base, v_prime = reindexed_typical(flip_channel(heavy), (0.75, 0.25), 4, 0.4)
+                base, v_prime, iso = reindexed_typical(flip_channel(heavy), (0.75, 0.25), 4, 0.4)
             else:
                 heavy = float(g.uniform(0.7, 0.9))
                 f = corpus["exhaustive-6x6"]
-                base, v_prime = reindexed_typical(
+                base, v_prime, iso = reindexed_typical(
                     clock_channel(heavy), (1 / 3, 1 / 3, 1 / 3), 2, 1.0
                 )
         m_dist = random_probability(g, len(f.regularity_set))
-        for rep in bounds.certify_chain(f, base, v_prime, m_dist):
+        for rep in bounds.certify_chain(f, base, v_prime, m_dist, iso):
             min_slack = min(min_slack, rep.slack)
             count += 1
     elapsed = time.perf_counter() - start

@@ -23,7 +23,7 @@ from conftest import (
 from cqwiretap import bounds, bri, channels, codes, serialize, typicality
 from cqwiretap import operators as op
 from cqwiretap.channels import ClassicalChannel, CqChannel, tensor_power
-from cqwiretap.errors import InvalidStateError, PsdOrderingError
+from cqwiretap.errors import DimensionMismatchError, InvalidStateError, PsdOrderingError
 
 # largest entry gap between a mixture of densities formed with weights
 # 1/|D| and the same mixture summed and then divided by |D|
@@ -504,13 +504,13 @@ class TestTotalAndChain:
         # typicality-mode pair of the flip channel under the XOR table: the
         # per-message step and the closing report share one check
         flip = CqChannel((0, 1), 2, {0: np.diag([0.8, 0.2]), 1: np.diag([0.2, 0.8])})
-        base, prime = typicality.reindexed_pair(flip, (0.6, 0.4), 2, 0.5)
+        base, prime, iso = typicality.reindexed_pair(flip, (0.6, 0.4), 2, 0.5)
         calls = []
         real = bounds.check_psd_ordering
         monkeypatch.setattr(
             bounds, "check_psd_ordering", lambda *a: calls.append(a) or real(*a)
         )
-        reports = bounds.certify_chain(shift_bri(2), base, prime, [0.5, 0.5])
+        reports = bounds.certify_chain(shift_bri(2), base, prime, [0.5, 0.5], iso)
         assert len(calls) == 1
         assert all(r.holds for r in reports)
 
@@ -538,34 +538,34 @@ class TestChainTable:
     taken per seed, and the eigensolves do not grow with |M| or |S|."""
 
     def pairs(self):
-        # (function, V, V', message distribution)
+        # (function, V, V', message distribution, isometry or None)
         g = rng(55)
         f = section_6x8()
         v = qubit_channel(g, 8)
         k = len(f.regularity_set)
         out = [
-            (f, v, v, random_probability(g, k)),
-            (f, v, v.scaled(0.9), random_probability(g, k)),
+            (f, v, v, random_probability(g, k), None),
+            (f, v, v.scaled(0.9), random_probability(g, k), None),
         ]
-        base, prime = typicality.reindexed_pair(FLIP, (0.6, 0.4), 2, 0.5)
-        out.append((shift_bri(2), base, prime, [0.3, 0.7]))
+        base, prime, iso = typicality.reindexed_pair(FLIP, (0.6, 0.4), 2, 0.5)
+        out.append((shift_bri(2), base, prime, [0.3, 0.7], iso))
         # rank-one outputs in a qutrit: every preimage mixture is rank deficient
         pure = CqChannel(range(4), 3, {x: random_density(g, 3, rank=1) for x in range(4)})
-        out.append((shift_bri(4), pure, pure.scaled(0.9), random_probability(g, 4)))
+        out.append((shift_bri(4), pure, pure.scaled(0.9), random_probability(g, 4), None))
         return out
 
     def test_per_seed_leakage_matches_the_embedded_oracle(self):
-        for f, v, vp, m_dist in self.pairs():
+        for f, v, vp, m_dist, iso in self.pairs():
             want = seed_embedded_leakage(f, v, m_dist)
-            reports = bounds.certify_chain(f, v, vp, m_dist)
+            reports = bounds.certify_chain(f, v, vp, m_dist, iso)
             assert reports[0].lhs == pytest.approx(want, abs=1e-12)
             assert reports[4].lhs == reports[0].lhs
 
     def test_step_functions_agree_with_the_chain(self):
         # each per-message report of the chain is the helper's report of
         # smallest slack over m, ties going to the earlier m
-        for f, v, vp, m_dist in self.pairs():
-            reports = bounds.certify_chain(f, v, vp, m_dist)
+        for f, v, vp, m_dist, iso in self.pairs():
+            reports = bounds.certify_chain(f, v, vp, m_dist, iso)
             tv, tp = bounds._Table(f, v), bounds._Table(f, vp)
             steps = [
                 lambda i: bounds._divergence_vs_subnormalized(tv, tp, i),
@@ -603,7 +603,7 @@ class TestChainTable:
     def test_table_reads_match_the_public_functions(self):
         # the cores see the stack and sigma the public functions would
         # validate and decompose again, so the bits agree
-        for f, v, vp, m_dist in self.pairs():
+        for f, v, vp, m_dist, _ in self.pairs():
             for channel in (v, vp):
                 t = bounds._Table(f, channel)
                 want = op.relative_entropies(t.stack, t.sigma).mean(axis=1)
@@ -624,7 +624,7 @@ class TestChainTable:
         # sigma weights of 1/6, which are not exact)
         g = rng(58)
         six = CqChannel(range(6), 3, {x: random_density(g, 3) for x in range(6)})
-        cases = [(f, v) for f, v, _, _ in self.pairs()]
+        cases = [(f, v) for f, v, *_ in self.pairs()]
         for f, v in cases + [(bri.construct_exhaustive(3, 6, 3, 1.0), six)]:
             t = bounds._Table(f, v)
             for i, m in enumerate(f.regularity_set):
@@ -642,3 +642,128 @@ class TestChainTable:
             bounds.certify_chain(f, v, v.scaled(0.9), [1.0 / k] * k)
         with pytest.raises(InvalidStateError, match="trace"):
             bounds.certify_chain(f, v, v, [1.0 / k] * k)
+
+
+def cyclic_bri(size: int) -> bri.BriFunction:
+    """(x + s) mod k over k seeds and ``size`` inputs, with k the largest
+    divisor of ``size`` up to 5: every seed row holds each of the k
+    messages size / k times and every input column once, so any typical
+    set size |T| has a function with mixing preimages."""
+    k = max(d for d in range(1, 6) if size % d == 0)
+    return bri.BriFunction((np.arange(size)[None, :] + np.arange(k)[:, None]) % k, range(k))
+
+
+def dense_prime(prime, iso) -> CqChannel:
+    """V' at the dimension of V: the outputs A K_x A*, the reference the
+    chain on the R x R cores is compared against."""
+    return CqChannel(prime.alphabet, iso.shape[0],
+                     {x: bounds._sandwich(iso, prime.output(x)) for x in prime.alphabet},
+                     validate=False)
+
+
+class TestChainOnTheTypicalSubspace:
+    """Typicality mode hands the chain V' as its R x R cores with the
+    isometry A: the reports agree with the chain on A K A* at d^n, and
+    no operator of V' is decomposed at d^n."""
+
+    @staticmethod
+    def instances():
+        from test_typicality import clock_channel, flip_channel, haar_flip
+
+        for n in range(2, 6):
+            yield flip_channel(), (0.6, 0.4), n, 0.5
+            yield haar_flip(), (0.6, 0.4), n, 0.5
+            yield clock_channel(), (1 / 3, 1 / 3, 1 / 3), n, 1.0
+
+    def test_matches_the_chain_at_dn(self):
+        g = rng(60)
+        checked = 0
+        for v, p, n, delta in self.instances():
+            base, prime, iso = typicality.reindexed_pair(v, p, n, delta)
+            assert (base.dim, prime.dim) == iso.shape
+            f = cyclic_bri(len(base))
+            m_dist = random_probability(g, len(f.regularity_set))
+            got = bounds.certify_chain(f, base, prime, m_dist, iso)
+            want = bounds.certify_chain(f, base, dense_prime(prime, iso), m_dist)
+            assert [r.name for r in got] == [r.name for r in want]
+            for a, b in zip(got, want):
+                assert abs(a.lhs - b.lhs) <= 1e-12, (v.dim, n, a, b)
+                assert abs(a.rhs - b.rhs) <= 1e-12, (v.dim, n, a, b)
+                assert a.holds == b.holds
+            checked += 1
+        assert checked == 12
+
+    def test_empty_typical_subspace(self):
+        # the average state's typical subspace is empty (R = 0) while the
+        # typical inputs are not: V' has 0 x 0 outputs, and every report
+        # is the one V' = 0 gives at d^n
+        v = CqChannel((0, 1), 2, {0: np.diag([0.95, 0.05]), 1: np.diag([0.9, 0.1])})
+        base, prime, iso = typicality.reindexed_pair(v, (0.5, 0.5), 2, 0.05)
+        assert iso.shape == (4, 0) and len(base) == 2
+        f = shift_bri(2)
+        got = bounds.certify_chain(f, base, prime, [0.5, 0.5], iso)
+        assert got == bounds.certify_chain(f, base, dense_prime(prime, iso), [0.5, 0.5])
+
+    def test_rejects_a_non_isometry(self):
+        base, prime, iso = typicality.reindexed_pair(FLIP, (0.6, 0.4), 2, 0.5)
+        with pytest.raises(InvalidStateError, match="isometry"):
+            bounds.certify_chain(shift_bri(2), base, prime, [0.5, 0.5], 2 * iso)
+
+    def test_rejects_a_wrong_iso_shape(self):
+        base, prime, iso = typicality.reindexed_pair(FLIP, (0.6, 0.4), 2, 0.5)
+        for wrong in (iso.T, iso[:, :-1], iso[:-1]):
+            with pytest.raises(DimensionMismatchError, match="iso has shape"):
+                bounds.certify_chain(shift_bri(2), base, prime, [0.5, 0.5], wrong)
+            with pytest.raises(DimensionMismatchError, match="iso has shape"):
+                bounds.check_psd_ordering(prime, base, wrong)
+
+    def test_violation_through_the_iso_still_raises(self):
+        # adding c I to every core adds c P (P = A A*) to A K A*, which
+        # exceeds V^n on the typical eigenvectors where A K A* meets it
+        base, prime, iso = typicality.reindexed_pair(FLIP, (0.6, 0.4), 2, 0.5)
+        eye = np.eye(prime.dim) / prime.dim
+        bumped = CqChannel(prime.alphabet, prime.dim,
+                           {x: prime.output(x) + 0.01 * eye for x in prime.alphabet})
+        with pytest.raises(PsdOrderingError) as err:
+            bounds.certify_chain(shift_bri(2), base, bumped, [0.5, 0.5], iso)
+        assert err.value.min_eigenvalue < -bounds.ORDERING_TOL
+
+    def test_dimension_mismatch_without_iso(self):
+        # a qutrit V' against a qubit V on the bundled 6x8 function
+        g = rng(61)
+        f = section_6x8()
+        v = qubit_channel(g, f.n_inputs)
+        qutrit = CqChannel(range(f.n_inputs), 3,
+                           {x: 0.5 * random_density(g, 3) for x in range(f.n_inputs)})
+        k = len(f.regularity_set)
+        with pytest.raises(DimensionMismatchError, match="dimension 3"):
+            bounds.certify_chain(f, v, qutrit, [1.0 / k] * k)
+        with pytest.raises(DimensionMismatchError, match="dimension 3"):
+            bounds.check_psd_ordering(qutrit, v)
+
+    def test_no_operator_of_v_prime_is_decomposed_at_dn(self, monkeypatch):
+        # the chain-typ-6 instance of the typical-projection benchmark:
+        # D = 64, R = 21, |T| = 6 typical strings, |M| = |S| = 3
+        flip = CqChannel((0, 1), 2, {0: np.diag([0.9, 0.1]), 1: np.diag([0.1, 0.9])})
+        base, prime, iso = typicality.reindexed_pair(flip, (5 / 6, 1 / 6), 6, 0.2)
+        f = bri.construct_exhaustive(3, 6, 3, 1.0)
+        sizes, count = {}, (len(f.regularity_set), f.n_seeds, len(base))
+        assert iso.shape == (64, 21) and count == (3, 3, 6)
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, _real=real):
+                a = np.asarray(a)
+                sizes[a.shape[-1]] = sizes.get(a.shape[-1], 0) + a[..., 0, 0].size
+                return _real(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        bounds.certify_chain(f, base, prime, [1 / 3] * 3, iso)
+        m, s, t = count
+        # at d^n only V: its preimage stack, the seed averages of the
+        # leakage, the ordering differences and sigma; at R all of V'
+        assert sizes == {64: m * s + s + t + 1, 21: m * s + t + 1}
+        # with V' handed over at d^n its operators are decomposed there too
+        sizes.clear()
+        bounds.certify_chain(f, base, dense_prime(prime, iso), [1 / 3] * 3)
+        assert sizes == {64: 2 * (m * s + t + 1) + s} == {64: 35}

@@ -32,7 +32,7 @@ from conftest import (
     typical_projector,
 )
 
-from cqwiretap import channels, serialize, typicality
+from cqwiretap import bounds, channels, serialize, typicality
 from cqwiretap import operators as op
 from cqwiretap.bounds import ORDERING_TOL
 from cqwiretap.channels import CqChannel, holevo, tensor_power
@@ -875,12 +875,14 @@ class TestStreamingCompression:
 
     def test_reindexed_pair_builds_each_product_once(self, monkeypatch):
         calls = self.count(monkeypatch)
-        base, prime = reindexed_pair(flip_channel(), self.P, self.N, self.DELTA)
+        base, prime, iso = reindexed_pair(flip_channel(), self.P, self.N, self.DELTA)
         # the products are built for the chain, and none is decomposed here:
-        # the chain's own ordering check is the one dense check of the pair
+        # the chain's own ordering check is the one dense check of the pair;
+        # V' keeps its R x R cores, so no output of V' is formed at d^n
         assert calls.count("product") == len(base) == len(prime) == 3
         assert calls.count((8, 8)) == 0
         assert calls.count((6, 6)) == 1
+        assert (base.dim, prime.dim) == iso.shape == (8, 6)
 
     def test_violation_reaches_the_dense_eigensolves(self, monkeypatch):
         calls = self.count(monkeypatch)
@@ -1049,13 +1051,14 @@ class TestChainPair:
     def test_reindexed_pair_matches_subnormalized_channel(self):
         v = flip_channel()
         sub = subnormalized_channel(v, (0.6, 0.4), 2, 0.5)
-        base, prime = reindexed_pair(v, (0.6, 0.4), 2, 0.5)
+        base, prime, iso = reindexed_pair(v, (0.6, 0.4), 2, 0.5)
         assert base.alphabet == prime.alphabet == (0, 1)
-        assert prime.epsilon == sub.epsilon
+        # epsilon is read off tr K at rank R, sub's off tr A K A* at d^n
+        assert abs(prime.epsilon - sub.epsilon) <= 1e-15
         assert base.epsilon <= 1e-12
         vn = tensor_power(v, 2)
         for i, t in enumerate(sub.alphabet):
-            assert np.array_equal(prime.output(i), sub.output(t))
+            assert np.array_equal(bounds._sandwich(iso, prime.output(i)), sub.output(t))
             assert np.allclose(base.output(i), vn.output(t), atol=1e-15)
 
     def test_factor_reports_commuting_instance(self):
