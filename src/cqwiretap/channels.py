@@ -28,11 +28,15 @@ random starts from a caller-supplied ``numpy.random.Generator`` (by
 default Philox with a fixed seed), so repeated calls reproduce each other
 exactly.  Its starts ascend together as one ``(N, k)`` batch, each row
 with its own step length and its own budget of ``max_iters`` trials.  A
-rejected trial leaves a row as it was, so a row rejected s times in a row
-tries its next ``max(s, 1)`` halved steps in one round: each round is one
-``eigvalsh`` per channel over the trials of the live rows and at most one
-``eigh`` over the rows that moved.  Every row takes the trials and follows
-the iterates it would take and follow alone, and restart reduction is by
+row that moved tries a Newton point on its support, from the curvature
+``H_W - H_V`` of the eigensolve that gave its gradient, together with four
+doubled steps, and takes the best of them; a rejected trial leaves a row
+as it was, so a row rejected s times in a row tries its next s halved
+steps in one round.  Each round is one ``eigvalsh`` per channel over the
+trials of the live rows, and at most one ``eigh`` per channel and one
+batched bordered solve over the rows that moved.  A weight counts as on
+the support above 1e-12.  Every row takes the trials and follows the
+iterates it would take and follow alone, and restart reduction is by
 best value with ties to the lowest restart index, then the grid rule.  For
 up to three inputs the grid point that joins the starts is screened first:
 qubit averages take closed-form spectra from entries linear in the point,
@@ -302,11 +306,21 @@ def _chi(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndarray:
     return op._entropy_core(w) - (ent * p).sum(axis=-1)
 
 
-def _chi_gradient(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndarray:
+def _chi_gradient(p: np.ndarray, states: np.ndarray, ent: np.ndarray, curvature: bool = False):
     """``D(U_x || PU)`` for every state: the gradient of chi in p up to a
     constant, from one ``eigh`` call over the averages.  Takes what
-    :func:`_validated_stack` returns, as :func:`_chi` does."""
-    return _gradient_at(states, ent, op._trace(states), *_average_eigh(p, states))
+    :func:`_validated_stack` returns, as :func:`_chi` does.  With
+    ``curvature``, for one channel's ``(k, d, d)`` states, it also returns
+    the ``(..., k, k)`` :func:`_chi_hessian` at each row of p from the same
+    ``eigh``, nan where the row's average has an eigenvalue 0."""
+    w, u = _average_eigh(p, states)
+    g = _gradient_at(states, ent, op._trace(states), w, u)
+    if not curvature:
+        return g
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 where w has an eigenvalue 0
+        h = _chi_hessian(states[None], w[..., None, :, :], u[..., None, :, :])
+    h[w.min(axis=(-2, -1)) <= 0.0] = np.nan
+    return g, h
 
 
 def _average_eigh(p: np.ndarray, states: np.ndarray):
@@ -329,13 +343,17 @@ _CLOSE_PAIR = 1e-6
 
 
 def _chi_hessian(states: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The ``(k, k)`` Jacobian in p of the seed mean of :func:`_chi_gradient`.
+    """The ``(..., k, k)`` Jacobian in p of the seed mean of
+    :func:`_chi_gradient`, one per row.
 
     ``states`` is ``(S, k, d, d)`` and ``w, u`` the :func:`_average_eigh`
-    of its averages, which must have full rank.  With ``PU_s = V diag(l) V*``
+    of its averages, which must have full rank: ``(S, 1, d)`` and
+    ``(S, 1, d, d)`` at one distribution, or with a leading axis of rows,
+    ``(N, S, 1, d)``, for a batch of them.  With ``PU_s = V diag(l) V*``
     and ``T = V* U V``, ``H_mn = -(1/(S ln 2)) sum_s Re sum_ij G_ij
     conj(T_m)_ij (T_n)_ij``, where ``G_ij`` is the divided difference of
     ``ln`` at ``l_i, l_j``: the derivative of ``-tr U_m log2 PU`` along U_n.
+    A row gets the same bits alone as inside a batch.
     """
     log_w = np.log(w)
     total, diff = w[..., :, None] + w[..., None, :], w[..., :, None] - w[..., None, :]
@@ -343,7 +361,7 @@ def _chi_hessian(states: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray
     far = np.abs(diff) > _CLOSE_PAIR * total
     np.divide(log_w[..., :, None] - log_w[..., None, :], diff, out=gamma, where=far)
     t = u.conj().swapaxes(-1, -2) @ states @ u
-    h = np.einsum("smij,snij->mn", t.conj() * gamma, t).real
+    h = np.einsum("...smij,...snij->...mn", t.conj() * gamma, t).real
     return h / (-len(states) * np.log(2.0))
 
 
@@ -617,52 +635,117 @@ def _screened_chi(p: np.ndarray, states: np.ndarray, ent: np.ndarray) -> np.ndar
 # a row of the capacity ascent stops once its first-order residual (see
 # _kkt_residual) is at most _KKT_TOL bits; failing that, after
 # _STALL_LIMIT rejected trials in a row, or once its step falls below
-# _STEP_FLOOR
+# _STEP_FLOOR.  A weight counts as on a row's support above _SUPPORT_FLOOR.
 _KKT_TOL = 1e-6
 _STALL_LIMIT = 41
 _STEP_FLOOR = 1e-13
+_SUPPORT_FLOOR = 1e-12
+# a row whose last round was accepted tries the steps t 2^j, j < _DOUBLINGS
+_DOUBLINGS = 4
 
 
 def _kkt_residual(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """First-order residual of each row of p on the simplex, in bits.
 
-    ``max_x g_x - min_{x : p_x > 0} g_x``: 0 exactly at a KKT point of the
-    simplex, where g is level on the support and no higher off it (at a
-    vertex: where its own entry is the largest), and the same for g shifted
-    by any multiple of the all-ones vector.  Where the objective is concave
-    it bounds the gap to the maximum: f* - f(p) <= max g - <p, g> <= the
-    residual.
+    ``max_x g_x - min_{x : p_x > 1e-12} g_x``, with the support read above
+    ``_SUPPORT_FLOOR``: 0 exactly where g is level on the support and no
+    higher off it (at a vertex: where its own entry is the largest), so at
+    a KKT point of the simplex up to weights of at most 1e-12, and the same
+    for g shifted by any multiple of the all-ones vector.  Where the
+    objective is concave it bounds the gap to the maximum: f* - f(p) <=
+    max g - <p, g>, which is at most the residual plus
+    ``k * 1e-12 * (max g - min g)``, the most that the weights at or below
+    the floor can add.
     """
-    return g.max(axis=-1) - np.where(p > 0, g, np.inf).min(axis=-1)
+    return g.max(axis=-1) - np.where(p > _SUPPORT_FLOOR, g, np.inf).min(axis=-1)
+
+
+def _newton_points(p: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The Newton point of each row of p on its support, nan where it has
+    none.
+
+    On the support S (the weights above ``_SUPPORT_FLOOR``) it solves
+    ``[[H_SS, 1], [1, 0]] [delta; mu] = [-g_S; 0]`` and returns
+    ``p + delta`` on S and 0 off it, for the simplex projection to place.
+    Each system is ``(k + 1, k + 1)``, with ``-1`` on the diagonal of the
+    rows and columns off the support, and one batched ``eigvalsh`` and one
+    batched solve cover every row, so a row gets the same bits alone as
+    inside a batch.  A row has a point only where the curvature is
+    negative definite on the face, so that the quadratic model has a
+    maximum there: where the system has one positive eigenvalue (the
+    border's) and k negative ones.  So it has none where its curvature
+    ``h`` is not finite (nan marks an average with an eigenvalue 0 or a
+    gradient that is not finite), where its support has fewer than 2
+    entries, or where its system is singular.
+    """
+    k = p.shape[1]
+    on = p > _SUPPORT_FLOOR
+    ok = np.flatnonzero((on.sum(axis=1) >= 2) & np.isfinite(h).all(axis=(1, 2)))
+    out = np.full_like(p, np.nan)
+    if not ok.size:
+        return out
+    on = on[ok]
+    kkt = np.zeros((len(ok), k + 1, k + 1))
+    kkt[:, :k, :k] = np.where(on[:, :, None] & on[:, None, :], h[ok], -np.eye(k))
+    kkt[:, :k, k] = kkt[:, k, :k] = on
+    lam = np.linalg.eigvalsh(kkt)
+    peak = ((lam > 0.0).sum(axis=1) == 1) & ((lam < 0.0).sum(axis=1) == k)
+    ok, on, kkt = ok[peak], on[peak], kkt[peak]
+    rhs = np.zeros((len(ok), k + 1, 1))
+    rhs[:, :k, 0] = np.where(on, -g[ok], 0.0)
+    try:
+        delta = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:  # an eigenvalue 0 read as rounding noise
+        delta = np.full_like(rhs, np.nan)
+        for i in range(len(ok)):
+            try:
+                delta[i] = np.linalg.solve(kkt[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    out[ok] = np.where(on, p[ok] + delta[:, :k, 0], 0.0)
+    out[~np.isfinite(out).all(axis=1)] = np.nan
+    return out
 
 
 def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
-    """Projected gradient ascent of every row of p, each with its own step.
+    """Ascent of every row of p on the simplex, each with its own step:
+    projected gradient steps and a Newton trial on the row's support.
 
-    A trial at step t is the simplex projection of ``p + t g``.  It is
-    accepted when it raises the objective by more than 1e-15; the step then
-    grows by 1.2, and otherwise it halves.  A row starts at step 0.25.  It
-    stops once the :func:`_kkt_residual` of the gradient at its point is at
-    most ``_KKT_TOL``, checked before its first trial and each time it
+    ``gradients`` returns the finite gradient g of each row and its
+    ``(k, k)`` curvature, nan where the row takes no Newton trial.  A step
+    trial at step t is the simplex projection of ``p + t g``, and the
+    Newton trial the projection of the row's :func:`_newton_points` point.
+    A trial is accepted when it raises the objective by more than 1e-15.
+    A row starts at step 0.25, and a round of a row is one of two kinds.
+    In its first round and after each accepted one it tries its Newton
+    point, where it has one, and the doubled steps ``t 2^j`` for j = 0..3,
+    and takes the best trial that raises its value: t then stays where the
+    Newton trial is best and becomes s/2 where the step s is, so the next
+    such round brackets s.  After a rejected round it tries halved steps
+    in one batch: a row rejected s times in a row tries its next s
+    halvings, cut where the stall rule, the step floor (compared on the
+    exact halved steps) or its remaining trials would end it, and takes the
+    first accepted trial, at whose step s t becomes s/2.  A round with no
+    accepted trial halves t (a doubling round) or the last halving.  A
+    row stops once the :func:`_kkt_residual` of the gradient at its point
+    is at most ``_KKT_TOL``, checked before its first trial and each time it
     moves, so a row that starts at a KKT point takes no trial.  Failing
     that, it stops after ``_STALL_LIMIT`` rejections in a row or once its
     step falls below ``_STEP_FLOOR``.  ``max_iters`` bounds the trials each
-    row takes.
+    row takes.  A closing run of 41 rejections, where the residual never
+    reaches the tolerance, so takes 5 rounds: 5, 5, 10, 20 and 1 trials
+    after a round with a Newton trial, 4, 4, 8, 16 and 9 without one.
 
-    A rejected trial leaves the row's point, gradient and value as they
-    were, so the trials after it are known in advance: the same direction
-    at the halved steps.  A row that has been rejected s times in a row
-    tries its next ``max(s, 1)`` halvings as one batch, cut where the stall
-    rule, the step floor (compared on the exact halved steps) or the row's
-    remaining trials would end it, and takes its first accepted trial.  A
-    closing run of 41 rejections, where the residual never reaches the
-    tolerance, so takes 7 rounds (1, 1, 2, 4, 8, 16 and 9 trials).  Each
-    round is one :func:`_project_simplex` and one ``objectives`` call over
-    the trials of every live row, and one ``gradients`` call over the rows
-    that moved in the round before.  The trials after a row's first
-    accepted one are discarded, and the trials it takes, ``max_iters`` among
-    them, are those of an ascent of its own, bit for bit.  Returns the final
-    rows, their values and whether each one stopped.
+    A rejected trial leaves the row's point, gradient, curvature and value
+    as they were, so the trials after it are known in advance.  Each round
+    is one :func:`_project_simplex` and one ``objectives`` call over the
+    trials of every live row, and one ``gradients`` call and one
+    :func:`_newton_points` call over the rows that moved in the round
+    before.  Every trial of a doubling round counts against the budget;
+    the halvings after a row's first accepted one are discarded.  So the
+    trials each row takes, ``max_iters`` among them, are those of an ascent
+    of its own, bit for bit.  Returns the final rows, their values and
+    whether each one stopped.
     """
     rows = len(p)
     val = objectives(p)
@@ -670,35 +753,54 @@ def _ascend(p: np.ndarray, objectives, gradients, max_iters: int):
     stall = np.zeros(rows, dtype=int)
     spent = np.zeros(rows, dtype=int)
     stopped = np.zeros(rows, dtype=bool)
-    # a row keeps its gradient until it moves
-    grad = np.empty_like(p)
+    # a row keeps its gradient and Newton point until it moves
+    grad, newton = np.empty_like(p), np.full_like(p, np.nan)
     moved = np.arange(rows)
     while True:
         moved = moved[spent[moved] < max_iters]
         if moved.size:
-            grad[moved] = gradients(p[moved])
+            grad[moved], curvature = gradients(p[moved])
             stopped[moved] = _kkt_residual(p[moved], grad[moved]) <= _KKT_TOL
+            newton[moved] = _newton_points(p[moved], grad[moved], curvature)
         live = np.flatnonzero(~stopped & (spent < max_iters))
         if not live.size:
             return p, val, stopped
-        size = np.minimum(np.maximum(stall[live], 1), _STALL_LIMIT - stall[live])
-        size = np.minimum(size, max_iters - spent[live])
-        # halving is exact, so these are the sequential ascent's steps
-        ladder = step[live, None] * 0.5 ** np.arange(size.max())
-        size = np.minimum(size, (ladder >= _STEP_FLOOR).sum(axis=1))
-        tried = np.arange(ladder.shape[1]) < size[:, None]
-        owner = np.repeat(live, size)
-        trial = _project_simplex(p[owner] + ladder[tried][:, None] * grad[owner])
+        budget = max_iters - spent[live]
+        # a row whose last round was accepted: its Newton point and doubled
+        # steps; any other row: its next halvings
+        fresh = stall[live] == 0
+        use_newton = fresh & np.isfinite(newton[live]).all(axis=1)
+        halvings = np.minimum(stall[live], _STALL_LIMIT - stall[live])
+        size = np.minimum(np.where(fresh, _DOUBLINGS, halvings), budget - use_newton)
+        # column 0 is the Newton trial and column j the j-th step; doubling
+        # and halving are exact, so these are the sequential ascent's steps
+        width = size.max()
+        steps = np.zeros((len(live), width + 1))
+        steps[:, 1:] = step[live, None] * np.where(fresh, 2.0, 0.5)[:, None] ** np.arange(width)
+        size = np.where(fresh, size, np.minimum(size, (steps[:, 1:] >= _STEP_FLOOR).sum(axis=1)))
+        tried = np.zeros(steps.shape, dtype=bool)
+        tried[:, 0] = use_newton
+        tried[:, 1:] = np.arange(width) < size[:, None]
+        r, c = np.nonzero(tried)
+        owner = live[r]
+        y = np.where((c == 0)[:, None], newton[owner], p[owner] + steps[r, c, None] * grad[owner])
+        trial = _project_simplex(y)
         trial_val = objectives(trial)
-        up = np.zeros_like(tried)
-        up[tried] = trial_val > val[owner] + 1e-15
+        table = np.full(tried.shape, -np.inf)
+        table[tried] = trial_val
+        up = table > val[live, None] + 1e-15
         took = up.any(axis=1)
-        taken = np.where(took, up.argmax(axis=1) + 1, size)
-        last = ladder[np.arange(len(live)), taken - 1]
-        step[live] = last * np.where(took, 1.2, 0.5)
-        stall[live] = np.where(took, 0, stall[live] + size)
+        # the best trial of a fresh row, the first accepted halving of another
+        best = np.argmax(np.where(up, table, -np.inf), axis=1)
+        col = np.where(fresh, best, np.argmax(up, axis=1))
+        taken = np.where(fresh | ~took, tried.sum(axis=1), col)
+        at = np.arange(len(live))
+        halved = np.where(fresh, step[live], steps[at, size]) * 0.5
+        chosen = np.where(col > 0, steps[at, col] * 0.5, step[live])
+        step[live] = np.where(took, chosen, halved)
+        stall[live] = np.where(took, 0, stall[live] + taken)
         spent[live] += taken
-        pick = (np.cumsum(size) - size + taken - 1)[took]
+        pick = (np.cumsum(tried.ravel()).reshape(tried.shape) - 1)[at, col][took]
         moved = live[took]
         p[moved], val[moved] = trial[pick], trial_val[pick]
         stopped[live] = ~took & ((step[live] < _STEP_FLOOR) | (stall[live] >= _STALL_LIMIT))
@@ -714,34 +816,49 @@ def capacity_single_letter(
     """max_P chi(P;W) - chi(P;V), the single-letter secrecy objective.
 
     The objective is a difference of concave functions, so the search uses
-    projected gradient ascent (:func:`_ascend`) from a uniform start,
-    ``starts`` random starts and, for alphabets up to size 3, the best
-    point of a simplex grid.  The gradient is the analytic Holevo gradient
-    ``D(W_x || PW) - D(V_x || PV)``; it differs from the gradient on the
-    normalized extension by a multiple of the all-ones vector, which the
-    simplex projection removes.
+    projected gradient ascent with a Newton trial (:func:`_ascend`) from a
+    uniform start, ``starts`` random starts and, for alphabets up to size
+    3, the best point of a simplex grid.  The gradient is the analytic
+    Holevo gradient ``D(W_x || PW) - D(V_x || PV)``; it differs from the
+    gradient on the normalized extension by a multiple of the all-ones
+    vector, which the simplex projection removes.  Its curvature
+    ``H_W - H_V`` (:func:`_chi_hessian` for each channel) comes from the
+    same ``eigh`` of the averages.
 
     All starts ascend together as one ``(N, k)`` batch, each row with its
     own step length, stall count and budget of ``max_iters`` trials.  A row
+    that moved (and each row at its start) tries, in one round, its Newton
+    point on its support and the doubled steps t, 2t, 4t and 8t, and takes
+    the best trial that raises its value; a rejected row tries batches of
+    halved steps.  The Newton point solves the bordered system of the
+    quadratic model on the face of the weights above 1e-12, with the
+    weights off it held at 0, by one batched solve per round; a row has
+    none where an average has an eigenvalue 0, where its gradient is not
+    finite, where its support has fewer than 2 entries, or where the model
+    has no maximum on the face (its curvature is not negative definite
+    there), so a Newton trial never heads for a saddle of the model.  A row
     stops once the spread of its gradient, from the largest entry down to
-    the smallest on its support, is at most ``_KKT_TOL``; the stall rule
-    and step floor of :func:`_ascend` end the rows that never get there.
-    The spread ignores the multiple of the all-ones vector, is 0 exactly at
-    a KKT point of the simplex and, where the objective is concave (V a
-    degraded W), bounds the row's gap to the maximum.  A round tries a run
-    of halved steps for each live row, so it is one ``eigvalsh`` per
-    channel over every live row's trials and at most one ``eigh`` per
-    channel over the rows that moved on the round before; a row keeps its
-    gradient while its trials are rejected.  Each row takes the same
-    trials, and follows the same iterates, as an ascent of its own.  The
-    result is the best start's value, ties to the lowest restart index,
-    unless the grid row's ascent or the grid point itself is better (the
-    ascent when it is at least the grid value).  The output states are
-    validated once here, and the grid, evaluated in chunks before the
-    ascent, draws no random numbers.  When ``w is v`` holds numerically the
-    two chi evaluations cancel to exactly 0.0 at every point.  A search
-    whose result spent its ``max_iters`` trials without stopping returns
-    ``converged=False`` with a :class:`~cqwiretap.errors.ConvergenceWarning`.
+    the smallest on its support (the weights above 1e-12), is at most
+    ``_KKT_TOL``; the stall rule and step floor of :func:`_ascend` end the
+    rows that never get there.  The spread ignores the multiple of the
+    all-ones vector, is 0 exactly at a KKT point of the simplex and, where
+    the objective is concave (V a degraded W), bounds the row's gap to the
+    maximum up to the weights at or below the floor: the gap is at most
+    the spread plus ``k * 1e-12 * (max g - min g)``.  A round is one
+    ``eigvalsh`` per channel over every live row's trials, and at most one
+    ``eigh`` per channel and one batched bordered solve (with one
+    ``eigvalsh`` of its systems) over the rows that moved on the round
+    before; a row keeps its gradient and Newton point while its
+    trials are rejected.  Each row takes the same trials, and follows the
+    same iterates, as an ascent of its own.  The result is the best start's
+    value, ties to the lowest restart index, unless the grid row's ascent
+    or the grid point itself is better (the ascent when it is at least the
+    grid value).  The output states are validated once here, and the grid,
+    evaluated in chunks before the ascent, draws no random numbers.  When
+    ``w is v`` holds numerically the two chi evaluations cancel to exactly
+    0.0 at every point.  A search whose result spent its ``max_iters``
+    trials without stopping returns ``converged=False`` with a
+    :class:`~cqwiretap.errors.ConvergenceWarning`.
 
     The grid point is the first exact maximum of the objective over the
     grid, found in two passes.  The screen takes every point's objective
@@ -772,9 +889,16 @@ def capacity_single_letter(
         return _chi(p, sw, ew) - _chi(p, sv, ev)
 
     def gradients(p):
+        # the finite gradient of each row and its curvature, nan where the
+        # row takes no Newton trial
+        (gw, hw), (gv, hv) = (
+            _chi_gradient(p, s, e, curvature=True) for s, e in ((sw, ew), (sv, ev))
+        )
         with np.errstate(invalid="ignore"):  # inf - inf where both leave the support
-            g = _chi_gradient(p, sw, ew) - _chi_gradient(p, sv, ev)
-        return _finite_gradient(g)
+            g = gw - gv
+        h = hw - hv
+        h[~np.isfinite(g).all(axis=-1)] = np.nan
+        return _finite_gradient(g), h
 
     candidates = [np.full(k, 1.0 / k)]
     candidates += [rng.dirichlet(np.ones(k)) for _ in range(starts)]

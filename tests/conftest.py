@@ -4,10 +4,13 @@ Random objects are always drawn from a Philox generator with a fixed seed so
 every run sees the same instances.
 """
 
+import importlib.util
 import itertools
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,8 +29,25 @@ from cqwiretap.errors import DimensionMismatchError, InvalidStateError
 from cqwiretap.typicality import typical_set
 
 
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 def rng(seed: int = 7) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+@cache
+def load_workloads():
+    """``perfbench/workloads.py`` as a module, leaving no bytecode cache
+    under ``perfbench/``."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    before, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = before
+    return module
 
 
 def random_unitary(g: np.random.Generator, dim: int) -> np.ndarray:
@@ -599,13 +619,18 @@ def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
 
     Each of the uniform start, the ``starts`` Dirichlet starts and the grid
     point (k <= 3) ascends alone, with its own one-dimensional simplex
-    projection and gradient clean-up, and stops before a trial once
-    ``max g - min_{p_x > 0} g_x`` is at most ``channels._KKT_TOL``.  The
-    grid point is the first exact maximum over every point of
-    :func:`simplex_grid`, with no screen.  The reduction is by best value
-    with ties to the lowest restart index, then the grid rule.  It repeats
-    the eigensolves of every start and of every grid point, so it only
-    serves to check the lockstep batch and the screened grid of
+    projection, gradient clean-up and Newton solve, and stops before a
+    trial once ``max g - min_{p_x > 1e-12} g_x`` is at most
+    ``channels._KKT_TOL``.  Each time it moves (and at its start) it tries
+    its Newton point, where the model has a maximum on its face, and the
+    steps ``t 2^j``, j = 0..3, one trial after another, and takes the best
+    that raises its value; after a rejection it tries one halved step at a
+    time.  An accepted step s leaves the step at s/2.  The grid point is
+    the first exact maximum over every point of :func:`simplex_grid`, with
+    no screen.  The reduction is by best value with ties to the lowest
+    restart index, then the grid rule.  It repeats the eigensolves of every
+    start and of every grid point, so it only serves to check the lockstep
+    batch and the screened grid of
     :func:`cqwiretap.channels.capacity_single_letter`.
     """
     rng = rng or channels._default_rng()
@@ -623,31 +648,79 @@ def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
         return np.clip(y - css[rho - 1] / rho, 0.0, None)
 
     def gradient(p):
+        # the finite gradient and the curvature H_W - H_V, None where the
+        # point takes no Newton trial
+        (gw, hw), (gv, hv) = (
+            channels._chi_gradient(p, s, e, curvature=True) for s, e in ((sw, ew), (sv, ev))
+        )
         with np.errstate(invalid="ignore"):
-            g = channels._chi_gradient(p, sw, ew) - channels._chi_gradient(p, sv, ev)
+            g = gw - gv
         ok = np.isfinite(g)
+        h = hw - hv
+        h = h if ok.all() and np.isfinite(h).all() else None
         if ok.all():
-            return g
+            return g, h
         finite = g[ok]
         top = finite.max() if finite.size else 0.0
         bottom = finite.min() if finite.size else 0.0
-        return np.where(ok, g, np.where(g == -np.inf, bottom - 100.0, top + 100.0))
+        return np.where(ok, g, np.where(g == -np.inf, bottom - 100.0, top + 100.0)), h
+
+    def newton(p, g, h):
+        # [[H_SS, 1], [1, 0]] [delta; mu] = [-g_S; 0] on the support S, in
+        # the (k + 1) x (k + 1) layout of the search (-1 on the diagonal
+        # off S), where the model has a maximum on the face: one positive
+        # eigenvalue and k negative ones
+        on = p > channels._SUPPORT_FLOOR
+        if h is None or on.sum() < 2:
+            return None
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = np.where(np.outer(on, on), h, -np.eye(k))
+        kkt[:k, k] = kkt[k, :k] = on
+        lam = np.linalg.eigvalsh(kkt)
+        if (lam > 0.0).sum() != 1 or (lam < 0.0).sum() != k:
+            return None
+        rhs = np.append(np.where(on, -g, 0.0), 0.0)[:, None]
+        try:
+            delta = np.linalg.solve(kkt, rhs)[:k, 0]
+        except np.linalg.LinAlgError:
+            return None
+        point = np.where(on, p + delta, 0.0)
+        return point if np.isfinite(point).all() else None
 
     def ascend(p):
         val = float(objective(p))
-        step, stall = 0.25, 0
-        for _ in range(max_iters):
-            g = gradient(p)
-            if g.max() - g[p > 0].min() <= channels._KKT_TOL:
-                return p, val, True
-            trial = project(p + step * g)
-            trial_val = float(objective(trial))
-            if trial_val > val + 1e-15:
-                p, val, step, stall = trial, trial_val, step * 1.2, 0
-            else:
-                step, stall = step * 0.5, stall + 1
-                if step < 1e-13 or stall > 40:
+        step, stall, spent = 0.25, 0, 0
+        while spent < max_iters:
+            if stall == 0:
+                g, h = gradient(p)
+                if g.max() - g[p > channels._SUPPORT_FLOOR].min() <= channels._KKT_TOL:
                     return p, val, True
+                point = newton(p, g, h)
+                # a Newton trial keeps the step; a step trial s leaves s/2
+                ys = [] if point is None else [(step, point)]
+                ys += [(step * 2.0**j / 2, p + step * 2.0**j * g) for j in range(4)]
+                ys = ys[: max_iters - spent]
+                spent += len(ys)
+                best = None
+                for next_step, y in ys:
+                    trial = project(y)
+                    trial_val = float(objective(trial))
+                    if trial_val > val + 1e-15 and (best is None or trial_val > best[0]):
+                        best = trial_val, next_step, trial
+                if best is None:
+                    step, stall = step * 0.5, len(ys)
+                else:
+                    val, step, p = best
+            else:
+                trial = project(p + step * g)
+                trial_val = float(objective(trial))
+                spent += 1
+                if trial_val > val + 1e-15:
+                    p, val, step, stall = trial, trial_val, step * 0.5, 0
+                else:
+                    step, stall = step * 0.5, stall + 1
+            if stall and (step < 1e-13 or stall > 40):
+                return p, val, True
         return p, val, False
 
     candidates = [np.full(k, 1.0 / k)] + [rng.dirichlet(np.ones(k)) for _ in range(starts)]

@@ -8,30 +8,13 @@ here as a failed job, before the benchmark reads it as a lower
 ``ok_frac``.  Nothing under ``perfbench/`` is written.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import BENCH, load_workloads
 
-
-def _load_workloads():
-    """``perfbench/workloads.py`` as a module, leaving no bytecode cache
-    under ``perfbench/``."""
-    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    before, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = before
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
