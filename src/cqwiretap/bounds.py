@@ -37,7 +37,10 @@ whose ``epsilon`` is its measured trace deficit.  When V' lies in the range
 of an isometry A (typicality mode, V'(x) = A K_x A*), the chain takes the
 R x R cores K_x with A: every V' quantity it reads is invariant under A, so
 no operator of V' is decomposed at V's dimension, and only the ordering
-check forms A K_x A*.
+check forms A K_x A*.  That check, :func:`check_psd_ordering`, which
+:func:`certify_chain` runs over every symbol, is the one place in the
+library that decides V' <= V: :mod:`~cqwiretap.typicality` builds V'
+without deciding it.
 """
 
 import math
@@ -128,12 +131,15 @@ def _sandwich(iso, k):
 def _ordering_scan(triples) -> float:
     """The rule of :func:`check_psd_ordering` over ``(x, V(x), V'(x))``
     triples, consumed one at a time so a caller may build them lazily.
-    The worst symbol is reported after the whole scan."""
+    The worst symbol is reported after the whole scan.  Both operands are
+    channel outputs, exactly Hermitian (validated outputs are symmetrized,
+    the others are built from them by Kronecker products, real mixtures,
+    scalings and symmetrized sandwiches), so the difference goes to
+    ``eigvalsh`` as it is."""
     worst = 0.0
     worst_x = None
     for x, big, small in triples:
-        diff = op.check_hermitian(big - small)
-        w = np.linalg.eigvalsh(diff)
+        w = np.linalg.eigvalsh(big - small)
         low = float(w[0]) if w.size else 0.0
         if low < worst:
             worst, worst_x = low, x
@@ -190,9 +196,10 @@ class _Table:
     @cached_property
     def spectral(self):
         """The largest output operator norm, from one ``eigvalsh`` over the
-        outputs (0 for outputs of dimension 0, a V' on an empty typical
-        subspace), and the support rank of sigma, from its ``eigh``."""
-        w = np.linalg.eigvalsh(op.check_hermitian(self.outputs))
+        outputs, exactly Hermitian as in :func:`_ordering_scan` (0 for
+        outputs of dimension 0, a V' on an empty typical subspace), and the
+        support rank of sigma, from its ``eigh``."""
+        w = np.linalg.eigvalsh(self.outputs)
         rank = int(op._support_mask(self.sigma_eigh[0]).sum())
         return float(np.abs(w).max(initial=0.0)), rank
 

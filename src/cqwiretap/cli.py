@@ -42,7 +42,9 @@ build-code         square-root-measurement transmission code for given
 eval-leakage       leakage of a code file against an eavesdropper
                    channel, optionally the certified adversarial bounds.
 bound-chain        the five-step leakage certification chain; asserts
-                   every report.  ``v_prime`` modes: identity, scale,
+                   every report, and exits 4 when V' <= V fails (the
+                   chain's ordering check, the only one in the library).
+                   ``v_prime`` modes: identity, scale,
                    typicality (sandwich the n-letter channel between
                    typical projectors and re-index typical strings).
                    The leakage is taken per seed, so the seed register
@@ -55,6 +57,8 @@ typicality-report  per-n CSV of projector traces, ranks, eigenvalue
                    only the instance-independent rows (te2 upper rank,
                    te3 sandwich, spectral rank factor); the rest are
                    reported, their sharpness depends on the instance.
+                   Exits 4 only when an asserted row fails: no report
+                   depends on V' <= V^n, which is not decided here.
 derandomize        error, rate and optional leakage accounting for a
                    seed-transmitting code driving N reuses of an inner
                    code; asserts the ``eps_prime``/``eps`` budget rows

@@ -23,14 +23,16 @@ tighten only as the block length grows, so they are reported, not promised.
 ``subnormalized_channel`` compresses each product output between its own
 conditional projector and the typical projector of the average state.  The
 result is dominated by the product channel whenever the two projector
-families are compatible; this is measured on every output and a violation
-raises rather than returning a channel that would poison later bounds.
-``reindexed_pair`` gives the (V, V', A) the leakage chain takes in
+families are compatible (commuting outputs, or a full average-state
+projector), and not in general.  Nothing here decides that ordering: the
+leakage chain needs it at one step, and
+:func:`~cqwiretap.bounds.check_psd_ordering`, which
+:func:`~cqwiretap.bounds.certify_chain` runs over every member, decides it
+there.  ``reindexed_pair`` gives the (V, V', A) the chain takes in
 typicality mode, V' as its R x R cores on the range of the isometry A (no
 d^n output of V' is formed; the chain's ordering check forms each A K A*),
-and ``typicality_reports`` every report of a
-``typicality-report`` run, the spectral factor bounds of the compressed
-channel among them.
+and ``typicality_reports`` every report of a ``typicality-report`` run,
+the spectral factor bounds of the compressed channel among them.
 
 Every report of one (V, p, n, delta) reads one private block: the typical
 inputs grouped by type class, the eigenbasis and typical strings of the
@@ -42,15 +44,7 @@ the d^n x R isometry onto the subspace and an R x R matrix K built from
 the overlaps, validated by one R x R eigensolve (that spectrum also gives
 the factor-norm); every other member of the class has the same K with rows
 and columns permuted, because permuting positions maps the typical
-subspace onto itself.  The ordering V' <= V^n is decided at the same rank
-and once per class: a screen built from the same overlaps bounds the
-largest eigenvalue of V' relative to V^n, with a rounding allowance
-computed from the data, and certifies the class without forming V^n(x).
-A class the screen cannot certify (a violation, a near-boundary case or a
-singular output) has its first member's product output built by one
-Kronecker chain and decomposed once at dimension d^n, by the dense rule
-that alone reports a violation; every other member's ordering difference
-is that one conjugated by a permutation unitary.
+subspace onto itself.
 
 Only the class cores are kept, never one per typical string, and every
 quantity the reports read is invariant under permuting positions, so each
@@ -72,7 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from . import operators as op
-from .bounds import ORDERING_TOL, _ordering_scan, _sandwich, make_report
+from .bounds import _sandwich, make_report
 from .channels import CqChannel, _checked_outputs, _mixtures, _validated_stack
 from .channels import check_distribution, tensor_power
 from .config import STRING_CAP, check_dim
@@ -486,23 +480,21 @@ class _Block:
     ``classes`` groups the typical input strings ``members`` (string order)
     by type class, keyed by their sorted letter indices, in the order of
     the classes' first members.  ``basis`` and ``avg_strings`` are the
-    eigenbasis of PV and its typical index strings; ``raw``, ``spectra``
-    and ``bases`` the raw and cleaned spectra and the eigenbases of the
-    symbols, ``overlaps`` the d x d matrices basis* E_a.
+    eigenbasis of PV and its typical index strings; ``raw`` and
+    ``spectra`` the raw and cleaned spectra of the symbols, ``overlaps``
+    the d x d matrices basis* E_a, with E_a the eigenbasis of symbol a.
     """
 
     v: CqChannel
     p: np.ndarray
     n: int
     delta: float
-    cap: int | None
     members: tuple
     classes: dict
     basis: np.ndarray
     avg_strings: np.ndarray
     raw: dict
     spectra: dict
-    bases: dict
     overlaps: dict
 
     @cached_property
@@ -525,8 +517,8 @@ def _block(v, p, n, delta, cap=None, avg=None):
     for xn in members:
         classes.setdefault(tuple(sorted(letter[a] for a in xn)), []).append(xn)
     return _Block(
-        v=v, p=p, n=n, delta=delta, cap=cap, members=members, classes=classes,
-        basis=basis, avg_strings=avg_strings, raw=raw, spectra=spectra, bases=bases,
+        v=v, p=p, n=n, delta=delta, members=members, classes=classes,
+        basis=basis, avg_strings=avg_strings, raw=raw, spectra=spectra,
         overlaps={a: basis.conj().T @ bases[a] for a in v.alphabet},
     )
 
@@ -614,112 +606,10 @@ def check_typical_projector(source, n, delta, p=None, cap=None):
     return _unconditional_reports(source, n, delta)
 
 
-def _ordering_screen(block):
-    """A test ``certified(xn, m, w)`` that proves, at the typical rank,
-    that V^n(x) - V'(x) has no eigenvalue below -ORDERING_TOL / 2, or
-    returns False; see :func:`_compress`.
-
-    The d x d factors of every symbol are taken here, once per call.  A
-    symbol with a nonpositive raw eigenvalue has none, and every string
-    containing it goes to the dense check, unless V'(x) = 0 and no raw
-    eigenvalue of its letters is negative.  The R x R index matrix of a
-    letter position is built when that position is read, so the n of them
-    are never held together.
-    """
-    v, basis, avg_strings = block.v, block.basis, block.avg_strings
-    raw, bases, overlaps = block.raw, block.bases, block.overlaps
-    u = np.finfo(float).eps / 2  # unit roundoff
-    d = basis.shape[0]
-    n = avg_strings.shape[1]
-
-    def pairs():
-        # flat indices into a d x d matrix of the letters (t_i, t'_i) at i
-        for i in range(n):
-            yield avg_strings[:, i, None] * d + avg_strings[None, :, i]
-
-    basis_abs = np.abs(basis)
-    # |A|*|A| over the typical columns: ||(|A| X |A|*)|| is at most the
-    # largest row sum of X |A|*|A| for entrywise nonnegative X
-    overlap_abs = (basis_abs.T @ basis_abs).ravel()
-    gram_abs = np.ones((len(avg_strings), len(avg_strings)))
-    for pair in pairs():
-        gram_abs *= overlap_abs[pair]
-    gram_rows = gram_abs.sum(axis=1)
-    psd = {a for a in v.alphabet if raw[a].min() >= 0.0}
-    factors = {}
-    for a in v.alphabet:
-        lam, e, f = raw[a], bases[a], overlaps[a]
-        if not lam.min() > 0.0:
-            continue
-        inv = 1.0 / lam
-        e_abs, f_abs = np.abs(e), np.abs(f)
-        # entrywise error of the computed overlaps basis* E
-        err = 3 * (d + 1) * u * (basis_abs.T @ e_abs)
-        h = (f_abs * inv) @ f_abs.T
-        # entrywise bound on (overlaps +- err) lam^{-1} (...)* - overlaps lam^{-1} overlaps*
-        cross = (err * inv) @ f_abs.T
-        dh = cross + cross.T + (err * inv) @ err.T
-        # E*E - I, plus the rounding of E*E
-        defect = np.abs(e.conj().T @ e - np.eye(d)) + 3 * (d + 1) * u * (e_abs.T @ e_abs)
-        skew = np.linalg.norm(defect * np.sqrt(lam[None, :] * inv[:, None]))
-        out = v.output(a)
-        resid = np.linalg.norm(out - (e * lam) @ e.conj().T) + 3 * (d + 2) * u * np.linalg.norm(
-            np.abs(out) + (e_abs * lam) @ e_abs.T
-        )
-        factors[a] = (
-            ((f * inv) @ f.conj().T).ravel(),
-            h.ravel(),
-            dh.ravel(),
-            1.0 / (1.0 - skew) if skew < 0.5 else np.inf,
-            (1.0 + np.linalg.norm(defect)) * lam.max(),
-            resid,
-            np.linalg.norm(out),
-        )
-
-    def certified(xn, m, w):
-        r, j = m.shape
-        if not r or not j:
-            return psd.issuperset(xn)
-        if any(a not in factors for a in xn):
-            return False
-        g = np.ones((r, r), dtype=complex)
-        h = np.ones((r, r))
-        dg = np.zeros((r, r))
-        omega = norm = size = 1.0
-        drift = 0.0
-        for a, pair in zip(xn, pairs()):
-            g_a, h_a, dh_a, omega_a, norm_a, resid_a, size_a = factors[a]
-            g *= g_a[pair]
-            h_a, dh_a = h_a[pair], dh_a[pair]
-            # telescoping: |G - G built from the exact overlaps| <= dg
-            dg = dg * (h_a + dh_a) + h * dh_a
-            h *= h_a
-            omega *= omega_a
-            # telescoping: ||V^n(x) - (x)_i E diag(lam) E*|| <= drift
-            drift = drift * (norm_a + resid_a) + norm * resid_a
-            norm *= norm_a
-            size *= size_a
-        root = np.sqrt(w)
-        b, b_abs = m * root, np.abs(m) * root
-        s = b.conj().T @ (g @ b)
-        top = float(np.linalg.eigvalsh((s + s.conj().T) / 2.0)[-1])
-        rel = 1.1 * u * (n * (3 * d + 8) + 6 * r + 10 * j + 8)
-        ones = b_abs.sum(axis=1)
-        spread = float((b_abs.T @ (1.1 * dg @ ones + rel * (h + dg) @ ones)).max())
-        excess = omega**2 * (top + spread) - 1.0
-        m_abs = np.abs(m)
-        out_size = float((m_abs @ (w * (m_abs.T @ gram_rows))).max())
-        drift += 3 * n * u * size + 1.1 * u * (3 * j + 6 * r + 6 * n + 8) * out_size
-        return max(excess, 0.0) * norm + drift <= ORDERING_TOL / 2
-
-    return certified
-
-
 def _compress(block):
     """The R x R core K of every type class of ``block`` (of its first
     member, keyed as ``block.classes``) and the largest eigenvalue of its
-    output A K A*, once the ordering V' <= V^n has been decided for every
-    typical string; :func:`_member_cores` gives each member its core.
+    output A K A*; :func:`_member_cores` gives each member its core.
 
     With A the D x R isometry onto the average state's typical subspace
     (columns a_t, products of its eigenvectors) and b_j the conditional
@@ -727,10 +617,10 @@ def _compress(block):
     w_j, the compressed output is V'(x) = A K_x A* with
     K_x = M diag(w) M* and M[t, j] = <a_t|b_j> = prod_i <a_{t_i}|b^{x_i}_{j_i}>,
     a product of d x d overlaps.  So neither projector is formed at
-    dimension D = d^n.  The symbol eigenbases and their overlaps with the
-    average eigenbasis come from the block; A is formed only for the dense
-    check below.  K_x is validated by one eigensolve that also gives the
-    nonzero spectrum of V'(x).
+    dimension D = d^n, nor is A.  The symbol eigenbases and their overlaps
+    with the average eigenbasis come from the block.  K_x is validated by
+    one eigensolve that also gives the nonzero spectrum of V'(x).  The
+    ordering V' <= V^n is not decided here (see the module docstring).
 
     The work is done once per type class.  The typical set of the average
     state is a union of type classes, so permuting positions maps it onto
@@ -742,72 +632,14 @@ def _compress(block):
     the same weights.  K_y is a re-indexing of K_x, without arithmetic,
     with the same spectrum and trace.  The same U maps the columns of A
     onto columns of A (U A = A P with P the permutation matrix of that
-    re-indexing), so V'(y) = A P K_x P* A* = U V'(x) U* and
-    V^n(y) - V'(y) = U (V^n(x) - V'(x)) U*: the ordering differences of a
-    class are unitarily equivalent and share one spectrum.  M, K, its
-    validation and the ordering screen below are taken on the first
-    member x of each class only, and only the |classes| cores are kept: a
-    member's permuted core is formed when it is read
-    (:func:`_member_cores`), so the memory is in R^2, not in |T| R^2.
-
-    The ordering V'(x) <= V^n(x) is first screened at rank R.  Write
-    V(a) ~ E_a diag(lam_a) E_a* for the symbol decompositions,
-    Q = (x)_i E_{x_i}, Lam the d^n raw product eigenvalues and
-    V~ = Q diag(Lam) Q*, and let F[t, k] = prod_i <a_{t_i}|e^{x_i}_{k_i}>
-    over all d^n strings k (so F* = Q* A).  With B = M diag(sqrt w) and
-    C = diag(Lam^{-1/2}) F* B, V' <= (1 + tau) V~ holds exactly when
-    lambda_max(C* C) <= 1 + tau.  C* C = B* G B is J x J, and
-    G = F diag(1/Lam) F* is an R x R matrix of products
-    G[t, t'] = prod_i <a_{t_i}|E lam^{-1} E*|a_{t'_i}> of d x d entries, so
-    neither C nor V^n(x) is formed.  With tol = ORDERING_TOL, a class is
-    accepted when
-
-        max(0, Omega^2 (lambda_max + slack) - 1) * ||V~|| + drift <= tol / 2,
-
-    with lambda_max the computed top eigenvalue of B* G B.  Then
-    V^n - V' >= -max(0, tau) ||V~|| - ||V^n - V~|| - (rounding of either
-    side) >= -tol / 2, so the dense rule could not have failed.  Every term
-    of the allowance is computed from the data, and each is symmetric in
-    the order of the n factors, so it covers every member of the class:
-
-    * ``slack`` bounds ||B* G B - C_ex* C_ex||, where C_ex is built from the
-      exact overlaps of the stored eigenvectors, by the largest row sum of
-      |B|* (D + rel (H + D)) |B|.  H is G built from |overlaps| (so it
-      dominates |G| entrywise), D bounds the error of G caused by the
-      rounded overlaps (their entrywise error is at most
-      3 (d + 1) u |basis|* |E_a|, with u the unit roundoff, and D follows
-      by the same telescoping product as G), and ``rel`` counts the
-      roundings of each entry of G, of the two matrix products and of the
-      eigensolve, from d, n, R and J.
-    * Omega = prod_i 1 / (1 - ||lam^{-1/2} (E*E - I) lam^{1/2}||) covers E_a
-      not being exactly unitary: then Q^{-1} = (Q* Q)^{-1} Q*, and
-      Lam^{-1/2} (Q* Q)^{-1} Lam^{1/2} is a Kronecker product of d x d
-      factors, each of norm at most that ratio.
-    * drift bounds ||V^n - V~|| by a telescoping product of the d x d
-      residuals ||V(a) - E_a diag(lam_a) E_a*|| (each plus the rounding of
-      its terms) and the norms ||E_a diag(lam_a) E_a*|| <= (1 + ||E*E - I||)
-      max lam_a.  It adds the rounding of the Kronecker chain of V^n(x) and
-      of A K A*, the latter bounded through |A|* |A| and |M| diag(w) |M|*.
-
-    The margin tol / 2 leaves room for the rounding of the dense
-    eigensolve itself.  V' = 0 (R = 0 or J = 0) is accepted outright when
-    no letter has a negative raw eigenvalue, as V^n(x) is then a product of
-    positive semidefinite factors.  A class with a nonpositive raw
-    eigenvalue in a letter (a singular output), or one the bound cannot
-    certify (a violation or a near-boundary case), goes to the dense check
-    of ``_ordering_scan`` through its first member alone, classes in the
-    order of their first members: V^n(x) is built by one Kronecker chain,
-    V'(x) = A K_x A* formed, and their difference decomposed once at
-    dimension D.  By the unitary equivalence above, that spectrum is every
-    member's, so one eigensolve decides the class, and the dense rule
-    alone decides a failure and its :class:`PsdOrderingError` payload,
-    which names the class's first member (a certified class's difference
-    has no eigenvalue below -tol / 2, so it never is the worst).  No other
-    d^n x d^n operator is formed here.
+    re-indexing), so V'(y) = A P K_x P* A* = U V'(x) U*.  M, K and its
+    validation are taken on the first member x of each class only, and
+    only the |classes| cores are kept: a member's permuted core is formed
+    when it is read (:func:`_member_cores`), so the memory is in R^2, not
+    in |T| R^2.
     """
-    v, n = block.v, block.n
-    certified = _ordering_screen(block)
-    cores, tops, screened = {}, {}, {}
+    n = block.n
+    cores, tops = {}, {}
     for key, (xn, *_) in block.classes.items():
         strings = _group_filter(xn, block.spectra, block.delta)
         jdx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
@@ -818,13 +650,6 @@ def _compress(block):
             w *= block.raw[a][jdx[:, pos]]
         cores[key], spectrum = _checked_outputs((xn,), (m * w) @ m.conj().T)
         tops[key] = float(spectrum[-1]) if spectrum.size else 0.0
-        screened[key] = certified(xn, m, w)
-    vn = tensor_power(v, n, block.cap)
-    _ordering_scan(
-        (xn, vn.output(xn), _sandwich(block.iso, cores[key]))
-        for key, (xn, *_) in block.classes.items()
-        if not screened[key]
-    )
     return cores, max(tops.values())
 
 
@@ -924,14 +749,13 @@ def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
     Every output of ``v**(x) n`` at a typical string is compressed first by
     its conditional projector, then by the typical projector of the average
     state.  The trace deficit is measured and becomes the channel's
-    epsilon.  Domination by the product channel is verified on every
-    output; a violation raises :class:`PsdOrderingError`.  The work runs
-    per type class of the typical set: one eigensolve at the rank R of the
-    average-state projector validates the class's compressed outputs, and
-    the screen of :func:`_compress` certifies their ordering at that rank.
-    A product output is built (and decomposed once at d^n) only for the
-    first member of a class the screen cannot certify, so an instance the
-    screen covers makes no d^n eigensolve.  ``cap`` bounds the dimension d^n.
+    epsilon.  Domination by the product channel is not checked here: the
+    leakage chain decides it (:func:`~cqwiretap.bounds.check_psd_ordering`),
+    and a non-commuting channel may violate it.  The work runs per type
+    class of the typical set: one eigensolve at the rank R of the
+    average-state projector validates the class's compressed outputs, no
+    product output is built and no eigensolve runs at d^n.  ``cap`` bounds
+    the dimension d^n.
     """
     block = _block(v, p, n, delta, cap)
     cores, _ = _compress(block)
@@ -949,12 +773,10 @@ def reindexed_pair(v, p, n, delta, cap=None):
     output of V' is built.  Both channels are re-indexed 0..|T|-1 in
     string order, so a function with |X| = |T| inputs applies, and
     :func:`~cqwiretap.bounds.certify_chain` takes the three together.
-    Every product output is built once here, for the chain;
-    :func:`_compress` builds and decomposes only the first member of each
-    class the ordering screen cannot certify, and the chain's own
-    :func:`~cqwiretap.bounds.check_psd_ordering` is then the dense
-    ordering check of the pair over all members.  ``cap`` bounds the
-    dimension d^n.
+    Every product output is built once here, for the chain, and none is
+    decomposed: the ordering V' <= V is not checked here, and the chain's
+    own :func:`~cqwiretap.bounds.check_psd_ordering` is the one ordering
+    check of the pair, over all members.  ``cap`` bounds the dimension d^n.
     """
     block = _block(v, p, n, delta, cap)
     cores, _ = _compress(block)
@@ -999,6 +821,11 @@ def typicality_reports(v, p, delta, ns, cap=None):
     pass over the R^2 index pairs and one R x R eigensolve per block
     length, without a loop over the members, the memory is in R^2 whatever
     the size |T| of the typical set, and no d^n x d^n output is formed.
+
+    No report depends on the ordering V' <= V^n, and none decides it: the
+    reports are returned for a non-commuting channel that violates it,
+    and the leakage chain's :func:`~cqwiretap.bounds.check_psd_ordering`
+    decides it where the chain needs it.
     """
     p = check_distribution(p, len(v.alphabet))
     states, ent = _validated_stack(v.states())

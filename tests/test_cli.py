@@ -22,7 +22,7 @@ import pytest
 
 from conftest import random_density, random_unitary, rng
 
-from cqwiretap import cli, codes, serialize, typicality
+from cqwiretap import bri, cli, codes, serialize, typicality
 from cqwiretap.channels import CqChannel
 from cqwiretap.cli import KINDS, main
 
@@ -413,9 +413,9 @@ class TestVerifyBri:
 
 
 class TestBoundChain:
-    def setup_spec(self, ws, v_prime, channel=None, m_dist=None):
+    def setup_spec(self, ws, v_prime, channel=None, m_dist=None, f=None):
         ws.channel("v.json", channel or flip_channel())
-        bri_path = ws.file("f.json", xor_bri_json())
+        bri_path = ws.file("f.json", xor_bri_json() if f is None else serialize.bri_to_json(f))
         params = {"v_prime": v_prime}
         if m_dist is not None:
             params["m_dist"] = m_dist
@@ -462,13 +462,18 @@ class TestBoundChain:
         rows = serialize.load_json(ws.out())
         assert all(r["holds"] for r in rows)
 
-    def test_typicality_mode_ordering_violation_exits_4(self, ws):
+    def test_typicality_mode_ordering_violation_exits_4(self, ws, capsys):
+        # the 6 typical strings meet a 6-input function, so the exit comes
+        # from the chain's own ordering check, not from a size mismatch
         spec = self.setup_spec(
             ws,
             {"mode": "typicality", "p": [0.55, 0.45], "n": 3, "delta": 0.5},
             channel=rotated_channel(51),
+            f=bri.construct_exhaustive(3, 6, 3, 1.0),
         )
         assert main(["bound-chain", spec]) == 4
+        assert "channel ordering violated at symbol 2" in capsys.readouterr().err
+        assert not ws.out().exists()
 
     @pytest.mark.parametrize("key", ["p", "n", "delta"])
     def test_typicality_mode_missing_key_exits_3(self, ws, key, capsys):
@@ -963,14 +968,19 @@ class TestTypicalityReport:
                               for name in ("_typical_inputs", "_average_basis")], key=str
         )
 
-    def test_ordering_violation_exits_4(self, ws):
+    def test_noncommuting_eavesdropper_exits_0(self, ws):
+        # V' <= V^n fails here (bound-chain exits 4 on it), but no report
+        # depends on that ordering, and this run does not decide it
         ws.channel("v.json", rotated_channel(51))
         spec = ws.spec(
             "typicality-report",
             {"channel": str(ws.root / "v.json")},
             {"p": [0.55, 0.45], "delta": 0.5, "ns": [3]},
         )
-        assert main(["typicality-report", spec]) == 4
+        assert main(["typicality-report", spec]) == 0
+        (block,) = serialize.load_json(ws.out())["per_n"]
+        held = {r["name"]: r["holds"] for r in block["reports"]}
+        assert all(held[name] for name in block["asserted"])
 
     def test_bad_ns(self, ws):
         ws.channel("v.json", flip_channel())

@@ -7,9 +7,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cqwiretap import channels, serialize, typicality
+from cqwiretap import bounds, channels, serialize, typicality
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
@@ -108,21 +109,33 @@ class TestDrift:
     "name", ["typicality-report", "typicality-report-clock", "typicality-report-qutrit"]
 )
 def test_typicality_reports_certify_the_ordering_at_rank_r(name, tmp_path, monkeypatch):
-    # the ordering screen certifies every string of these specs: no product
-    # output is built and the dense scan receives no triple
+    # the reports build no product output and solve no eigenproblem larger
+    # than the largest rank R (te2-rank-upper) of the run; the ordering
+    # V' <= V^n of every block length is then certified by the chain's check
+    # on the rank-R pair, the one ordering check of the library
     monkeypatch.setattr(
         channels.ProductChannel, "output", lambda *a: pytest.fail("product output built")
     )
-    real_scan = typicality._ordering_scan
-
-    def scan(triples):
-        return real_scan(pytest.fail(f"dense check of {t[0]}") for t in triples)
-
-    monkeypatch.setattr(typicality, "_ordering_scan", scan)
+    sizes = []
+    for solver in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, solver)
+        monkeypatch.setattr(
+            np.linalg, solver, lambda a, _real=real: sizes.append(a.shape[-1]) or _real(a)
+        )
     code, report, csv = run_case(name, tmp_path)
     assert code == EXITS[name] == 0
     assert report == (GOLDEN / f"{name}.expected.json").read_bytes()
     assert csv == (GOLDEN / f"{name}.expected.csv").read_bytes()
+    ranks = [r["lhs"] for block in json.loads(report)["per_n"] for r in block["reports"]
+             if r["name"] == "te2-rank-upper"]
+    assert sizes and max(sizes) <= max(ranks)
+    monkeypatch.undo()
+
+    _, inputs, params = CASES[name]
+    v = serialize.channel_from_json(serialize.load_json(GOLDEN / inputs["channel"]))
+    for n in params["ns"]:
+        base, prime, iso = typicality.reindexed_pair(v, params["p"], n, params["delta"])
+        assert bounds.check_psd_ordering(prime, base, iso) >= -bounds.ORDERING_TOL
 
 
 @pytest.mark.parametrize(

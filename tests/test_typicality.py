@@ -9,9 +9,7 @@ a hand count of admissible letter frequencies.
 import itertools
 import math
 import tracemalloc
-from collections import deque
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -679,12 +677,14 @@ class TestSubnormalizedChannel:
     def test_noncommuting_generic_instance_raises(self):
         # generic rotated outputs break the domination at short blocks: the
         # average-state projector does not commute with the inner sandwich
-        # and pushes weight outside it; the construction must refuse
-        g = rng(51)
-        v = rotated_channel(g)
-        with pytest.raises(PsdOrderingError) as info:
-            subnormalized_channel(v, (0.55, 0.45), 3, 0.5)
-        assert info.value.min_eigenvalue < -1e-3
+        # and pushes weight outside it; the construction returns, and the
+        # chain's ordering check refuses the pair
+        v, p, n, delta = rotated_channel(rng(51)), (0.55, 0.45), 3, 0.5
+        assert len(subnormalized_channel(v, p, n, delta)) == 6
+        got = chain_ordering_minimum(v, p, n, delta)
+        assert got < -1e-3
+        assert got == pytest.approx(min(member_ordering_minima(v, p, n, delta).values()),
+                                    abs=1e-15)
 
     def test_constant_pure_channel_lossless(self):
         pure = np.zeros((2, 2), dtype=complex)
@@ -811,27 +811,25 @@ class TestDenseOracle:
         assert abs(named["te7-trace"].lhs - te7) <= 1e-13
 
     def test_ordering_violation_matches_dense_sandwich(self):
-        # the bound-chain CLI turns the same error into exit 4 (test_cli,
+        # the chain's check of the reindexed pair; the bound-chain CLI turns
+        # the same error into exit 4 (test_cli,
         # test_typicality_mode_ordering_violation_exits_4)
         v, p, n, delta = rotated_channel(rng(51)), (0.55, 0.45), 3, 0.5
-        dense, _ = dense_compression(v, p, n, delta)
-        vn = tensor_power(v, n)
-        worst = min(np.linalg.eigvalsh(vn.output(xn) - out)[0] for xn, out in dense.items())
-        with pytest.raises(PsdOrderingError) as info:
-            subnormalized_channel(v, p, n, delta)
-        assert info.value.min_eigenvalue == pytest.approx(worst, abs=1e-13)
+        worst = min(dense_minima(v, p, n, delta).values())
+        got = chain_ordering_minimum(v, p, n, delta)
+        assert got == pytest.approx(worst, abs=1e-13)
+        assert got == pytest.approx(min(member_ordering_minima(v, p, n, delta).values()),
+                                    abs=1e-15)
         assert worst < -1e-3
 
 
 class TestStreamingCompression:
     """Per type class: one R x R eigensolve (validation and spectrum of
-    the compressed outputs), the ordering V' <= V decided at rank R by the
-    screen, and no product output, d^n eigensolve or d^n projector.  Flip
-    channel, p (0.6, 0.4), n 3, delta 0.5: R = 6 of d^n = 8, so the counts
-    tell the R x R validation apart from a d^n one; every conditional
-    window holds one string (J = 1), so the screen's J x J solves are
-    (1, 1).  The 3 typical strings form one type class, so the counts
-    also tell one solve per class apart from one per string."""
+    the compressed outputs), no ordering decided, and no product output,
+    d^n eigensolve or d^n projector.  Flip channel, p (0.6, 0.4), n 3,
+    delta 0.5: R = 6 of d^n = 8, so the counts tell the R x R validation
+    apart from a d^n one.  The 3 typical strings form one type class, so
+    the counts also tell one solve per class apart from one per string."""
 
     P, N, DELTA = (0.6, 0.4), 3, 0.5
 
@@ -856,7 +854,6 @@ class TestStreamingCompression:
         assert len(sub) == 3
         assert calls.count((8, 8)) == 0
         assert calls.count((6, 6)) == 1
-        assert calls.count((1, 1)) == 1
         assert "product" not in calls
 
     def test_factor_reports_reuse_the_spectra(self, monkeypatch):
@@ -886,23 +883,33 @@ class TestStreamingCompression:
 
     def test_violation_reaches_the_dense_eigensolves(self, monkeypatch):
         calls = self.count(monkeypatch)
-        scanned = []
-        real_scan = typicality._ordering_scan
-
-        def scan(triples):
-            def recorded():
-                for triple in triples:
-                    scanned.append(triple[0])
-                    yield triple
-
-            return real_scan(recorded())
-
-        monkeypatch.setattr(typicality, "_ordering_scan", scan)
+        base, prime, iso = reindexed_pair(rotated_channel(rng(51)), (0.55, 0.45), self.N, 0.5)
+        # the pair builds each of the 6 products once and decomposes none
+        assert calls.count("product") == len(base) == 6
+        assert (8, 8) not in calls
+        # the chain's check solves each member's difference once at d^n
         with pytest.raises(PsdOrderingError):
-            subnormalized_channel(rotated_channel(rng(51)), (0.55, 0.45), self.N, 0.5)
-        # each string the screen leaves is built once and solved once at d^n
-        assert scanned
-        assert calls.count("product") == calls.count((8, 8)) == len(scanned)
+            bounds.check_psd_ordering(prime, base, iso)
+        assert calls.count("product") == calls.count((8, 8)) == 6
+
+    @pytest.mark.parametrize(
+        "make, p, n, delta",
+        [
+            # V' <= V^n holds (the average is I/2, so Pi = I), yet 2 of the
+            # 12 classes once went to a dense d^n check
+            (clock_channel, (1 / 3, 1 / 3, 1 / 3), 5, 1.0),
+            # V' <= V^n fails, once found by a dense d^n check
+            (lambda: rotated_channel(rng(51)), (0.55, 0.45), 3, 0.5),
+        ],
+        ids=["clock-5", "rotated-3"],
+    )
+    def test_typicality_reports_do_no_dn_work(self, make, p, n, delta, monkeypatch):
+        v = make()
+        calls = self.count(monkeypatch)
+        (_, reports), = typicality_reports(v, p, delta, [n])
+        rank = {r.name: r.lhs for r in reports}["te2-rank-upper"]
+        assert "product" not in calls
+        assert max(shape[-1] for shape in calls) <= rank
 
     def test_conditional_reports_build_no_product(self, monkeypatch):
         calls = self.count(monkeypatch)
@@ -920,35 +927,17 @@ def dense_minima(v, p, n, delta):
     return {xn: np.linalg.eigvalsh(vn.output(xn) - out)[0] for xn, out in dense.items()}
 
 
-def screened_compression(v, p, n, delta):
-    """``subnormalized_channel`` with the strings its ordering screen
-    certified; returns (min_eigenvalue or None, certified strings, the
-    strings the screen was asked about).  The screen decides a whole type
-    class on its first member, so the certified strings are every typical
-    string with the letter counts of a certified one."""
-    asked, certified = [], set()
-    real = typicality._ordering_screen
-
-    def spy(*args):
-        test = real(*args)
-
-        def recorded(xn, m, w):
-            asked.append(xn)
-            ok = test(xn, m, w)
-            if ok:
-                certified.add(tuple(sorted(xn)))
-            return ok
-
-        return recorded
-
-    got = None
-    with mock.patch.object(typicality, "_ordering_screen", spy):
-        try:
-            subnormalized_channel(v, p, n, delta)
-        except PsdOrderingError as exc:
-            got = exc.min_eigenvalue
-    members = typical_set(p, n, delta, alphabet=v.alphabet)
-    return got, [xn for xn in members if tuple(sorted(xn)) in certified], asked
+def chain_ordering_minimum(v, p, n, delta):
+    """The minimum eigenvalue of the :class:`PsdOrderingError` that the
+    chain's ordering check raises on ``reindexed_pair``, or None when it
+    passes; ``typicality_reports`` at the same n returns either way."""
+    assert len(typicality_reports(v, p, delta, [n])) == 1
+    base, prime, iso = reindexed_pair(v, p, n, delta)
+    try:
+        bounds.check_psd_ordering(prime, base, iso)
+    except PsdOrderingError as exc:
+        return exc.min_eigenvalue
+    return None
 
 
 def near_commuting_channel(g, d, k, theta):
@@ -974,77 +963,21 @@ def theta_channel(theta):
 
 
 class TestOrderingScreen:
-    """The rank-R screen of the ordering V' <= V^n against the dense rule:
-    the same decision and payload, and no certified string whose dense
-    difference falls below -ORDERING_TOL."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        d=st.sampled_from([2, 3]),
-        kind=st.sampled_from(["commuting", "generic", "near"]),
-        log_theta=st.floats(-6.0, -1.0),
-        k=st.sampled_from([2, 3]),
-        n=st.integers(2, 4),
-        delta=st.sampled_from([0.3, 0.5, 1.0, 2.0]),
-    )
-    def test_matches_dense_rule(self, seed, d, kind, log_theta, k, n, delta):
-        g = rng(seed)
-        if d == 3:
-            n = min(n, 3)
-        if kind == "generic":
-            v = CqChannel(tuple(range(k)), d, {x: random_density(g, d) for x in range(k)})
-        else:
-            v = near_commuting_channel(g, d, k, 0.0 if kind == "commuting" else 10**log_theta)
-        p = g.dirichlet(np.ones(k))
-        try:
-            minima = dense_minima(v, p, n, delta)
-        except (InvalidStateError, ValueError):
-            return  # empty typical set
-        worst = min(minima.values())
-        got, certified, _ = screened_compression(v, p, n, delta)
-        assert (got is not None) == (worst < -ORDERING_TOL)
-        if got is not None:
-            assert abs(got - worst) <= 1e-13
-        assert all(minima[xn] >= -ORDERING_TOL for xn in certified)
+    """The ordering V' <= V^n, screened by the chain's check alone: on the
+    rotated pairs below ``typicality_reports`` returns, and
+    ``bounds.check_psd_ordering`` on the reindexed pair raises with the
+    dense rule's minimum eigenvalue."""
 
     @pytest.mark.parametrize("theta", [1e-3, 0.01, 0.05, 0.1, 0.3])
     @pytest.mark.parametrize("n, delta", [(2, 0.5), (4, 0.5), (6, 0.5), (6, 0.3)])
     def test_rotated_sweep_still_raises(self, theta, n, delta):
-        # the rotated pairs that today's construction cannot certify: the
-        # dense rule still raises, with its own minimum eigenvalue
         v, p = theta_channel(theta), (0.75, 0.25)
         worst = min(dense_minima(v, p, n, delta).values())
-        got, _, _ = screened_compression(v, p, n, delta)
+        got = chain_ordering_minimum(v, p, n, delta)
         assert worst < -ORDERING_TOL
         assert got == pytest.approx(worst, abs=1e-13)
-        # one class representative is decomposed, not every member
         assert got == pytest.approx(min(member_ordering_minima(v, p, n, delta).values()),
                                     abs=1e-15)
-
-    def test_zero_outputs_certified_without_products(self, monkeypatch):
-        # empty-conditional: every V'(x) = 0; the 4 strings are one type
-        # class, decided by one screen call
-        monkeypatch.setattr(
-            channels.ProductChannel, "output", lambda *a: pytest.fail("product built")
-        )
-        _, certified, asked = screened_compression(flip_channel(), (0.75, 0.25), 4, 0.2)
-        assert asked == [(0, 0, 0, 1)]
-        assert len(certified) == 4
-
-    def test_singular_outputs_take_the_dense_path(self):
-        pure = np.zeros((2, 2), dtype=complex)
-        pure[0, 0] = 1.0
-        v = CqChannel((0, 1), 2, {0: pure, 1: pure})
-        got, certified, _ = screened_compression(v, (0.7, 0.3), 2, 0.5)
-        assert got is None and not certified
-
-    def test_near_pure_flip_passes(self):
-        v, p, n, delta = flip_channel(1.0 - 1e-13), (0.6, 0.4), 3, 0.5
-        minima = dense_minima(v, p, n, delta)
-        got, _, _ = screened_compression(v, p, n, delta)
-        assert got is None
-        assert min(minima.values()) >= -ORDERING_TOL
 
 
 class TestChainPair:
@@ -1083,12 +1016,10 @@ class TestPerClassCompression:
     @staticmethod
     def assert_parity(v, p, n, delta):
         cores, tops, epsilon, core = compress_per_string(v, p, n, delta)
-        # the cores are compared whatever the ordering decides
-        with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
-            block = typicality._block(v, p, n, delta)
-            per_class, top = typicality._compress(block)
-            (eps, _), = factor_pairs(v, p, delta, [n])
-            sub = subnormalized_channel(v, p, n, delta)
+        block = typicality._block(v, p, n, delta)
+        per_class, top = typicality._compress(block)
+        (eps, _), = factor_pairs(v, p, delta, [n])
+        sub = subnormalized_channel(v, p, n, delta)
         got = dict(typicality._member_cores(block, per_class))
         assert block.members == tuple(got) == tuple(cores)
         for xn, k in got.items():
@@ -1123,9 +1054,11 @@ class TestPerClassCompression:
             minima = dense_minima(v, p, n, delta)
         except (InvalidStateError, ValueError):
             return  # empty typical set
-        got, certified, _ = screened_compression(v, p, n, delta)
-        assert (got is not None) == (min(minima.values()) < -ORDERING_TOL)
-        assert all(minima[xn] >= -ORDERING_TOL for xn in certified)
+        worst = min(minima.values())
+        got = chain_ordering_minimum(v, p, n, delta)
+        assert (got is not None) == (worst < -ORDERING_TOL)
+        if got is not None:
+            assert abs(got - worst) <= 1e-13
         self.assert_parity(v, p, n, delta)
 
 
@@ -1173,16 +1106,16 @@ class TestFactorReportsPerClass:
         ],
     )
     def test_rotated_instance_still_raises(self, theta, n, delta, recorded):
-        # the payload recorded when every string kept its own core, and the
-        # dense rule's minimum
+        # the factor reports return; the chain's check raises the payload
+        # recorded when every string kept its own core, and the dense rule's
+        # minimum
         v, p = theta_channel(theta), (0.75, 0.25)
-        with pytest.raises(PsdOrderingError) as info:
-            factor_pairs(v, p, delta, [n])
-        assert info.value.min_eigenvalue == pytest.approx(recorded, abs=1e-13)
-        worst = min(dense_minima(v, p, n, delta).values())
-        assert info.value.min_eigenvalue == pytest.approx(worst, abs=1e-13)
+        assert len(factor_pairs(v, p, delta, [n])) == 1
+        got = chain_ordering_minimum(v, p, n, delta)
+        assert got == pytest.approx(recorded, abs=1e-13)
+        assert got == pytest.approx(min(dense_minima(v, p, n, delta).values()), abs=1e-13)
         per_member = min(member_ordering_minima(v, p, n, delta).values())
-        assert info.value.min_eigenvalue == pytest.approx(per_member, abs=1e-15)
+        assert got == pytest.approx(per_member, abs=1e-15)
 
     def test_peak_memory_in_r_squared(self):
         # flip 0.8 in a Haar frame, p (0.6, 0.4), delta 0.5 at n = 8: 210
@@ -1227,8 +1160,7 @@ class TestOrbitAverage:
     @staticmethod
     def assert_matches_gather(v, p, n, delta):
         block = typicality._block(v, p, n, delta)
-        with mock.patch.object(typicality, "_ordering_scan", lambda t: deque(t, maxlen=0)):
-            cores, _ = typicality._compress(block)
+        cores, _ = typicality._compress(block)
         got = typicality._mean_core(block, cores)
         want = gathered_mean_core(block, cores)
         assert op.rank_eps(got) == op.rank_eps(want)
@@ -1278,26 +1210,3 @@ class TestOrbitAverage:
         pairs = set(zip(labels.tolist(), pair_orbits(strings).tolist()))
         # 4 letter pairs, counts summing to 3: C(6, 3) = 20 orbits
         assert len(pairs) == len(set(labels.tolist())) == 20
-
-
-class TestPerClassWork:
-    """The dense ordering fallback of ``typicality_reports`` decomposes one
-    representative per class the screen leaves (that the reports read no
-    member permutation is pinned on the goldens, in test_golden)."""
-
-    def test_one_dense_check_per_uncertified_class(self, monkeypatch):
-        # clock 0.8, uniform p, delta 1, n = 5: the average is I/2, so
-        # Pi = I, and the top screened eigenvalue is exactly 1; the screen
-        # leaves 2 of the 12 classes, whose 20 members share 2 triples
-        scanned = []
-        real_scan = typicality._ordering_scan
-
-        def scan(triples):
-            return real_scan(scanned.append(t[0]) or t for t in triples)
-
-        monkeypatch.setattr(typicality, "_ordering_scan", scan)
-        (epsilon, reports), = factor_pairs(clock_channel(), (1 / 3, 1 / 3, 1 / 3), 1.0, [5])
-        assert scanned == [(0, 0, 0, 2, 2), (0, 0, 2, 2, 2)]
-        block = typicality._block(clock_channel(), (1 / 3, 1 / 3, 1 / 3), 5, 1.0)
-        assert len(block.classes) == 12
-        assert sum(len(block.classes[tuple(sorted(x))]) for x in scanned) == 20
