@@ -666,9 +666,14 @@ def _newton_points(p: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     On the support S (the weights above ``_SUPPORT_FLOOR``) it solves
     ``[[H_SS, 1], [1, 0]] [delta; mu] = [-g_S; 0]`` and returns
-    ``p + delta`` on S and 0 off it, for the simplex projection to place.
-    Each system is ``(k + 1, k + 1)``, with ``-1`` on the diagonal of the
-    rows and columns off the support, and one batched ``eigvalsh`` and one
+    ``p + t delta`` on S and 0 off it, with ``t = min(1, 0.9 min
+    p_m/|delta_m|)`` over the shrinking weights, as :func:`_newton_trial`
+    goes: at most 0.9 of the way to the face's boundary.  So the point lies
+    on the simplex up to rounding, which the simplex projection cleans, and
+    a nearly singular system, whose delta may be near 1e16, moves the point
+    a short way along delta, not off the simplex.  Each system is
+    ``(k + 1, k + 1)``, with ``-1`` on the diagonal of the rows and columns
+    off the support, and one batched ``eigvalsh`` and one
     batched solve cover every row, so a row gets the same bits alone as
     inside a batch.  A row has a point only where the curvature is
     negative definite on the face, so that the quadratic model has a
@@ -702,7 +707,11 @@ def _newton_points(p: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
                 delta[i] = np.linalg.solve(kkt[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
-    out[ok] = np.where(on, p[ok] + delta[:, :k, 0], 0.0)
+    delta = delta[:, :k, 0]
+    shrink = on & (delta < 0.0)
+    reach = (np.where(shrink, p[ok], np.inf) / np.where(shrink, -delta, 1.0)).min(axis=1)
+    t = np.minimum(1.0, _BOUNDARY_SHARE * reach)
+    out[ok] = np.where(on, p[ok] + t[:, None] * delta, 0.0)
     out[~np.isfinite(out).all(axis=1)] = np.nan
     return out
 
@@ -832,7 +841,9 @@ def capacity_single_letter(
     the best trial that raises its value; a rejected row tries batches of
     halved steps.  The Newton point solves the bordered system of the
     quadratic model on the face of the weights above 1e-12, with the
-    weights off it held at 0, by one batched solve per round; a row has
+    weights off it held at 0, by one batched solve per round, and goes at
+    most 0.9 of the way to the face's boundary along the model's step, so
+    it stays on the simplex where the model is nearly singular; a row has
     none where an average has an eigenvalue 0, where its gradient is not
     finite, where its support has fewer than 2 entries, or where the model
     has no maximum on the face (its curvature is not negative definite

@@ -11,33 +11,36 @@ entries) so repeated runs produce identical outputs.  Neither projector is
 ever formed at dimension d^n: every quantity below is read off the index
 strings and d x d overlaps.
 
-``check_typical_projector`` reports the trace, rank, and eigenvalue windows
-of the projected operators.  The eigenvalue sandwiches and the rank upper
-bounds are sharp at every block length once the window constants
-``gamma = delta * max |log2 q|`` are instantiated from the spectrum (for
-conditional checks the constant ranges over all output spectra, and the
-stated window additionally requires the output entropies to agree or the
-string to have exact type).  The rank lower bounds and the trace bounds
-tighten only as the block length grows, so they are reported, not promised.
+``typicality_reports`` gives every report of a ``typicality-report`` run:
+the trace, rank and eigenvalue windows of the typical projector of the
+average state PV (te1-te3) and of the conditional projectors of the
+channel (te4-te7), and the spectral factor bounds of the compressed
+channel.  The eigenvalue sandwiches and the rank upper bounds are sharp at
+every block length once the window constants ``gamma = delta * max |log2
+q|`` are instantiated from the spectrum (for the conditional reports the
+constant ranges over all output spectra, and the stated window
+additionally requires the output entropies to agree or the string to have
+exact type).  The rank lower bounds and the trace bounds tighten only as
+the block length grows, so they are reported, not promised.
 
-``subnormalized_channel`` compresses each product output between its own
-conditional projector and the typical projector of the average state.  The
-result is dominated by the product channel whenever the two projector
-families are compatible (commuting outputs, or a full average-state
-projector), and not in general.  Nothing here decides that ordering: the
-leakage chain needs it at one step, and
+The compressed channel V' maps each typical input string to its product
+output compressed first by its own conditional projector, then by the
+typical projector of PV.  It is dominated by the product channel whenever
+the two projector families are compatible (commuting outputs, or a full
+average-state projector), and not in general.  Nothing here decides that
+ordering: the leakage chain needs it at one step, and
 :func:`~cqwiretap.bounds.check_psd_ordering`, which
 :func:`~cqwiretap.bounds.certify_chain` runs over every member, decides it
 there.  ``reindexed_pair`` gives the (V, V', A) the chain takes in
 typicality mode, V' as its R x R cores on the range of the isometry A (no
-d^n output of V' is formed; the chain's ordering check forms each A K A*),
-and ``typicality_reports`` every report of a ``typicality-report`` run,
-the spectral factor bounds of the compressed channel among them.
+d^n output of V' is formed; the chain's ordering check forms each A K A*).
 
-Every report of one (V, p, n, delta) reads one private block: the typical
-inputs grouped by type class, the eigenbasis and typical strings of the
-average state, and the symbol eigenbases with their d x d overlaps, so
-each is computed once per block length.  The compression works inside the
+A call takes its eigen-data once, for all its block lengths: one batched
+eigensolve validates the outputs of V, and PV and each output are
+decomposed once.  Every report of one (V, p, n, delta) then reads one
+private block: the typical inputs grouped by type class and the typical
+strings of PV at that n, with the shared eigenbases and d x d overlaps
+(:func:`_blocks`).  The compression works inside the
 typical subspace of the average state, of rank R <= d^n, once per type
 class.  The compressed output of a class's first member is A K A*, with A
 the d^n x R isometry onto the subspace and an R x R matrix K built from
@@ -66,8 +69,8 @@ from functools import cached_property
 import numpy as np
 
 from . import operators as op
-from .bounds import _sandwich, make_report
-from .channels import CqChannel, _checked_outputs, _mixtures, _validated_stack
+from .bounds import make_report
+from .channels import CqChannel, _checked_outputs, _mixtures
 from .channels import check_distribution, tensor_power
 from .config import STRING_CAP, check_dim
 from .errors import (
@@ -80,8 +83,6 @@ __all__ = [
     "TypicalSet",
     "sorted_eigenbasis",
     "typical_set",
-    "check_typical_projector",
-    "subnormalized_channel",
     "reindexed_pair",
     "typicality_reports",
 ]
@@ -404,9 +405,9 @@ def _symbol_eigenbases(v, symbols):
     return raw, spectra, bases
 
 
-def _unconditional_reports(rho, n, delta):
-    rho = op.check_density(np.asarray(rho, dtype=complex))
-    q = _clean_spectrum(np.linalg.eigvalsh(rho)[::-1])
+def _unconditional_reports(q, n, delta):
+    """te1-te3 of the typical projector of a state with cleaned spectrum
+    ``q`` (descending) at block length n."""
     entropy, window = _entropy_and_window(q, delta)
     profiles = _profiles(q, n, delta)
     rank = sum(size for _, size, _ in profiles)
@@ -452,37 +453,20 @@ def _string_profile(xn, spectra, delta):
     return rank, trace, log_lo, log_hi
 
 
-def _typical_inputs(v, p, n, delta, cap):
-    """Validated input distribution and the listed typical input strings of
-    a channel, once the product dimension is checked against ``cap``; an
-    empty set is an error."""
-    p = check_distribution(p, len(v.alphabet))
-    check_dim(v.dim**n, cap)
-    members = typical_set(p, n, delta, alphabet=v.alphabet)._listed("list")
-    if not members:
-        raise InvalidStateError("typical set is empty at this block length")
-    return p, members
-
-
-def _average_basis(avg, n, delta):
-    """Deterministic eigenbasis of the average state PV, validated here as
-    a density, and the index strings of its typical subspace, one row per
-    string."""
-    vals, basis = sorted_eigenbasis(op.check_density(avg))
-    strings = typical_set(_clean_spectrum(vals), n, delta)._listed("project onto")
-    return basis, np.array(strings, dtype=np.intp).reshape(len(strings), n)
-
-
 @dataclass(frozen=True, eq=False)
 class _Block:
     """What every report of one (V, p, n, delta) reads, computed once.
 
     ``classes`` groups the typical input strings ``members`` (string order)
     by type class, keyed by their sorted letter indices, in the order of
-    the classes' first members.  ``basis`` and ``avg_strings`` are the
-    eigenbasis of PV and its typical index strings; ``raw`` and
-    ``spectra`` the raw and cleaned spectra of the symbols, ``overlaps``
-    the d x d matrices basis* E_a, with E_a the eigenbasis of symbol a.
+    the classes' first members, and ``avg_strings`` are the typical index
+    strings of PV, one row per string.  The eigen-data of (V, p) is shared
+    by every block of one :func:`_blocks` call: ``basis`` the eigenbasis of
+    PV; ``raw`` and ``spectra`` the raw and cleaned
+    spectra of the symbols, ``overlaps`` the d x d matrices basis* E_a,
+    with E_a the eigenbasis of symbol a; ``avg_spectrum`` the clipped
+    ascending ``eigvalsh`` spectrum of PV and ``output_spectra`` those of
+    the outputs, one row per symbol, from the call that validated them.
     """
 
     v: CqChannel
@@ -496,6 +480,8 @@ class _Block:
     raw: dict
     spectra: dict
     overlaps: dict
+    avg_spectrum: np.ndarray
+    output_spectra: np.ndarray
 
     @cached_property
     def iso(self):
@@ -503,24 +489,45 @@ class _Block:
         return _column_stack([self.basis] * self.n, self.avg_strings)
 
 
-def _block(v, p, n, delta, cap=None, avg=None):
-    """The :class:`_Block` of (v, p, n, delta); ``avg`` is PV when the
-    caller has it, and is formed here otherwise."""
-    n, delta = _validate_block(n, delta)
-    p, members = _typical_inputs(v, p, n, delta, cap)
-    if avg is None:
-        avg = _mixtures(p, np.array(v.states()))
-    basis, avg_strings = _average_basis(avg, n, delta)
+def _blocks(v, p, delta, ns, cap=None):
+    """The :class:`_Block` of (v, p, n, delta) for each n in ``ns``, in
+    order.
+
+    The eigen-data is taken before the first block, once for all of them:
+    one batched ``eigvalsh`` validates the outputs of v as densities, and
+    PV (their mixture, so a density too, validated by no call of its own)
+    and each output are decomposed once.  Per block length only the typical
+    inputs, listed and grouped by type class, and the typical strings of PV
+    are found.  ``cap`` bounds the dimension d^n; an empty typical input
+    set is an error.
+    """
+    p = check_distribution(p, len(v.alphabet))
+    states, output_spectra = op._spectra(np.array(v.states()), density=True)
+    avg = _mixtures(p, states)
+    # PV is exactly Hermitian (a real mixture of symmetrized states), so this
+    # is the spectrum every entropy routine would take of it
+    avg_spectrum = op.clip_spectrum(np.linalg.eigvalsh(avg))
+    vals, basis = sorted_eigenbasis(avg)
+    q = _clean_spectrum(vals)
     raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
+    overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
     letter = {a: i for i, a in enumerate(v.alphabet)}
-    classes = {}
-    for xn in members:
-        classes.setdefault(tuple(sorted(letter[a] for a in xn)), []).append(xn)
-    return _Block(
-        v=v, p=p, n=n, delta=delta, members=members, classes=classes,
-        basis=basis, avg_strings=avg_strings, raw=raw, spectra=spectra,
-        overlaps={a: basis.conj().T @ bases[a] for a in v.alphabet},
-    )
+    for n in ns:
+        n, delta = _validate_block(n, delta)
+        check_dim(v.dim**n, cap)
+        members = typical_set(p, n, delta, alphabet=v.alphabet)._listed("list")
+        if not members:
+            raise InvalidStateError("typical set is empty at this block length")
+        classes = {}
+        for xn in members:
+            classes.setdefault(tuple(sorted(letter[a] for a in xn)), []).append(xn)
+        strings = typical_set(q, n, delta)._listed("project onto")
+        yield _Block(
+            v=v, p=p, n=n, delta=delta, members=members, classes=classes, basis=basis,
+            avg_strings=np.array(strings, dtype=np.intp).reshape(len(strings), n),
+            raw=raw, spectra=spectra, overlaps=overlaps, avg_spectrum=avg_spectrum,
+            output_spectra=output_spectra,
+        )
 
 
 def _conditional_reports(block):
@@ -584,26 +591,6 @@ def _conditional_reports(block):
         reports.append(make_report("te5-eig-upper", 0.0, 0.0))
     reports.append(make_report("te7-trace", avg_trace, 1.0))
     return reports
-
-
-def check_typical_projector(source, n, delta, p=None, cap=None):
-    """Trace, rank, and eigenvalue reports for a typical projector.
-
-    With a density matrix: the projected power ``Pi rho**(x) n Pi`` is
-    checked against the window constant from the spectrum (reports te1-te3).
-    With a cq channel and an input distribution: the conditional projectors
-    at every typical input string are checked, worst case per report, plus
-    the projected trace against the average-state projector (te4-te7).
-    Trace reports carry the measured value against the trivial bound 1.
-    """
-    n, delta = _validate_block(n, delta)
-    if hasattr(source, "output") and hasattr(source, "alphabet"):
-        if p is None:
-            raise InvalidStateError(
-                "conditional checks need the input distribution"
-            )
-        return _conditional_reports(_block(source, p, n, delta, cap))
-    return _unconditional_reports(source, n, delta)
 
 
 def _compress(block):
@@ -743,46 +730,27 @@ def _mean_core(block, cores):
     return (sums / (sizes * len(block.members)))[labels].reshape(r, r)
 
 
-def subnormalized_channel(v, p, n, delta, cap=None) -> CqChannel:
-    """Project each typical product output into the typical subspaces.
-
-    Every output of ``v**(x) n`` at a typical string is compressed first by
-    its conditional projector, then by the typical projector of the average
-    state.  The trace deficit is measured and becomes the channel's
-    epsilon.  Domination by the product channel is not checked here: the
-    leakage chain decides it (:func:`~cqwiretap.bounds.check_psd_ordering`),
-    and a non-commuting channel may violate it.  The work runs per type
-    class of the typical set: one eigensolve at the rank R of the
-    average-state projector validates the class's compressed outputs, no
-    product output is built and no eigensolve runs at d^n.  ``cap`` bounds
-    the dimension d^n.
-    """
-    block = _block(v, p, n, delta, cap)
-    cores, _ = _compress(block)
-    outputs = {xn: _sandwich(block.iso, k) for xn, k in _member_cores(block, cores)}
-    return CqChannel(block.members, block.iso.shape[0], outputs, validate=False)
-
-
 def reindexed_pair(v, p, n, delta, cap=None):
     """The leakage chain's (V, V', A) in typicality mode.
 
     V is the n-letter product channel on the typical strings and A the
     d^n x R isometry onto the typical subspace of the average state.  V'
-    is :func:`subnormalized_channel` on the range of A: its outputs are
-    the R x R cores K_x, so A K_x A* is the compressed output, and no d^n
-    output of V' is built.  Both channels are re-indexed 0..|T|-1 in
-    string order, so a function with |X| = |T| inputs applies, and
-    :func:`~cqwiretap.bounds.certify_chain` takes the three together.
-    Every product output is built once here, for the chain, and none is
-    decomposed: the ordering V' <= V is not checked here, and the chain's
-    own :func:`~cqwiretap.bounds.check_psd_ordering` is the one ordering
-    check of the pair, over all members.  ``cap`` bounds the dimension d^n.
+    is the compressed channel (see the module docstring) on the range of
+    A: its outputs are the R x R cores K_x, so A K_x A* is the compressed
+    output, and no d^n output of V' is built.  Both channels are
+    re-indexed 0..|T|-1 in string order, so a function with |X| = |T|
+    inputs applies, and :func:`~cqwiretap.bounds.certify_chain` takes the
+    three together.  Every product output is built once here, for the
+    chain, and none is decomposed: the ordering V' <= V is not checked
+    here, and the chain's own :func:`~cqwiretap.bounds.check_psd_ordering`
+    is the one ordering check of the pair, over all members.  ``cap``
+    bounds the dimension d^n.
     """
-    block = _block(v, p, n, delta, cap)
+    block, = _blocks(v, p, delta, [n], cap)
     cores, _ = _compress(block)
     index = range(len(block.members))
     iso = block.iso
-    vn = tensor_power(v, n, cap)
+    vn = tensor_power(v, block.n, cap)
     # neither is validated again: Kronecker products of validated densities
     # are exactly Hermitian, and _compress validated and symmetrized every
     # core K, whose permutations are the member cores
@@ -796,23 +764,31 @@ def reindexed_pair(v, p, n, delta, cap=None):
 
 def typicality_reports(v, p, delta, ns, cap=None):
     """``(epsilon, reports)`` for every block length n in ``ns``: the
-    reports te1-te3 of the average state PV, te4-te7 of the channel
-    (:func:`check_typical_projector`) and the three factor reports of the
-    compressed channel, in that order.  PV and the window constants are
-    formed once, and the typical inputs and the basis and typical strings
-    of PV once per n, for all of them.  ``cap`` bounds the dimension d^n.
+    reports te1-te3 of the average state PV, te4-te7 of the channel's
+    conditional projectors and the three factor reports of the compressed
+    channel, in that order.  The eigen-data of V and PV is taken once for
+    all of them (:func:`_blocks`); each block length adds only its typical
+    strings, its R x R work and arithmetic on the shared spectra.  ``cap``
+    bounds the dimension d^n.
 
-    ``epsilon`` is the trace deficit of ``subnormalized_channel(v, p, n,
-    delta)``, read off the cores as 1 - min_x tr K_x (tr A K A* = tr K, as
-    A is an isometry).  factor-norm: the largest output operator norm, read
-    off the R x R spectra that validated the outputs, against
-    2^(-n (S(V|P) - gamma)); factor-rank: the rank of the uniform average
-    output A K A* (the rank of the R x R mean core K) against
-    2^(n (S(PV) + beta)); factor-product: their product against
-    2^(n (chi + beta + gamma)).  The window constants are
-    ``delta * max |log2 q|``, beta over the spectrum of PV and gamma the
-    worst over the output spectra; one spectrum of PV gives chi, S(PV) and
-    beta.
+    te1-te3 hold the trace, rank and eigenvalue extremes of the typical
+    projector of PV, read off its type classes.  te4-te6 hold those of the
+    conditional projectors, worst case over the typical inputs, and te7
+    the projected trace tr(V^n(x) Pi) against the typical projector Pi of
+    PV, the least over the typical inputs.  Trace reports carry the
+    measured value against the trivial bound 1.
+
+    ``epsilon`` is the trace deficit of the compressed channel, read off
+    the cores as 1 - min_x tr K_x (tr A K A* = tr K, as A is an isometry).
+    factor-norm: the largest output operator norm, read off the R x R
+    spectra that validated the outputs, against 2^(-n (S(V|P) - gamma));
+    factor-rank: the rank of the uniform average output A K A* (the rank
+    of the R x R mean core K) against 2^(n (S(PV) + beta)); factor-product:
+    their product against 2^(n (chi + beta + gamma)).  The window constants
+    are ``delta * max |log2 q|``, beta over the spectrum of PV and gamma
+    the worst over the output spectra; one spectrum of PV gives chi, S(PV)
+    and beta, and the spectra that validated the outputs give gamma and
+    S(V|P).
 
     All three are read per type class, from the cores of :func:`_compress`:
     the norm is the class's top eigenvalue, tr K_y = tr K_x for every
@@ -827,26 +803,21 @@ def typicality_reports(v, p, delta, ns, cap=None):
     and the leakage chain's :func:`~cqwiretap.bounds.check_psd_ordering`
     decides it where the chain needs it.
     """
-    p = check_distribution(p, len(v.alphabet))
-    states, ent = _validated_stack(v.states())
-    avg = _mixtures(p, states)
-    # PV is exactly Hermitian (a real mixture of symmetrized states), so its
-    # spectrum is the one every entropy routine would take of it; ascending,
-    # so the normalizing sum of the window adds the smallest eigenvalues
-    # first, the order the golden reports were recorded in
-    w = op.clip_spectrum(np.linalg.eigvalsh(avg))
-    s_cond, s_avg = float((ent * p).sum()), float(op._entropy_core(w))
-    chi = max(0.0, s_avg - s_cond)
 
     def window(q):
         return _entropy_and_window(_clean_spectrum(q), delta)[1]
 
-    beta = window(w)
-    gamma = max(window(np.linalg.eigvalsh(v.output(a))) for a in v.alphabet)
     out = []
-    for length in ns:
-        block = _block(v, p, length, delta, cap, avg)
-        n = block.n
+    for block in _blocks(v, p, delta, ns, cap):
+        n, w = block.n, block.avg_spectrum
+        s_cond = float((op._entropy_core(block.output_spectra) * block.p).sum())
+        s_avg = float(op._entropy_core(w))
+        chi = max(0.0, s_avg - s_cond)
+        # w is ascending, so the normalizing sum of the window adds the
+        # smallest eigenvalues first, the order the golden reports were
+        # recorded in
+        beta = window(w)
+        gamma = max(window(q) for q in block.output_spectra)
         cores, norm = _compress(block)
         # tr K_y = tr K_x for every member y of x's class
         least = min(float(k.diagonal().sum().real) for k in cores.values())
@@ -856,6 +827,7 @@ def typicality_reports(v, p, delta, ns, cap=None):
             make_report("factor-rank", rank, 2.0 ** (n * (s_avg + beta))),
             make_report("factor-product", rank * norm, 2.0 ** (n * (chi + beta + gamma))),
         ]
-        out.append((max(0.0, 1.0 - least), _unconditional_reports(avg, n, block.delta)
+        out.append((max(0.0, 1.0 - least),
+                    _unconditional_reports(_clean_spectrum(w[::-1]), n, block.delta)
                     + _conditional_reports(block) + factors))
     return out

@@ -537,6 +537,13 @@ def dense_compression(v, p, n, delta):
     return outputs, min(avg_traces)
 
 
+def typicality_block(v, p, n, delta):
+    """The library's block of (v, p, n, delta): the one block of a
+    single-length :func:`cqwiretap.typicality._blocks` call."""
+    block, = typicality._blocks(v, p, delta, [n])
+    return block
+
+
 def compress_per_string(v, p, n, delta):
     """Reference oracle: the typicality cores K_x built string by string.
 
@@ -550,13 +557,11 @@ def compress_per_string(v, p, n, delta):
     of a type class, so it only serves to check the per-class construction
     of :func:`cqwiretap.typicality._compress`.
     """
-    p, members = typicality._typical_inputs(v, p, n, delta, None)
-    basis, avg_strings = typicality._average_basis(_mixtures(p, np.array(v.states())), n, delta)
-    iso = typicality._column_stack([basis] * n, avg_strings)
-    raw, spectra, bases = typicality._symbol_eigenbases(v, v.alphabet)
-    overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
+    block = typicality_block(v, p, n, delta)
+    avg_strings, raw, spectra, overlaps = block.avg_strings, block.raw, block.spectra, block.overlaps
+    iso = typicality._column_stack([block.basis] * n, avg_strings)
     cores, tops, deficit = {}, [], 0.0
-    for xn in members:
+    for xn in block.members:
         strings = typicality._group_filter(xn, spectra, delta)
         idx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
         m = np.ones((len(avg_strings), len(strings)), dtype=complex)
@@ -589,13 +594,31 @@ def member_ordering_minima(v, p, n, delta):
     """Reference oracle: per typical string y, the smallest eigenvalue of
     V^n(y) - A K_y A*, with K_y its permuted class core, decomposed at
     dimension d^n for every member, outside the chain's check."""
-    block = typicality._block(v, p, n, delta)
+    block = typicality_block(v, p, n, delta)
     cores, _ = typicality._compress(block)
     vn = tensor_power(v, n)
     return {
         y: float(np.linalg.eigvalsh(vn.output(y) - bounds._sandwich(block.iso, k))[0])
         for y, k in typicality._member_cores(block, cores)
     }
+
+
+def wedged_pair(seed: int, eta: float, diagonal: bool) -> tuple:
+    """Three random qubit inputs and a fourth, in both channels the mixture
+    (1 - eta) x_1 + eta x_0, with W then V drawn from ``default_rng(seed)``:
+    diagonal outputs with Dirichlet(1/2, 1/2) spectra, or generic ones.  The
+    fourth input makes H_W - H_V nearly singular along one direction of a
+    face that holds it."""
+    g = np.random.default_rng(seed)
+    pair = []
+    for _ in range(2):
+        if diagonal:
+            outputs = [np.diag(q).astype(complex) for q in g.dirichlet([0.5, 0.5], size=3)]
+        else:
+            outputs = [random_density(g, 2) for _ in range(3)]
+        outputs.append((1 - eta) * outputs[1] + eta * outputs[0])
+        pair.append(CqChannel(range(4), 2, dict(enumerate(outputs))))
+    return tuple(pair)
 
 
 def simplex_grid(k: int) -> np.ndarray:
@@ -681,7 +704,10 @@ def capacity_sequential(w, v, rng=None, starts=16, max_iters=400):
             delta = np.linalg.solve(kkt, rhs)[:k, 0]
         except np.linalg.LinAlgError:
             return None
-        point = np.where(on, p + delta, 0.0)
+        # at most 0.9 of the way to the face's boundary
+        shrink = on & (delta < 0.0)
+        reach = (p[shrink] / -delta[shrink]).min(initial=np.inf)
+        point = np.where(on, p + min(1.0, channels._BOUNDARY_SHARE * reach) * delta, 0.0)
         return point if np.isfinite(point).all() else None
 
     def ascend(p):

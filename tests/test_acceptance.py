@@ -393,7 +393,9 @@ def test_criterion_09_derandomization_accounting():
 
 
 def test_criterion_10_typicality_exactness():
+    # a state's reports are those of the one-symbol channel {0: rho} at p = (1,)
     rho = np.diag([0.75, 0.25])
+    state = CqChannel((0,), 2, {0: rho})
     delta = 0.5
     asserted_unconditional = (
         "te2-rank-lower",
@@ -403,7 +405,8 @@ def test_criterion_10_typicality_exactness():
     )
     min_slack = math.inf
     for n in (2, 4, 8):
-        reps = {r.name: r for r in typicality.check_typical_projector(rho, n, delta)}
+        (_, reps), = typicality.typicality_reports(state, (1.0,), delta, [n])
+        reps = {r.name: r for r in reps}
         for name in asserted_unconditional:
             min_slack = min(min_slack, reps[name].slack)
 
@@ -429,21 +432,25 @@ def test_criterion_10_typicality_exactness():
             sa /= sa.sum()
             gamma = max(gamma, d * float(np.max(np.abs(np.log2(sa[sa > 1e-12])))))
         chi = channels.holevo(p, v)
-        for n in blocks:
-            reps = {r.name: r for r in typicality.check_typical_projector(v, n, d, p=p)}
+        for n, (_, reps) in zip(blocks, typicality.typicality_reports(v, p, d, blocks)):
+            reps = {r.name: r for r in reps}
             for name in asserted_conditional:
                 min_slack = min(min_slack, reps[name].slack)
-            sub = typicality.subnormalized_channel(v, p, n, d)
-            norm = max(operator_norm(sub.output(t)) for t in sub.alphabet)
-            rank = op.rank_eps(mix(sub, sub.alphabet))
+            # V' at rank R, its outputs K: A is an isometry, so A K A* has
+            # the norm of K, and the mean of the A K A* the rank of the mean K
+            prime = typicality.reindexed_pair(v, p, n, d)[1]
+            norm = max(operator_norm(prime.output(i)) for i in prime.alphabet)
+            rank = op.rank_eps(mix(prime, prime.alphabet))
             product_worst = min(
                 product_worst, 2.0 ** (n * (chi + beta + gamma)) - rank * norm
             )
 
+    # te1 alone, off the type classes of rho's spectrum: at n = 16 and 32 the
+    # full reports would pass the dimension and string caps
     trend_ns = (2, 4, 8, 16, 32)
     traces = []
     for n in trend_ns:
-        reps = {r.name: r for r in typicality.check_typical_projector(rho, n, delta)}
+        reps = {r.name: r for r in typicality._unconditional_reports(np.array([0.75, 0.25]), n, delta)}
         traces.append(reps["te1-trace"].lhs)
     pairs = [(n, 1.0 - t) for n, t in zip(trend_ns, traces) if 1.0 - t > 0.0]
     xs = np.array([n for n, _ in pairs], dtype=float)

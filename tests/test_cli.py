@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density, random_unitary, rng
+from conftest import random_density, random_unitary, rng, wedged_pair
 
 from cqwiretap import bri, cli, codes, serialize, typicality
-from cqwiretap.channels import CqChannel
+from cqwiretap.channels import CqChannel, holevo
 from cqwiretap.cli import KINDS, main
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -583,6 +583,25 @@ class TestCapacity:
         assert report["value"] == 0.0
         assert report["converged"] is True
 
+    def test_wedged_pair_stays_on_the_simplex(self, ws):
+        # a fourth input that mixes two others, in both channels: with the
+        # Newton point unbounded this run wrote value 5.3e16 with
+        # converged true and exited 0
+        w, v = wedged_pair(8, 1e-2, diagonal=True)
+        ws.channel("w.json", w)
+        ws.channel("v.json", v)
+        spec = ws.spec(
+            "capacity",
+            {"channel_w": str(ws.root / "w.json"), "channel_v": str(ws.root / "v.json")},
+            {"seed": 0},
+        )
+        assert main(["capacity", spec]) == 0
+        report = serialize.load_json(ws.out())
+        p = np.array(report["argmax"])
+        assert p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12
+        assert 0.0 <= report["value"] <= 1.0
+        assert abs(holevo(p, w) - holevo(p, v) - report["value"]) <= 1e-12
+
     def test_seed_required(self, ws):
         ws.channel("w.json", flip_channel())
         ws.channel("v.json", noiseless(2))
@@ -947,26 +966,25 @@ class TestTypicalityReport:
         self.run_spec(ws)
         assert (ws.out().read_bytes(), (ws.root / "report.csv").read_bytes()) == first
 
-    def test_one_block_per_block_length(self, ws, monkeypatch):
-        # te4-te7, the compression and the factor reports read one block per
-        # n: the typical inputs and the average-state basis are taken once
-        # per block length, and PV once per run
+    def test_eigensolves_do_not_grow_with_block_lengths(self, monkeypatch):
+        # the outputs, PV and each symbol are decomposed once per call: as
+        # many d x d eigensolves for three block lengths as for one (at
+        # n = 2 the rank R is 2, so its R x R solves count in both), and one
+        # eigh of PV and of each symbol
         calls = []
-        for name, at in (("_typical_inputs", 2), ("_average_basis", 1)):
-            real = getattr(typicality, name)
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
             monkeypatch.setattr(
-                typicality, name,
-                lambda *a, _real=real, _name=name, _at=at: calls.append((_name, a[_at])) or _real(*a),
+                np.linalg, name,
+                lambda a, _real=real, _name=name: calls.append((_name, a.shape[-2:])) or _real(a),
             )
-        real_mixtures = typicality._mixtures
-        monkeypatch.setattr(
-            typicality, "_mixtures", lambda *a: calls.append(("PV", None)) or real_mixtures(*a)
-        )
-        assert self.run_spec(ws, ns=(2, 4, 5)) == 0
-        assert sorted(calls, key=str) == sorted(
-            [("PV", None)] + [(name, n) for n in (2, 4, 5)
-                              for name in ("_typical_inputs", "_average_basis")], key=str
-        )
+        v, counts = flip_channel(), []
+        for ns in ([2], [2, 4, 7]):
+            calls.clear()
+            assert len(typicality.typicality_reports(v, (0.6, 0.4), 0.5, ns)) == len(ns)
+            counts.append((sum(shape == (2, 2) for _, shape in calls), calls.count(("eigh", (2, 2)))))
+        assert counts[0] == counts[1]
+        assert counts[0][1] == 3
 
     def test_noncommuting_eavesdropper_exits_0(self, ws):
         # V' <= V^n fails here (bound-chain exits 4 on it), but no report

@@ -22,12 +22,12 @@ from conftest import (
     dense_compression,
     gathered_mean_core,
     member_ordering_minima,
-    mix,
     operator_norm,
     random_density,
     random_unitary,
     rng,
     typical_projector,
+    typicality_block,
 )
 
 from cqwiretap import bounds, channels, serialize, typicality
@@ -44,10 +44,8 @@ from cqwiretap.config import STRING_CAP
 from cqwiretap.typicality import (
     _class_total,
     _column_stack,
-    check_typical_projector,
     reindexed_pair,
     sorted_eigenbasis,
-    subnormalized_channel,
     typical_set,
     typicality_reports,
 )
@@ -529,9 +527,44 @@ class TestCondTypicalProjector:
             cond_typical_projector(v, (0, 1) * 7, 0.5)
 
 
+def named_reports(v, p, n, delta):
+    """The reports of :func:`typicality_reports` at one block length, by
+    name."""
+    (_, reports), = typicality_reports(v, p, delta, [n])
+    return {r.name: r for r in reports}
+
+
+def state_reports(rho, n, delta):
+    """te1-te3 of a state rho: those of the one-symbol channel {0: rho}
+    with p = (1,), whose average state is rho."""
+    rho = np.asarray(rho, dtype=complex)
+    (_, reports), = typicality_reports(CqChannel((0,), rho.shape[0], {0: rho}), (1.0,), delta, [n])
+    return reports[:5]
+
+
+def conditional_reports(v, p, n, delta):
+    """te4-te7 of a channel: the reports of :func:`typicality_reports`
+    after te1-te3 and before the three factor reports."""
+    (_, reports), = typicality_reports(v, p, delta, [n])
+    return reports[5:-3]
+
+
+def compressed_outputs(v, p, n, delta):
+    """The compressed channel V' at dimension d^n, keyed by typical string,
+    and its trace deficit: A K_x A* for each R x R output K_x of
+    :func:`reindexed_pair`, whose outputs are in string order."""
+    _, prime, iso = reindexed_pair(v, p, n, delta)
+    members = typical_set(p, n, delta, alphabet=v.alphabet).members
+    return {xn: bounds._sandwich(iso, prime.output(i)) for i, xn in enumerate(members)}, prime.epsilon
+
+
 class TestCheckTypicalProjector:
+    """The typical-projector reports of :func:`typicality_reports`: te1-te3
+    of the average state, here of a state as the one-symbol channel, and
+    te4-te7 of a channel's conditional projectors."""
+
     def test_unconditional_report_names(self):
-        reports = check_typical_projector(np.diag(SKEW).astype(complex), 2, 0.5)
+        reports = state_reports(np.diag(SKEW), 2, 0.5)
         assert [r.name for r in reports] == [
             "te1-trace",
             "te2-rank-lower",
@@ -543,7 +576,7 @@ class TestCheckTypicalProjector:
     def test_skewed_qubit_all_hold(self):
         rho = np.diag(SKEW).astype(complex)
         for n in (2, 4, 8):
-            for r in check_typical_projector(rho, n, 0.5):
+            for r in state_reports(rho, n, 0.5):
                 assert r.holds, r
 
     def test_te2_te3_recomputed_from_scratch(self):
@@ -551,7 +584,7 @@ class TestCheckTypicalProjector:
         n = 4
         entropy = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
         gamma = 0.5 * 2.0  # delta times |log2 1/4|
-        reports = {r.name: r for r in check_typical_projector(rho, n, 0.5)}
+        reports = {r.name: r for r in state_reports(rho, n, 0.5)}
         assert reports["te2-rank-lower"].lhs == pytest.approx(2 ** (n * (entropy - gamma)))
         assert reports["te2-rank-lower"].rhs == 11.0
         assert reports["te2-rank-upper"].lhs == 11.0
@@ -566,20 +599,20 @@ class TestCheckTypicalProjector:
         g = rng(41)
         rho = random_density(g, 3)
         pi, _ = brute_typical_projector(rho, 2, 0.8)
-        reports = {r.name: r for r in check_typical_projector(rho, 2, 0.8)}
+        reports = {r.name: r for r in state_reports(rho, 2, 0.8)}
         dense = np.trace(np.kron(rho, rho) @ pi).real
         assert reports["te1-trace"].lhs == pytest.approx(dense, abs=1e-10)
         assert reports["te1-trace"].rhs == 1.0
 
     def test_empty_typical_set_reported_honestly(self):
         rho = np.diag([0.99, 0.01]).astype(complex)
-        reports = {r.name: r for r in check_typical_projector(rho, 2, 0.01)}
+        reports = {r.name: r for r in state_reports(rho, 2, 0.01)}
         assert reports["te2-rank-lower"].rhs == 0.0
         assert not reports["te2-rank-lower"].holds
         assert reports["te3-eig-lower"].slack == 0.0 and reports["te3-eig-lower"].holds
 
     def test_conditional_report_names(self):
-        reports = check_typical_projector(flip_channel(), 2, 0.5, p=(0.6, 0.4))
+        reports = conditional_reports(flip_channel(), (0.6, 0.4), 2, 0.5)
         assert [r.name for r in reports] == [
             "te4-trace",
             "te6-rank-lower",
@@ -594,10 +627,7 @@ class TestCheckTypicalProjector:
         # projector keeps only the heavy index per position, so the
         # sandwich eigenvalue is 0.8^2 and the projected trace is
         # 0.64 + 0.04 against the diagonal average state
-        reports = {
-            r.name: r
-            for r in check_typical_projector(flip_channel(), 2, 0.5, p=(0.6, 0.4))
-        }
+        reports = named_reports(flip_channel(), (0.6, 0.4), 2, 0.5)
         assert reports["te4-trace"].lhs == pytest.approx(0.64, abs=1e-12)
         assert reports["te5-eig-lower"].rhs == pytest.approx(0.64, abs=1e-12)
         assert reports["te5-eig-upper"].lhs == pytest.approx(0.64, abs=1e-12)
@@ -607,17 +637,14 @@ class TestCheckTypicalProjector:
 
     def test_equal_entropy_sandwiches_hold(self):
         for n in (2, 4):
-            reports = {
-                r.name: r
-                for r in check_typical_projector(flip_channel(), n, 0.5, p=(0.6, 0.4))
-            }
+            reports = named_reports(flip_channel(), (0.6, 0.4), n, 0.5)
             for name in ("te5-eig-lower", "te5-eig-upper", "te6-rank-lower", "te6-rank-upper"):
                 assert reports[name].holds, reports[name]
 
     def test_rotated_equal_entropy_sandwiches_hold(self):
         g = rng(42)
         v = rotated_channel(g)
-        reports = check_typical_projector(v, 3, 0.5, p=(0.55, 0.45))
+        reports = conditional_reports(v, (0.55, 0.45), 3, 0.5)
         for r in reports:
             if "te5" in r.name or "te6" in r.name:
                 assert r.holds, r
@@ -627,38 +654,42 @@ class TestCheckTypicalProjector:
         n = 2
         s_cond = np.dot((0.6, 0.4), op.entropies(np.array(v.states())))
         gamma_p = 0.5 * abs(np.log2(0.2))
-        reports = {r.name: r for r in check_typical_projector(v, n, 0.5, p=(0.6, 0.4))}
+        reports = named_reports(v, (0.6, 0.4), n, 0.5)
         assert reports["te5-eig-lower"].lhs == pytest.approx(2 ** (-n * (s_cond + gamma_p)))
         assert reports["te5-eig-upper"].rhs == pytest.approx(2 ** (-n * (s_cond - gamma_p)))
         assert reports["te6-rank-upper"].rhs == pytest.approx(2 ** (n * (s_cond + gamma_p)))
 
     def test_conditional_requires_distribution(self):
         with pytest.raises(InvalidStateError):
-            check_typical_projector(flip_channel(), 2, 0.5)
+            typicality_reports(flip_channel(), None, 0.5, [2])
+        with pytest.raises(DimensionMismatchError):
+            typicality_reports(flip_channel(), (1.0,), 0.5, [2])
 
     def test_conditional_empty_typical_set_raises(self):
         with pytest.raises(InvalidStateError):
-            check_typical_projector(flip_channel(), 2, 0.01, p=(0.99, 0.01))
+            typicality_reports(flip_channel(), (0.99, 0.01), 0.01, [2])
 
 
 class TestSubnormalizedChannel:
+    """The compressed channel V', subnormalized, at dimension d^n: the
+    outputs A K_x A* of :func:`reindexed_pair`."""
+
     def test_flip_channel_hand_construction(self):
-        sub = subnormalized_channel(flip_channel(), (0.6, 0.4), 2, 0.5)
-        assert isinstance(sub, CqChannel)
-        assert sub.alphabet == ((0, 1), (1, 0))
-        assert sub.epsilon == pytest.approx(0.36, abs=1e-12)
+        sub, epsilon = compressed_outputs(flip_channel(), (0.6, 0.4), 2, 0.5)
+        assert tuple(sub) == ((0, 1), (1, 0))
+        assert epsilon == pytest.approx(0.36, abs=1e-12)
         first = np.zeros((4, 4), dtype=complex)
         first[1, 1] = 0.64
         second = np.zeros((4, 4), dtype=complex)
         second[2, 2] = 0.64
-        assert np.allclose(sub.output((0, 1)), first, atol=1e-12)
-        assert np.allclose(sub.output((1, 0)), second, atol=1e-12)
+        assert np.allclose(sub[(0, 1)], first, atol=1e-12)
+        assert np.allclose(sub[(1, 0)], second, atol=1e-12)
 
     def test_outputs_dominated_commuting_instance(self):
-        sub = subnormalized_channel(flip_channel(), (0.6, 0.4), 3, 0.5)
+        sub, _ = compressed_outputs(flip_channel(), (0.6, 0.4), 3, 0.5)
         v3 = tensor_power(flip_channel(), 3)
-        for xn in sub.alphabet:
-            diff = v3.output(xn) - sub.output(xn)
+        for xn, out in sub.items():
+            diff = v3.output(xn) - out
             assert np.linalg.eigvalsh(diff).min() >= -1e-10
 
     def test_outputs_dominated_noncommuting_full_average(self):
@@ -666,12 +697,12 @@ class TestSubnormalizedChannel:
         # the outer projector is the identity at delta = 1 and domination
         # reduces to the commuting inner sandwich
         v = clock_channel()
-        sub = subnormalized_channel(v, (1 / 3, 1 / 3, 1 / 3), 3, 1.0)
-        assert len(sub.alphabet) == 24
-        assert sub.epsilon == pytest.approx(1.0 - 0.8**3, abs=1e-10)
+        sub, epsilon = compressed_outputs(v, (1 / 3, 1 / 3, 1 / 3), 3, 1.0)
+        assert len(sub) == 24
+        assert epsilon == pytest.approx(1.0 - 0.8**3, abs=1e-10)
         v3 = tensor_power(v, 3)
-        for xn in sub.alphabet:
-            diff = v3.output(xn) - sub.output(xn)
+        for xn, out in sub.items():
+            diff = v3.output(xn) - out
             assert np.linalg.eigvalsh(diff).min() >= -1e-10
 
     def test_noncommuting_generic_instance_raises(self):
@@ -680,7 +711,7 @@ class TestSubnormalizedChannel:
         # and pushes weight outside it; the construction returns, and the
         # chain's ordering check refuses the pair
         v, p, n, delta = rotated_channel(rng(51)), (0.55, 0.45), 3, 0.5
-        assert len(subnormalized_channel(v, p, n, delta)) == 6
+        assert len(reindexed_pair(v, p, n, delta)[1]) == 6
         got = chain_ordering_minimum(v, p, n, delta)
         assert got < -1e-3
         assert got == pytest.approx(min(member_ordering_minima(v, p, n, delta).values()),
@@ -690,31 +721,31 @@ class TestSubnormalizedChannel:
         pure = np.zeros((2, 2), dtype=complex)
         pure[0, 0] = 1.0
         v = CqChannel((0, 1), 2, {0: pure, 1: pure})
-        sub = subnormalized_channel(v, (0.7, 0.3), 2, 0.5)
-        assert sub.epsilon == 0.0
+        sub, epsilon = compressed_outputs(v, (0.7, 0.3), 2, 0.5)
+        assert epsilon == 0.0
         v2 = tensor_power(v, 2)
-        for xn in sub.alphabet:
-            assert np.allclose(sub.output(xn), v2.output(xn), atol=1e-12)
+        for xn, out in sub.items():
+            assert np.allclose(out, v2.output(xn), atol=1e-12)
 
     def test_huge_delta_keeps_everything(self):
         g = rng(52)
         v = CqChannel((0, 1), 2, {x: random_density(g, 2) for x in range(2)})
-        sub = subnormalized_channel(v, (0.5, 0.5), 2, 5.0)
-        assert len(sub.alphabet) == 4
-        assert sub.epsilon <= 1e-12
+        sub, epsilon = compressed_outputs(v, (0.5, 0.5), 2, 5.0)
+        assert len(sub) == 4
+        assert epsilon <= 1e-12
         v2 = tensor_power(v, 2)
-        for xn in sub.alphabet:
-            assert np.allclose(sub.output(xn), v2.output(xn), atol=1e-10)
+        for xn, out in sub.items():
+            assert np.allclose(out, v2.output(xn), atol=1e-10)
 
     def test_norm_bound_exact_equal_entropy(self):
         p = (0.6, 0.4)
         n = 3
         v = flip_channel()
-        sub = subnormalized_channel(v, p, n, 0.5)
+        sub, _ = compressed_outputs(v, p, n, 0.5)
         s_cond = np.dot(p, op.entropies(np.array(v.states())))
         gamma_p = 0.5 * abs(np.log2(0.2))
         cap = 2 ** (-n * (s_cond - gamma_p))
-        worst = max(operator_norm(sub.output(x)) for x in sub.alphabet)
+        worst = max(operator_norm(out) for out in sub.values())
         assert worst <= cap + 1e-12
         assert worst == pytest.approx(0.8**3, abs=1e-12)
 
@@ -723,8 +754,8 @@ class TestSubnormalizedChannel:
         p = (0.6, 0.4)
         n = 3
         delta = 0.5
-        sub = subnormalized_channel(v, p, n, delta)
-        avg = mix(sub, sub.alphabet)
+        sub, _ = compressed_outputs(v, p, n, delta)
+        avg = sum(sub.values()) / len(sub)
         pv = 0.6 * v.output(0) + 0.4 * v.output(1)
         w, _ = brute_spectrum(pv)
         beta = delta * max(abs(np.log2(q)) for q in w if q > 1e-12)
@@ -732,37 +763,39 @@ class TestSubnormalizedChannel:
         assert op.rank_eps(avg) == 3
         assert op.rank_eps(avg) <= 2 ** (n * (s_avg + beta)) + 1e-9
         gamma_p = delta * abs(np.log2(0.2))
-        worst = max(operator_norm(sub.output(x)) for x in sub.alphabet)
+        worst = max(operator_norm(out) for out in sub.values())
         chi = holevo(p, v)
         assert op.rank_eps(avg) * worst <= 2 ** (n * (chi + beta + gamma_p)) + 1e-9
 
     def test_trace_deficit_matches_reports(self):
         v = flip_channel()
         p = (0.6, 0.4)
-        sub = subnormalized_channel(v, p, 2, 0.5)
-        traces = [np.trace(sub.output(x)).real for x in sub.alphabet]
-        assert sub.epsilon == pytest.approx(1.0 - min(traces), abs=1e-12)
+        sub, epsilon = compressed_outputs(v, p, 2, 0.5)
+        traces = [np.trace(out).real for out in sub.values()]
+        assert epsilon == pytest.approx(1.0 - min(traces), abs=1e-12)
+        (reported, _), = typicality_reports(v, p, 0.5, [2])
+        assert reported == pytest.approx(epsilon, abs=1e-15)
 
     def test_validation_and_caps(self):
         v = flip_channel()
         with pytest.raises(InvalidStateError):
-            subnormalized_channel(v, (0.99, 0.01), 2, 0.01)
+            reindexed_pair(v, (0.99, 0.01), 2, 0.01)
         with pytest.raises(InvalidStateError):
-            subnormalized_channel(v, (0.5, 0.6), 2, 0.5)
+            reindexed_pair(v, (0.5, 0.6), 2, 0.5)
         g = rng(55)
         v3 = CqChannel((0, 1, 2), 3, {x: random_density(g, 3) for x in range(3)})
         with pytest.raises(ResourceCapError):
-            subnormalized_channel(v3, (1 / 3,) * 3, 8, 0.5)
+            reindexed_pair(v3, (1 / 3,) * 3, 8, 0.5)
 
     def test_empty_conditional_projectors(self):
         # every conditional window is empty here: each compressed output is
         # exactly zero, so the whole trace is deficit and the norm is 0
         v, p, n, delta = flip_channel(), (0.75, 0.25), 4, 0.2
-        sub = subnormalized_channel(v, p, n, delta)
-        assert len(sub.alphabet) == 4
-        for t in sub.alphabet:
-            assert not sub.output(t).any()
-        assert sub.epsilon == 1.0
+        sub, epsilon = compressed_outputs(v, p, n, delta)
+        assert len(sub) == 4
+        for out in sub.values():
+            assert not out.any()
+        assert epsilon == 1.0
         (_, reports), = factor_pairs(v, p, delta, [n])
         assert reports[0].name == "factor-norm" and reports[0].lhs == 0.0
 
@@ -797,17 +830,17 @@ class TestDenseOracle:
         avg = channels._mixtures(np.asarray(p, dtype=float), np.array(v.states()))
         assert typical_projector(avg, n, delta).rank == rank
         dense, te7 = dense_compression(v, p, n, delta)
-        sub = subnormalized_channel(v, p, n, delta)
-        assert sub.alphabet == tuple(dense)
-        for xn in sub.alphabet:
-            assert np.abs(sub.output(xn) - dense[xn]).max() <= 1e-13
+        sub, epsilon = compressed_outputs(v, p, n, delta)
+        assert tuple(sub) == tuple(dense)
+        for xn, out in sub.items():
+            assert np.abs(out - dense[xn]).max() <= 1e-13
         deficit = max(0.0, max(1.0 - np.trace(out).real for out in dense.values()))
-        assert abs(sub.epsilon - deficit) <= 1e-13
+        assert abs(epsilon - deficit) <= 1e-13
         (_, reports), = factor_pairs(v, p, delta, [n])
         norm = max(np.linalg.eigvalsh(out)[-1] for out in dense.values())
         assert reports[0].name == "factor-norm"
         assert abs(reports[0].lhs - norm) <= 1e-13
-        named = {r.name: r for r in check_typical_projector(v, n, delta, p=p)}
+        named = named_reports(v, p, n, delta)
         assert abs(named["te7-trace"].lhs - te7) <= 1e-13
 
     def test_ordering_violation_matches_dense_sandwich(self):
@@ -850,15 +883,16 @@ class TestStreamingCompression:
 
     def test_no_product_and_no_dn_eigensolve(self, monkeypatch):
         calls = self.count(monkeypatch)
-        sub = subnormalized_channel(flip_channel(), self.P, self.N, self.DELTA)
-        assert len(sub) == 3
+        block = typicality_block(flip_channel(), self.P, self.N, self.DELTA)
+        cores, _ = typicality._compress(block)
+        assert len(block.members) == 3 and len(cores) == 1
         assert calls.count((8, 8)) == 0
         assert calls.count((6, 6)) == 1
         assert "product" not in calls
 
     def test_factor_reports_reuse_the_spectra(self, monkeypatch):
         calls = self.count(monkeypatch)
-        monkeypatch.setattr(typicality, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
+        monkeypatch.setattr(bounds, "_sandwich", lambda *a: pytest.fail("A K A* formed"))
         monkeypatch.setattr(typicality, "_column_stack", lambda *a: pytest.fail("A formed"))
         (epsilon, reports), = factor_pairs(flip_channel(), self.P, self.DELTA, [self.N])
         # at R the one validation of the class plus the rank of the mean
@@ -913,7 +947,7 @@ class TestStreamingCompression:
 
     def test_conditional_reports_build_no_product(self, monkeypatch):
         calls = self.count(monkeypatch)
-        reports = check_typical_projector(flip_channel(), self.N, self.DELTA, p=self.P)
+        reports = conditional_reports(flip_channel(), self.P, self.N, self.DELTA)
         assert reports[-1].name == "te7-trace"
         assert "product" not in calls
         assert (8, 8) not in calls
@@ -982,16 +1016,18 @@ class TestOrderingScreen:
 
 class TestChainPair:
     def test_reindexed_pair_matches_subnormalized_channel(self):
-        v = flip_channel()
-        sub = subnormalized_channel(v, (0.6, 0.4), 2, 0.5)
-        base, prime, iso = reindexed_pair(v, (0.6, 0.4), 2, 0.5)
+        # V' against the dense projector sandwich, and V against V^n
+        v, p, n, delta = flip_channel(), (0.6, 0.4), 2, 0.5
+        dense, _ = dense_compression(v, p, n, delta)
+        base, prime, iso = reindexed_pair(v, p, n, delta)
         assert base.alphabet == prime.alphabet == (0, 1)
-        # epsilon is read off tr K at rank R, sub's off tr A K A* at d^n
-        assert abs(prime.epsilon - sub.epsilon) <= 1e-15
+        # epsilon is read off tr K at rank R, the oracle's off the d^n trace
+        deficit = max(1.0 - np.trace(out).real for out in dense.values())
+        assert abs(prime.epsilon - deficit) <= 1e-15
         assert base.epsilon <= 1e-12
-        vn = tensor_power(v, 2)
-        for i, t in enumerate(sub.alphabet):
-            assert np.array_equal(bounds._sandwich(iso, prime.output(i)), sub.output(t))
+        vn = tensor_power(v, n)
+        for i, t in enumerate(dense):
+            assert np.abs(bounds._sandwich(iso, prime.output(i)) - dense[t]).max() <= 1e-15
             assert np.allclose(base.output(i), vn.output(t), atol=1e-15)
 
     def test_factor_reports_commuting_instance(self):
@@ -999,7 +1035,7 @@ class TestChainPair:
         pairs = factor_pairs(v, p, delta, [2, n])
         assert isinstance(pairs, list) and len(pairs) == 2
         for (epsilon, _), m in zip(pairs, [2, n]):
-            assert epsilon == pytest.approx(subnormalized_channel(v, p, m, delta).epsilon, abs=1e-15)
+            assert epsilon == pytest.approx(reindexed_pair(v, p, m, delta)[1].epsilon, abs=1e-15)
         epsilon, reports = pairs[1]
         assert epsilon == pytest.approx(1.0 - 0.8**3, abs=1e-12)
         assert [r.name for r in reports] == ["factor-norm", "factor-rank", "factor-product"]
@@ -1016,10 +1052,10 @@ class TestPerClassCompression:
     @staticmethod
     def assert_parity(v, p, n, delta):
         cores, tops, epsilon, core = compress_per_string(v, p, n, delta)
-        block = typicality._block(v, p, n, delta)
+        block = typicality_block(v, p, n, delta)
         per_class, top = typicality._compress(block)
         (eps, _), = factor_pairs(v, p, delta, [n])
-        sub = subnormalized_channel(v, p, n, delta)
+        _, sub_epsilon = compressed_outputs(v, p, n, delta)
         got = dict(typicality._member_cores(block, per_class))
         assert block.members == tuple(got) == tuple(cores)
         for xn, k in got.items():
@@ -1027,7 +1063,7 @@ class TestPerClassCompression:
         assert abs(top - max(tops)) <= 1e-14
         assert np.abs(sum(got.values()) / len(got) - core).max(initial=0.0) <= 1e-14
         assert abs(eps - epsilon) <= 1e-14
-        assert abs(sub.epsilon - epsilon) <= 1e-14
+        assert abs(sub_epsilon - epsilon) <= 1e-14
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_per_string_oracle(self, case):
@@ -1091,7 +1127,7 @@ class TestFactorReportsPerClass:
             assert abs(epsilon - max(0.0, 1.0 - min(traces))) <= 1e-15
             # a gathered member core holds its class core's entries, and on
             # these channels its trace gives the same epsilon bit for bit
-            block = typicality._block(v, p, n, delta)
+            block = typicality_block(v, p, n, delta)
             per_class, top = typicality._compress(block)
             members = typicality._member_cores(block, per_class)
             assert epsilon == max(0.0, 1.0 - min(float(np.trace(k).real) for _, k in members))
@@ -1159,7 +1195,7 @@ class TestOrbitAverage:
 
     @staticmethod
     def assert_matches_gather(v, p, n, delta):
-        block = typicality._block(v, p, n, delta)
+        block = typicality_block(v, p, n, delta)
         cores, _ = typicality._compress(block)
         got = typicality._mean_core(block, cores)
         want = gathered_mean_core(block, cores)
