@@ -8,7 +8,7 @@ channels    cq channels, Holevo quantities, leakage, capacity search.
 bri         biregular functions, section matrices, spectral gaps.
 codes       wiretap codes, modular assembly, derandomization.
 bounds      numeric certification of the leakage bound chain.
-typicality  typical sets, typicality reports, the chain's re-indexed pair.
+typicality  typicality reports by type class, the chain's re-indexed pair.
 serialize   JSON/CSV formats for channels, functions, codes, reports.
 cli         reproducible experiment runner.
 """

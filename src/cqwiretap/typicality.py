@@ -38,16 +38,17 @@ d^n output of V' is formed; the chain's ordering check forms each A K A*).
 A call takes its eigen-data once, for all its block lengths: one batched
 eigensolve validates the outputs of V, and PV and each output are
 decomposed once.  Every report of one (V, p, n, delta) then reads one
-private block: the typical inputs grouped by type class and the typical
-strings of PV at that n, with the shared eigenbases and d x d overlaps
-(:func:`_blocks`).  The compression works inside the
-typical subspace of the average state, of rank R <= d^n, once per type
-class.  The compressed output of a class's first member is A K A*, with A
-the d^n x R isometry onto the subspace and an R x R matrix K built from
-the overlaps, validated by one R x R eigensolve (that spectrum also gives
-the factor-norm); every other member of the class has the same K with rows
-and columns permuted, because permuting positions maps the typical
-subspace onto itself.
+private block: the type classes of the typical inputs with their sizes
+(the method of types: each report reads a class's first member and its
+size |c|, never the |T| typical input strings) and the typical strings of
+PV at that n, with the shared eigenbases and d x d overlaps
+(:func:`_blocks`).  The compression works inside the typical subspace of
+the average state, of rank R <= d^n, once per type class.  The compressed
+output of a class's first member is A K A*, with A the d^n x R isometry
+onto the subspace and an R x R matrix K built from the overlaps, validated
+by one R x R eigensolve (that spectrum also gives the factor-norm); every
+other member of the class has the same K with rows and columns permuted,
+because permuting positions maps the typical subspace onto itself.
 
 Only the class cores are kept, never one per typical string, and every
 quantity the reports read is invariant under permuting positions, so each
@@ -58,7 +59,8 @@ the class cores over the orbits of index pairs under the permutations of
 positions.  So the reports hold R x R buffers whatever the size |T| of the
 typical set, do no work per member, and form neither A nor any
 d^n x d^n operator.  The product columns of A are built together, one
-broadcast step per letter position.
+broadcast step per letter position.  Only ``reindexed_pair``, whose
+channels have one input per typical string, lists the typical inputs.
 """
 
 import itertools
@@ -73,16 +75,10 @@ from .bounds import make_report
 from .channels import CqChannel, _checked_outputs, _mixtures
 from .channels import check_distribution, tensor_power
 from .config import STRING_CAP, check_dim
-from .errors import (
-    DimensionMismatchError,
-    InvalidStateError,
-    ResourceCapError,
-)
+from .errors import InvalidStateError, ResourceCapError
 
 __all__ = [
-    "TypicalSet",
     "sorted_eigenbasis",
-    "typical_set",
     "reindexed_pair",
     "typicality_reports",
 ]
@@ -154,10 +150,6 @@ def _count_admissible(q, c, n, tol) -> bool:
     if q <= SPECTRUM_FLOOR:
         return c == 0
     return abs(c / n - q) <= tol
-
-
-def _counts_admissible(counts, n, p, tol) -> bool:
-    return all(_count_admissible(q, c, n, tol) for q, c in zip(p, counts))
 
 
 def _windows(p: np.ndarray, n: int, delta: float):
@@ -241,6 +233,20 @@ def _class_total(p: np.ndarray, n: int, delta: float, limit: int) -> int:
     return total
 
 
+def _capped_size(p: np.ndarray, n: int, delta: float, what: str) -> int:
+    """Size |T| of the typical set, counted by type class without listing;
+    ``ResourceCapError`` when it exceeds ``STRING_CAP``, as its strings
+    could not be listed to ``what``."""
+    total = _class_total(p, n, delta, STRING_CAP)
+    if total > STRING_CAP:
+        raise ResourceCapError(
+            f"typical set exceeds the string cap; no member list to {what}",
+            requested=total,
+            cap=STRING_CAP,
+        )
+    return total
+
+
 def _type_class(counts):
     """Distinct arrangements of a letter-count vector, in lexicographic
     order (next-permutation steps from the sorted arrangement)."""
@@ -272,92 +278,6 @@ def _entropy_and_window(q: np.ndarray, delta: float):
     entropy = float(-(live * np.log2(live)).sum())
     window = delta * float(np.max(np.abs(np.log2(live))))
     return entropy, window
-
-
-@dataclass(frozen=True, eq=False)
-class TypicalSet:
-    """Letter-frequency window around a distribution.
-
-    ``members`` lists the admitted strings in alphabet order when the
-    typical-set size |T| fits under ``cap`` and is None otherwise;
-    ``contains`` works in both modes.
-    """
-
-    p: np.ndarray
-    n: int
-    delta: float
-    alphabet: tuple
-    members: tuple | None
-    cap: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_position", {x: i for i, x in enumerate(self.alphabet)}
-        )
-
-    def contains(self, xn) -> bool:
-        xn = tuple(xn)
-        if len(xn) != self.n:
-            raise DimensionMismatchError(
-                f"string length {len(xn)} != block length {self.n}"
-            )
-        counts = [0] * len(self.alphabet)
-        for x in xn:
-            i = self._position.get(x)
-            if i is None:
-                raise DimensionMismatchError(f"symbol {x!r} not in alphabet")
-            counts[i] += 1
-        tol = self.delta / len(self.alphabet) + MEMBER_GUARD
-        return _counts_admissible(counts, self.n, self.p, tol)
-
-    def __contains__(self, xn) -> bool:
-        return self.contains(xn)
-
-    def _listed(self, what):
-        if self.members is None:
-            raise ResourceCapError(
-                f"typical set exceeds the string cap; no member list to {what}",
-                requested=_class_total(self.p, self.n, self.delta, self.cap),
-                cap=self.cap,
-            )
-        return self.members
-
-    def __len__(self) -> int:
-        return len(self._listed("count"))
-
-    def __iter__(self):
-        return iter(self._listed("iterate"))
-
-
-def typical_set(p, n, delta, alphabet=None, cap=None) -> TypicalSet:
-    """Strings whose letter frequencies all sit within ``delta/|alphabet|``.
-
-    Letters with zero probability must not occur at all.  The set is the
-    union of the admissible type classes; its members are listed in
-    alphabet order when its size |T| fits under the cap (``STRING_CAP`` by
-    default), and otherwise the set is predicate-only.
-    """
-    p = check_distribution(p)
-    n, delta = _validate_block(n, delta)
-    if alphabet is None:
-        alphabet = tuple(range(p.size))
-    else:
-        alphabet = tuple(alphabet)
-        if len(alphabet) != p.size:
-            raise DimensionMismatchError(
-                f"alphabet size {len(alphabet)} != distribution size {p.size}"
-            )
-        if len(set(alphabet)) != len(alphabet):
-            raise InvalidStateError("alphabet has repeated symbols")
-    limit = STRING_CAP if cap is None else int(cap)
-    members = None
-    if _class_total(p, n, delta, limit) <= limit:
-        members = tuple(
-            tuple(alphabet[i] for i in idx) for idx in _typical_strings(p, n, delta)
-        )
-    return TypicalSet(
-        p=p, n=n, delta=delta, alphabet=alphabet, members=members, cap=limit
-    )
 
 
 def _column_stack(bases, strings):
@@ -440,7 +360,9 @@ def _string_profile(xn, spectra, delta):
     trace = 1.0
     log_lo = 0.0
     log_hi = 0.0
-    for a in set(xn):
+    # symbols in order of first occurrence, not in set (hash) order: the
+    # rounding of the products and sums must not follow PYTHONHASHSEED
+    for a in dict.fromkeys(xn):
         m = sum(1 for b in xn if b == a)
         profiles = _profiles(spectra[a], m, delta)
         group_rank = sum(size for _, size, _ in profiles)
@@ -457,23 +379,26 @@ def _string_profile(xn, spectra, delta):
 class _Block:
     """What every report of one (V, p, n, delta) reads, computed once.
 
-    ``classes`` groups the typical input strings ``members`` (string order)
-    by type class, keyed by their sorted letter indices, in the order of
-    the classes' first members, and ``avg_strings`` are the typical index
-    strings of PV, one row per string.  The eigen-data of (V, p) is shared
-    by every block of one :func:`_blocks` call: ``basis`` the eigenbasis of
-    PV; ``raw`` and ``spectra`` the raw and cleaned
-    spectra of the symbols, ``overlaps`` the d x d matrices basis* E_a,
-    with E_a the eigenbasis of symbol a; ``avg_spectrum`` the clipped
-    ascending ``eigvalsh`` spectrum of PV and ``output_spectra`` those of
-    the outputs, one row per symbol, from the call that validated them.
+    ``classes`` maps each type class of the typical inputs to its size |c|,
+    keyed by its sorted letter indices, which is the index string of its
+    first member (:meth:`first`), in ascending order: the order of the
+    first members among all typical strings.  ``size`` is their sum |T|,
+    and ``avg_strings`` are the typical index strings of PV, one row per
+    string.  No typical input string is listed but the first members.
+    The eigen-data of (V, p) is shared by every block of one :func:`_blocks`
+    call: ``basis`` the eigenbasis of PV; ``raw`` and ``spectra`` the raw
+    and cleaned spectra of the symbols, ``overlaps`` the d x d matrices
+    basis* E_a, with E_a the eigenbasis of symbol a; ``avg_spectrum`` the
+    clipped ascending ``eigvalsh`` spectrum of PV and ``output_spectra``
+    those of the outputs, one row per symbol, from the call that validated
+    them.
     """
 
     v: CqChannel
     p: np.ndarray
     n: int
     delta: float
-    members: tuple
+    size: int
     classes: dict
     basis: np.ndarray
     avg_strings: np.ndarray
@@ -488,6 +413,10 @@ class _Block:
         """The d^n x R isometry A onto the typical subspace of PV."""
         return _column_stack([self.basis] * self.n, self.avg_strings)
 
+    def first(self, key):
+        """The first member of the type class ``key``, in channel symbols."""
+        return tuple(self.v.alphabet[i] for i in key)
+
 
 def _blocks(v, p, delta, ns, cap=None):
     """The :class:`_Block` of (v, p, n, delta) for each n in ``ns``, in
@@ -496,10 +425,11 @@ def _blocks(v, p, delta, ns, cap=None):
     The eigen-data is taken before the first block, once for all of them:
     one batched ``eigvalsh`` validates the outputs of v as densities, and
     PV (their mixture, so a density too, validated by no call of its own)
-    and each output are decomposed once.  Per block length only the typical
-    inputs, listed and grouped by type class, and the typical strings of PV
-    are found.  ``cap`` bounds the dimension d^n; an empty typical input
-    set is an error.
+    and each output are decomposed once.  Per block length only the type
+    classes of the typical inputs, with their sizes, and the typical
+    strings of PV are found.  ``cap`` bounds the dimension d^n, and
+    ``STRING_CAP`` both |T| and R (:func:`_capped_size`); an empty typical
+    input set is an error.
     """
     p = check_distribution(p, len(v.alphabet))
     states, output_spectra = op._spectra(np.array(v.states()), density=True)
@@ -511,19 +441,20 @@ def _blocks(v, p, delta, ns, cap=None):
     q = _clean_spectrum(vals)
     raw, spectra, bases = _symbol_eigenbases(v, v.alphabet)
     overlaps = {a: basis.conj().T @ bases[a] for a in v.alphabet}
-    letter = {a: i for i, a in enumerate(v.alphabet)}
     for n in ns:
         n, delta = _validate_block(n, delta)
         check_dim(v.dim**n, cap)
-        members = typical_set(p, n, delta, alphabet=v.alphabet)._listed("list")
-        if not members:
+        size = _capped_size(p, n, delta, "list")
+        if not size:
             raise InvalidStateError("typical set is empty at this block length")
-        classes = {}
-        for xn in members:
-            classes.setdefault(tuple(sorted(letter[a] for a in xn)), []).append(xn)
-        strings = typical_set(q, n, delta)._listed("project onto")
+        classes = dict(sorted(
+            (tuple(i for i, c in enumerate(counts) for _ in range(c)), c_size)
+            for counts, c_size in _type_classes(p, n, delta)
+        ))
+        _capped_size(q, n, delta, "project onto")
+        strings = _typical_strings(q, n, delta)
         yield _Block(
-            v=v, p=p, n=n, delta=delta, members=members, classes=classes, basis=basis,
+            v=v, p=p, n=n, delta=delta, size=size, classes=classes, basis=basis,
             avg_strings=np.array(strings, dtype=np.intp).reshape(len(strings), n),
             raw=raw, spectra=spectra, overlaps=overlaps, avg_spectrum=avg_spectrum,
             output_spectra=output_spectra,
@@ -543,8 +474,8 @@ def _conditional_reports(block):
     # the profile depends on the letter counts of xn only, so it is taken
     # on the first member of each type class
     ranks, traces, lows, highs = [], [], [], []
-    for xn, *_ in block.classes.values():
-        rank, trace, log_lo, log_hi = _string_profile(xn, spectra, delta)
+    for key in block.classes:
+        rank, trace, log_lo, log_hi = _string_profile(block.first(key), spectra, delta)
         ranks.append(rank)
         traces.append(trace)
         if rank:
@@ -564,7 +495,7 @@ def _conditional_reports(block):
         return float(terms.sum())
 
     # the trace is invariant under permuting positions: one per type class
-    avg_trace = min(avg_trace_at(xn) for xn, *_ in block.classes.values())
+    avg_trace = min(avg_trace_at(block.first(key)) for key in block.classes)
 
     reports = [
         make_report("te4-trace", min(traces), 1.0),
@@ -627,7 +558,8 @@ def _compress(block):
     """
     n = block.n
     cores, tops = {}, {}
-    for key, (xn, *_) in block.classes.items():
+    for key in block.classes:
+        xn = block.first(key)
         strings = _group_filter(xn, block.spectra, block.delta)
         jdx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
         m = np.ones((len(block.avg_strings), len(strings)), dtype=complex)
@@ -643,25 +575,20 @@ def _compress(block):
 def _member_perms(block):
     """``(y, key, perm)`` for every typical string y, in string order: its
     type class and the index map with K_y = K_x[perm][:, perm] for the
-    class's first member x.  y = x[pi], and perm maps each average string
-    t to the index of the string s with s_{pi(i)} = t_i, found by
-    ``searchsorted`` on big-endian codes."""
+    class's first member x.  The only reader of all |T| typical strings,
+    which it lists itself (the block's check bounds |T|).  The first member
+    is sorted, so y = x[pi] with pi the inverse of y's stable argsort, and
+    perm maps each average string t to the index of the string s with
+    s_{pi(i)} = t_i, found by ``searchsorted`` on big-endian codes."""
     n, avg_strings = block.n, block.avg_strings
-    letter = {a: i for i, a in enumerate(block.v.alphabet)}
     # big-endian codes of the average strings, ascending as the rows are
     powers = block.basis.shape[0] ** np.arange(n - 1, -1, -1)
     codes = avg_strings @ powers
-    firsts = {
-        key: np.argsort([letter[a] for a in first], kind="stable")
-        for key, (first, *_) in block.classes.items()
-    }
-    for xn in block.members:
-        idx = np.array([letter[a] for a in xn])
+    for idx in _typical_strings(block.p, n, block.delta):
         order = np.argsort(idx, kind="stable")
-        key = tuple(idx[order].tolist())
         pi = np.empty(n, dtype=np.intp)
-        pi[order] = firsts[key]
-        yield xn, key, np.searchsorted(codes, avg_strings @ powers[pi])
+        pi[order] = np.arange(n)
+        yield block.first(idx), tuple(sorted(idx)), np.searchsorted(codes, avg_strings @ powers[pi])
 
 
 def _member_cores(block, cores):
@@ -722,12 +649,12 @@ def _mean_core(block, cores):
     for key, k in cores.items():
         if k.any():
             flat = k.ravel()
-            sums += len(block.classes[key]) * (
+            sums += block.classes[key] * (
                 np.bincount(labels, flat.real, sizes.size)
                 + 1j * np.bincount(labels, flat.imag, sizes.size)
             )
     r = len(block.avg_strings)
-    return (sums / (sizes * len(block.members)))[labels].reshape(r, r)
+    return (sums / (sizes * block.size))[labels].reshape(r, r)
 
 
 def reindexed_pair(v, p, n, delta, cap=None):
@@ -748,16 +675,16 @@ def reindexed_pair(v, p, n, delta, cap=None):
     """
     block, = _blocks(v, p, delta, [n], cap)
     cores, _ = _compress(block)
-    index = range(len(block.members))
+    members = list(_member_cores(block, cores))
+    index = range(block.size)
     iso = block.iso
     vn = tensor_power(v, block.n, cap)
     # neither is validated again: Kronecker products of validated densities
     # are exactly Hermitian, and _compress validated and symmetrized every
     # core K, whose permutations are the member cores
-    base = CqChannel(index, iso.shape[0], {i: vn.output(t) for i, t in enumerate(block.members)},
+    base = CqChannel(index, iso.shape[0], {i: vn.output(y) for i, (y, _) in enumerate(members)},
                      validate=False)
-    prime = CqChannel(index, iso.shape[1],
-                      dict(enumerate(k for _, k in _member_cores(block, cores))),
+    prime = CqChannel(index, iso.shape[1], {i: k for i, (_, k) in enumerate(members)},
                       validate=False)
     return base, prime, iso
 

@@ -24,7 +24,6 @@ from cqwiretap.codes import (
 )
 from cqwiretap.config import STRING_CAP, check_dim
 from cqwiretap.errors import DimensionMismatchError, InvalidStateError
-from cqwiretap.typicality import typical_set
 
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -458,7 +457,8 @@ def typical_projector(rho, n, delta, cap=None) -> TypicalProjector:
     dim_total = check_dim(rho.shape[0] ** n, cap)
     vals, basis = typicality.sorted_eigenbasis(rho)
     q = typicality._clean_spectrum(vals)
-    strings = typical_set(q, n, delta)._listed("project onto")
+    typicality._capped_size(q, n, delta, "project onto")
+    strings = typicality._typical_strings(q, n, delta)
     cols = typicality._column_stack([basis] * n, strings)
     return TypicalProjector(
         rho=rho, n=n, delta=delta, eigenvalues=q, basis=basis, strings=strings,
@@ -524,12 +524,15 @@ def dense_compression(v, p, n, delta):
     It builds every projector and product output in full, so it only
     serves to check the library's subspace-compressed construction.
     """
-    avg = _mixtures(np.asarray(p, dtype=float), np.array(v.states()))
+    p = channels.check_distribution(p, len(v.alphabet))
+    avg = _mixtures(p, np.array(v.states()))
     pi_avg = typical_projector(avg, n, delta).projector
     vn = tensor_power(v, n)
     outputs = {}
     avg_traces = []
-    for xn in typical_set(p, n, delta, alphabet=v.alphabet):
+    typicality._capped_size(p, n, delta, "list")
+    for idx in typicality._typical_strings(p, n, delta):
+        xn = tuple(v.alphabet[i] for i in idx)
         pi_cond = cond_typical_projector(v, xn, delta).projector
         rho = vn.output(xn)
         outputs[xn] = pi_avg @ (pi_cond @ rho @ pi_cond) @ pi_avg
@@ -561,7 +564,8 @@ def compress_per_string(v, p, n, delta):
     avg_strings, raw, spectra, overlaps = block.avg_strings, block.raw, block.spectra, block.overlaps
     iso = typicality._column_stack([block.basis] * n, avg_strings)
     cores, tops, deficit = {}, [], 0.0
-    for xn in block.members:
+    for idx in typicality._typical_strings(block.p, n, delta):
+        xn = tuple(v.alphabet[i] for i in idx)
         strings = typicality._group_filter(xn, spectra, delta)
         idx = np.array(strings, dtype=np.intp).reshape(len(strings), n)
         m = np.ones((len(avg_strings), len(strings)), dtype=complex)
@@ -587,7 +591,7 @@ def gathered_mean_core(block, cores):
     for _, key, perm in typicality._member_perms(block):
         if cores[key].any():
             mean += cores[key][np.ix_(perm, perm)]
-    return mean / len(block.members)
+    return mean / block.size
 
 
 def member_ordering_minima(v, p, n, delta):

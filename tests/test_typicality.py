@@ -42,11 +42,9 @@ from cqwiretap.errors import (
 )
 from cqwiretap.config import STRING_CAP
 from cqwiretap.typicality import (
-    _class_total,
     _column_stack,
     reindexed_pair,
     sorted_eigenbasis,
-    typical_set,
     typicality_reports,
 )
 
@@ -173,39 +171,36 @@ def clock_channel(heavy: float = 0.8) -> CqChannel:
     return CqChannel((0, 1, 2), 2, outputs)
 
 
+def typical_strings(p, n, delta):
+    """The library's typical index strings of ``p`` at block length n."""
+    return typicality._typical_strings(np.asarray(p, dtype=float), n, delta)
+
+
 class TestTypicalSet:
+    """The typical inputs: the strings of the private enumerator, the type
+    classes and size |T| of the block, and the string cap on |T|."""
+
     def test_frozen_counts_skewed_coin(self):
         for n, count in SKEW_COUNTS.items():
-            ts = typical_set(SKEW, n, 0.5)
-            assert len(ts) == count
-            assert sorted(ts.members) == brute_typical_strings(SKEW, n, 0.5)
+            strings = typical_strings(SKEW, n, 0.5)
+            assert len(strings) == count
+            assert strings == brute_typical_strings(SKEW, n, 0.5)
 
     def test_members_exact_at_n2(self):
-        ts = typical_set(SKEW, 2, 0.5)
-        assert set(ts.members) == {(0, 0), (0, 1), (1, 0)}
+        assert typical_strings(SKEW, 2, 0.5) == [(0, 0), (0, 1), (1, 0)]
 
     def test_point_mass_single_string(self):
-        ts = typical_set((1.0, 0.0), 5, 0.3)
-        assert ts.members == ((0,) * 5,)
-        ts = typical_set((0.0, 1.0, 0.0), 4, 0.3)
-        assert ts.members == ((1,) * 4,)
+        assert typical_strings((1.0, 0.0), 5, 0.3) == [(0,) * 5]
+        assert typical_strings((0.0, 1.0, 0.0), 4, 0.3) == [(1,) * 4]
 
     def test_uniform_coin_delta_one_everything(self):
-        ts = typical_set((0.5, 0.5), 2, 1.0)
-        assert len(ts) == 4
+        assert len(typical_strings((0.5, 0.5), 2, 1.0)) == 4
 
     def test_zero_mass_letter_never_appears(self):
-        ts = typical_set((0.75, 0.25, 0.0), 3, 0.9)
-        assert ts.members
-        assert all(2 not in xs for xs in ts.members)
-        assert sorted(ts.members) == brute_typical_strings((0.75, 0.25, 0.0), 3, 0.9)
-
-    def test_contains_agrees_with_members(self):
-        ts = typical_set(SKEW, 4, 0.5)
-        members = set(ts.members)
-        for xs in itertools.product(range(2), repeat=4):
-            assert ts.contains(xs) == (xs in members)
-            assert (xs in ts) == (xs in members)
+        strings = typical_strings((0.75, 0.25, 0.0), 3, 0.9)
+        assert strings
+        assert all(2 not in xs for xs in strings)
+        assert strings == brute_typical_strings((0.75, 0.25, 0.0), 3, 0.9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -216,46 +211,70 @@ class TestTypicalSet:
         delta=st.sampled_from([0.1, 0.3, 0.6, 1.0]),
     )
     def test_matches_brute_force(self, weights, n, delta):
-        # members come from type classes; order and content must equal the
-        # full-space filter, zero-mass letters included
+        # the strings come from type classes; order and content must equal
+        # the full-space filter, zero-mass letters included
         p = np.asarray(weights, dtype=float) / sum(weights)
-        ts = typical_set(p, n, delta)
-        assert list(ts.members) == brute_typical_strings(p, n, delta)
+        assert typical_strings(p, n, delta) == brute_typical_strings(p, n, delta)
 
     def test_symbol_alphabet(self):
-        ts = typical_set(SKEW, 2, 0.5, alphabet=("a", "b"))
-        assert set(ts.members) == {("a", "a"), ("a", "b"), ("b", "a")}
-        assert ts.contains(("b", "a"))
+        # the block keeps letter indices; symbols appear only where a
+        # string is read, as the first member of a class or in the members
+        v = CqChannel(("a", "b"), 2, {"a": np.diag([0.8, 0.2]), "b": np.diag([0.2, 0.8])})
+        block = typicality_block(v, SKEW, 2, 0.5)
+        assert block.classes == {(0, 0): 1, (0, 1): 2}
+        assert block.size == 3
+        assert block.first((0, 1)) == ("a", "b")
+        members = [y for y, _, _ in typicality._member_perms(block)]
+        assert members == [("a", "a"), ("a", "b"), ("b", "a")]
 
-    def test_predicate_mode_above_cap(self):
-        ts = typical_set((0.5, 0.5), 21, 0.5)
-        assert ts.members is None
-        assert ts.contains((0, 1) * 10 + (0,))
-        with pytest.raises(ResourceCapError):
-            len(ts)
+    def test_block_classes_match_the_strings(self):
+        # one entry per type class, keyed by its sorted first member, with
+        # its size, in the order the first members take among the strings
+        p = (0.5, 0.3, 0.2)
+        g = rng(5)
+        v = CqChannel(range(3), 2, {x: random_density(g, 2) for x in range(3)})
+        for n in (3, 5, 6):
+            block = typicality_block(v, p, n, 1.0)
+            strings = typical_strings(p, n, 1.0)
+            classes = {}
+            for xs in strings:
+                key = tuple(sorted(xs))
+                classes[key] = classes.get(key, 0) + 1
+            assert list(block.classes.items()) == list(classes.items())
+            assert block.size == len(strings)
 
-    def test_cap_override_forces_predicate(self):
-        ts = typical_set(SKEW, 2, 0.5, cap=2)
-        assert ts.members is None
-        assert ts.contains((0, 1))
-        assert not ts.contains((1, 1))
+    def test_reports_list_no_typical_input_string(self, monkeypatch):
+        # 3 inputs, qubit outputs: a count vector of 3 entries is a type
+        # class of the inputs, one of 2 a class of PV or of an output
+        seen = []
+        arrangements = typicality._type_class
 
-    def test_cap_counts_typical_strings_not_all_strings(self):
+        def counted(counts):
+            seen.append(len(counts))
+            return arrangements(counts)
+
+        monkeypatch.setattr(typicality, "_type_class", counted)
+        g = rng(5)
+        v = CqChannel(("a", "b", "c"), 2, {x: random_density(g, 2) for x in "abc"})
+        assert len(typicality_reports(v, (0.5, 0.3, 0.2), 1.0, [3, 5, 6])) == 3
+        assert seen and set(seen) == {2}
+
+    def test_cap_counts_typical_strings_not_all_strings(self, monkeypatch):
         # |T| = 163 of the 256 strings at n = 8; the cap is compared with |T|
         size = SKEW_COUNTS[8]
-        assert len(typical_set(SKEW, 8, 0.5, cap=size)) == size
-        ts = typical_set(SKEW, 8, 0.5, cap=size - 1)
-        assert ts.members is None
+        monkeypatch.setattr(typicality, "STRING_CAP", size)
+        assert typicality._capped_size(np.array(SKEW), 8, 0.5, "list") == size
+        monkeypatch.setattr(typicality, "STRING_CAP", size - 1)
         with pytest.raises(ResourceCapError) as info:
-            len(ts)
+            typicality._capped_size(np.array(SKEW), 8, 0.5, "list")
         assert info.value.requested == size
         assert info.value.cap == size - 1
 
     def test_large_alphabet_stops_counting_at_the_cap(self, monkeypatch):
         # 32 uniform letters at n = 12, window {0, 1} per letter: the first
-        # admissible type class alone has 12! strings, so the set turns
-        # predicate-only after one class instead of walking all C(43, 12)
-        # count vectors
+        # admissible type class alone has 12! strings, so the cap check
+        # stops after one class instead of walking all C(43, 12) count
+        # vectors
         seen = []
         classes = typicality._type_classes
 
@@ -265,11 +284,9 @@ class TestTypicalSet:
                 yield item
 
         monkeypatch.setattr(typicality, "_type_classes", counted)
-        ts = typical_set(np.full(32, 1 / 32), 12, 2.0)
-        assert ts.members is None
-        assert len(seen) == 1
         with pytest.raises(ResourceCapError) as info:
-            len(ts)
+            typicality._capped_size(np.full(32, 1 / 32), 12, 2.0, "list")
+        assert len(seen) == 1
         assert info.value.requested == math.factorial(12)
         assert info.value.cap == STRING_CAP
 
@@ -278,30 +295,23 @@ class TestTypicalSet:
         # (4, 3, 2, 1) is admitted: 10! / (4! 3! 2! 1!) = 12600 strings
         p = np.array([0.4, 0.3, 0.2, 0.1])
         assert 4**10 > STRING_CAP
-        ts = typical_set(p, 10, 0.2)
-        assert len(ts) == 12600
-        assert len(ts) == _class_total(p, 10, 0.2, STRING_CAP)
-        assert list(ts.members) == sorted(set(ts.members))
-        assert all(ts.contains(xs) for xs in ts.members)
+        assert typicality._capped_size(p, 10, 0.2, "list") == 12600
+        strings = typical_strings(p, 10, 0.2)
+        assert len(strings) == 12600
+        assert strings == sorted(set(strings))
 
     def test_validation(self):
+        v = flip_channel()
         with pytest.raises(InvalidStateError):
-            typical_set((0.5, 0.6), 2, 0.5)
+            typicality_reports(v, (0.5, 0.6), 0.5, [2])
         with pytest.raises(InvalidStateError):
-            typical_set((-0.1, 1.1), 2, 0.5)
+            typicality_reports(v, (-0.1, 1.1), 0.5, [2])
         with pytest.raises(InvalidStateError):
-            typical_set(SKEW, 0, 0.5)
+            typicality_reports(v, SKEW, 0.5, [0])
         with pytest.raises(InvalidStateError):
-            typical_set(SKEW, 2, 0.0)
+            typicality_reports(v, SKEW, 0.0, [2])
         with pytest.raises(DimensionMismatchError):
-            typical_set(SKEW, 2, 0.5, alphabet=("a", "b", "c"))
-
-    def test_contains_rejects_malformed_strings(self):
-        ts = typical_set(SKEW, 2, 0.5)
-        with pytest.raises(DimensionMismatchError):
-            ts.contains((0, 1, 0))
-        with pytest.raises(DimensionMismatchError):
-            ts.contains((0, 7))
+            typicality_reports(v, (0.5, 0.25, 0.25), 0.5, [2])
 
 
 class TestSortedEigenbasis:
@@ -353,7 +363,7 @@ class TestTypicalProjector:
         rho = np.diag(SKEW).astype(complex)
         tp = typical_projector(rho, 4, 0.4)
         assert tp.rank == 4
-        assert tp.rank == len(typical_set(SKEW, 4, 0.4))
+        assert tp.rank == len(typical_strings(SKEW, 4, 0.4))
 
     def test_skewed_qubit_frozen_ranks(self):
         rho = np.diag(SKEW).astype(complex)
@@ -554,7 +564,7 @@ def compressed_outputs(v, p, n, delta):
     and its trace deficit: A K_x A* for each R x R output K_x of
     :func:`reindexed_pair`, whose outputs are in string order."""
     _, prime, iso = reindexed_pair(v, p, n, delta)
-    members = typical_set(p, n, delta, alphabet=v.alphabet).members
+    members = [tuple(v.alphabet[i] for i in idx) for idx in typical_strings(p, n, delta)]
     return {xn: bounds._sandwich(iso, prime.output(i)) for i, xn in enumerate(members)}, prime.epsilon
 
 
@@ -885,7 +895,7 @@ class TestStreamingCompression:
         calls = self.count(monkeypatch)
         block = typicality_block(flip_channel(), self.P, self.N, self.DELTA)
         cores, _ = typicality._compress(block)
-        assert len(block.members) == 3 and len(cores) == 1
+        assert block.size == 3 and len(cores) == 1
         assert calls.count((8, 8)) == 0
         assert calls.count((6, 6)) == 1
         assert "product" not in calls
@@ -1057,7 +1067,8 @@ class TestPerClassCompression:
         (eps, _), = factor_pairs(v, p, delta, [n])
         _, sub_epsilon = compressed_outputs(v, p, n, delta)
         got = dict(typicality._member_cores(block, per_class))
-        assert block.members == tuple(got) == tuple(cores)
+        assert tuple(got) == tuple(cores)
+        assert len(got) == block.size
         for xn, k in got.items():
             assert np.abs(k - cores[xn]).max(initial=0.0) <= 1e-14
         assert abs(top - max(tops)) <= 1e-14
